@@ -126,6 +126,12 @@ def edr_ledger(mp: MeasuringProcess, a, b, rho,
                tol: Tolerances = None) -> EDRReport:
     """Evaluate the three error-disturbance relations for one scenario.
 
+    The noise operator N(A) is built once and gives both epsilon and the
+    mean noise operator n(A); it is released before the disturbance
+    operator D(B) is built, which likewise gives eta and d(B). The results
+    equal those of rms_error, rms_disturbance, mean_noise_operator and
+    mean_disturbance_operator, and every float field is a Python float.
+
     constants is accepted for interface uniformity with the continuous
     models; the finite-dimensional bounds carry no explicit scale factor.
     """
@@ -133,14 +139,19 @@ def edr_ledger(mp: MeasuringProcess, a, b, rho,
     am = _as_observable_matrix(a, tol)
     bm = _as_observable_matrix(b, tol)
     rm = _as_state_matrix(rho, tol)
-    eps = rms_error(mp, am, rm)
-    eta = rms_disturbance(mp, bm, rm)
+    joint = mp.composite_state(rm)
+    noise = noise_operator(mp, am)
+    eps = float(np.sqrt(_second_moment(noise, joint)))
+    n_mean = _probe_average(mp, noise)
+    del noise
+    dist = disturbance_operator(mp, bm)
+    eta = float(np.sqrt(_second_moment(dist, joint)))
+    d_mean = _probe_average(mp, dist)
+    del dist
     sig_a = std_dev(am, rm, tol)
     sig_b = std_dev(bm, rm, tol)
     bound = robertson_bound(am, bm, rm, tol)
-    n_mean = mean_noise_operator(mp, am)
-    d_mean = mean_disturbance_operator(mp, bm)
-    corr = abs(np.trace((commutator(n_mean, bm) + commutator(am, d_mean)) @ rm))
+    corr = float(abs(np.trace((commutator(n_mean, bm) + commutator(am, d_mean)) @ rm)))
     product = eps * eta
     uedr = product + corr
     oedr = product + eps * sig_b + sig_a * eta
@@ -150,7 +161,7 @@ def edr_ledger(mp: MeasuringProcess, a, b, rho,
         sigma_a=sig_a,
         sigma_b=sig_b,
         robertson=bound,
-        correlation_term=float(corr),
+        correlation_term=corr,
         heisenberg_product=product,
         uedr_lhs=uedr,
         oedr_lhs=oedr,

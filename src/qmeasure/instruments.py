@@ -33,7 +33,6 @@ from .operators import (
     dagger,
     hermitian_part,
     operator_distance,
-    partial_trace,
     spectral_decompose,
     std_dev,
     tensor,
@@ -301,37 +300,33 @@ def instrument_from_process(mp: MeasuringProcess, tol: Tolerances = None) -> CPI
     """The CP instrument induced by reading the meter of a process.
 
     For each spectral value m of the meter with projector Q_m,
-    I(m)rho = Tr_probe[(1 x Q_m) U (rho x rho0) U+ (1 x Q_m)], and the
-    Kraus family of each outcome comes from the Choi factorization of
-    that map with eigenvalue cutoff eq_tol.
+    I(m)rho = Tr_probe[(1 x Q_m) U (rho x rho0) U+ (1 x Q_m)]. With the
+    probe spectrum rho0 = sum_l lam_l |phi_l><phi_l| this map has the
+    closed-form Kraus family sqrt(lam_l) (1 x <e_k|Q_m) U (1 x |phi_l>),
+    e_k running over the probe basis; eigenvalues lam_l <= 0, which
+    psd_tol admits, are dropped. The family is reduced to minimal rank by
+    an SVD of the stacked columns vec(K): the Choi matrix of the outcome
+    is V V+, so its eigenvectors are the left singular vectors and its
+    eigenvalues the squared singular values s^2. Operators with
+    s^2 <= eq_tol are discarded, and the rest come out ordered by
+    descending Choi eigenvalue.
     """
     tol = tol or mp.tol
     mdec = spectral_decompose(mp.meter, tol)
-    d = mp.system_dim
-    u = mp.unitary
-    rho0 = mp.probe_state.matrix
-    eye_s = np.eye(d)
+    d, dp = mp.system_dim, mp.probe_dim
+    lam, phi = np.linalg.eigh(mp.probe_state.matrix)
+    keep = lam > 0
+    # t[a, b, c, l] = sum_e U[(a, b), (c, e)] sqrt(lam_l) phi_l[e]
+    t = mp.unitary.reshape(d, dp, d, dp) @ (phi[:, keep] * np.sqrt(lam[keep]))
     outcomes = []
     families = []
     for m_val, q in zip(mdec.eigenvalues, mdec.projectors):
-        sandwich = np.kron(eye_s, q)
-
-        def chan(x):
-            big = u @ np.kron(x, rho0) @ dagger(u)
-            big = sandwich @ big @ sandwich
-            return partial_trace(big, (d, mp.probe_dim), keep="first")
-
-        choi = np.zeros((d * d, d * d), dtype=complex)
-        basis = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                basis[i, j] = 1.0
-                block = chan(basis)
-                basis[i, j] = 0.0
-                choi[i * d:(i + 1) * d, j * d:(j + 1) * d] = block  # C[(i,m),(j,n)] = Phi(E_ij)[m,n]
-        ops = kraus_from_choi(choi, d, cutoff=tol.eq_tol)
+        # column (k, l) is vec(K_kl), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
+        v = np.einsum("kb,abcl->cakl", q, t).reshape(d * d, -1)
+        w, s, _ = np.linalg.svd(v, full_matrices=False)
+        rank = int(np.sum(s * s > tol.eq_tol))
         outcomes.append(float(m_val))
-        families.append(ops)
+        families.append([s[j] * w[:, j].reshape(d, d).T for j in range(rank)])
     return CPInstrument(outcomes, families, tol=tol)
 
 
@@ -376,13 +371,15 @@ def dilate(instrument: CPInstrument, tol: Tolerances = None) -> MeasuringProcess
     """An explicit measuring process realizing a CP instrument.
 
     The probe dimension is the total Kraus count r, with one block of
-    size r_m per outcome. The coupling is the unitary completion of the
-    isometry psi x e0 -> sum_{m,j} (K_{m,j} psi) x |m,j>, completed by
-    Gram-Schmidt over canonical basis vectors in index order, so the
-    construction is deterministic. The probe starts in the pure state
-    |e0> (the first block vector) and the meter takes the value
-    outcomes[m] on block m. Reading the meter of the resulting process
-    reproduces the instrument (per-outcome Choi agreement).
+    size r_m per outcome. The coupling maps psi x e0 to
+    sum_{m,j} (K_{m,j} psi) x |m,j>: its columns at the probe index
+    e0 = 0 are the stacked Kraus columns, an isometry V because
+    sum K+K = 1. The remaining n - d columns, in index order, are the
+    orthonormal complement Q[:, d:] from the complete QR factorization
+    V = QR, so the construction is deterministic. The probe starts in the
+    pure state |e0> (the first block vector) and the meter takes the
+    value outcomes[m] on block m. Reading the meter of the resulting
+    process reproduces the instrument (per-outcome Choi agreement).
     """
     tol = tol or instrument.tol
     d = instrument.dim
@@ -392,36 +389,13 @@ def dilate(instrument: CPInstrument, tol: Tolerances = None) -> MeasuringProcess
         raise ValidationError("cannot dilate an instrument with no Kraus operators")
     n = d * probe_dim
 
-    # isometry columns, placed at the probe index e0 = 0
-    u = np.zeros((n, n), dtype=complex)
-    for i in range(d):
-        col = np.zeros(n, dtype=complex)
-        b = 0
-        for ops in instrument.kraus:
-            for k in ops:
-                col[b::probe_dim] = col[b::probe_dim] + k[:, i]  # component (s, b) at s*probe_dim + b
-                b += 1
-        u[:, i * probe_dim] = col
-
-    filled = [i * probe_dim for i in range(d)]
-    basis = u[:, filled]  # orthonormal up to eq_tol because sum K+K = 1
-    free = [j for j in range(n) if j not in set(filled)]
-    cursor = 0
-    for k_idx in range(n):
-        if cursor >= len(free):
-            break
-        e = np.zeros(n, dtype=complex)
-        e[k_idx] = 1.0
-        v = e - basis @ (dagger(basis) @ e)
-        v = v - basis @ (dagger(basis) @ v)  # second pass for orthogonality
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-6:
-            v = v / nrm
-            u[:, free[cursor]] = v
-            basis = np.concatenate([basis, v[:, None]], axis=1)
-            cursor += 1
-    if cursor < len(free):
-        raise ValidationError("unitary completion failed")
+    # iso[(s, b), i] = K_b[s, i], the row of component (s, b) being s*probe_dim + b
+    iso = np.stack([k for ops in instrument.kraus for k in ops], axis=1).reshape(n, d)
+    filled = np.zeros(n, dtype=bool)
+    filled[::probe_dim] = True
+    u = np.empty((n, n), dtype=complex)
+    u[:, filled] = iso
+    u[:, ~filled] = np.linalg.qr(iso, mode="complete")[0][:, d:]
 
     meter_diag = np.concatenate([np.full(c, x) for x, c in zip(instrument.outcomes, counts) if c > 0])
     meter = HermitianObservable(np.diag(meter_diag), tol=tol)

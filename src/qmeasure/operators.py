@@ -241,12 +241,21 @@ def expectation(x, rho) -> complex:
 
 
 def std_dev(a, rho, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Standard deviation sqrt(<A^2> - <A>^2) of an observable in a state."""
+    """Standard deviation sqrt(Tr[(A - <A>)^2 rho]) of an observable in a state.
+
+    The centered moment is summed over the spectrum of the state,
+    sum_j w_j |(A - <A>) phi_j|^2, dropping weights w_j at or below
+    dim * machine eps, the rounding level of a unit-trace matrix. Taken
+    entrywise, as <A^2> - <A>^2 or Tr[(A - <A>)^2 rho], it keeps that
+    rounding and returns about sqrt(machine eps) times the operator
+    scale on an eigenstate.
+    """
     am = _as_observable_matrix(a, tol)
     rm = _as_state_matrix(rho, tol)
-    mean = expectation(am, rm).real
-    second = expectation(am @ am, rm).real
-    return float(np.sqrt(max(second - mean * mean, 0.0)))
+    centered = am - expectation(am, rm).real * np.eye(am.shape[0])
+    w, v = np.linalg.eigh(rm)
+    keep = w > am.shape[0] * np.finfo(float).eps
+    return float(np.sqrt(np.sum(w[keep] * np.sum(np.abs(centered @ v[:, keep]) ** 2, axis=0))))
 
 
 def robertson_bound(a, b, rho, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -63,3 +63,34 @@ def shifted_meter(mp: qm.MeasuringProcess, c: float) -> qm.MeasuringProcess:
     """Same process with the meter displaced by a constant."""
     meter = qm.HermitianObservable(mp.meter.matrix + c * np.eye(mp.probe_dim))
     return qm.MeasuringProcess(mp.probe_state, mp.unitary, meter)
+
+
+def reference_instrument_from_process(mp: qm.MeasuringProcess) -> qm.CPInstrument:
+    """The instrument of a process by channel evaluation, the reference for
+    the closed form of qm.instrument_from_process.
+
+    Each outcome's Choi matrix C[(i,m),(j,n)] = Phi(E_ij)[m,n] is filled by
+    evaluating Phi(X) = Tr_probe[(1 x Q) U (X x rho0) U+ (1 x Q)] on the d^2
+    matrix units, and its Kraus family comes from qm.kraus_from_choi with
+    cutoff eq_tol.
+    """
+    tol = mp.tol
+    d, dp = mp.system_dim, mp.probe_dim
+    u = mp.unitary
+    rho0 = mp.probe_state.matrix
+    mdec = qm.spectral_decompose(mp.meter, tol)
+    outcomes = []
+    families = []
+    for m_val, q in zip(mdec.eigenvalues, mdec.projectors):
+        sandwich = np.kron(np.eye(d), q)
+        choi = np.zeros((d * d, d * d), dtype=complex)
+        unit = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                unit[i, j] = 1.0
+                big = sandwich @ u @ np.kron(unit, rho0) @ qm.dagger(u) @ sandwich
+                unit[i, j] = 0.0
+                choi[i * d:(i + 1) * d, j * d:(j + 1) * d] = qm.partial_trace(big, (d, dp), keep="first")
+        outcomes.append(float(m_val))
+        families.append(qm.kraus_from_choi(choi, d, cutoff=tol.eq_tol))
+    return qm.CPInstrument(outcomes, families, tol=tol)

@@ -230,6 +230,27 @@ class TestSettingsPrecedence:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
 
+class TestReportCsv:
+    @pytest.mark.parametrize("cfg", [finite_process_config("edr"), finite_process_config("precision"),
+                                     gaussian_config()], ids=["edr", "precision", "gaussian"])
+    def test_cells_parse_and_match_json(self, tmp_path, cfg):
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["run", path, "--out", out]) == EXIT_OK
+        results = read_report(out)["results"]
+        with open(os.path.join(out, "report.csv")) as fh:
+            header, row = [line.split(",") for line in fh.read().splitlines()]
+        assert sorted(header) == sorted(results)
+        for col, cell in zip(header, row):
+            value = results[col]
+            if isinstance(value, bool):
+                assert cell == ("true" if value else "false"), col
+            elif isinstance(value, (int, float)):
+                assert float(cell) == value, col
+            else:
+                assert cell == str(value), col
+
+
 class TestDeterminism:
     @staticmethod
     def stable_lines(out_dir):

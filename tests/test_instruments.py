@@ -13,8 +13,30 @@ from helpers import (
     SZ,
     cnot_process,
     dilated_luders,
+    reference_instrument_from_process,
     trivial_process,
 )
+
+
+def assert_matches_reference(mp):
+    """Closed-form instrument agrees with channel evaluation: equal
+    outcomes and Kraus counts, per-outcome Choi matrices within 1e-10."""
+    inst = qm.instrument_from_process(mp)
+    ref = reference_instrument_from_process(mp)
+    assert inst.outcomes == ref.outcomes
+    assert [len(ops) for ops in inst.kraus] == [len(ops) for ops in ref.kraus]
+    for i in range(len(inst.outcomes)):
+        assert qm.operator_distance(inst.choi(i), ref.choi(i)) < 1e-10
+
+
+def process_with(probe_eigenvalues, meter_eigenvalues, system_dim, rng):
+    """Haar coupling, with probe state and meter diagonal in Haar bases."""
+    dp = len(probe_eigenvalues)
+    v = qm.haar_unitary(dp, rng)
+    probe = qm.DensityOperator(v @ np.diag(probe_eigenvalues) @ v.conj().T)
+    w = qm.haar_unitary(dp, rng)
+    meter = qm.HermitianObservable(w @ np.diag(meter_eigenvalues) @ w.conj().T)
+    return qm.MeasuringProcess(probe, qm.haar_unitary(system_dim * dp, rng), meter)
 
 
 class TestOutcomeDistribution:
@@ -188,6 +210,29 @@ class TestInstrumentFromProcess:
             inst = qm.instrument_from_process(mp)
             assert np.trace(inst.apply(rho)).real == pytest.approx(1.0, abs=1e-9)
 
+    def test_closed_form_matches_channel_evaluation_random(self):
+        rng = qm.rng_from(210)
+        for _ in range(60):
+            d = int(rng.integers(2, 5))
+            assert_matches_reference(qm.random_measuring_process(d, int(rng.integers(2, 6)), rng))
+
+    def test_closed_form_probe_larger_than_system(self):
+        rng = qm.rng_from(211)
+        for dp in (3, 4, 5):
+            assert_matches_reference(qm.random_measuring_process(2, dp, rng, pure_probe=False))
+
+    def test_closed_form_clustered_meter(self):
+        # eigenvalues closer than eq_tol merge into one outcome
+        rng = qm.rng_from(212)
+        mp = process_with([0.4, 0.3, 0.2, 0.1], [0.0, 1e-12, 1.0, 1.0 + 1e-12], 3, rng)
+        assert qm.instrument_from_process(mp).outcomes == pytest.approx((0.0, 1.0))
+        assert_matches_reference(mp)
+
+    def test_closed_form_rank_deficient_and_pure_probes(self):
+        rng = qm.rng_from(213)
+        for probe in ([0.5, 0.5, 0.0, 0.0], [0.7, 0.0, 0.3, 0.0], [1.0, 0.0, 0.0, 0.0]):
+            assert_matches_reference(process_with(probe, [0.0, 1.0, 2.0, 3.0], 3, rng))
+
 
 class TestPOVM:
     def test_povm_validation(self):
@@ -260,6 +305,34 @@ class TestDilation:
         u1 = qm.dilate(inst).unitary
         u2 = qm.dilate(inst).unitary
         assert np.array_equal(u1, u2)
+
+    def test_isometry_columns_are_stacked_kraus(self):
+        rng = qm.rng_from(214)
+        for _ in range(20):
+            d = int(rng.integers(2, 5))
+            inst = qm.random_cp_instrument(d, int(rng.integers(1, 4)), rng, max_kraus_per_outcome=3)
+            u = qm.dilate(inst).unitary
+            kraus = [k for ops in inst.kraus for k in ops]
+            r = len(kraus)
+            for b, k in enumerate(kraus):
+                for i in range(d):
+                    assert np.array_equal(u[b::r, i * r], k[:, i])
+            assert qm.operator_distance(u.conj().T @ u, np.eye(d * r)) <= 1e-12
+
+    def test_round_trip_choi_d6_with_36_kraus(self):
+        # the first 6 columns of a Haar unitary on C^216 split into 36 Kraus
+        # operators, 6 for each of 6 outcomes; the dilation has n = 216
+        rng = qm.rng_from(215)
+        d = 6
+        iso = qm.haar_unitary(d * 36, rng)[:, :d].reshape(d, 36, d)
+        kraus = [[iso[:, 6 * m + j, :] for j in range(6)] for m in range(6)]
+        inst = qm.CPInstrument(np.arange(6.0), kraus)
+        mp = qm.dilate(inst)
+        assert mp.unitary.shape == (216, 216)
+        assert qm.operator_distance(mp.unitary.conj().T @ mp.unitary, np.eye(216)) <= 1e-12
+        back = qm.instrument_from_process(mp)
+        assert [len(ops) for ops in back.kraus] == [6] * 6
+        assert qm.instrument_choi_distance(inst, back) < 1e-10
 
 
 class TestChoiDistance:

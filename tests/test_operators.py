@@ -122,6 +122,14 @@ class TestStatistics:
         assert qm.std_dev(SX, rho) == pytest.approx(1.0)
         assert qm.std_dev(SZ, rho) == pytest.approx(0.0, abs=1e-12)
 
+    def test_std_dev_vanishes_on_rotated_eigenstates(self):
+        rng = qm.rng_from(108)
+        for _ in range(200):
+            v = qm.haar_unitary(3, rng)
+            a = v @ np.diag(rng.standard_normal(3)) @ v.conj().T
+            rho = qm.DensityOperator.pure(v[:, int(rng.integers(0, 3))])
+            assert qm.std_dev(a, rho) <= 1e-12 * np.linalg.norm(a, 2)
+
     def test_robertson_bound_frozen(self):
         # (1/2)|<[sx, sy]>| = |<sz>| = 1 on |0>
         rho = qm.DensityOperator.pure(KET0)
