@@ -68,7 +68,6 @@ from .edr import (
 from .jpd import (
     JointDistribution,
     PrecisionReport,
-    WeakJointDistribution,
     commute_in_state,
     gauss_rms,
     is_nondisturbing,

@@ -4,9 +4,10 @@
     qmeasure sweep --dims 2..4 --trials N --seed S --out <dir> [--hbar X] [--tol X]
 
 Scenario kinds and their payloads are documented in the README. Exit
-codes: 0 success, 1 I/O failure, 2 schema violation, 3 numerical
-validation or sweep assertion failure. Apart from the wall_time field,
-report.json is byte-identical across reruns of the same scenario.
+codes: 0 success, 1 I/O failure, 2 schema violation (including a config
+number that is not a finite JSON number), 3 numerical validation failure,
+arithmetic overflow, or sweep assertion failure. Apart from the wall_time
+field, report.json is byte-identical across reruns of the same scenario.
 
 Tolerance precedence: --tol flag, then the config's tolerances.eq_tol,
 then the QMEASURE_TOL environment variable, then the library default.
@@ -33,18 +34,14 @@ from .operators import (
     ValidationError,
 )
 from .serialize import (
-    EDR_CSV_COLUMNS,
-    MODEL_EDR_CSV_COLUMNS,
-    PRECISION_CSV_COLUMNS,
     SchemaError,
-    edr_report_csv_row,
+    _csv_cell,
+    _number,
     edr_report_to_dict,
     gaussian_state_from_dict,
     instrument_from_dict,
     matrix_from_json,
-    model_edr_csv_row,
     model_edr_to_dict,
-    precision_report_csv_row,
     precision_report_to_dict,
     process_from_dict,
 )
@@ -67,27 +64,28 @@ def _effective_settings(cfg: dict, hbar_flag, tol_flag):
     env = os.environ.get(ENV_TOL)
     if env is not None:
         try:
-            eq_tol = float(env)
+            env_tol = float(env)
         except ValueError:
             raise SchemaError(f"{ENV_TOL} must be a float, got {env!r}")
+        eq_tol = _number(env_tol, ENV_TOL)
     consts = cfg.get("constants", {})
     if consts:
         if not isinstance(consts, dict):
             raise SchemaError("constants must be an object")
         if "hbar" in consts:
-            hbar = float(consts["hbar"])
+            hbar = _number(consts["hbar"], "hbar")
     tols = cfg.get("tolerances", {})
     if tols:
         if not isinstance(tols, dict):
             raise SchemaError("tolerances must be an object")
         if "eq_tol" in tols:
-            eq_tol = float(tols["eq_tol"])
+            eq_tol = _number(tols["eq_tol"], "eq_tol")
         if "psd_tol" in tols:
-            psd_tol = float(tols["psd_tol"])
+            psd_tol = _number(tols["psd_tol"], "psd_tol")
     if hbar_flag is not None:
-        hbar = float(hbar_flag)
+        hbar = _number(hbar_flag, "--hbar")
     if tol_flag is not None:
-        eq_tol = float(tol_flag)
+        eq_tol = _number(tol_flag, "--tol")
     return PhysicalConstants(hbar=hbar), Tolerances(eq_tol=eq_tol, psd_tol=psd_tol)
 
 
@@ -101,12 +99,12 @@ def _gaussian_arg(payload_entry, constants, tol):
         for key in ("q", "p", "q1"):
             if key not in pk:
                 raise SchemaError(f"packet is missing {key!r}")
-        return min_uncertainty_packet(float(pk["q"]), float(pk["p"]), float(pk["q1"]),
+        return min_uncertainty_packet(*(_number(pk[key], key) for key in ("q", "p", "q1")),
                                       constants=constants)
     return gaussian_state_from_dict(payload_entry, constants=constants, tol=tol)
 
 
-def _run_finite_process(payload: dict, constants, tol):
+def _run_finite_process(payload: dict, tol):
     if "process" in payload:
         mp = process_from_dict(payload["process"], tol=tol)
     elif "instrument" in payload:
@@ -121,12 +119,9 @@ def _run_finite_process(payload: dict, constants, tol):
     rho = DensityOperator(matrix_from_json(payload["state"]), tol=tol)
     which = payload.get("report", "edr")
     if which == "edr":
-        report = edr_ledger(mp, a, b, rho, constants=constants, tol=tol)
-        return edr_report_to_dict(report), EDR_CSV_COLUMNS, [edr_report_csv_row(report)], True
+        return edr_report_to_dict(edr_ledger(mp, a, b, rho, tol=tol)), True
     if which == "precision":
-        report = theorem2_check(mp, a, rho, tol=tol)
-        return (precision_report_to_dict(report), PRECISION_CSV_COLUMNS,
-                [precision_report_csv_row(report)], True)
+        return precision_report_to_dict(theorem2_check(mp, a, rho, tol=tol)), True
     raise SchemaError(f"finite_process report must be 'edr' or 'precision', got {which!r}")
 
 
@@ -140,18 +135,19 @@ def _run_gaussian_model(payload: dict, constants, tol, out_dir):
     report = model_edr(model, obj, probe, constants=constants)
     if "grid" in payload:
         grid = payload["grid"]
-        if not isinstance(grid, list) or not all(isinstance(x, (int, float)) for x in grid):
+        if not isinstance(grid, list):
             raise SchemaError("grid must be a list of numbers")
+        grid = [_number(x, "grid point") for x in grid]
         dens = output_distribution(model, obj, probe, grid)
         with open(os.path.join(out_dir, "densities.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["y", "density"])
             for y, d in zip(grid, dens):
                 w.writerow([repr(float(y)), repr(float(d))])
-    return model_edr_to_dict(report), MODEL_EDR_CSV_COLUMNS, [model_edr_csv_row(report)], True
+    return model_edr_to_dict(report), True
 
 
-def _run_sweep_kind(payload: dict, constants, tol):
+def _run_sweep_kind(payload: dict, tol):
     for key in ("dims", "trials", "seed"):
         if key not in payload:
             raise SchemaError(f"sweep payload is missing {key!r}")
@@ -162,13 +158,11 @@ def _run_sweep_kind(payload: dict, constants, tol):
     interaction = payload.get("interaction", "haar")
     if interaction not in ("haar", "identity"):
         raise SchemaError("interaction must be 'haar' or 'identity'")
-    census, _ = run_sweep(dims=tuple(dims), trials=int(payload["trials"]),
-                          seed=int(payload["seed"]), interaction=interaction,
-                          tol=tol, constants=constants)
-    cols = ["trials", "uedr_failures", "oedr_failures", "lu_oedr_failures",
-            "heisenberg_violations", "theorem2_disagreements"]
-    d = census.as_dict()
-    return d, cols, [[str(d[c]) for c in cols]], census.all_universal_hold
+    trials = _number(payload["trials"], "trials", integer=True)
+    seed = _number(payload["seed"], "seed", integer=True)
+    census, _ = run_sweep(dims=tuple(dims), trials=trials, seed=seed,
+                          interaction=interaction, tol=tol)
+    return census.as_dict(), census.all_universal_hold
 
 
 def run_scenario(cfg: dict, out_dir: str, hbar_flag=None, tol_flag=None) -> int:
@@ -185,12 +179,12 @@ def run_scenario(cfg: dict, out_dir: str, hbar_flag=None, tol_flag=None) -> int:
 
     start = time.perf_counter()
     if kind == "finite_process":
-        results, cols, rows, ok = _run_finite_process(payload, constants, tol)
+        results, ok = _run_finite_process(payload, tol)
     elif kind == "gaussian_model":
         os.makedirs(out_dir, exist_ok=True)
-        results, cols, rows, ok = _run_gaussian_model(payload, constants, tol, out_dir)
+        results, ok = _run_gaussian_model(payload, constants, tol, out_dir)
     else:
-        results, cols, rows, ok = _run_sweep_kind(payload, constants, tol)
+        results, ok = _run_sweep_kind(payload, tol)
     wall = time.perf_counter() - start
 
     report = {
@@ -209,9 +203,8 @@ def run_scenario(cfg: dict, out_dir: str, hbar_flag=None, tol_flag=None) -> int:
         fh.write("\n")
     with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(cols)
-        for row in rows:
-            w.writerow(row)
+        w.writerow(list(results))
+        w.writerow([_csv_cell(v) for v in results.values()])
     if not ok:
         print("sweep found violations of universally valid relations", file=sys.stderr)
         return EXIT_ASSERTION
@@ -272,6 +265,9 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except ValidationError as err:
         print(f"validation failure: {err}", file=sys.stderr)
+        return EXIT_ASSERTION
+    except ArithmeticError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_ASSERTION
     except OSError as err:
         print(f"i/o failure: {err}", file=sys.stderr)

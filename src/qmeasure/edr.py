@@ -22,9 +22,7 @@ import numpy as np
 
 from .instruments import MeasuringProcess
 from .operators import (
-    DEFAULT_CONSTANTS,
     DEFAULT_TOL,
-    PhysicalConstants,
     Tolerances,
     ValidationError,
     _as_observable_matrix,
@@ -121,9 +119,7 @@ class EDRReport:
     oedr_holds: bool
 
 
-def edr_ledger(mp: MeasuringProcess, a, b, rho,
-               constants: PhysicalConstants = DEFAULT_CONSTANTS,
-               tol: Tolerances = None) -> EDRReport:
+def edr_ledger(mp: MeasuringProcess, a, b, rho, tol: Tolerances = None) -> EDRReport:
     """Evaluate the three error-disturbance relations for one scenario.
 
     The noise operator N(A) is built once and gives both epsilon and the
@@ -131,9 +127,6 @@ def edr_ledger(mp: MeasuringProcess, a, b, rho,
     operator D(B) is built, which likewise gives eta and d(B). The results
     equal those of rms_error, rms_disturbance, mean_noise_operator and
     mean_disturbance_operator, and every float field is a Python float.
-
-    constants is accepted for interface uniformity with the continuous
-    models; the finite-dimensional bounds carry no explicit scale factor.
     """
     tol = tol or mp.tol
     am = _as_observable_matrix(a, tol)

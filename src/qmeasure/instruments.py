@@ -29,6 +29,7 @@ from .operators import (
     _as_matrix,
     _as_observable_matrix,
     _as_state_matrix,
+    _cluster_labels,
     as_operator,
     dagger,
     hermitian_part,
@@ -414,26 +415,13 @@ def instrument_choi_distance(a: CPInstrument, b: CPInstrument, tol: Tolerances =
     tol = tol or a.tol
     if a.dim != b.dim:
         raise ValidationError("instruments act on different dimensions")
-    zero = np.zeros((a.dim ** 2, a.dim ** 2), dtype=complex)
     values = sorted(set(a.outcomes) | set(b.outcomes))
-    merged = []
-    for v in values:
-        if merged and v - merged[-1][-1] <= tol.eq_tol:
-            merged[-1].append(v)
-        else:
-            merged.append([v])
-    dist = 0.0
-    for cluster in merged:
-        ca = zero.copy()
-        cb = zero.copy()
-        for i, x in enumerate(a.outcomes):
-            if any(abs(x - v) <= tol.eq_tol for v in cluster):
-                ca = ca + a.choi(i)
-        for i, x in enumerate(b.outcomes):
-            if any(abs(x - v) <= tol.eq_tol for v in cluster):
-                cb = cb + b.choi(i)
-        dist = max(dist, operator_distance(ca, cb))
-    return dist
+    label = dict(zip(values, _cluster_labels(values, tol.eq_tol).tolist()))
+    sums = np.zeros((2, label[values[-1]] + 1, a.dim ** 2, a.dim ** 2), dtype=complex)
+    for side, inst in enumerate((a, b)):
+        for i, x in enumerate(inst.outcomes):
+            sums[side, label[x]] += inst.choi(i)
+    return max(operator_distance(ca, cb) for ca, cb in zip(sums[0], sums[1]))
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,20 @@ from .operators import (
     ValidationError,
     _as_observable_matrix,
     _as_state_matrix,
+    _cluster_labels,
     hermitian_part,
-    operator_distance,
     partial_trace,
     spectral_decompose,
 )
+
+
+def _commute(dx, dy, sigma: np.ndarray, tol: Tolerances) -> bool:
+    """Whether [P_i, Q_j] sigma = 0 within eq_tol for every projector pair."""
+    for p in dx.projectors:
+        for q in dy.projectors:
+            if float(np.abs((p @ q - q @ p) @ sigma).max()) > tol.eq_tol:
+                return False
+    return True
 
 
 def commute_in_state(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -46,20 +55,16 @@ def commute_in_state(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> bool:
     xm = _as_observable_matrix(x, tol)
     ym = _as_observable_matrix(y, tol)
     rm = _as_state_matrix(rho, tol)
-    dx = spectral_decompose(xm, tol)
-    dy = spectral_decompose(ym, tol)
-    for p in dx.projectors:
-        for q in dy.projectors:
-            if float(np.abs((p @ q - q @ p) @ rm).max()) > tol.eq_tol:
-                return False
-    return True
+    return _commute(spectral_decompose(xm, tol), spectral_decompose(ym, tol), rm, tol)
 
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Joint outcome atoms of two observables commuting in a state.
+    """Joint outcome atoms of two observables in a state.
 
-    weights[i, j] = Tr[P_i Q_j rho], real with a -psd_tol floor, total 1.
+    weights[i, j] = Tr[P_i Q_j rho], total 1. The weights are real with a
+    -psd_tol floor for a genuine joint distribution (joint_distribution)
+    and complex for the weak one (weak_joint_distribution).
     """
 
     x_atoms: np.ndarray
@@ -80,6 +85,43 @@ class JointDistribution:
         return self.weights.sum(axis=0)
 
 
+def _joint_weights(p: np.ndarray, q: np.ndarray, sigma: np.ndarray,
+                   tol: Tolerances) -> np.ndarray:
+    """W[i, j] = Tr[P_i Q_j sigma] from stacks of projectors, complex.
+
+    Raises if the total strays from 1 or a marginal from the Born
+    probabilities Tr[P_i sigma] and Tr[Q_j sigma].
+    """
+    q_sigma = q @ sigma
+    w = np.einsum("iab,jba->ij", p, q_sigma)
+    slack = max(tol.eq_tol, 1e-10, 1e-12 * w.size)
+    total = complex(w.sum())
+    if abs(total - 1.0) > slack:
+        raise ValidationError(f"joint weights sum to {total}")
+    if np.abs(w.sum(axis=1) - np.einsum("iab,ba->i", p, sigma)).max() > slack:
+        raise ValidationError("x marginal does not reproduce the Born distribution")
+    if np.abs(w.sum(axis=0) - np.einsum("jaa->j", q_sigma)).max() > slack:
+        raise ValidationError("y marginal does not reproduce the Born distribution")
+    return w
+
+
+def _commuting_joint(x: np.ndarray, y: np.ndarray, sigma: np.ndarray, tol: Tolerances):
+    """The joint distribution of x and y in sigma, or None when they do
+    not commute in sigma. Raises if a weight has an imaginary residue
+    above eq_tol or falls below the psd_tol floor."""
+    dx = spectral_decompose(x, tol)
+    dy = spectral_decompose(y, tol)
+    if not _commute(dx, dy, sigma, tol):
+        return None
+    w = _joint_weights(np.stack(dx.projectors), np.stack(dy.projectors), sigma, tol)
+    if np.abs(w.imag).max() > tol.eq_tol:
+        raise ValidationError(f"joint weight has imaginary residue {np.abs(w.imag).max()}")
+    if w.real.min() < tol.psd_tol:
+        raise ValidationError(f"negative joint weight {w.real.min()}")
+    return JointDistribution(np.array(dx.eigenvalues), np.array(dy.eigenvalues),
+                             np.maximum(w.real, 0.0))
+
+
 def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistribution:
     """The joint distribution of two observables commuting in a state.
 
@@ -87,107 +129,48 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     imaginary residue above eq_tol, if a weight falls below the psd_tol
     floor, or if a marginal strays from the Born distribution.
     """
-    xm = _as_observable_matrix(x, tol)
-    ym = _as_observable_matrix(y, tol)
-    rm = _as_state_matrix(rho, tol)
-    if not commute_in_state(xm, ym, rm, tol):
+    jd = _commuting_joint(_as_observable_matrix(x, tol), _as_observable_matrix(y, tol),
+                          _as_state_matrix(rho, tol), tol)
+    if jd is None:
         raise ValidationError("observables do not commute in the state")
-    dx = spectral_decompose(xm, tol)
-    dy = spectral_decompose(ym, tol)
-    w = np.zeros((len(dx.eigenvalues), len(dy.eigenvalues)))
-    for i, p in enumerate(dx.projectors):
-        for j, q in enumerate(dy.projectors):
-            val = complex(np.trace(p @ q @ rm))
-            if abs(val.imag) > tol.eq_tol:
-                raise ValidationError(f"joint weight has imaginary residue {val.imag}")
-            if val.real < tol.psd_tol:
-                raise ValidationError(f"negative joint weight {val.real}")
-            w[i, j] = max(val.real, 0.0)
-    total = float(w.sum())
-    if abs(total - 1.0) > max(tol.eq_tol, 1e-12 * w.size):
-        raise ValidationError(f"joint weights sum to {total}")
-    jd = JointDistribution(np.array(dx.eigenvalues), np.array(dy.eigenvalues), w)
-    bx = born_distribution(xm, rm, tol)
-    by = born_distribution(ym, rm, tol)
-    if np.abs(jd.x_marginal() - np.array(bx.probabilities)).max() > max(tol.eq_tol, 1e-10):
-        raise ValidationError("x marginal does not reproduce the Born distribution")
-    if np.abs(jd.y_marginal() - np.array(by.probabilities)).max() > max(tol.eq_tol, 1e-10):
-        raise ValidationError("y marginal does not reproduce the Born distribution")
     return jd
 
 
 def gauss_rms(jd: JointDistribution) -> float:
-    """Root-mean-square gauge sqrt(sum w_ij (y_j - x_i)^2) of a joint
-    distribution, the classical rms deviation between the two outcomes."""
+    """Root-mean-square gauge sqrt(sum w_ij (y_j - x_i)^2) of a genuine
+    (real-weight) joint distribution, the classical rms deviation between
+    the two outcomes."""
     dx = jd.y_atoms[None, :] - jd.x_atoms[:, None]
     return float(np.sqrt(max(float((jd.weights * dx ** 2).sum()), 0.0)))
 
 
-@dataclass(frozen=True)
-class WeakJointDistribution:
-    """Quasi-joint distribution Tr[P_i E_j rho]; atoms may be complex."""
-
-    x_atoms: np.ndarray
-    y_atoms: np.ndarray
-    weights: np.ndarray  # complex
-
-    def __post_init__(self):
-        if self.weights.shape != (len(self.x_atoms), len(self.y_atoms)):
-            raise ValidationError("weights shape does not match atom counts")
-        self.x_atoms.setflags(write=False)
-        self.y_atoms.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def x_marginal(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
-
-    def y_marginal(self) -> np.ndarray:
-        return self.weights.sum(axis=0)
-
-
 def weak_joint_distribution(mp: MeasuringProcess, a, rho,
-                            tol: Tolerances = None) -> WeakJointDistribution:
+                            tol: Tolerances = None) -> JointDistribution:
     """Weak joint distribution of A(0) and M(dt) in rho x rho0.
 
-    Always defined; real nonnegative exactly when the pair commutes in
-    the state. Marginals are real and reproduce the Born distributions
-    of A(0) and M(dt).
+    Always defined, with complex weights; real nonnegative exactly when
+    the pair commutes in the state. Marginals are real and reproduce the
+    Born distributions of A(0) and M(dt).
     """
     tol = tol or mp.tol
-    am = _as_observable_matrix(a, tol)
-    joint = mp.composite_state(rho)
-    da = spectral_decompose(am, tol)
+    da = spectral_decompose(_as_observable_matrix(a, tol), tol)
     dm = spectral_decompose(mp.evolved_meter(), tol)
-    eye_k = np.eye(mp.probe_dim)
-    w = np.zeros((len(da.eigenvalues), len(dm.eigenvalues)), dtype=complex)
-    for i, p in enumerate(da.projectors):
-        big_p = np.kron(p, eye_k)
-        for j, e in enumerate(dm.projectors):
-            w[i, j] = complex(np.trace(big_p @ e @ joint))
-    total = complex(w.sum())
-    if abs(total - 1.0) > max(tol.eq_tol, 1e-10):
-        raise ValidationError(f"weak joint weights sum to {total}")
-    wjd = WeakJointDistribution(np.array(da.eigenvalues), np.array(dm.eigenvalues), w)
-    if np.abs(wjd.x_marginal().imag).max() > max(tol.eq_tol, 1e-10):
-        raise ValidationError("x marginal of weak joint distribution is not real")
-    if np.abs(wjd.y_marginal().imag).max() > max(tol.eq_tol, 1e-10):
-        raise ValidationError("y marginal of weak joint distribution is not real")
-    ba = born_distribution(am, _as_state_matrix(rho, tol), tol)
-    if np.abs(wjd.x_marginal().real - np.array(ba.probabilities)).max() > max(tol.eq_tol, 1e-10):
-        raise ValidationError("x marginal does not reproduce the Born distribution of A")
-    bm_probs = np.array([np.trace(e @ joint).real for e in dm.projectors])
-    if np.abs(wjd.y_marginal().real - bm_probs).max() > max(tol.eq_tol, 1e-10):
-        raise ValidationError("y marginal does not reproduce the meter distribution")
-    return wjd
+    a0_projectors = np.kron(np.stack(da.projectors), np.eye(mp.probe_dim))
+    w = _joint_weights(a0_projectors, np.stack(dm.projectors), mp.composite_state(rho), tol)
+    return JointDistribution(np.array(da.eigenvalues), np.array(dm.eigenvalues), w)
 
 
-def _diagonal_concentrated(x_atoms, y_atoms, weights, tol: Tolerances) -> bool:
+def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
     """True when every atom with |x - y| > eq_tol has |weight| <= eq_tol."""
-    for i, xv in enumerate(x_atoms):
-        for j, yv in enumerate(y_atoms):
-            if abs(xv - yv) > tol.eq_tol and abs(weights[i, j]) > tol.eq_tol:
-                return False
-    return True
+    off = np.abs(jd.x_atoms[:, None] - jd.y_atoms[None, :]) > tol.eq_tol
+    return not bool((off & (np.abs(jd.weights) > tol.eq_tol)).any())
+
+
+def _commuting_diagonal(x: np.ndarray, y: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> bool:
+    """Whether x and y commute in sigma with a diagonal-concentrated joint
+    distribution."""
+    jd = _commuting_joint(x, y, sigma, tol)
+    return jd is not None and _diagonal_concentrated(jd, tol)
 
 
 def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong",
@@ -201,18 +184,11 @@ def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong",
     """
     tol = tol or mp.tol
     if mode == "weak":
-        wjd = weak_joint_distribution(mp, a, rho, tol)
-        return _diagonal_concentrated(wjd.x_atoms, wjd.y_atoms, wjd.weights, tol)
+        return _diagonal_concentrated(weak_joint_distribution(mp, a, rho, tol), tol)
     if mode != "strong":
         raise ValidationError(f"mode must be 'strong' or 'weak', got {mode!r}")
-    am = _as_observable_matrix(a, tol)
-    joint = mp.composite_state(rho)
-    a0 = np.kron(am, np.eye(mp.probe_dim))
-    mdt = mp.evolved_meter()
-    if not commute_in_state(a0, mdt, joint, tol):
-        return False
-    jd = joint_distribution(a0, mdt, joint, tol)
-    return _diagonal_concentrated(jd.x_atoms, jd.y_atoms, jd.weights, tol)
+    a0 = np.kron(_as_observable_matrix(a, tol), np.eye(mp.probe_dim))
+    return _commuting_diagonal(a0, mp.evolved_meter(), mp.composite_state(rho), tol)
 
 
 def is_nondisturbing(mp: MeasuringProcess, b, rho, tol: Tolerances = None) -> bool:
@@ -220,24 +196,8 @@ def is_nondisturbing(mp: MeasuringProcess, b, rho, tol: Tolerances = None) -> bo
     rho x rho0 with a diagonal-concentrated joint distribution."""
     tol = tol or mp.tol
     bm = _as_observable_matrix(b, tol)
-    joint = mp.composite_state(rho)
     b0 = np.kron(bm, np.eye(mp.probe_dim))
-    bdt = mp.evolved_system(bm)
-    if not commute_in_state(b0, bdt, joint, tol):
-        return False
-    jd = joint_distribution(b0, bdt, joint, tol)
-    return _diagonal_concentrated(jd.x_atoms, jd.y_atoms, jd.weights, tol)
-
-
-def _cluster(values, tol: Tolerances):
-    """Group sorted values into clusters separated by more than eq_tol."""
-    out = []
-    for v in sorted(values):
-        if out and v - out[-1][-1] <= tol.eq_tol:
-            out[-1].append(v)
-        else:
-            out.append([v])
-    return out
+    return _commuting_diagonal(b0, mp.evolved_system(bm), mp.composite_state(rho), tol)
 
 
 def _process_povm(mp: MeasuringProcess, tol: Tolerances):
@@ -251,6 +211,16 @@ def _process_povm(mp: MeasuringProcess, tol: Tolerances):
     return list(dm.eigenvalues), effects
 
 
+def _outcome_clusters(a_values, m_values, tol: Tolerances):
+    """Cluster labels of the outcome values of A and of the meter, merged
+    into one sorted run, and the number of clusters."""
+    values = np.concatenate([a_values, m_values]).astype(float)
+    order = np.argsort(values, kind="stable")
+    labels = np.empty(len(values), dtype=int)
+    labels[order] = _cluster_labels(values[order], tol.eq_tol)
+    return labels[:len(a_values)], labels[len(a_values):], int(labels.max()) + 1
+
+
 def probability_reproducible(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> bool:
     """Whether the meter statistics in rho reproduce the Born statistics
     of A in rho, matching outcome values within eq_tol."""
@@ -260,16 +230,10 @@ def probability_reproducible(mp: MeasuringProcess, a, rho, tol: Tolerances = Non
     ba = born_distribution(am, rm, tol)
     m_values, m_effects = _process_povm(mp, tol)
     m_probs = [float(np.trace(e @ rm).real) for e in m_effects]
-    tagged = [(v, p, "a") for v, p in zip(ba.outcomes, ba.probabilities)]
-    tagged += [(v, p, "m") for v, p in zip(m_values, m_probs)]
-    prob_tol = max(tol.eq_tol, 1e-10)
-    for cluster in _cluster([t[0] for t in tagged], tol):
-        lo, hi = cluster[0], cluster[-1]
-        pa = sum(p for v, p, side in tagged if lo <= v <= hi and side == "a")
-        pm = sum(p for v, p, side in tagged if lo <= v <= hi and side == "m")
-        if abs(pa - pm) > prob_tol:
-            return False
-    return True
+    a_labels, m_labels, k = _outcome_clusters(ba.outcomes, m_values, tol)
+    pa = np.bincount(a_labels, weights=ba.probabilities, minlength=k)
+    pm = np.bincount(m_labels, weights=m_probs, minlength=k)
+    return bool(np.abs(pa - pm).max() <= max(tol.eq_tol, 1e-10))
 
 
 @dataclass(frozen=True)
@@ -317,24 +281,14 @@ def theorem2_check(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> Prec
 
     da = spectral_decompose(am, tol)
     m_values, m_effects = _process_povm(mp, tol)
+    a_labels, m_labels, k = _outcome_clusters(da.eigenvalues, m_values, tol)
+    proj_sums = np.zeros((k,) + am.shape, dtype=complex)
+    eff_sums = np.zeros((k,) + am.shape, dtype=complex)
+    np.add.at(proj_sums, a_labels, np.stack(da.projectors))
+    np.add.at(eff_sums, m_labels, np.stack(m_effects))
     pc = sub.projector()
-    tagged = [(v, p, "proj") for v, p in zip(da.eigenvalues, da.projectors)]
-    tagged += [(v, e, "eff") for v, e in zip(m_values, m_effects)]
-    repro = True
-    for cluster in _cluster([t[0] for t in tagged], tol):
-        lo, hi = cluster[0], cluster[-1]
-        proj_sum = np.zeros_like(am)
-        eff_sum = np.zeros_like(am)
-        for v, op, side in tagged:
-            if lo <= v <= hi:
-                if side == "proj":
-                    proj_sum = proj_sum + op
-                else:
-                    eff_sum = eff_sum + op
-        gap = operator_distance(pc @ (eff_sum - proj_sum) @ pc, np.zeros_like(am))
-        if gap > max(tol.eq_tol, 1e-9):
-            repro = False
-            break
+    repro = all(float(np.abs(pc @ (e - p) @ pc).max()) <= max(tol.eq_tol, 1e-9)
+                for p, e in zip(proj_sums, eff_sums))
     return PrecisionReport(
         strong_precise=bool(strong),
         weak_precise=bool(weak),

@@ -205,6 +205,17 @@ class SpectralDecomposition:
         return out
 
 
+def _cluster_labels(values, eq_tol: float) -> np.ndarray:
+    """Cluster index of each of a sorted run of values.
+
+    A new cluster starts wherever the gap to the previous value exceeds
+    eq_tol, so a chain of values each within eq_tol of the next is one
+    cluster however far it spans.
+    """
+    v = np.asarray(values, dtype=float)
+    return np.cumsum(np.diff(v, prepend=v[:1]) > eq_tol)
+
+
 def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalue clustering.
 
@@ -214,17 +225,14 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     """
     mat = _as_observable_matrix(a, tol)
     w, v = np.linalg.eigh(mat)
+    labels = _cluster_labels(w, tol.eq_tol)
+    bounds = np.searchsorted(labels, np.arange(labels[-1] + 2))
     values = []
     projectors = []
-    start = 0
-    n = len(w)
-    for i in range(1, n + 1):
-        if i == n or w[i] - w[i - 1] > tol.eq_tol:
-            block = v[:, start:i]
-            proj = block @ dagger(block)
-            values.append(float(np.mean(w[start:i])))
-            projectors.append(hermitian_part(proj))
-            start = i
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block = v[:, start:stop]
+        values.append(float(np.mean(w[start:stop])))
+        projectors.append(hermitian_part(block @ dagger(block)))
     dec = SpectralDecomposition(np.array(values), tuple(projectors))
     if operator_distance(dec.reconstruct(), mat) > max(1e-12, 1e3 * tol.eq_tol) * max(1.0, float(np.abs(w).max())):
         raise ValidationError("spectral reconstruction failed")

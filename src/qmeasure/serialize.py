@@ -8,12 +8,15 @@ from the constructors instead.
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import numpy as np
 
 from .edr import EDRReport
 from .gaussian import GaussianState, ModelEDR
 from .instruments import CPInstrument, MeasuringProcess, POVM
-from .jpd import JointDistribution, PrecisionReport, WeakJointDistribution
+from .jpd import JointDistribution, PrecisionReport
 from .operators import (
     DEFAULT_CONSTANTS,
     DEFAULT_TOL,
@@ -26,6 +29,27 @@ from .operators import (
 
 class SchemaError(ValueError):
     """Input JSON does not match the documented schema."""
+
+
+def _number(value, what: str, integer: bool = False):
+    """A finite JSON number as a float, or as an int when integer is set.
+
+    Strings, bools, NaN, infinities, integers beyond the float range and,
+    when integer is set, fractional values raise SchemaError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(f"{what} must be a finite number, got {value!r}")
+    if not integer:
+        return x
+    if not x.is_integer():
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def matrix_to_json(m) -> list:
@@ -76,7 +100,7 @@ def process_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> MeasuringPro
     meter = HermitianObservable(matrix_from_json(_require(data, "meter")), tol=tol)
     mp = MeasuringProcess(probe, unitary, meter, tol=tol)
     for key in ("system_dim", "probe_dim"):
-        if key in data and int(data[key]) != getattr(mp, key):
+        if key in data and _number(data[key], key, integer=True) != getattr(mp, key):
             raise SchemaError(f"{key} {data[key]} does not match matrices ({getattr(mp, key)})")
     return mp
 
@@ -93,8 +117,7 @@ def instrument_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> CPInstrum
     kraus_data = _require(data, "kraus")
     if not isinstance(outcomes, list) or not isinstance(kraus_data, list):
         raise SchemaError("outcomes and kraus must be lists")
-    if not all(isinstance(x, (int, float)) for x in outcomes):
-        raise SchemaError("outcomes must be numbers")
+    outcomes = [_number(x, "outcome") for x in outcomes]
     kraus = []
     for ops in kraus_data:
         if not isinstance(ops, list):
@@ -115,7 +138,8 @@ def povm_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> POVM:
     effects = _require(data, "effects")
     if not isinstance(outcomes, list) or not isinstance(effects, list):
         raise SchemaError("outcomes and effects must be lists")
-    return POVM(outcomes, [matrix_from_json(e) for e in effects], tol=tol)
+    return POVM([_number(x, "outcome") for x in outcomes],
+                [matrix_from_json(e) for e in effects], tol=tol)
 
 
 def gaussian_state_to_dict(state: GaussianState) -> dict:
@@ -129,42 +153,24 @@ def gaussian_state_from_dict(data: dict, constants: PhysicalConstants = DEFAULT_
                              tol: Tolerances = DEFAULT_TOL) -> GaussianState:
     mean = _require(data, "mean")
     cov = _require(data, "cov")
-    if (not isinstance(mean, list) or len(mean) != 2
-            or not all(isinstance(x, (int, float)) for x in mean)):
+    if not isinstance(mean, list) or len(mean) != 2:
         raise SchemaError("mean must be [q, p]")
     if (not isinstance(cov, list) or len(cov) != 2
             or not all(isinstance(r, list) and len(r) == 2 for r in cov)):
         raise SchemaError("cov must be a 2x2 array")
-    return GaussianState(mean, cov, constants=constants, tol=tol)
+    return GaussianState([_number(x, "mean entry") for x in mean],
+                         [[_number(x, "cov entry") for x in r] for r in cov],
+                         constants=constants, tol=tol)
 
 
-EDR_CSV_COLUMNS = [
-    "epsilon", "eta", "sigma_A", "sigma_B", "robertson", "correlation_term",
-    "heisenberg_product", "uedr_lhs", "oedr_lhs",
-    "heisenberg_holds", "uedr_holds", "oedr_holds",
-]
+# report dict keys that differ from the dataclass field names
+_REPORT_KEYS = {"sigma_a": "sigma_A", "sigma_b": "sigma_B", "model_id": "model",
+                "kennard_bound": "hbar_over_2"}
 
 
-def edr_report_to_dict(r: EDRReport) -> dict:
-    return {
-        "epsilon": r.epsilon,
-        "eta": r.eta,
-        "sigma_A": r.sigma_a,
-        "sigma_B": r.sigma_b,
-        "robertson": r.robertson,
-        "correlation_term": r.correlation_term,
-        "heisenberg_product": r.heisenberg_product,
-        "uedr_lhs": r.uedr_lhs,
-        "oedr_lhs": r.oedr_lhs,
-        "heisenberg_holds": r.heisenberg_holds,
-        "uedr_holds": r.uedr_holds,
-        "oedr_holds": r.oedr_holds,
-    }
-
-
-def edr_report_csv_row(r: EDRReport) -> list:
-    d = edr_report_to_dict(r)
-    return [_csv_cell(d[c]) for c in EDR_CSV_COLUMNS]
+def _report_to_dict(r) -> dict:
+    """A report dataclass as a dict in field order, keys renamed by _REPORT_KEYS."""
+    return {_REPORT_KEYS.get(f.name, f.name): getattr(r, f.name) for f in fields(r)}
 
 
 def _csv_cell(v):
@@ -175,53 +181,26 @@ def _csv_cell(v):
     return str(v)
 
 
+def edr_report_to_dict(r: EDRReport) -> dict:
+    return _report_to_dict(r)
+
+
 def model_edr_to_dict(r: ModelEDR) -> dict:
-    return {
-        "model": r.model_id,
-        "epsilon": r.epsilon,
-        "eta": r.eta,
-        "product": r.product,
-        "hbar_over_2": r.kennard_bound,
-        "heisenberg_violated": r.heisenberg_violated,
-    }
-
-
-MODEL_EDR_CSV_COLUMNS = ["model", "epsilon", "eta", "product", "hbar_over_2", "heisenberg_violated"]
-
-
-def model_edr_csv_row(r: ModelEDR) -> list:
-    d = model_edr_to_dict(r)
-    return [_csv_cell(d[c]) for c in MODEL_EDR_CSV_COLUMNS]
-
-
-PRECISION_CSV_COLUMNS = ["strong_precise", "weak_precise", "eps_zero_on_cyclic", "prob_repro_on_cyclic"]
+    return _report_to_dict(r)
 
 
 def precision_report_to_dict(r: PrecisionReport) -> dict:
-    return {
-        "strong_precise": r.strong_precise,
-        "weak_precise": r.weak_precise,
-        "eps_zero_on_cyclic": r.eps_zero_on_cyclic,
-        "prob_repro_on_cyclic": r.prob_repro_on_cyclic,
-    }
-
-
-def precision_report_csv_row(r: PrecisionReport) -> list:
-    d = precision_report_to_dict(r)
-    return [_csv_cell(d[c]) for c in PRECISION_CSV_COLUMNS]
+    return _report_to_dict(r)
 
 
 def jpd_to_dict(jd: JointDistribution) -> dict:
+    """Atoms as floats; weights as floats, or as [re, im] pairs when complex."""
+    if np.iscomplexobj(jd.weights):
+        weights = [[[float(w.real), float(w.imag)] for w in row] for row in jd.weights]
+    else:
+        weights = [[float(w) for w in row] for row in jd.weights]
     return {
         "x_atoms": [float(x) for x in jd.x_atoms],
         "y_atoms": [float(y) for y in jd.y_atoms],
-        "weights": [[float(w) for w in row] for row in jd.weights],
-    }
-
-
-def weak_jpd_to_dict(jd: WeakJointDistribution) -> dict:
-    return {
-        "x_atoms": [float(x) for x in jd.x_atoms],
-        "y_atoms": [float(y) for y in jd.y_atoms],
-        "weights": [[[float(w.real), float(w.imag)] for w in row] for row in jd.weights],
+        "weights": weights,
     }

@@ -21,13 +21,7 @@ from .edr import (
     locally_uniform_rms_error,
 )
 from .jpd import PrecisionReport, theorem2_check
-from .operators import (
-    DEFAULT_CONSTANTS,
-    DEFAULT_TOL,
-    PhysicalConstants,
-    Tolerances,
-    ValidationError,
-)
+from .operators import DEFAULT_TOL, Tolerances, ValidationError
 from .sampling import (
     random_density_operator,
     random_hermitian,
@@ -35,6 +29,7 @@ from .sampling import (
     random_pure_state,
     rng_from,
 )
+from .serialize import _report_to_dict
 
 
 @dataclass(frozen=True)
@@ -60,14 +55,7 @@ class SweepCensus:
     theorem2_disagreements: int
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "uedr_failures": self.uedr_failures,
-            "oedr_failures": self.oedr_failures,
-            "lu_oedr_failures": self.lu_oedr_failures,
-            "heisenberg_violations": self.heisenberg_violations,
-            "theorem2_disagreements": self.theorem2_disagreements,
-        }
+        return _report_to_dict(self)
 
     @property
     def all_universal_hold(self) -> bool:
@@ -76,8 +64,7 @@ class SweepCensus:
 
 
 def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = "haar",
-              tol: Tolerances = DEFAULT_TOL, constants: PhysicalConstants = DEFAULT_CONSTANTS,
-              collect: bool = False):
+              tol: Tolerances = DEFAULT_TOL, collect: bool = False):
     """Run a seeded sweep; returns (census, records) with records None
     unless collect is set."""
     lo, hi = int(dims[0]), int(dims[1])
@@ -85,6 +72,8 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
         raise ValidationError(f"dims range must satisfy 2 <= lo <= hi, got {dims}")
     if trials < 1:
         raise ValidationError("trials must be positive")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     uedr_failures = 0
     oedr_failures = 0
     lu_failures = 0
@@ -101,7 +90,7 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
                else random_density_operator(ds, rng, tol))
         mp = random_measuring_process(ds, dp, rng, interaction=interaction, tol=tol)
 
-        report = edr_ledger(mp, a, b, rho, constants=constants, tol=tol)
+        report = edr_ledger(mp, a, b, rho, tol=tol)
         lu_eps = locally_uniform_rms_error(mp, a, rho, tol)
         lu_eta = locally_uniform_rms_disturbance(mp, b, rho, tol)
         lu_lhs = lu_eps * lu_eta + lu_eps * report.sigma_b + report.sigma_a * lu_eta

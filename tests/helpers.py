@@ -94,3 +94,14 @@ def reference_instrument_from_process(mp: qm.MeasuringProcess) -> qm.CPInstrumen
         outcomes.append(float(m_val))
         families.append(qm.kraus_from_choi(choi, d, cutoff=tol.eq_tol))
     return qm.CPInstrument(outcomes, families, tol=tol)
+
+
+def reference_joint_weights(x_projectors, y_projectors, sigma) -> np.ndarray:
+    """W[i, j] = Tr[P_i Q_j sigma] by a double loop over projector pairs, the
+    reference for the weights of qm.joint_distribution and
+    qm.weak_joint_distribution."""
+    w = np.zeros((len(x_projectors), len(y_projectors)), dtype=complex)
+    for i, p in enumerate(x_projectors):
+        for j, q in enumerate(y_projectors):
+            w[i, j] = complex(np.trace(p @ q @ sigma))
+    return w

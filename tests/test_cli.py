@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmeasure as qm
 from qmeasure import serialize as ser
@@ -62,7 +67,11 @@ class TestFiniteProcess:
         assert res["oedr_holds"] is True
         with open(os.path.join(out, "report.csv")) as fh:
             header = fh.readline().strip().split(",")
-        assert header == ser.EDR_CSV_COLUMNS
+        assert header == [
+            "epsilon", "eta", "sigma_A", "sigma_B", "robertson", "correlation_term",
+            "heisenberg_product", "uedr_lhs", "oedr_lhs",
+            "heisenberg_holds", "uedr_holds", "oedr_holds",
+        ]
 
     def test_instrument_payload_dilated(self, tmp_path):
         inst = qm.luders_instrument(SZ)
@@ -270,3 +279,177 @@ class TestDeterminism:
             csv1 = open(os.path.join(out1, "report.csv"), "rb").read()
             csv2 = open(os.path.join(out2, "report.csv"), "rb").read()
             assert csv1 == csv2
+
+
+def read_csv_header(out_dir):
+    with open(os.path.join(out_dir, "report.csv")) as fh:
+        return fh.readline().strip().split(",")
+
+
+class TestCsvHeadersFrozen:
+    def test_gaussian_header(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, gaussian_config()), "--out", out]) == EXIT_OK
+        assert read_csv_header(out) == [
+            "model", "epsilon", "eta", "product", "hbar_over_2", "heisenberg_violated",
+        ]
+
+    def test_precision_header(self, tmp_path):
+        out = str(tmp_path / "out")
+        path = write_config(tmp_path, finite_process_config(report="precision"))
+        assert main(["run", path, "--out", out]) == EXIT_OK
+        assert read_csv_header(out) == [
+            "strong_precise", "weak_precise", "eps_zero_on_cyclic", "prob_repro_on_cyclic",
+        ]
+
+    def test_sweep_header(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--dims", "2", "--trials", "2", "--seed", "0",
+                     "--out", out]) == EXIT_OK
+        assert read_csv_header(out) == [
+            "trials", "uedr_failures", "oedr_failures", "lu_oedr_failures",
+            "heisenberg_violations", "theorem2_disagreements",
+        ]
+
+
+def sweep_config(trials=2, seed=0):
+    return {"kind": "sweep", "payload": {"dims": [2, 2], "trials": trials, "seed": seed}}
+
+
+def set_path(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+    node[path[-1]] = value
+    return cfg
+
+
+def run_captured(argv):
+    """main(argv) with stderr captured; an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+BAD_NUMBERS = [
+    ("hbar-string", gaussian_config, ("constants", "hbar"), "abc"),
+    ("hbar-nan", gaussian_config, ("constants", "hbar"), float("nan")),
+    ("hbar-inf", gaussian_config, ("constants", "hbar"), float("inf")),
+    ("hbar-bool", gaussian_config, ("constants", "hbar"), True),
+    ("hbar-beyond-float", gaussian_config, ("constants", "hbar"), 10 ** 400),
+    ("eq-tol-string", gaussian_config, ("tolerances", "eq_tol"), "x"),
+    ("eq-tol-list", gaussian_config, ("tolerances", "eq_tol"), [1e-9]),
+    ("psd-tol-string", gaussian_config, ("tolerances", "psd_tol"), "x"),
+    ("packet-q1-string", gaussian_config, ("payload", "object", "packet", "q1"), "x"),
+    ("packet-q-null", gaussian_config, ("payload", "probe", "packet", "q"), None),
+    ("packet-p-bool", gaussian_config, ("payload", "object", "packet", "p"), False),
+    ("trials-string", sweep_config, ("payload", "trials"), "ten"),
+    ("trials-fraction", sweep_config, ("payload", "trials"), 2.5),
+    ("seed-string", sweep_config, ("payload", "seed"), "s"),
+    ("seed-nan", sweep_config, ("payload", "seed"), float("nan")),
+    ("system-dim-string", finite_process_config, ("payload", "process", "system_dim"), "x"),
+    ("probe-dim-fraction", finite_process_config, ("payload", "process", "probe_dim"), 2.5),
+    ("matrix-entry-string", finite_process_config, ("payload", "observable_a", 0, 0, 0), "1"),
+]
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("make, path, value", [case[1:] for case in BAD_NUMBERS],
+                             ids=[case[0] for case in BAD_NUMBERS])
+    def test_config_number_is_schema_error(self, tmp_path, make, path, value):
+        path_ = write_config(tmp_path, set_path(make(), path, value))
+        code, err = run_captured(["run", path_, "--out", str(tmp_path / "out")])
+        assert code == EXIT_SCHEMA
+        assert "schema violation" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("env", ["nan", "inf", "x"])
+    def test_env_tolerance_is_schema_error(self, tmp_path, monkeypatch, env):
+        monkeypatch.setenv("QMEASURE_TOL", env)
+        code, _ = run_captured(["run", write_config(tmp_path, gaussian_config()),
+                                "--out", str(tmp_path / "out")])
+        assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("flag", ["--hbar", "--tol"])
+    def test_non_finite_flag_is_schema_error(self, tmp_path, flag):
+        code, _ = run_captured(["run", write_config(tmp_path, gaussian_config()),
+                                "--out", str(tmp_path / "out"), flag, "nan"])
+        assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("make, path, value", [
+        (gaussian_config, ("constants", "hbar"), 1e300),
+        (gaussian_config, ("payload", "object", "packet", "q1"), 1e-200),
+        (finite_process_config, ("payload", "state", 0, 0, 0), 10 ** 400),
+    ], ids=["hbar-squared-overflows", "q1-squared-underflows", "matrix-entry-beyond-float"])
+    def test_float_range_failure_is_assertion(self, tmp_path, make, path, value):
+        path_ = write_config(tmp_path, set_path(make(), path, value))
+        code, err = run_captured(["run", path_, "--out", str(tmp_path / "out")])
+        assert code == EXIT_ASSERTION
+        assert "Traceback" not in err
+
+    def test_negative_seed_is_assertion(self, tmp_path):
+        path = write_config(tmp_path, sweep_config(seed=-1))
+        code, err = run_captured(["run", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_ASSERTION
+        assert "Traceback" not in err
+
+    def test_integral_float_trials_accepted(self, tmp_path):
+        out = str(tmp_path / "out")
+        path = write_config(tmp_path, sweep_config(trials=2.0))
+        assert main(["run", path, "--out", out]) == EXIT_OK
+        assert read_report(out)["results"]["trials"] == 2
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+CONFIG_NAMES = sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".json"))
+
+
+def load_fuzz_base(name):
+    """A shipped config with explicit settings, its sweep cut to at most 3 trials."""
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        cfg = json.load(fh)
+    cfg.setdefault("constants", {"hbar": 1.0})
+    cfg.setdefault("tolerances", {"eq_tol": 1e-9, "psd_tol": -1e-10})
+    if cfg["kind"] == "sweep":
+        cfg["payload"]["trials"] = min(cfg["payload"]["trials"], 3)
+    return cfg
+
+
+def field_paths(node, prefix=()):
+    """The key path of every field of the objects nested in a config."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from field_paths(value, prefix + (key,))
+
+
+def json_values(small_numbers):
+    """Arbitrary JSON values; with small_numbers every number is at most 3,
+    which keeps a mutated sweep at 3 trials or fewer and at tiny dims."""
+    if small_numbers:
+        numbers = st.integers(-3, 3) | st.floats(max_value=3.0)
+    else:
+        numbers = st.integers() | st.floats()
+    leaves = st.none() | st.booleans() | numbers | st.text(max_size=4)
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6)
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutated_field_exits_cleanly(self, name, data):
+        cfg = load_fuzz_base(name)
+        path = data.draw(st.sampled_from(list(field_paths(cfg))), label="field")
+        value = data.draw(json_values(cfg["kind"] == "sweep"), label="value")
+        set_path(cfg, path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "scenario.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            code, err = run_captured(["run", cfg_path, "--out", os.path.join(tmp, "out")])
+        assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_ASSERTION), err
+        assert "Traceback" not in err

@@ -12,6 +12,7 @@ from helpers import (
     dilated_luders,
     identity_coupling_process,
     independent_meter_process,
+    reference_joint_weights,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -263,3 +264,89 @@ class TestCommutingCaseAgreement:
         jd = qm.joint_distribution(a0, mp.evolved_meter(), mp.composite_state(rho))
         assert qm.gauss_rms(jd) == pytest.approx(0.0, abs=1e-9)
         assert qm.rms_error(mp, SZ, rho) == pytest.approx(0.0, abs=1e-9)
+
+
+def _process(probe, unitary, meter_diag):
+    return qm.MeasuringProcess(probe, unitary, qm.HermitianObservable(np.diag(meter_diag)))
+
+
+def oracle_cases():
+    """(name, process, A, rho): random instances, then a degenerate A, a
+    degenerate meter and a pure probe."""
+    cases = []
+    for trial in range(8):
+        rng = qm.rng_from(409, trial)
+        d, dp = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        cases.append((f"random-{trial}", qm.random_measuring_process(d, dp, rng),
+                      qm.random_hermitian(d, rng), qm.random_density_operator(d, rng)))
+    rng = qm.rng_from(410)
+    u = qm.haar_unitary(3 * 3, rng)
+    mixed = qm.random_density_operator(3, rng)
+    rho = qm.random_density_operator(3, rng)
+    v = qm.haar_unitary(3, rng)
+    degenerate_a = qm.HermitianObservable(v @ np.diag([0.5, 0.5, -1.0]) @ qm.dagger(v))
+    cases.append(("degenerate-A", _process(mixed, u, [0.0, 1.0, 2.0]), degenerate_a, rho))
+    cases.append(("degenerate-meter", _process(mixed, u, [1.0, 1.0, -1.0]),
+                  qm.random_hermitian(3, rng), rho))
+    pure = qm.random_pure_state(3, rng)
+    cases.append(("pure-probe", _process(pure, u, [0.0, 1.0, 2.0]),
+                  qm.random_hermitian(3, rng), rho))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+class TestReferenceWeights:
+    @pytest.mark.parametrize("mp, a, rho", [c[1:] for c in ORACLE_CASES],
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_weak_weights_match_reference(self, mp, a, rho):
+        da = qm.spectral_decompose(a)
+        dm = qm.spectral_decompose(mp.evolved_meter())
+        ref = reference_joint_weights([np.kron(p, np.eye(mp.probe_dim)) for p in da.projectors],
+                                      dm.projectors, mp.composite_state(rho))
+        wjd = qm.weak_joint_distribution(mp, a, rho)
+        assert np.iscomplexobj(wjd.weights)
+        assert np.abs(wjd.weights - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("mp, a, rho", [c[1:] for c in ORACLE_CASES],
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_joint_weights_match_reference(self, mp, a, rho):
+        # A x 1 and 1 x M commute as operators, hence in every state
+        x = mp.embedded_system(a)
+        y = qm.tensor(np.eye(mp.system_dim), mp.meter.matrix)
+        sigma = mp.composite_state(rho)
+        ref = reference_joint_weights(qm.spectral_decompose(x).projectors,
+                                      qm.spectral_decompose(y).projectors, sigma)
+        jd = qm.joint_distribution(x, y, sigma)
+        assert not np.iscomplexobj(jd.weights)
+        assert np.abs(jd.weights - ref).max() <= 1e-12
+
+
+class TestClusterChain:
+    """Values 0, 0.8, 1.6, 2.4 (units of eq_tol = 1e-9): each within eq_tol
+    of the next, 2.4 eq_tol end to end. All clustering merges them into one."""
+
+    CHAIN = [0.0, 0.8e-9, 1.6e-9, 2.4e-9]
+
+    def test_spectral_decompose(self):
+        dec = qm.spectral_decompose(np.diag(self.CHAIN + [1.0]))
+        assert len(dec.eigenvalues) == 2
+        assert np.trace(dec.projectors[0]).real == pytest.approx(4.0)
+
+    def test_instrument_choi_distance(self):
+        # split pairwise instead of by chain, the clusters would pit P0 against P1
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        a = qm.CPInstrument(self.CHAIN[0::2], [[p0], [p1]])
+        b = qm.CPInstrument(self.CHAIN[1::2], [[p1], [p0]])
+        assert qm.instrument_choi_distance(a, b) <= 1e-12
+
+    def test_theorem2_check(self):
+        # A takes 0 and 1.6e-9 on |0>, |1>; the meter reads 0.8e-9 on |1> and
+        # 2.4e-9 on |0>. Only the merged cluster reproduces A's statistics.
+        a = np.diag(self.CHAIN[0::2])
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        mp = qm.dilate(qm.CPInstrument(self.CHAIN[1::2], [[p1], [p0]]))
+        rho = qm.DensityOperator.pure(KET_PLUS)
+        assert qm.theorem2_check(mp, a, rho).prob_repro_on_cyclic
+        assert qm.probability_reproducible(mp, a, rho)

@@ -98,9 +98,15 @@ class TestGaussianCodec:
             ser.gaussian_state_from_dict({"mean": [0.0, 0.0], "cov": [[1, 0]]})
 
 
+def csv_row(d: dict) -> list:
+    """The report.csv row the CLI writes for a report dict."""
+    return [ser._csv_cell(v) for v in d.values()]
+
+
 class TestReportRows:
     def test_edr_columns_frozen(self):
-        assert ser.EDR_CSV_COLUMNS == [
+        r = qm.edr_ledger(dilated_luders(SZ), SZ, SX, qm.DensityOperator.pure(KET_PLUS))
+        assert list(ser.edr_report_to_dict(r)) == [
             "epsilon", "eta", "sigma_A", "sigma_B", "robertson", "correlation_term",
             "heisenberg_product", "uedr_lhs", "oedr_lhs",
             "heisenberg_holds", "uedr_holds", "oedr_holds",
@@ -109,16 +115,18 @@ class TestReportRows:
     def test_edr_row_values(self):
         mp = dilated_luders(SZ)
         r = qm.edr_ledger(mp, SZ, SX, qm.DensityOperator.pure(KET_PLUS))
-        row = ser.edr_report_csv_row(r)
-        assert len(row) == len(ser.EDR_CSV_COLUMNS)
+        d = ser.edr_report_to_dict(r)
+        row = csv_row(d)
+        assert len(row) == len(d)
         assert row[-3:] == ["true", "true", "true"]
         assert float(row[1]) == pytest.approx(np.sqrt(2.0))
 
     def test_bool_cells_lowercase(self):
-        d = dict(zip(ser.MODEL_EDR_CSV_COLUMNS, ser.model_edr_csv_row(
+        d = ser.model_edr_to_dict(
             qm.model_edr(qm.build_model(qm.OZAWA_1988),
                          qm.min_uncertainty_packet(0, 0, 1),
-                         qm.min_uncertainty_packet(0, 0, 1)))))
+                         qm.min_uncertainty_packet(0, 0, 1)))
+        d = dict(zip(d, csv_row(d)))
         assert d["heisenberg_violated"] == "true"
         assert d["epsilon"] == "0.0"
         assert d["model"] == "ozawa_1988"
@@ -133,7 +141,7 @@ class TestReportRows:
 
     def test_precision_row(self):
         rep = qm.theorem2_check(dilated_luders(SZ), SZ, qm.DensityOperator.pure(KET_PLUS))
-        assert ser.precision_report_csv_row(rep) == ["true"] * 4
+        assert csv_row(ser.precision_report_to_dict(rep)) == ["true"] * 4
 
     def test_jpd_dicts(self):
         za = qm.tensor(SZ, np.eye(2))
@@ -143,6 +151,6 @@ class TestReportRows:
         assert jd["x_atoms"] == [-1.0, 1.0]
         assert jd["weights"][0][0] == pytest.approx(0.5)
         mp = dilated_luders(SZ)
-        wjd = ser.weak_jpd_to_dict(
+        wjd = ser.jpd_to_dict(
             qm.weak_joint_distribution(mp, SZ, qm.DensityOperator.pure(KET_PLUS)))
         assert wjd["weights"][0][0] == pytest.approx([0.5, 0.0], abs=1e-9)
