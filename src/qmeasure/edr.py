@@ -17,6 +17,7 @@ All inequality flags carry an absolute slack of 1e-8.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +28,13 @@ from .operators import (
     ValidationError,
     _as_observable_matrix,
     _as_state_matrix,
+    _robertson,
+    _spectral_std_dev,
     commutator,
     dagger,
     hermitian_part,
-    partial_trace,
-    robertson_bound,
     spectral_decompose,
-    std_dev,
+    tensor,
 )
 
 EDR_SLACK = 1e-8
@@ -46,38 +47,35 @@ def noise_operator(mp: MeasuringProcess, a) -> np.ndarray:
 
 def disturbance_operator(mp: MeasuringProcess, b) -> np.ndarray:
     """D(B) = B(dt) - B(0) on the composite space."""
-    return mp.evolved_system(b) - mp.embedded_system(b)
+    b0 = mp.embedded_system(b)
+    return mp._evolve(b0) - b0
 
 
-def _second_moment(op: np.ndarray, joint: np.ndarray) -> float:
-    val = np.trace(op @ op @ joint).real
-    return max(float(val), 0.0)
+def _rms(square: np.ndarray, joint: np.ndarray) -> float:
+    """sqrt(Tr[X^2 sigma]) from the square X^2, clipped at zero."""
+    return float(np.sqrt(max(float(np.trace(square @ joint).real), 0.0)))
 
 
 def rms_error(mp: MeasuringProcess, a, rho) -> float:
     """epsilon(A, rho) = sqrt(Tr[N(A)^2 (rho x rho0)])."""
-    return float(np.sqrt(_second_moment(noise_operator(mp, a), mp.composite_state(rho))))
+    n = noise_operator(mp, a)
+    return _rms(n @ n, mp.composite_state(rho))
 
 
 def rms_disturbance(mp: MeasuringProcess, b, rho) -> float:
     """eta(B, rho) = sqrt(Tr[D(B)^2 (rho x rho0)])."""
-    return float(np.sqrt(_second_moment(disturbance_operator(mp, b), mp.composite_state(rho))))
-
-
-def _probe_average(mp: MeasuringProcess, op: np.ndarray) -> np.ndarray:
-    """Tr_probe[op (1 x rho0)], Hermitian for Hermitian op."""
-    big = op @ np.kron(np.eye(mp.system_dim), mp.probe_state.matrix)
-    return hermitian_part(partial_trace(big, (mp.system_dim, mp.probe_dim), keep="first"))
+    d = disturbance_operator(mp, b)
+    return _rms(d @ d, mp.composite_state(rho))
 
 
 def mean_noise_operator(mp: MeasuringProcess, a) -> np.ndarray:
     """n(A) = Tr_probe[N(A) (1 x rho0)], a system observable."""
-    return _probe_average(mp, noise_operator(mp, a))
+    return mp._probe_average(noise_operator(mp, a))
 
 
 def mean_disturbance_operator(mp: MeasuringProcess, b) -> np.ndarray:
     """d(B) = Tr_probe[D(B) (1 x rho0)], a system observable."""
-    return _probe_average(mp, disturbance_operator(mp, b))
+    return mp._probe_average(disturbance_operator(mp, b))
 
 
 def noise_moment_operator(mp: MeasuringProcess, a) -> np.ndarray:
@@ -87,13 +85,13 @@ def noise_moment_operator(mp: MeasuringProcess, a) -> np.ndarray:
     epsilon(A, phi)^2.
     """
     n = noise_operator(mp, a)
-    return _probe_average(mp, n @ n)
+    return mp._probe_average(n @ n)
 
 
 def disturbance_moment_operator(mp: MeasuringProcess, b) -> np.ndarray:
     """Second-moment operator Tr_probe[D(B)^2 (1 x rho0)]."""
     d = disturbance_operator(mp, b)
-    return _probe_average(mp, d @ d)
+    return mp._probe_average(d @ d)
 
 
 @dataclass(frozen=True)
@@ -128,40 +126,7 @@ def edr_ledger(mp: MeasuringProcess, a, b, rho, tol: Tolerances = None) -> EDRRe
     equal those of rms_error, rms_disturbance, mean_noise_operator and
     mean_disturbance_operator, and every float field is a Python float.
     """
-    tol = tol or mp.tol
-    am = _as_observable_matrix(a, tol)
-    bm = _as_observable_matrix(b, tol)
-    rm = _as_state_matrix(rho, tol)
-    joint = mp.composite_state(rm)
-    noise = noise_operator(mp, am)
-    eps = float(np.sqrt(_second_moment(noise, joint)))
-    n_mean = _probe_average(mp, noise)
-    del noise
-    dist = disturbance_operator(mp, bm)
-    eta = float(np.sqrt(_second_moment(dist, joint)))
-    d_mean = _probe_average(mp, dist)
-    del dist
-    sig_a = std_dev(am, rm, tol)
-    sig_b = std_dev(bm, rm, tol)
-    bound = robertson_bound(am, bm, rm, tol)
-    corr = float(abs(np.trace((commutator(n_mean, bm) + commutator(am, d_mean)) @ rm)))
-    product = eps * eta
-    uedr = product + corr
-    oedr = product + eps * sig_b + sig_a * eta
-    return EDRReport(
-        epsilon=eps,
-        eta=eta,
-        sigma_a=sig_a,
-        sigma_b=sig_b,
-        robertson=bound,
-        correlation_term=corr,
-        heisenberg_product=product,
-        uedr_lhs=uedr,
-        oedr_lhs=oedr,
-        heisenberg_holds=bool(product >= bound - EDR_SLACK),
-        uedr_holds=bool(uedr >= bound - EDR_SLACK),
-        oedr_holds=bool(oedr >= bound - EDR_SLACK),
-    )
+    return _Scenario(mp, a, b, rho, tol or mp.tol).ledger()
 
 
 @dataclass(frozen=True)
@@ -203,8 +168,12 @@ def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """
     am = _as_observable_matrix(a, tol)
     rm = _as_state_matrix(rho, tol)
-    dec = spectral_decompose(am, tol)
-    w, v = np.linalg.eigh(rm)
+    return _cyclic_subspace(spectral_decompose(am, tol), np.linalg.eigh(rm), tol)
+
+
+def _cyclic_subspace(dec, rho_spectrum, tol: Tolerances) -> Subspace:
+    """cyclic_subspace from the decomposition of A and the eigh pair of rho."""
+    w, v = rho_spectrum
     cols = []
     for k in range(len(w)):
         if w[k] <= tol.eq_tol:
@@ -218,26 +187,135 @@ def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     rank = int(np.sum(s > _RANK_CUTOFF))
     if rank == 0:
         raise ValidationError("cyclic subspace collapsed to zero")
-    return Subspace(am.shape[0], u[:, :rank])
-
-
-def _sup_on_subspace(moment_op: np.ndarray, sub: Subspace) -> float:
-    compressed = hermitian_part(sub.compress(moment_op))
-    top = float(np.linalg.eigvalsh(compressed).max())
-    return float(np.sqrt(max(top, 0.0)))
+    return Subspace(dec.dim, u[:, :rank])
 
 
 def locally_uniform_rms_error(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> float:
     """sup of epsilon(A, phi) over unit vectors phi in the cyclic subspace
     of (A, rho): the largest eigenvalue of the compressed noise second
     moment, square-rooted."""
-    tol = tol or mp.tol
-    sub = cyclic_subspace(a, rho, tol)
-    return _sup_on_subspace(noise_moment_operator(mp, a), sub)
+    return _Scenario(mp, a, None, rho, tol or mp.tol).locally_uniform("a")
 
 
 def locally_uniform_rms_disturbance(mp: MeasuringProcess, b, rho, tol: Tolerances = None) -> float:
     """sup of eta(B, phi) over the cyclic subspace of (B, rho)."""
-    tol = tol or mp.tol
-    sub = cyclic_subspace(b, rho, tol)
-    return _sup_on_subspace(disturbance_moment_operator(mp, b), sub)
+    return _Scenario(mp, None, b, rho, tol or mp.tol).locally_uniform("b")
+
+
+class _Scenario:
+    """One validated (process, A, B, rho) under one Tolerances, with every
+    intermediate shared by its figures computed once.
+
+    A, B and rho are validated on construction; A or B may be None when
+    the figures read need only the other. The rest is computed on first
+    use and kept: rho x rho0 for the joint distributions (a pass builds
+    and drops its own), the eigh pair of rho, and per observable
+    x ("a" or "b") its spectral decomposition, its cyclic subspace, one
+    pass over its composite operator (N(A) for "a", D(B) for "b") and the
+    top eigenvalue of the compressed second moment.
+
+    A pass gives the rms figure and the mean operator, and the
+    second-moment operator only when asked, so a lone ledger does no
+    work beyond its own; read a second-moment figure (locally uniform,
+    top) before the ledger when both are wanted, so that one pass serves
+    both. A pass releases its n x n operators before returning, so one
+    composite operator is alive at a time besides M(dt).
+    """
+
+    def __init__(self, mp: MeasuringProcess, a, b, rho, tol: Tolerances):
+        self.mp = mp
+        self.tol = tol
+        self.obs = {x: self._observable(op) for x, op in (("a", a), ("b", b)) if op is not None}
+        self.rho = _as_state_matrix(rho, tol)
+        if self.rho.shape[0] != mp.system_dim:
+            raise ValidationError("state dimension does not match the system")
+        self._memo = {}
+
+    def _observable(self, op) -> np.ndarray:
+        om = _as_observable_matrix(op, self.tol)
+        if om.shape[0] != self.mp.system_dim:
+            raise ValidationError("observable dimension does not match the system")
+        return om
+
+    def _once(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        """rho x rho0."""
+        return tensor(self.rho, self.mp.probe_state.matrix)
+
+    @cached_property
+    def rho_spectrum(self):
+        return np.linalg.eigh(self.rho)
+
+    def decomposition(self, x: str):
+        return self._once(("decomposition", x), lambda: spectral_decompose(self.obs[x], self.tol))
+
+    def cyclic(self, x: str) -> Subspace:
+        return self._once(("cyclic", x), lambda: _cyclic_subspace(
+            self.decomposition(x), self.rho_spectrum, self.tol))
+
+    def figures(self, x: str, moment: bool = False):
+        """(rms, mean operator, second-moment operator or None) of N(A)
+        for x = "a", of D(B) for x = "b", from one build of the operator."""
+        got = self._memo.get(("figures", x))
+        if got is None or (moment and got[2] is None):
+            mp = self.mp
+            if x == "a":
+                # M(dt) first: a first build then does not overlap A x 1
+                evolved = mp.evolved_meter()
+                x0 = tensor(self.obs[x], np.eye(mp.probe_dim))
+            else:
+                x0 = tensor(self.obs[x], np.eye(mp.probe_dim))
+                evolved = mp._evolve(x0)
+            op = evolved - x0
+            del x0, evolved
+            mean = mp._probe_average(op)
+            square = op @ op
+            del op
+            # a rho x rho0 of its own, dropped at once: a kept one would be
+            # alive beside M(dt), N(A) and the probe average's operands
+            rms = _rms(square, tensor(self.rho, mp.probe_state.matrix))
+            got = (rms, mean, mp._probe_average(square) if moment else None)
+            self._memo[("figures", x)] = got
+        return got
+
+    def top(self, x: str) -> float:
+        """Largest eigenvalue of the second-moment operator compressed to
+        the cyclic subspace of (x, rho)."""
+        return self._once(("top", x), lambda: float(np.linalg.eigvalsh(hermitian_part(
+            self.cyclic(x).compress(self.figures(x, moment=True)[2]))).max()))
+
+    def locally_uniform(self, x: str) -> float:
+        """sup of the rms figure over the unit vectors of the cyclic subspace."""
+        return float(np.sqrt(max(self.top(x), 0.0)))
+
+    def ledger(self) -> EDRReport:
+        am, bm, rm = self.obs["a"], self.obs["b"], self.rho
+        # D(B) first: building B(dt) then does not overlap a newly cached M(dt)
+        eta, d_mean, _ = self.figures("b")
+        eps, n_mean, _ = self.figures("a")
+        sig_a = _spectral_std_dev(am, rm, self.rho_spectrum)
+        sig_b = _spectral_std_dev(bm, rm, self.rho_spectrum)
+        bound = _robertson(am, bm, rm)
+        corr = float(abs(np.trace((commutator(n_mean, bm) + commutator(am, d_mean)) @ rm)))
+        product = eps * eta
+        uedr = product + corr
+        oedr = product + eps * sig_b + sig_a * eta
+        return EDRReport(
+            epsilon=eps,
+            eta=eta,
+            sigma_a=sig_a,
+            sigma_b=sig_b,
+            robertson=bound,
+            correlation_term=corr,
+            heisenberg_product=product,
+            uedr_lhs=uedr,
+            oedr_lhs=oedr,
+            heisenberg_holds=bool(product >= bound - EDR_SLACK),
+            uedr_holds=bool(uedr >= bound - EDR_SLACK),
+            oedr_holds=bool(oedr >= bound - EDR_SLACK),
+        )

@@ -34,6 +34,7 @@ from .operators import (
     dagger,
     hermitian_part,
     operator_distance,
+    partial_trace,
     spectral_decompose,
     std_dev,
     tensor,
@@ -91,7 +92,10 @@ class MeasuringProcess:
     """Probe state, coupling unitary, and meter observable.
 
     The system dimension is inferred from the unitary, which acts on
-    system x probe. The meter acts on the probe alone.
+    system x probe. The meter acts on the probe alone. A process is
+    immutable: what depends on it alone (the evolved meter, its spectral
+    decomposition and the process POVM) is computed on first use and
+    kept, the tolerance-dependent parts once per Tolerances value.
     """
 
     def __init__(self, probe_state: DensityOperator, unitary, meter: HermitianObservable,
@@ -107,39 +111,80 @@ class MeasuringProcess:
             raise ValidationError("unitary dimension is not a multiple of the probe dimension")
         if operator_distance(dagger(u) @ u, np.eye(u.shape[0])) > tol.eq_tol:
             raise ValidationError("coupling matrix is not unitary within eq_tol")
-        self.probe_state = probe_state
-        self.unitary = u
-        self.meter = meter
-        self.probe_dim = probe_state.dim
-        self.system_dim = u.shape[0] // probe_state.dim
-        self.tol = tol
+        fields = {"probe_state": probe_state, "unitary": u, "meter": meter,
+                  "probe_dim": probe_state.dim, "system_dim": u.shape[0] // probe_state.dim,
+                  "tol": tol, "_cache": {}}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MeasuringProcess is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"MeasuringProcess is immutable; cannot delete {name!r}")
+
+    def _cached(self, key, make):
+        """The cache entry under key, made (and frozen, for arrays) on first use."""
+        if key not in self._cache:
+            value = make()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
+
+    def _evolve(self, big: np.ndarray) -> np.ndarray:
+        """U+ X U for a composite operator X, Hermitian part."""
+        return hermitian_part(dagger(self.unitary) @ big @ self.unitary)
 
     def composite_state(self, rho) -> np.ndarray:
         """rho x rho0 on system x probe."""
         rm = _as_state_matrix(rho, self.tol)
         if rm.shape[0] != self.system_dim:
             raise ValidationError("state dimension does not match the system")
-        return np.kron(rm, self.probe_state.matrix)
+        return tensor(rm, self.probe_state.matrix)
 
     def embedded_system(self, a) -> np.ndarray:
         """A(0) = A x 1, the system observable before the interaction."""
         am = _as_observable_matrix(a, self.tol)
         if am.shape[0] != self.system_dim:
             raise ValidationError("observable dimension does not match the system")
-        return np.kron(am, np.eye(self.probe_dim))
+        return tensor(am, np.eye(self.probe_dim))
 
     def evolved_meter(self) -> np.ndarray:
-        """M(dt) = U+ (1 x M) U, the meter after the interaction."""
-        big = np.kron(np.eye(self.system_dim), self.meter.matrix)
-        return hermitian_part(dagger(self.unitary) @ big @ self.unitary)
+        """M(dt) = U+ (1 x M) U, the meter after the interaction.
+
+        Computed once; every call returns the same read-only array.
+        """
+        return self._cached("evolved_meter", lambda: self._evolve(
+            tensor(np.eye(self.system_dim), self.meter.matrix)))
 
     def evolved_system(self, b) -> np.ndarray:
         """B(dt) = U+ (B x 1) U, the system observable after the interaction."""
-        bm = _as_observable_matrix(b, self.tol)
-        if bm.shape[0] != self.system_dim:
-            raise ValidationError("observable dimension does not match the system")
-        big = np.kron(bm, np.eye(self.probe_dim))
-        return hermitian_part(dagger(self.unitary) @ big @ self.unitary)
+        return self._evolve(self.embedded_system(b))
+
+    def _probe_average(self, op: np.ndarray) -> np.ndarray:
+        """Tr_probe[op (1 x rho0)], Hermitian part.
+
+        1 x rho0 is rebuilt per call rather than kept: it is n x n, and
+        keeping it would add to the peak memory of every pass.
+        """
+        ref = tensor(np.eye(self.system_dim), self.probe_state.matrix)
+        return hermitian_part(partial_trace(op @ ref, (self.system_dim, self.probe_dim), keep="first"))
+
+    def _meter_decomposition(self, tol: Tolerances) -> SpectralDecomposition:
+        """Spectral decomposition of M(dt) under tol."""
+        return self._cached(("meter_decomposition", tol),
+                            lambda: spectral_decompose(self.evolved_meter(), tol))
+
+    def _povm(self, tol: Tolerances):
+        """Meter outcome values under tol with their POVM effects
+        Tr_probe[Q_m (1 x rho0)] on the system, stacked."""
+        def make():
+            dm = self._meter_decomposition(tol)
+            effects = np.stack([self._probe_average(q) for q in dm.projectors])
+            effects.setflags(write=False)
+            return dm.eigenvalues, effects
+        return self._cached(("povm", tol), make)
 
     def __repr__(self):
         return f"MeasuringProcess(system_dim={self.system_dim}, probe_dim={self.probe_dim})"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edr import cyclic_subspace, noise_moment_operator
+from .edr import _Scenario
 from .instruments import MeasuringProcess, born_distribution
 from .operators import (
     DEFAULT_TOL,
@@ -31,17 +31,16 @@ from .operators import (
     _as_observable_matrix,
     _as_state_matrix,
     _cluster_labels,
-    hermitian_part,
-    partial_trace,
     spectral_decompose,
+    tensor,
 )
 
 
-def _commute(dx, dy, sigma: np.ndarray, tol: Tolerances) -> bool:
+def _commute(p, q, sigma: np.ndarray, tol: Tolerances) -> bool:
     """Whether [P_i, Q_j] sigma = 0 within eq_tol for every projector pair."""
-    for p in dx.projectors:
-        for q in dy.projectors:
-            if float(np.abs((p @ q - q @ p) @ sigma).max()) > tol.eq_tol:
+    for pi in p:
+        for qj in q:
+            if float(np.abs((pi @ qj - qj @ pi) @ sigma).max()) > tol.eq_tol:
                 return False
     return True
 
@@ -55,7 +54,8 @@ def commute_in_state(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> bool:
     xm = _as_observable_matrix(x, tol)
     ym = _as_observable_matrix(y, tol)
     rm = _as_state_matrix(rho, tol)
-    return _commute(spectral_decompose(xm, tol), spectral_decompose(ym, tol), rm, tol)
+    return _commute(spectral_decompose(xm, tol).projectors,
+                    spectral_decompose(ym, tol).projectors, rm, tol)
 
 
 @dataclass(frozen=True)
@@ -105,21 +105,27 @@ def _joint_weights(p: np.ndarray, q: np.ndarray, sigma: np.ndarray,
     return w
 
 
-def _commuting_joint(x: np.ndarray, y: np.ndarray, sigma: np.ndarray, tol: Tolerances):
-    """The joint distribution of x and y in sigma, or None when they do
-    not commute in sigma. Raises if a weight has an imaginary residue
-    above eq_tol or falls below the psd_tol floor."""
-    dx = spectral_decompose(x, tol)
-    dy = spectral_decompose(y, tol)
-    if not _commute(dx, dy, sigma, tol):
-        return None
-    w = _joint_weights(np.stack(dx.projectors), np.stack(dy.projectors), sigma, tol)
+def _real_part(jd: JointDistribution, tol: Tolerances) -> JointDistribution:
+    """The genuine joint distribution behind complex weights that should
+    be real: raises if a weight has an imaginary residue above eq_tol or
+    falls below the psd_tol floor."""
+    w = jd.weights
     if np.abs(w.imag).max() > tol.eq_tol:
         raise ValidationError(f"joint weight has imaginary residue {np.abs(w.imag).max()}")
     if w.real.min() < tol.psd_tol:
         raise ValidationError(f"negative joint weight {w.real.min()}")
-    return JointDistribution(np.array(dx.eigenvalues), np.array(dy.eigenvalues),
-                             np.maximum(w.real, 0.0))
+    return JointDistribution(jd.x_atoms, jd.y_atoms, np.maximum(w.real, 0.0))
+
+
+def _commuting_joint(x: np.ndarray, y: np.ndarray, sigma: np.ndarray, tol: Tolerances):
+    """The joint distribution of x and y in sigma, or None when they do
+    not commute in sigma."""
+    dx = spectral_decompose(x, tol)
+    dy = spectral_decompose(y, tol)
+    if not _commute(dx.projectors, dy.projectors, sigma, tol):
+        return None
+    w = _joint_weights(np.stack(dx.projectors), np.stack(dy.projectors), sigma, tol)
+    return _real_part(JointDistribution(np.array(dx.eigenvalues), np.array(dy.eigenvalues), w), tol)
 
 
 def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistribution:
@@ -139,9 +145,28 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
 def gauss_rms(jd: JointDistribution) -> float:
     """Root-mean-square gauge sqrt(sum w_ij (y_j - x_i)^2) of a genuine
     (real-weight) joint distribution, the classical rms deviation between
-    the two outcomes."""
+    the two outcomes. Complex weights, as a weak joint distribution
+    carries, raise."""
+    if np.iscomplexobj(jd.weights):
+        raise ValidationError("gauss_rms needs real weights; this joint distribution is weak")
     dx = jd.y_atoms[None, :] - jd.x_atoms[:, None]
     return float(np.sqrt(max(float((jd.weights * dx ** 2).sum()), 0.0)))
+
+
+def _a0_meter(ctx: _Scenario):
+    """Stacked projectors of A(0) and M(dt), and their weak joint
+    distribution in rho x rho0.
+
+    A(0) = A x 1 has the projectors P_i x 1 and the eigenvalues of A, so
+    no n x n decomposition of A(0) is needed; M(dt) is decomposed once
+    per process and tolerance.
+    """
+    da = ctx.decomposition("a")
+    dm = ctx.mp._meter_decomposition(ctx.tol)
+    p0 = tensor(np.stack(da.projectors), np.eye(ctx.mp.probe_dim))
+    q = np.stack(dm.projectors)
+    w = _joint_weights(p0, q, ctx.joint, ctx.tol)
+    return p0, q, JointDistribution(np.array(da.eigenvalues), np.array(dm.eigenvalues), w)
 
 
 def weak_joint_distribution(mp: MeasuringProcess, a, rho,
@@ -152,12 +177,7 @@ def weak_joint_distribution(mp: MeasuringProcess, a, rho,
     the pair commutes in the state. Marginals are real and reproduce the
     Born distributions of A(0) and M(dt).
     """
-    tol = tol or mp.tol
-    da = spectral_decompose(_as_observable_matrix(a, tol), tol)
-    dm = spectral_decompose(mp.evolved_meter(), tol)
-    a0_projectors = np.kron(np.stack(da.projectors), np.eye(mp.probe_dim))
-    w = _joint_weights(a0_projectors, np.stack(dm.projectors), mp.composite_state(rho), tol)
-    return JointDistribution(np.array(da.eigenvalues), np.array(dm.eigenvalues), w)
+    return _a0_meter(_Scenario(mp, a, None, rho, tol or mp.tol))[2]
 
 
 def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
@@ -166,11 +186,11 @@ def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
     return not bool((off & (np.abs(jd.weights) > tol.eq_tol)).any())
 
 
-def _commuting_diagonal(x: np.ndarray, y: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> bool:
-    """Whether x and y commute in sigma with a diagonal-concentrated joint
-    distribution."""
-    jd = _commuting_joint(x, y, sigma, tol)
-    return jd is not None and _diagonal_concentrated(jd, tol)
+def _strong_precise(ctx: _Scenario, p0, q, weak: JointDistribution) -> bool:
+    """A(0) and M(dt) commute in rho x rho0 and their joint distribution,
+    the real part of the weak one, sits on the diagonal."""
+    return (_commute(p0, q, ctx.joint, ctx.tol)
+            and _diagonal_concentrated(_real_part(weak, ctx.tol), ctx.tol))
 
 
 def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong",
@@ -182,33 +202,22 @@ def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong",
     distribution sits on the diagonal in modulus. Strong implies weak;
     for measurement precision the two agree (theorem2_check).
     """
-    tol = tol or mp.tol
-    if mode == "weak":
-        return _diagonal_concentrated(weak_joint_distribution(mp, a, rho, tol), tol)
-    if mode != "strong":
+    if mode not in ("strong", "weak"):
         raise ValidationError(f"mode must be 'strong' or 'weak', got {mode!r}")
-    a0 = np.kron(_as_observable_matrix(a, tol), np.eye(mp.probe_dim))
-    return _commuting_diagonal(a0, mp.evolved_meter(), mp.composite_state(rho), tol)
+    ctx = _Scenario(mp, a, None, rho, tol or mp.tol)
+    p0, q, weak = _a0_meter(ctx)
+    if mode == "weak":
+        return _diagonal_concentrated(weak, ctx.tol)
+    return _strong_precise(ctx, p0, q, weak)
 
 
 def is_nondisturbing(mp: MeasuringProcess, b, rho, tol: Tolerances = None) -> bool:
     """Whether B is left undisturbed in rho: B(0) and B(dt) commute in
     rho x rho0 with a diagonal-concentrated joint distribution."""
     tol = tol or mp.tol
-    bm = _as_observable_matrix(b, tol)
-    b0 = np.kron(bm, np.eye(mp.probe_dim))
-    return _commuting_diagonal(b0, mp.evolved_system(bm), mp.composite_state(rho), tol)
-
-
-def _process_povm(mp: MeasuringProcess, tol: Tolerances):
-    """Meter outcome values with their POVM effects on the system."""
-    dm = spectral_decompose(mp.evolved_meter(), tol)
-    ref = np.kron(np.eye(mp.system_dim), mp.probe_state.matrix)
-    effects = []
-    for e in dm.projectors:
-        eff = partial_trace(e @ ref, (mp.system_dim, mp.probe_dim), keep="first")
-        effects.append(hermitian_part(eff))
-    return list(dm.eigenvalues), effects
+    b0 = mp.embedded_system(_as_observable_matrix(b, tol))
+    jd = _commuting_joint(b0, mp._evolve(b0), mp.composite_state(rho), tol)
+    return jd is not None and _diagonal_concentrated(jd, tol)
 
 
 def _outcome_clusters(a_values, m_values, tol: Tolerances):
@@ -228,7 +237,7 @@ def probability_reproducible(mp: MeasuringProcess, a, rho, tol: Tolerances = Non
     am = _as_observable_matrix(a, tol)
     rm = _as_state_matrix(rho, tol)
     ba = born_distribution(am, rm, tol)
-    m_values, m_effects = _process_povm(mp, tol)
+    m_values, m_effects = mp._povm(tol)
     m_probs = [float(np.trace(e @ rm).real) for e in m_effects]
     a_labels, m_labels, k = _outcome_clusters(ba.outcomes, m_values, tol)
     pa = np.bincount(a_labels, weights=ba.probabilities, minlength=k)
@@ -268,30 +277,27 @@ def theorem2_check(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> Prec
     the spectral measure of A agree as quadratic forms on that subspace,
     outcome cluster by outcome cluster.
     """
-    tol = tol or mp.tol
-    am = _as_observable_matrix(a, tol)
-    rm = _as_state_matrix(rho, tol)
-    strong = is_precise(mp, am, rm, mode="strong", tol=tol)
-    weak = is_precise(mp, am, rm, mode="weak", tol=tol)
+    return _precision_report(_Scenario(mp, a, None, rho, tol or mp.tol))
 
-    sub = cyclic_subspace(am, rm, tol)
-    t_op = noise_moment_operator(mp, am)
-    top = float(np.linalg.eigvalsh(hermitian_part(sub.compress(t_op))).max())
-    eps_zero = bool(top <= tol.eq_tol)
 
-    da = spectral_decompose(am, tol)
-    m_values, m_effects = _process_povm(mp, tol)
+def _precision_report(ctx: _Scenario) -> PrecisionReport:
+    """theorem2_check of a scenario; the strong and weak flags share one
+    weight matrix, eps_zero_on_cyclic the locally uniform top eigenvalue."""
+    tol = ctx.tol
+    p0, q, weak = _a0_meter(ctx)
+    da = ctx.decomposition("a")
+    m_values, m_effects = ctx.mp._povm(tol)
     a_labels, m_labels, k = _outcome_clusters(da.eigenvalues, m_values, tol)
-    proj_sums = np.zeros((k,) + am.shape, dtype=complex)
-    eff_sums = np.zeros((k,) + am.shape, dtype=complex)
+    proj_sums = np.zeros((k,) + ctx.rho.shape, dtype=complex)
+    eff_sums = np.zeros((k,) + ctx.rho.shape, dtype=complex)
     np.add.at(proj_sums, a_labels, np.stack(da.projectors))
-    np.add.at(eff_sums, m_labels, np.stack(m_effects))
-    pc = sub.projector()
+    np.add.at(eff_sums, m_labels, m_effects)
+    pc = ctx.cyclic("a").projector()
     repro = all(float(np.abs(pc @ (e - p) @ pc).max()) <= max(tol.eq_tol, 1e-9)
                 for p, e in zip(proj_sums, eff_sums))
     return PrecisionReport(
-        strong_precise=bool(strong),
-        weak_precise=bool(weak),
-        eps_zero_on_cyclic=eps_zero,
+        strong_precise=bool(_strong_precise(ctx, p0, q, weak)),
+        weak_precise=bool(_diagonal_concentrated(weak, tol)),
+        eps_zero_on_cyclic=bool(ctx.top("a") <= tol.eq_tol),
         prob_repro_on_cyclic=bool(repro),
     )

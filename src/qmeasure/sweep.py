@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edr import (
-    EDR_SLACK,
-    EDRReport,
-    edr_ledger,
-    locally_uniform_rms_disturbance,
-    locally_uniform_rms_error,
-)
-from .jpd import PrecisionReport, theorem2_check
+from .edr import EDR_SLACK, EDRReport, _Scenario
+from .jpd import PrecisionReport, _precision_report
 from .operators import DEFAULT_TOL, Tolerances, ValidationError
 from .sampling import (
     random_density_operator,
@@ -30,6 +24,9 @@ from .sampling import (
     rng_from,
 )
 from .serialize import _report_to_dict
+
+# largest dimension a sweep draws, so that n = d_s * d_p <= 1024
+MAX_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -66,10 +63,11 @@ class SweepCensus:
 def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = "haar",
               tol: Tolerances = DEFAULT_TOL, collect: bool = False):
     """Run a seeded sweep; returns (census, records) with records None
-    unless collect is set."""
+    unless collect is set. Dimensions are drawn from dims = (lo, hi) with
+    2 <= lo <= hi <= MAX_DIM."""
     lo, hi = int(dims[0]), int(dims[1])
-    if lo < 2 or hi < lo:
-        raise ValidationError(f"dims range must satisfy 2 <= lo <= hi, got {dims}")
+    if lo < 2 or hi < lo or hi > MAX_DIM:
+        raise ValidationError(f"dims range must satisfy 2 <= lo <= hi <= {MAX_DIM}, got {dims}")
     if trials < 1:
         raise ValidationError("trials must be positive")
     if seed < 0:
@@ -90,12 +88,15 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
                else random_density_operator(ds, rng, tol))
         mp = random_measuring_process(ds, dp, rng, interaction=interaction, tol=tol)
 
-        report = edr_ledger(mp, a, b, rho, tol=tol)
-        lu_eps = locally_uniform_rms_error(mp, a, rho, tol)
-        lu_eta = locally_uniform_rms_disturbance(mp, b, rho, tol)
+        # the locally uniform figures first: their passes over N(A) and
+        # D(B) also give the ledger's figures
+        ctx = _Scenario(mp, a, b, rho, tol)
+        lu_eps = ctx.locally_uniform("a")
+        lu_eta = ctx.locally_uniform("b")
+        precision = _precision_report(ctx)
+        report = ctx.ledger()
         lu_lhs = lu_eps * lu_eta + lu_eps * report.sigma_b + report.sigma_a * lu_eta
         lu_holds = bool(lu_lhs >= report.robertson - EDR_SLACK)
-        precision = theorem2_check(mp, a, rho, tol)
 
         if not report.uedr_holds:
             uedr_failures += 1

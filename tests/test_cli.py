@@ -393,6 +393,13 @@ class TestBadNumbers:
         assert code == EXIT_ASSERTION
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("hi", [1000, 100000000000000000000], ids=["1000", "beyond-int64"])
+    def test_sweep_dims_above_limit_is_assertion(self, tmp_path, hi):
+        path = write_config(tmp_path, set_path(sweep_config(), ("payload", "dims"), [2, hi]))
+        code, err = run_captured(["run", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_ASSERTION
+        assert "Traceback" not in err
+
     def test_integral_float_trials_accepted(self, tmp_path):
         out = str(tmp_path / "out")
         path = write_config(tmp_path, sweep_config(trials=2.0))

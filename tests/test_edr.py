@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qmeasure as qm
+from qmeasure.sweep import MAX_DIM, TrialRecord
 from helpers import (
     EYE2,
     KET0,
@@ -228,6 +229,34 @@ class TestUniversality:
             qm.run_sweep(dims=(1, 4), trials=5, seed=0)
         with pytest.raises(qm.ValidationError):
             qm.run_sweep(dims=(2, 4), trials=0, seed=0)
+        with pytest.raises(qm.ValidationError):
+            qm.run_sweep(dims=(2, MAX_DIM + 1), trials=1, seed=0)
+
+    @pytest.mark.parametrize("dims, trials", [((2, 4), 40), ((5, 6), 6)])
+    def test_records_equal_public_calls_on_fresh_processes(self, dims, trials):
+        # run_sweep shares one scenario context per trial; the public
+        # functions, each on a process of its own, must give the same bits
+        _, records = qm.run_sweep(dims=dims, trials=trials, seed=3, collect=True)
+        for rec in records:
+            rng = qm.rng_from(3, rec.trial)
+            ds, dp = int(rng.integers(dims[0], dims[1] + 1)), int(rng.integers(dims[0], dims[1] + 1))
+            a, b = qm.random_hermitian(ds, rng), qm.random_hermitian(ds, rng)
+            rho = (qm.random_pure_state(ds, rng) if rng.integers(0, 2)
+                   else qm.random_density_operator(ds, rng))
+            mp = qm.random_measuring_process(ds, dp, rng)
+
+            def fresh():
+                return qm.MeasuringProcess(mp.probe_state, mp.unitary, mp.meter)
+
+            report = qm.edr_ledger(fresh(), a, b, rho)
+            lu_eps = qm.locally_uniform_rms_error(fresh(), a, rho)
+            lu_eta = qm.locally_uniform_rms_disturbance(fresh(), b, rho)
+            lu_lhs = lu_eps * lu_eta + lu_eps * report.sigma_b + report.sigma_a * lu_eta
+            assert rec == TrialRecord(
+                trial=rec.trial, system_dim=ds, probe_dim=dp, report=report,
+                lu_epsilon=lu_eps, lu_eta=lu_eta, lu_oedr_lhs=lu_lhs,
+                lu_oedr_holds=bool(lu_lhs >= report.robertson - qm.EDR_SLACK),
+                precision=qm.theorem2_check(fresh(), a, rho))
 
     def test_sweep_is_reproducible(self):
         c1, _ = qm.run_sweep(dims=(2, 3), trials=30, seed=13)

@@ -98,6 +98,19 @@ class TestMeasuringProcess:
         mp = trivial_process()
         assert np.allclose(mp.evolved_system(SX), np.kron(SX, EYE2))
 
+    @pytest.mark.parametrize("name", ["unitary", "meter", "probe_state", "tol"])
+    def test_attributes_cannot_be_reassigned(self, name):
+        mp = cnot_process()
+        with pytest.raises(AttributeError):
+            setattr(mp, name, getattr(mp, name))
+
+    def test_evolved_meter_computed_once_and_read_only(self):
+        mp = cnot_process()
+        m_dt = mp.evolved_meter()
+        assert mp.evolved_meter() is m_dt
+        with pytest.raises(ValueError):
+            m_dt[0, 0] = 0.0
+
 
 class TestChoiKraus:
     def test_choi_of_identity_channel(self):

@@ -95,6 +95,11 @@ class TestJointDistribution:
 
 
 class TestWeakJointDistribution:
+    def test_gauss_rms_rejects_complex_weights(self):
+        jd = qm.weak_joint_distribution(dilated_luders(SX), SZ, qm.DensityOperator.pure(KET_PLUS))
+        with pytest.raises(qm.ValidationError):
+            qm.gauss_rms(jd)
+
     def test_cnot_on_plus_is_diagonal(self):
         wjd = qm.weak_joint_distribution(cnot_process(), SZ, qm.DensityOperator.pure(KET_PLUS))
         assert np.allclose(wjd.weights, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
@@ -350,3 +355,44 @@ class TestClusterChain:
         rho = qm.DensityOperator.pure(KET_PLUS)
         assert qm.theorem2_check(mp, a, rho).prob_repro_on_cyclic
         assert qm.probability_reproducible(mp, a, rho)
+
+
+def split_meter_process(gap: float) -> qm.MeasuringProcess:
+    """A qubit read by a 3-level probe started in |0>. System |0> sends the
+    probe to (|0> + |1>)/sqrt2 and system |1> to |2>; the meter diag(0,
+    gap, 1) then reads 0 or gap for |0> and 1 for |1>. Whether 0 and gap
+    are one outcome or two is up to eq_tol."""
+    h = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, SQRT2]]) / SQRT2
+    swap = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    u = np.kron(np.diag([1.0, 0.0]), h) + np.kron(np.diag([0.0, 1.0]), swap)
+    return qm.MeasuringProcess(qm.DensityOperator(np.diag([1.0, 0.0, 0.0])), u,
+                               qm.HermitianObservable(np.diag([0.0, gap, 1.0])))
+
+
+class TestCacheKeyedByTolerance:
+    """A process keeps its meter decomposition and POVM per Tolerances
+    value, so two tolerances on one process never share them."""
+
+    TIGHT = qm.DEFAULT_TOL
+    LOOSE = qm.Tolerances(eq_tol=1e-2)
+    A = np.diag([0.0, 1.0])
+
+    def results(self, mp, tol):
+        rho = qm.DensityOperator.pure(KET_PLUS)
+        return (qm.theorem2_check(mp, self.A, rho, tol),
+                qm.weak_joint_distribution(mp, self.A, rho, tol).y_atoms.tolist(),
+                qm.probability_reproducible(mp, self.A, rho, tol))
+
+    def test_tolerances_merge_the_meter_spectrum_differently(self):
+        tight = self.results(split_meter_process(1e-3), self.TIGHT)
+        loose = self.results(split_meter_process(1e-3), self.LOOSE)
+        assert tight[0].flags() == (False, False, False, False)
+        assert loose[0].flags() == (True, True, True, True)
+        assert len(tight[1]) == 3 and len(loose[1]) == 2
+
+    @pytest.mark.parametrize("order", ["tight-first", "loose-first"])
+    def test_one_process_matches_fresh_processes(self, order):
+        tols = (self.TIGHT, self.LOOSE) if order == "tight-first" else (self.LOOSE, self.TIGHT)
+        mp = split_meter_process(1e-3)
+        for tol in tols:
+            assert self.results(mp, tol) == self.results(split_meter_process(1e-3), tol)
