@@ -28,6 +28,7 @@ from .operators import (
     ValidationError,
     _as_observable_matrix,
     _as_state_matrix,
+    _check_dims,
     _robertson,
     _spectral_std_dev,
     commutator,
@@ -168,21 +169,18 @@ def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """
     am = _as_observable_matrix(a, tol)
     rm = _as_state_matrix(rho, tol)
+    _check_dims(am, rm)
     return _cyclic_subspace(spectral_decompose(am, tol), np.linalg.eigh(rm), tol)
 
 
 def _cyclic_subspace(dec, rho_spectrum, tol: Tolerances) -> Subspace:
-    """cyclic_subspace from the decomposition of A and the eigh pair of rho."""
+    """cyclic_subspace from the decomposition of A and the eigh pair of rho;
+    column k * #P + i of the spanning set is P_i phi_k."""
     w, v = rho_spectrum
-    cols = []
-    for k in range(len(w)):
-        if w[k] <= tol.eq_tol:
-            continue
-        for p in dec.projectors:
-            cols.append(p @ v[:, k])
-    if not cols:
+    phi = v[:, w > tol.eq_tol]
+    if phi.shape[1] == 0:
         raise ValidationError("state has no eigenvalue above eq_tol")
-    m = np.stack(cols, axis=1)
+    m = (dec.projectors @ phi).transpose(1, 2, 0).reshape(dec.dim, -1)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     rank = int(np.sum(s > _RANK_CUTOFF))
     if rank == 0:

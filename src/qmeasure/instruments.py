@@ -8,9 +8,10 @@ instrument conversely arises this way, and dilate() constructs an explicit
 realization with a pure probe.
 
 Conventions: composite operators live on system x probe (kron order),
-instrument outcomes are distinct reals sorted ascending, and instrument
-equality is always judged on per-outcome Choi matrices, never on Kraus
-lists (the Kraus gauge is not unique).
+instrument outcomes are distinct reals sorted ascending, operator families
+are read-only stacks, and instrument equality is always judged on
+per-outcome Choi matrices, never on Kraus lists (the Kraus gauge is not
+unique).
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .operators import (
     SpectralDecomposition,
     Tolerances,
     ValidationError,
+    _Immutable,
     _as_matrix,
     _as_observable_matrix,
     _as_state_matrix,
+    _check_dims,
     _cluster_labels,
     as_operator,
     dagger,
@@ -67,28 +70,27 @@ class OutcomeDistribution:
         return float(sum((x - m) ** 2 * p for x, p in zip(self.outcomes, self.probabilities)))
 
 
-def _distribution(outcomes, probs, tol: Tolerances) -> OutcomeDistribution:
-    cleaned = []
-    for p in probs:
-        p = float(np.real(p))
-        if p < tol.psd_tol:
-            raise ValidationError(f"negative probability {p}")
-        cleaned.append(max(p, 0.0))
-    total = sum(cleaned)
-    if abs(total - 1.0) > max(tol.eq_tol, 1e-12 * len(cleaned)):
+def _born(outcomes, effects: np.ndarray, rm: np.ndarray, tol: Tolerances) -> OutcomeDistribution:
+    """Pr{m} = Tr[E_m rho] over a stack of effects; raises on a probability
+    below psd_tol (the rest are clipped at 0) or a total off 1."""
+    _check_dims(effects, rm)
+    probs = np.einsum("iab,ba->i", effects, rm).real
+    if probs.min() < tol.psd_tol:
+        raise ValidationError(f"negative probability {probs.min()}")
+    probs = np.maximum(probs, 0.0)
+    total = float(probs.sum())
+    if abs(total - 1.0) > max(tol.eq_tol, 1e-12 * len(probs)):
         raise ValidationError(f"probabilities sum to {total}, expected 1")
-    return OutcomeDistribution(tuple(float(x) for x in outcomes), tuple(cleaned))
+    return OutcomeDistribution(tuple(float(x) for x in outcomes), tuple(probs.tolist()))
 
 
 def born_distribution(a, rho, tol: Tolerances = DEFAULT_TOL) -> OutcomeDistribution:
     """Outcome statistics Pr{a_i} = Tr[P_i rho] of an observable in a state."""
     dec = spectral_decompose(a, tol)
-    rm = _as_state_matrix(rho, tol)
-    probs = [np.trace(p @ rm).real for p in dec.projectors]
-    return _distribution(dec.eigenvalues, probs, tol)
+    return _born(dec.eigenvalues, dec.projectors, _as_state_matrix(rho, tol), tol)
 
 
-class MeasuringProcess:
+class MeasuringProcess(_Immutable):
     """Probe state, coupling unitary, and meter observable.
 
     The system dimension is inferred from the unitary, which acts on
@@ -111,17 +113,9 @@ class MeasuringProcess:
             raise ValidationError("unitary dimension is not a multiple of the probe dimension")
         if operator_distance(dagger(u) @ u, np.eye(u.shape[0])) > tol.eq_tol:
             raise ValidationError("coupling matrix is not unitary within eq_tol")
-        fields = {"probe_state": probe_state, "unitary": u, "meter": meter,
-                  "probe_dim": probe_state.dim, "system_dim": u.shape[0] // probe_state.dim,
-                  "tol": tol, "_cache": {}}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MeasuringProcess is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"MeasuringProcess is immutable; cannot delete {name!r}")
+        self._init_fields(probe_state=probe_state, unitary=u, meter=meter,
+                          probe_dim=probe_state.dim, system_dim=u.shape[0] // probe_state.dim,
+                          tol=tol, _cache={})
 
     def _cached(self, key, make):
         """The cache entry under key, made (and frozen, for arrays) on first use."""
@@ -163,7 +157,8 @@ class MeasuringProcess:
         return self._evolve(self.embedded_system(b))
 
     def _probe_average(self, op: np.ndarray) -> np.ndarray:
-        """Tr_probe[op (1 x rho0)], Hermitian part.
+        """Tr_probe[op (1 x rho0)], Hermitian part, of a composite operator
+        or of each operator of a stack.
 
         1 x rho0 is rebuilt per call rather than kept: it is n x n, and
         keeping it would add to the peak memory of every pass.
@@ -179,33 +174,31 @@ class MeasuringProcess:
     def _povm(self, tol: Tolerances):
         """Meter outcome values under tol with their POVM effects
         Tr_probe[Q_m (1 x rho0)] on the system, stacked."""
-        def make():
-            dm = self._meter_decomposition(tol)
-            effects = np.stack([self._probe_average(q) for q in dm.projectors])
-            effects.setflags(write=False)
-            return dm.eigenvalues, effects
-        return self._cached(("povm", tol), make)
+        dm = self._meter_decomposition(tol)
+        return dm.eigenvalues, self._cached(("povm", tol), lambda: self._probe_average(dm.projectors))
 
     def __repr__(self):
         return f"MeasuringProcess(system_dim={self.system_dim}, probe_dim={self.probe_dim})"
 
 
+def _kraus_stack(kraus_ops, dim: int) -> np.ndarray:
+    """One outcome's Kraus family, a stack or a list of matrices, as an
+    (r, dim, dim) complex array, also when empty."""
+    ks = np.asarray(kraus_ops, dtype=complex)
+    return ks.reshape(0, dim, dim) if ks.size == 0 else ks
+
+
 def apply_kraus(kraus_ops, rho) -> np.ndarray:
     """Sum_j K_j rho K_j+ for one outcome's Kraus family."""
     rm = _as_matrix(rho)
-    out = np.zeros_like(rm)
-    for k in kraus_ops:
-        out = out + k @ rm @ dagger(k)
-    return out
+    ks = _kraus_stack(kraus_ops, rm.shape[0])
+    return (ks @ rm @ dagger(ks)).sum(axis=0)
 
 
 def choi_matrix(kraus_ops, dim: int) -> np.ndarray:
     """Choi matrix C[(i,m),(j,n)] = Phi(|i><j|)[m,n] of one outcome's CP map."""
-    c = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in kraus_ops:
-        v = np.asarray(k, dtype=complex).T.reshape(-1)  # v[(i,m)] = K[m,i]
-        c += np.outer(v, v.conj())
-    return c
+    v = _kraus_stack(kraus_ops, dim).swapaxes(1, 2).reshape(-1, dim * dim)  # v[j, (i,m)] = K_j[m,i]
+    return v.T @ v.conj()
 
 
 def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
@@ -224,47 +217,50 @@ def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
     return ops
 
 
-class CPInstrument:
-    """Outcome-indexed family of CP maps summing to a channel.
+def _sorted_family(outcomes, effects: np.ndarray, tol: Tolerances, count_error: str,
+                   identity_error: str):
+    """Distinct outcome values as floats sorted ascending, the permutation and
+    the stacked effects, one per outcome, permuted alike and summing to 1."""
+    outcomes = [float(x) for x in outcomes]
+    if len(outcomes) != len(effects):
+        raise ValidationError(count_error)
+    if len(set(outcomes)) != len(outcomes):
+        raise ValidationError("outcome values must be distinct")
+    order = np.argsort(outcomes)
+    effects = effects[order]
+    if operator_distance(effects.sum(axis=0), np.eye(effects.shape[-1])) > max(tol.eq_tol, 1e-8):
+        raise ValidationError(identity_error)
+    effects.setflags(write=False)
+    return tuple(outcomes[i] for i in order), order, effects
 
-    outcomes are distinct reals; kraus is a per-outcome list of operator
-    lists. The stacked family satisfies sum_{m,j} K+K = 1 within eq_tol.
-    Outcomes (with their Kraus lists) are stored sorted ascending.
+
+class CPInstrument(_Immutable):
+    """Outcome-indexed family of CP maps summing to a channel, immutable.
+
+    outcomes are distinct reals sorted ascending; kraus[m] is a read-only
+    (r_m, d, d) stack, (0, d, d) for an outcome without Kraus operators.
+    The effects sum_j K+K, computed once, sum to 1 within eq_tol.
     """
 
     def __init__(self, outcomes, kraus, tol: Tolerances = DEFAULT_TOL):
-        outcomes = [float(x) for x in outcomes]
-        if len(outcomes) != len(kraus):
-            raise ValidationError("need one Kraus list per outcome")
-        if len(outcomes) == 0:
+        if len(kraus) == 0:
             raise ValidationError("instrument needs at least one outcome")
-        if len(set(outcomes)) != len(outcomes):
-            raise ValidationError("outcome values must be distinct")
-        order = np.argsort(outcomes)
-        fam = []
-        dim = None
-        for i in order:
-            ops = []
-            for k in kraus[i]:
-                km = as_operator(k)
-                if dim is None:
-                    dim = km.shape[0]
-                elif km.shape[0] != dim:
-                    raise ValidationError("all Kraus operators must share one dimension")
-                ops.append(km)
-            fam.append(tuple(ops))
-        if dim is None:
+        ops = [[as_operator(k) for k in fam] for fam in kraus]
+        dims = {k.shape[0] for fam in ops for k in fam}
+        if len(dims) > 1:
+            raise ValidationError("all Kraus operators must share one dimension")
+        if not dims:
             raise ValidationError("instrument has no Kraus operators at all")
-        total = np.zeros((dim, dim), dtype=complex)
-        for ops in fam:
-            for k in ops:
-                total = total + dagger(k) @ k
-        if operator_distance(total, np.eye(dim)) > max(tol.eq_tol, 1e-8):
-            raise ValidationError("Kraus family is not trace-preserving: sum K+K != 1")
-        self.outcomes = tuple(outcomes[i] for i in order)
-        self.kraus = tuple(fam)
-        self.dim = dim
-        self.tol = tol
+        dim = dims.pop()
+        stacks = [_kraus_stack(fam, dim) for fam in ops]
+        effects = np.stack([hermitian_part((dagger(k) @ k).sum(axis=0)) for k in stacks])
+        outcomes, order, effects = _sorted_family(
+            outcomes, effects, tol, "need one Kraus list per outcome",
+            "Kraus family is not trace-preserving: sum K+K != 1")
+        for k in stacks:
+            k.setflags(write=False)
+        self._init_fields(outcomes=outcomes, kraus=tuple(stacks[i] for i in order), dim=dim,
+                          tol=tol, _effects=effects)
 
     def _select(self, outcome_set) -> list:
         """Indices of outcomes matching a value or iterable of values."""
@@ -280,19 +276,13 @@ class CPInstrument:
 
     def apply(self, rho, outcome_set=None) -> np.ndarray:
         """Unnormalized state change I(D)rho, D defaulting to all outcomes."""
-        rm = _as_matrix(rho)
         idx = range(len(self.outcomes)) if outcome_set is None else self._select(outcome_set)
-        out = np.zeros_like(rm, dtype=complex)
-        for i in idx:
-            out = out + apply_kraus(self.kraus[i], rm)
-        return out
+        ops = [self.kraus[i] for i in idx]
+        return apply_kraus(np.concatenate(ops) if ops else [], rho)
 
     def effect(self, i: int) -> np.ndarray:
-        """POVM effect sum_j K+K of the i-th outcome."""
-        e = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in self.kraus[i]:
-            e = e + dagger(k) @ k
-        return hermitian_part(e)
+        """POVM effect sum_j K+K of the i-th outcome, read-only."""
+        return self._effects[i]
 
     def choi(self, i: int) -> np.ndarray:
         return choi_matrix(self.kraus[i], self.dim)
@@ -301,42 +291,27 @@ class CPInstrument:
         return f"CPInstrument(outcomes={self.outcomes}, dim={self.dim})"
 
 
-class POVM:
-    """Positive effects, one per outcome, summing to the identity."""
+class POVM(_Immutable):
+    """Positive effects, one per outcome, summing to the identity; immutable,
+    with the effects as one read-only (m, d, d) stack in ascending outcome
+    order."""
 
     def __init__(self, outcomes, effects, tol: Tolerances = DEFAULT_TOL):
-        outcomes = [float(x) for x in outcomes]
-        if len(outcomes) != len(effects):
-            raise ValidationError("need one effect per outcome")
-        if len(set(outcomes)) != len(outcomes):
-            raise ValidationError("outcome values must be distinct")
-        order = np.argsort(outcomes)
-        effs = []
-        dim = None
-        for i in order:
-            e = as_operator(effects[i])
-            if dim is None:
-                dim = e.shape[0]
-            elif e.shape[0] != dim:
-                raise ValidationError("all effects must share one dimension")
-            e = hermitian_part(e)
-            if float(np.linalg.eigvalsh(e).min()) < tol.psd_tol:
-                raise ValidationError("effect is not positive semidefinite")
-            e.setflags(write=False)
-            effs.append(e)
-        total = sum(effs)
-        if operator_distance(total, np.eye(dim)) > max(tol.eq_tol, 1e-8):
-            raise ValidationError("effects do not sum to the identity")
-        self.outcomes = tuple(outcomes[i] for i in order)
-        self.effects = tuple(effs)
-        self.dim = dim
-        self.tol = tol
+        effs = [hermitian_part(as_operator(e)) for e in effects]
+        if not effs:
+            raise ValidationError("POVM needs at least one outcome")
+        if len({e.shape for e in effs}) > 1:
+            raise ValidationError("all effects must share one dimension")
+        effs = np.stack(effs)
+        if float(np.linalg.eigvalsh(effs).min()) < tol.psd_tol:
+            raise ValidationError("effect is not positive semidefinite")
+        outcomes, _, effs = _sorted_family(outcomes, effs, tol, "need one effect per outcome",
+                                           "effects do not sum to the identity")
+        self._init_fields(outcomes=outcomes, effects=effs, dim=effs.shape[-1], tol=tol)
 
     def probabilities(self, rho, tol: Tolerances = None) -> OutcomeDistribution:
         tol = tol or self.tol
-        rm = _as_state_matrix(rho, tol)
-        probs = [np.trace(e @ rm).real for e in self.effects]
-        return _distribution(self.outcomes, probs, tol)
+        return _born(self.outcomes, self.effects, _as_state_matrix(rho, tol), tol)
 
     def __repr__(self):
         return f"POVM(outcomes={self.outcomes}, dim={self.dim})"
@@ -364,31 +339,26 @@ def instrument_from_process(mp: MeasuringProcess, tol: Tolerances = None) -> CPI
     keep = lam > 0
     # t[a, b, c, l] = sum_e U[(a, b), (c, e)] sqrt(lam_l) phi_l[e]
     t = mp.unitary.reshape(d, dp, d, dp) @ (phi[:, keep] * np.sqrt(lam[keep]))
-    outcomes = []
     families = []
-    for m_val, q in zip(mdec.eigenvalues, mdec.projectors):
+    for q in mdec.projectors:
         # column (k, l) is vec(K_kl), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
         v = np.einsum("kb,abcl->cakl", q, t).reshape(d * d, -1)
         w, s, _ = np.linalg.svd(v, full_matrices=False)
         rank = int(np.sum(s * s > tol.eq_tol))
-        outcomes.append(float(m_val))
-        families.append([s[j] * w[:, j].reshape(d, d).T for j in range(rank)])
-    return CPInstrument(outcomes, families, tol=tol)
+        # K_j[a, c] = s_j w[(c, a), j]
+        families.append(s[:rank, None, None] * w[:, :rank].T.reshape(rank, d, d).swapaxes(1, 2))
+    return CPInstrument(mdec.eigenvalues, families, tol=tol)
 
 
 def povm_of(instrument: CPInstrument) -> POVM:
     """The outcome statistics of an instrument as a POVM."""
-    effects = [instrument.effect(i) for i in range(len(instrument.outcomes))]
-    return POVM(instrument.outcomes, effects, tol=instrument.tol)
+    return POVM(instrument.outcomes, instrument._effects, tol=instrument.tol)
 
 
 def outcome_probabilities(instrument: CPInstrument, rho, tol: Tolerances = None) -> OutcomeDistribution:
-    """Pr{m} = Tr[I(m) rho] for each outcome."""
+    """Pr{m} = Tr[I(m) rho] = Tr[E_m rho] for each outcome."""
     tol = tol or instrument.tol
-    rm = _as_state_matrix(rho, tol)
-    probs = [np.trace(apply_kraus(instrument.kraus[i], rm)).real
-             for i in range(len(instrument.outcomes))]
-    return _distribution(instrument.outcomes, probs, tol)
+    return _born(instrument.outcomes, instrument._effects, _as_state_matrix(rho, tol), tol)
 
 
 def post_state(instrument: CPInstrument, outcome_set, rho, tol: Tolerances = None) -> DensityOperator:
@@ -410,7 +380,7 @@ def post_state(instrument: CPInstrument, outcome_set, rho, tol: Tolerances = Non
 def luders_instrument(a, tol: Tolerances = DEFAULT_TOL) -> CPInstrument:
     """The projective instrument rho -> P_i rho P_i of an observable."""
     dec = spectral_decompose(a, tol)
-    return CPInstrument(list(dec.eigenvalues), [[p] for p in dec.projectors], tol=tol)
+    return CPInstrument(dec.eigenvalues, dec.projectors[:, None], tol=tol)
 
 
 def dilate(instrument: CPInstrument, tol: Tolerances = None) -> MeasuringProcess:
@@ -431,20 +401,17 @@ def dilate(instrument: CPInstrument, tol: Tolerances = None) -> MeasuringProcess
     d = instrument.dim
     counts = [len(ops) for ops in instrument.kraus]
     probe_dim = sum(counts)
-    if probe_dim == 0:
-        raise ValidationError("cannot dilate an instrument with no Kraus operators")
     n = d * probe_dim
 
     # iso[(s, b), i] = K_b[s, i], the row of component (s, b) being s*probe_dim + b
-    iso = np.stack([k for ops in instrument.kraus for k in ops], axis=1).reshape(n, d)
+    iso = np.concatenate(instrument.kraus).swapaxes(0, 1).reshape(n, d)
     filled = np.zeros(n, dtype=bool)
     filled[::probe_dim] = True
     u = np.empty((n, n), dtype=complex)
     u[:, filled] = iso
     u[:, ~filled] = np.linalg.qr(iso, mode="complete")[0][:, d:]
 
-    meter_diag = np.concatenate([np.full(c, x) for x, c in zip(instrument.outcomes, counts) if c > 0])
-    meter = HermitianObservable(np.diag(meter_diag), tol=tol)
+    meter = HermitianObservable(np.diag(np.repeat(instrument.outcomes, counts)), tol=tol)
     e0 = np.zeros(probe_dim)
     e0[0] = 1.0
     probe = DensityOperator.pure(e0, tol=tol)
@@ -499,6 +466,7 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float,
     tol = tol or instrument.tol
     am = _as_observable_matrix(a, tol)
     rm = _as_state_matrix(rho, tol)
+    _check_dims(am, rm)
     scale = 1.0 + float(np.abs(am).max()) * am.shape[0]
     floor = max(tol.eq_tol, float(np.sqrt(np.finfo(float).eps)) * scale)
     outs, residuals, sds = [], [], []

@@ -23,21 +23,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edr import _Scenario
-from .instruments import MeasuringProcess, born_distribution
+from .instruments import MeasuringProcess, _born, born_distribution
 from .operators import (
     DEFAULT_TOL,
     Tolerances,
     ValidationError,
     _as_observable_matrix,
     _as_state_matrix,
+    _check_dims,
     _cluster_labels,
     spectral_decompose,
     tensor,
 )
 
 
-def _commute(p, q, sigma: np.ndarray, tol: Tolerances) -> bool:
-    """Whether [P_i, Q_j] sigma = 0 within eq_tol for every projector pair."""
+def _commute(p: np.ndarray, q: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> bool:
+    """Whether [P_i, Q_j] sigma = 0 within eq_tol for every pair from two
+    stacks of projectors; stops at the first pair that fails."""
+    _check_dims(p, q, sigma)
     for pi in p:
         for qj in q:
             if float(np.abs((pi @ qj - qj @ pi) @ sigma).max()) > tol.eq_tol:
@@ -51,11 +54,8 @@ def commute_in_state(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> bool:
     Commutation in a state is weaker than operator commutation: it only
     constrains the support of rho.
     """
-    xm = _as_observable_matrix(x, tol)
-    ym = _as_observable_matrix(y, tol)
-    rm = _as_state_matrix(rho, tol)
-    return _commute(spectral_decompose(xm, tol).projectors,
-                    spectral_decompose(ym, tol).projectors, rm, tol)
+    return _commute(spectral_decompose(x, tol).projectors, spectral_decompose(y, tol).projectors,
+                    _as_state_matrix(rho, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -85,24 +85,24 @@ class JointDistribution:
         return self.weights.sum(axis=0)
 
 
-def _joint_weights(p: np.ndarray, q: np.ndarray, sigma: np.ndarray,
-                   tol: Tolerances) -> np.ndarray:
-    """W[i, j] = Tr[P_i Q_j sigma] from stacks of projectors, complex.
+def _joint(x_atoms, p: np.ndarray, y_atoms, q: np.ndarray, sigma: np.ndarray,
+           tol: Tolerances) -> JointDistribution:
+    """Complex weights W[i, j] = Tr[P_i Q_j sigma] from stacks of projectors
+    with their values.
 
     Raises if the total strays from 1 or a marginal from the Born
-    probabilities Tr[P_i sigma] and Tr[Q_j sigma].
+    distribution of its stack in sigma.
     """
-    q_sigma = q @ sigma
-    w = np.einsum("iab,jba->ij", p, q_sigma)
+    w = np.einsum("iab,jba->ij", p, q @ sigma)
     slack = max(tol.eq_tol, 1e-10, 1e-12 * w.size)
     total = complex(w.sum())
     if abs(total - 1.0) > slack:
         raise ValidationError(f"joint weights sum to {total}")
-    if np.abs(w.sum(axis=1) - np.einsum("iab,ba->i", p, sigma)).max() > slack:
+    if np.abs(w.sum(axis=1) - _born(x_atoms, p, sigma, tol).probabilities).max() > slack:
         raise ValidationError("x marginal does not reproduce the Born distribution")
-    if np.abs(w.sum(axis=0) - np.einsum("jaa->j", q_sigma)).max() > slack:
+    if np.abs(w.sum(axis=0) - _born(y_atoms, q, sigma, tol).probabilities).max() > slack:
         raise ValidationError("y marginal does not reproduce the Born distribution")
-    return w
+    return JointDistribution(np.array(x_atoms), np.array(y_atoms), w)
 
 
 def _real_part(jd: JointDistribution, tol: Tolerances) -> JointDistribution:
@@ -117,15 +117,15 @@ def _real_part(jd: JointDistribution, tol: Tolerances) -> JointDistribution:
     return JointDistribution(jd.x_atoms, jd.y_atoms, np.maximum(w.real, 0.0))
 
 
-def _commuting_joint(x: np.ndarray, y: np.ndarray, sigma: np.ndarray, tol: Tolerances):
+def _commuting_joint(x, y, sigma: np.ndarray, tol: Tolerances):
     """The joint distribution of x and y in sigma, or None when they do
     not commute in sigma."""
     dx = spectral_decompose(x, tol)
     dy = spectral_decompose(y, tol)
     if not _commute(dx.projectors, dy.projectors, sigma, tol):
         return None
-    w = _joint_weights(np.stack(dx.projectors), np.stack(dy.projectors), sigma, tol)
-    return _real_part(JointDistribution(np.array(dx.eigenvalues), np.array(dy.eigenvalues), w), tol)
+    jd = _joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors, sigma, tol)
+    return _real_part(jd, tol)
 
 
 def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistribution:
@@ -135,8 +135,7 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     imaginary residue above eq_tol, if a weight falls below the psd_tol
     floor, or if a marginal strays from the Born distribution.
     """
-    jd = _commuting_joint(_as_observable_matrix(x, tol), _as_observable_matrix(y, tol),
-                          _as_state_matrix(rho, tol), tol)
+    jd = _commuting_joint(x, y, _as_state_matrix(rho, tol), tol)
     if jd is None:
         raise ValidationError("observables do not commute in the state")
     return jd
@@ -163,10 +162,9 @@ def _a0_meter(ctx: _Scenario):
     """
     da = ctx.decomposition("a")
     dm = ctx.mp._meter_decomposition(ctx.tol)
-    p0 = tensor(np.stack(da.projectors), np.eye(ctx.mp.probe_dim))
-    q = np.stack(dm.projectors)
-    w = _joint_weights(p0, q, ctx.joint, ctx.tol)
-    return p0, q, JointDistribution(np.array(da.eigenvalues), np.array(dm.eigenvalues), w)
+    p0 = tensor(da.projectors, np.eye(ctx.mp.probe_dim))
+    return p0, dm.projectors, _joint(da.eigenvalues, p0, dm.eigenvalues, dm.projectors,
+                                     ctx.joint, ctx.tol)
 
 
 def weak_joint_distribution(mp: MeasuringProcess, a, rho,
@@ -234,14 +232,12 @@ def probability_reproducible(mp: MeasuringProcess, a, rho, tol: Tolerances = Non
     """Whether the meter statistics in rho reproduce the Born statistics
     of A in rho, matching outcome values within eq_tol."""
     tol = tol or mp.tol
-    am = _as_observable_matrix(a, tol)
     rm = _as_state_matrix(rho, tol)
-    ba = born_distribution(am, rm, tol)
-    m_values, m_effects = mp._povm(tol)
-    m_probs = [float(np.trace(e @ rm).real) for e in m_effects]
-    a_labels, m_labels, k = _outcome_clusters(ba.outcomes, m_values, tol)
+    ba = born_distribution(a, rm, tol)
+    bm = _born(*mp._povm(tol), rm, tol)
+    a_labels, m_labels, k = _outcome_clusters(ba.outcomes, bm.outcomes, tol)
     pa = np.bincount(a_labels, weights=ba.probabilities, minlength=k)
-    pm = np.bincount(m_labels, weights=m_probs, minlength=k)
+    pm = np.bincount(m_labels, weights=bm.probabilities, minlength=k)
     return bool(np.abs(pa - pm).max() <= max(tol.eq_tol, 1e-10))
 
 
@@ -290,11 +286,10 @@ def _precision_report(ctx: _Scenario) -> PrecisionReport:
     a_labels, m_labels, k = _outcome_clusters(da.eigenvalues, m_values, tol)
     proj_sums = np.zeros((k,) + ctx.rho.shape, dtype=complex)
     eff_sums = np.zeros((k,) + ctx.rho.shape, dtype=complex)
-    np.add.at(proj_sums, a_labels, np.stack(da.projectors))
+    np.add.at(proj_sums, a_labels, da.projectors)
     np.add.at(eff_sums, m_labels, m_effects)
     pc = ctx.cyclic("a").projector()
-    repro = all(float(np.abs(pc @ (e - p) @ pc).max()) <= max(tol.eq_tol, 1e-9)
-                for p, e in zip(proj_sums, eff_sums))
+    repro = float(np.abs(pc @ (eff_sums - proj_sums) @ pc).max()) <= max(tol.eq_tol, 1e-9)
     return PrecisionReport(
         strong_precise=bool(_strong_precise(ctx, p0, q, weak)),
         weak_precise=bool(_diagonal_concentrated(weak, tol)),

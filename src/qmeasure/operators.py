@@ -67,7 +67,8 @@ def as_operator(matrix) -> np.ndarray:
 
 
 def dagger(op: np.ndarray) -> np.ndarray:
-    return op.conj().T
+    """Conjugate transpose of an operator, or of each operator of a stack."""
+    return op.conj().swapaxes(-1, -2)
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -75,6 +76,7 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(op: np.ndarray) -> np.ndarray:
+    """(X + X+)/2 of an operator, or of each operator of a stack."""
     return 0.5 * (op + dagger(op))
 
 
@@ -88,10 +90,32 @@ def operator_distance(x, y) -> float:
     return float(np.abs(np.asarray(x) - np.asarray(y)).max())
 
 
-class HermitianObservable:
-    """A self-adjoint operator.
+def _check_dims(*ops):
+    """Raise ValidationError unless the operators (or stacks of operators)
+    act on one space."""
+    if len({op.shape[-2:] for op in ops}) > 1:
+        raise ValidationError("dimension mismatch: " + " vs ".join(str(op.shape) for op in ops))
 
-    The stored matrix is the exact Hermitian part of the input, frozen.
+
+class _Immutable:
+    """Attributes are set once, through _init_fields in __init__; setting
+    or deleting one afterwards raises AttributeError."""
+
+    def _init_fields(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class HermitianObservable(_Immutable):
+    """A self-adjoint operator, immutable.
+
+    The stored matrix is the exact Hermitian part of the input, read-only.
     Construction fails if the input deviates from Hermiticity by more
     than tol.eq_tol in max-abs norm.
     """
@@ -102,8 +126,7 @@ class HermitianObservable:
             raise ValidationError("observable must be Hermitian within eq_tol")
         sym = hermitian_part(op)
         sym.setflags(write=False)
-        self.matrix = sym
-        self.dim = sym.shape[0]
+        self._init_fields(matrix=sym, dim=sym.shape[0])
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -112,8 +135,9 @@ class HermitianObservable:
         return f"HermitianObservable(dim={self.dim})"
 
 
-class DensityOperator:
-    """A quantum state: Hermitian, unit trace, eigenvalues >= psd_tol."""
+class DensityOperator(_Immutable):
+    """A quantum state: Hermitian, unit trace, eigenvalues >= psd_tol.
+    Immutable, with a read-only matrix."""
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOL):
         op = as_operator(matrix)
@@ -126,8 +150,7 @@ class DensityOperator:
         if lo < tol.psd_tol:
             raise ValidationError(f"density operator has negative eigenvalue {lo}")
         sym.setflags(write=False)
-        self.matrix = sym
-        self.dim = sym.shape[0]
+        self._init_fields(matrix=sym, dim=sym.shape[0])
 
     @classmethod
     def pure(cls, vector, tol: Tolerances = DEFAULT_TOL) -> "DensityOperator":
@@ -181,28 +204,25 @@ def _as_state_matrix(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (ascending) with orthogonal spectral projectors.
+    """Distinct eigenvalues (ascending) with orthogonal spectral projectors,
+    stacked in one read-only (k, n, n) array.
 
     sum(projectors) = identity and sum(a_i * P_i) reconstructs the operator.
     """
 
     eigenvalues: np.ndarray
-    projectors: tuple
+    projectors: np.ndarray
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
-        for p in self.projectors:
-            p.setflags(write=False)
+        self.projectors.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for a, p in zip(self.eigenvalues, self.projectors):
-            out = out + a * p
-        return out
+        return np.einsum("i,iab->ab", self.eigenvalues, self.projectors)
 
 
 def _cluster_labels(values, eq_tol: float) -> np.ndarray:
@@ -229,13 +249,13 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     w, v = np.linalg.eigh(mat)
     labels = _cluster_labels(w, tol.eq_tol)
     bounds = np.searchsorted(labels, np.arange(labels[-1] + 2))
-    values = []
-    projectors = []
-    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    values = np.empty(len(bounds) - 1)
+    projectors = np.empty(values.shape + mat.shape, dtype=complex)
+    for i, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         block = v[:, start:stop]
-        values.append(float(w[start:stop].sum() / (stop - start)))
-        projectors.append(hermitian_part(block @ dagger(block)))
-    dec = SpectralDecomposition(np.array(values), tuple(projectors))
+        values[i] = w[start:stop].sum() / (stop - start)
+        projectors[i] = hermitian_part(block @ dagger(block))
+    dec = SpectralDecomposition(values, projectors)
     if operator_distance(dec.reconstruct(), mat) > max(1e-12, 1e3 * tol.eq_tol) * max(1.0, float(np.abs(w).max())):
         raise ValidationError("spectral reconstruction failed")
     return dec
@@ -245,8 +265,7 @@ def expectation(x, rho) -> complex:
     """Tr[X rho]. Complex in general; real within eq_tol for Hermitian X."""
     xm = _as_matrix(x)
     rm = _as_matrix(rho)
-    if xm.shape != rm.shape:
-        raise ValidationError(f"dimension mismatch: {xm.shape} vs {rm.shape}")
+    _check_dims(xm, rm)
     return complex(np.trace(xm @ rm))
 
 
@@ -300,17 +319,17 @@ def partial_trace(z, dims, keep: str = "first") -> np.ndarray:
 
     Parameters
     ----------
-    z : array_like, shape (d1*d2, d1*d2)
+    z : array_like, shape (..., d1*d2, d1*d2), one operator or a stack
     dims : (d1, d2) factor dimensions, system first
     keep : "first" traces out the second factor, "second" the first
     """
     d1, d2 = int(dims[0]), int(dims[1])
     zm = _as_matrix(z)
-    if zm.shape != (d1 * d2, d1 * d2):
+    if zm.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValidationError(f"operator shape {zm.shape} does not match dims {dims}")
-    t = zm.reshape(d1, d2, d1, d2)
+    t = zm.reshape(zm.shape[:-2] + (d1, d2, d1, d2))
     if keep == "first":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     if keep == "second":
-        return np.einsum("ijil->jl", t)
+        return np.einsum("...ijil->...jl", t)
     raise ValidationError(f"keep must be 'first' or 'second', got {keep!r}")

@@ -83,10 +83,7 @@ def random_cp_instrument(dim: int, n_outcomes: int, rng: np.random.Generator,
         count = int(rng.integers(1, max_kraus_per_outcome + 1))
         raw.append([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
                     for _ in range(count)])
-    total = np.zeros((dim, dim), dtype=complex)
-    for ops in raw:
-        for k in ops:
-            total += dagger(k) @ k
+    total = sum(dagger(k) @ k for ops in raw for k in ops)
     w, v = np.linalg.eigh(hermitian_part(total))
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ dagger(v)
     kraus = [[k @ inv_sqrt for k in ops] for ops in raw]

@@ -105,3 +105,53 @@ def reference_joint_weights(x_projectors, y_projectors, sigma) -> np.ndarray:
         for j, q in enumerate(y_projectors):
             w[i, j] = complex(np.trace(p @ q @ sigma))
     return w
+
+
+def reference_cases():
+    """(name, process, A, rho): random instances, a clustered meter with a
+    clustered A (eigenvalues closer than eq_tol), and a pure probe."""
+    cases = []
+    for trial in range(6):
+        rng = qm.rng_from(509, trial)
+        d, dp = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        cases.append((f"random-{trial}", qm.random_measuring_process(d, dp, rng, pure_probe=False),
+                      qm.random_hermitian(d, rng), qm.random_density_operator(d, rng)))
+    rng = qm.rng_from(510)
+    v, w = qm.haar_unitary(3, rng), qm.haar_unitary(3, rng)
+    clustered = v @ np.diag([0.0, 1e-12, 1.0]) @ qm.dagger(v)
+    mixed = qm.random_density_operator(3, rng)
+    meter = qm.HermitianObservable(w @ np.diag([-1.0, -1.0 + 1e-12, 2.0]) @ qm.dagger(w))
+    cases.append(("clustered-meter", qm.MeasuringProcess(mixed, qm.haar_unitary(9, rng), meter),
+                  qm.HermitianObservable(clustered), qm.random_density_operator(3, rng)))
+    pure = qm.random_pure_state(3, rng)
+    cases.append(("pure-probe", qm.MeasuringProcess(pure, qm.haar_unitary(9, rng), meter),
+                  qm.random_hermitian(3, rng), qm.random_pure_state(3, rng)))
+    return cases
+
+
+def reference_outcome_probabilities(instrument: qm.CPInstrument, rho) -> np.ndarray:
+    """Pr{m} = sum_j Tr[K_j rho K_j+] by a loop over each outcome's Kraus
+    operators, the reference for qm.outcome_probabilities."""
+    rm = np.asarray(rho, dtype=complex)
+    return np.array([sum(np.trace(k @ rm @ k.conj().T).real for k in ops)
+                     for ops in instrument.kraus])
+
+
+def reference_cyclic_basis(projectors, rho, eq_tol: float = 1e-9) -> np.ndarray:
+    """Spanning columns P_i phi_k of the cyclic subspace by a double loop,
+    k over the eigenvectors of rho with eigenvalue above eq_tol and i over
+    the projectors, the reference for qm.cyclic_subspace."""
+    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    cols = [p @ v[:, k] for k in range(len(w)) if w[k] > eq_tol for p in projectors]
+    return np.stack(cols, axis=1)
+
+
+def reference_partial_trace(stack, dims, keep: str = "first") -> np.ndarray:
+    """Partial trace of each operator of a stack by block sums: Tr_2 adds
+    the sub-blocks z[j::d2, j::d2], Tr_1 the diagonal d2 x d2 blocks. The
+    reference for qm.partial_trace on a stack."""
+    d1, d2 = dims
+    if keep == "first":
+        return np.stack([sum(z[j::d2, j::d2] for j in range(d2)) for z in stack])
+    return np.stack([sum(z[i * d2:(i + 1) * d2, i * d2:(i + 1) * d2] for i in range(d1))
+                     for z in stack])

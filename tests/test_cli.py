@@ -276,9 +276,9 @@ class TestDeterminism:
             assert main(["run", path, "--out", out1]) == EXIT_OK
             assert main(["run", path, "--out", out2]) == EXIT_OK
             assert self.stable_lines(out1) == self.stable_lines(out2)
-            csv1 = open(os.path.join(out1, "report.csv"), "rb").read()
-            csv2 = open(os.path.join(out2, "report.csv"), "rb").read()
-            assert csv1 == csv2
+            with open(os.path.join(out1, "report.csv"), "rb") as f1, \
+                    open(os.path.join(out2, "report.csv"), "rb") as f2:
+                assert f1.read() == f2.read()
 
 
 def read_csv_header(out_dir):

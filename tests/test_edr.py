@@ -14,6 +14,8 @@ from helpers import (
     cnot_process,
     dilated_luders,
     identity_coupling_process,
+    reference_cases,
+    reference_cyclic_basis,
     shifted_meter,
 )
 
@@ -160,6 +162,16 @@ class TestCyclicSubspace:
     def test_subspace_validation(self):
         with pytest.raises(qm.ValidationError):
             qm.Subspace(2, np.array([[1.0], [1.0]], dtype=complex))
+
+    @pytest.mark.parametrize("a, rho", [c[2:] for c in reference_cases()],
+                             ids=[c[0] for c in reference_cases()])
+    def test_matches_double_loop_reference(self, a, rho):
+        cols = reference_cyclic_basis(qm.spectral_decompose(a).projectors, rho)
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+        basis = u[:, :int(np.sum(s > 1e-8))]
+        sub = qm.cyclic_subspace(a, rho)
+        assert sub.dim == basis.shape[1]
+        assert np.abs(sub.projector() - basis @ qm.dagger(basis)).max() <= 1e-12
 
 
 class TestLocallyUniform:

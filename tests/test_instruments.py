@@ -13,9 +13,14 @@ from helpers import (
     SZ,
     cnot_process,
     dilated_luders,
+    reference_cases,
     reference_instrument_from_process,
+    reference_outcome_probabilities,
+    reference_partial_trace,
     trivial_process,
 )
+
+REFERENCE_CASES = reference_cases()
 
 
 def assert_matches_reference(mp):
@@ -104,6 +109,15 @@ class TestMeasuringProcess:
         with pytest.raises(AttributeError):
             setattr(mp, name, getattr(mp, name))
 
+    def test_meter_cannot_change_under_the_cached_evolved_meter(self):
+        mp = cnot_process()
+        m_dt = mp.evolved_meter()
+        with pytest.raises(AttributeError):
+            mp.meter.matrix = SX
+        with pytest.raises(AttributeError):
+            mp.meter.dim = 7
+        assert np.array_equal(mp.meter.matrix, SZ) and mp.evolved_meter() is m_dt
+
     def test_evolved_meter_computed_once_and_read_only(self):
         mp = cnot_process()
         m_dt = mp.evolved_meter()
@@ -169,6 +183,33 @@ class TestCPInstrument:
         inst = qm.luders_instrument(SZ)
         with pytest.raises(qm.ValidationError):
             inst.apply(qm.DensityOperator.pure(KET0), 7.0)
+
+    def test_outcome_without_kraus_operators(self):
+        inst = qm.CPInstrument([0, 1, 2], [[P0], [], [P1]])
+        rho = qm.DensityOperator.pure(KET_PLUS)
+        assert len(inst.kraus[1]) == 0
+        assert qm.outcome_probabilities(inst, rho).probabilities[1] == 0.0
+        assert np.array_equal(inst.apply(rho, 1.0), np.zeros((2, 2)))
+        with pytest.raises(qm.ZeroProbabilityError):
+            qm.post_state(inst, 1.0, rho)
+        assert qm.dilate(inst).probe_dim == 2
+        assert qm.povm_of(inst).outcomes == (0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("name", ["outcomes", "kraus", "dim", "tol", "extra"])
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        inst = qm.luders_instrument(SZ)
+        with pytest.raises(AttributeError):
+            setattr(inst, name, getattr(inst, name, None))
+        with pytest.raises(AttributeError):
+            delattr(inst, name)
+
+    def test_kraus_stacks_and_effects_read_only(self):
+        inst = qm.CPInstrument([0, 1, 2], [[P0], [], [P1]])
+        assert [k.shape for k in inst.kraus] == [(1, 2, 2), (0, 2, 2), (1, 2, 2)]
+        with pytest.raises(ValueError):
+            inst.kraus[0][0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            inst.effect(0)[0, 0] = 2.0
 
     def test_outcome_probabilities_match_effects(self):
         rng = qm.rng_from(203)
@@ -254,6 +295,21 @@ class TestPOVM:
         with pytest.raises(qm.ValidationError):
             qm.POVM([0.0, 1.0], [2 * P0, EYE2 - 2 * P0])
 
+    @pytest.mark.parametrize("name", ["outcomes", "effects", "dim", "tol", "extra"])
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        povm = qm.POVM([1.0, 0.0], [P1, P0])
+        with pytest.raises(AttributeError):
+            setattr(povm, name, getattr(povm, name, None))
+        with pytest.raises(AttributeError):
+            delattr(povm, name)
+
+    def test_effects_stacked_sorted_and_read_only(self):
+        povm = qm.POVM([1.0, 0.0], [P1, P0])
+        assert povm.effects.shape == (2, 2, 2)
+        assert np.array_equal(povm.effects[0], P0)
+        with pytest.raises(ValueError):
+            povm.effects[0, 0, 0] = 2.0
+
     def test_povm_of_matches_instrument(self):
         rng = qm.rng_from(206)
         for _ in range(100):
@@ -265,6 +321,53 @@ class TestPOVM:
             b = qm.outcome_probabilities(inst, rho)
             assert a.outcomes == b.outcomes
             assert np.allclose(a.probabilities, b.probabilities, atol=1e-9)
+
+
+class TestStackedFamilyReferences:
+    """The stacked computations against the per-operator loops they replaced."""
+
+    @pytest.mark.parametrize("mp, a, rho", [c[1:] for c in REFERENCE_CASES],
+                             ids=[c[0] for c in REFERENCE_CASES])
+    def test_outcome_probabilities_match_kraus_loop(self, mp, a, rho):
+        inst = qm.instrument_from_process(mp)
+        got = qm.outcome_probabilities(inst, rho).probabilities
+        assert np.abs(np.array(got) - reference_outcome_probabilities(inst, rho)).max() <= 1e-12
+
+    @pytest.mark.parametrize("mp, a, rho", [c[1:] for c in REFERENCE_CASES],
+                             ids=[c[0] for c in REFERENCE_CASES])
+    def test_stacked_partial_trace_matches_block_sums(self, mp, a, rho):
+        dims = (mp.system_dim, mp.probe_dim)
+        stack = mp._meter_decomposition(mp.tol).projectors @ qm.tensor(
+            np.eye(mp.system_dim), mp.probe_state.matrix)
+        for keep in ("first", "second"):
+            ref = reference_partial_trace(stack, dims, keep)
+            assert np.abs(qm.partial_trace(stack, dims, keep) - ref).max() <= 1e-12
+        effects = mp._povm(mp.tol)[1]
+        ref = qm.hermitian_part(reference_partial_trace(stack, dims))
+        assert np.abs(effects - ref).max() <= 1e-12
+
+
+MISMATCHED_STATE = np.eye(3, dtype=complex) / 3
+DIMENSION_MISMATCHES = {
+    "cyclic_subspace": lambda: qm.cyclic_subspace(SZ, MISMATCHED_STATE),
+    "born_distribution": lambda: qm.born_distribution(SZ, MISMATCHED_STATE),
+    "POVM.probabilities": lambda: qm.POVM([0, 1], [P0, P1]).probabilities(MISMATCHED_STATE),
+    "outcome_probabilities": lambda: qm.outcome_probabilities(qm.luders_instrument(SZ),
+                                                              MISMATCHED_STATE),
+    "commute_in_state": lambda: qm.commute_in_state(SZ, SX, MISMATCHED_STATE),
+    "joint_distribution": lambda: qm.joint_distribution(SZ, SZ, MISMATCHED_STATE),
+    "check_repeatability": lambda: qm.check_repeatability(qm.luders_instrument(SZ), SZ,
+                                                          MISMATCHED_STATE, 0.0),
+    "check_repeatability-instrument": lambda: qm.check_repeatability(
+        qm.luders_instrument(SZ), np.diag([1.0, 2.0, 3.0]), MISMATCHED_STATE, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(DIMENSION_MISMATCHES))
+def test_dimension_mismatch_is_validation_error(name):
+    # a 2 x 2 observable or instrument against a 3 x 3 state
+    with pytest.raises(qm.ValidationError, match="dimension mismatch"):
+        DIMENSION_MISMATCHES[name]()
 
 
 class TestPostState:

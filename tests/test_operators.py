@@ -55,6 +55,29 @@ class TestValidation:
             qm.PhysicalConstants(hbar=0.0)
 
 
+class TestImmutable:
+    @pytest.mark.parametrize("make", [lambda: qm.HermitianObservable(SZ),
+                                      lambda: qm.DensityOperator(P0)],
+                             ids=["HermitianObservable", "DensityOperator"])
+    @pytest.mark.parametrize("name", ["matrix", "dim", "extra"])
+    def test_attributes_cannot_be_set_or_deleted(self, make, name):
+        obj = make()
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name, None))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+    def test_matrices_and_projectors_read_only(self):
+        with pytest.raises(ValueError):
+            qm.HermitianObservable(SZ).matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            qm.DensityOperator(P0).matrix[0, 0] = 2.0
+        dec = qm.spectral_decompose(SX)
+        assert dec.projectors.shape == (2, 2, 2)
+        with pytest.raises(ValueError):
+            dec.projectors[0, 0, 0] = 2.0
+
+
 class TestAlgebra:
     def test_commutator_pauli(self):
         assert np.allclose(qm.commutator(SX, SY), 2j * SZ)
@@ -162,6 +185,15 @@ class TestTensorAndPartialTrace:
         rho = np.outer(bell, bell.conj())
         assert np.allclose(qm.partial_trace(rho, (2, 2), keep="first"), EYE2 / 2)
         assert np.allclose(qm.partial_trace(rho, (2, 2), keep="second"), EYE2 / 2)
+
+    def test_stack_traced_slice_by_slice(self):
+        rng = qm.rng_from(104)
+        stack = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
+        for keep in ("first", "second"):
+            assert np.array_equal(qm.partial_trace(stack, (2, 3), keep=keep),
+                                  np.stack([qm.partial_trace(z, (2, 3), keep=keep) for z in stack]))
+        assert np.array_equal(qm.dagger(stack), np.stack([z.conj().T for z in stack]))
+        assert np.array_equal(qm.hermitian_part(stack), np.stack([qm.hermitian_part(z) for z in stack]))
 
     def test_keep_argument_validated(self):
         with pytest.raises(qm.ValidationError):
