@@ -3,11 +3,14 @@
     qmeasure run <config.json> --out <dir> [--hbar X] [--tol X]
     qmeasure sweep --dims 2..4 --trials N --seed S --out <dir> [--hbar X] [--tol X]
 
-Scenario kinds and their payloads are documented in the README. Exit
-codes: 0 success, 1 I/O failure, 2 schema violation (including a config
-number that is not a finite JSON number), 3 numerical validation failure,
-arithmetic overflow, or sweep assertion failure. Apart from the wall_time
-field, report.json is byte-identical across reruns of the same scenario.
+Scenario kinds and their payloads are documented in the README. Every
+config value is read through the schema helpers of qmeasure.serialize.
+Exit codes: 0 success, 1 I/O failure, 2 schema violation (a missing key,
+a config section or payload that is not an object, an unknown kind,
+model, report or interaction, or a config number that is not a finite
+JSON number), 3 numerical validation failure, arithmetic overflow, or
+sweep assertion failure. Apart from the wall_time field, report.json is
+byte-identical across reruns of the same scenario.
 
 Tolerance precedence: --tol flag, then the config's tolerances.eq_tol,
 then the QMEASURE_TOL environment variable, then the library default.
@@ -21,9 +24,10 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 from .edr import edr_ledger
-from .gaussian import build_model, min_uncertainty_packet, model_edr, output_distribution
+from .gaussian import OZAWA_1988, VON_NEUMANN, build_model, model_edr, output_distribution
 from .instruments import dilate
 from .jpd import theorem2_check
 from .operators import (
@@ -35,8 +39,11 @@ from .operators import (
 )
 from .serialize import (
     SchemaError,
+    _choice,
     _csv_cell,
     _number,
+    _numbers,
+    _require,
     edr_report_to_dict,
     gaussian_state_from_dict,
     instrument_from_dict,
@@ -56,52 +63,32 @@ ENV_TOL = "QMEASURE_TOL"
 
 KINDS = ("finite_process", "gaussian_model", "sweep")
 
+# config sections read into a run's settings, with the dataclass of each
+_SETTINGS = (("constants", PhysicalConstants), ("tolerances", Tolerances))
+
 
 def _effective_settings(cfg: dict, hbar_flag, tol_flag):
-    hbar = 1.0
-    eq_tol = Tolerances().eq_tol
-    psd_tol = Tolerances().psd_tol
+    """PhysicalConstants and Tolerances of a run: each value from its flag,
+    then its config section, then QMEASURE_TOL (eq_tol only), then the
+    dataclass default."""
+    values = {}
     env = os.environ.get(ENV_TOL)
     if env is not None:
         try:
             env_tol = float(env)
         except ValueError:
             raise SchemaError(f"{ENV_TOL} must be a float, got {env!r}")
-        eq_tol = _number(env_tol, ENV_TOL)
-    consts = cfg.get("constants", {})
-    if consts:
-        if not isinstance(consts, dict):
-            raise SchemaError("constants must be an object")
-        if "hbar" in consts:
-            hbar = _number(consts["hbar"], "hbar")
-    tols = cfg.get("tolerances", {})
-    if tols:
-        if not isinstance(tols, dict):
-            raise SchemaError("tolerances must be an object")
-        if "eq_tol" in tols:
-            eq_tol = _number(tols["eq_tol"], "eq_tol")
-        if "psd_tol" in tols:
-            psd_tol = _number(tols["psd_tol"], "psd_tol")
-    if hbar_flag is not None:
-        hbar = _number(hbar_flag, "--hbar")
-    if tol_flag is not None:
-        eq_tol = _number(tol_flag, "--tol")
-    return PhysicalConstants(hbar=hbar), Tolerances(eq_tol=eq_tol, psd_tol=psd_tol)
-
-
-def _gaussian_arg(payload_entry, constants, tol):
-    if not isinstance(payload_entry, dict):
-        raise SchemaError("Gaussian state entries must be objects")
-    if "packet" in payload_entry:
-        pk = payload_entry["packet"]
-        if not isinstance(pk, dict):
-            raise SchemaError("packet must be an object with q, p, q1")
-        for key in ("q", "p", "q1"):
-            if key not in pk:
-                raise SchemaError(f"packet is missing {key!r}")
-        return min_uncertainty_packet(*(_number(pk[key], key) for key in ("q", "p", "q1")),
-                                      constants=constants)
-    return gaussian_state_from_dict(payload_entry, constants=constants, tol=tol)
+        values["eq_tol"] = _number(env_tol, ENV_TOL)
+    for section, cls in _SETTINGS:
+        data = cfg.get(section, {})
+        _require(data, what=section)
+        values.update((f.name, _number(data[f.name], f.name))
+                      for f in fields(cls) if f.name in data)
+    for name, flag, what in (("hbar", hbar_flag, "--hbar"), ("eq_tol", tol_flag, "--tol")):
+        if flag is not None:
+            values[name] = _number(flag, what)
+    return tuple(cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+                 for _, cls in _SETTINGS)
 
 
 def _run_finite_process(payload: dict, tol):
@@ -111,33 +98,25 @@ def _run_finite_process(payload: dict, tol):
         mp = dilate(instrument_from_dict(payload["instrument"], tol=tol), tol=tol)
     else:
         raise SchemaError("finite_process payload needs 'process' or 'instrument'")
-    for key in ("observable_a", "observable_b", "state"):
-        if key not in payload:
-            raise SchemaError(f"finite_process payload is missing {key!r}")
-    a = HermitianObservable(matrix_from_json(payload["observable_a"]), tol=tol)
-    b = HermitianObservable(matrix_from_json(payload["observable_b"]), tol=tol)
-    rho = DensityOperator(matrix_from_json(payload["state"]), tol=tol)
-    which = payload.get("report", "edr")
+    a, b, rho = (matrix_from_json(m) for m in _require(
+        payload, "observable_a", "observable_b", "state", what="finite_process payload"))
+    which = _choice(payload.get("report", "edr"), ("edr", "precision"), "report")
+    a, b = HermitianObservable(a, tol=tol), HermitianObservable(b, tol=tol)
+    rho = DensityOperator(rho, tol=tol)
     if which == "edr":
         return edr_report_to_dict(edr_ledger(mp, a, b, rho, tol=tol)), True
-    if which == "precision":
-        return precision_report_to_dict(theorem2_check(mp, a, rho, tol=tol)), True
-    raise SchemaError(f"finite_process report must be 'edr' or 'precision', got {which!r}")
+    return precision_report_to_dict(theorem2_check(mp, a, rho, tol=tol)), True
 
 
 def _run_gaussian_model(payload: dict, constants, tol, out_dir):
-    for key in ("model", "object", "probe"):
-        if key not in payload:
-            raise SchemaError(f"gaussian_model payload is missing {key!r}")
-    model = build_model(str(payload["model"]))
-    obj = _gaussian_arg(payload["object"], constants, tol)
-    probe = _gaussian_arg(payload["probe"], constants, tol)
+    model, obj, probe = _require(payload, "model", "object", "probe",
+                                 what="gaussian_model payload")
+    model = build_model(_choice(model, (VON_NEUMANN, OZAWA_1988), "model"))
+    obj = gaussian_state_from_dict(obj, constants=constants, tol=tol)
+    probe = gaussian_state_from_dict(probe, constants=constants, tol=tol)
     report = model_edr(model, obj, probe, constants=constants)
     if "grid" in payload:
-        grid = payload["grid"]
-        if not isinstance(grid, list):
-            raise SchemaError("grid must be a list of numbers")
-        grid = [_number(x, "grid point") for x in grid]
+        grid = _numbers(payload["grid"], "grid")
         dens = output_distribution(model, obj, probe, grid)
         with open(os.path.join(out_dir, "densities.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
@@ -148,33 +127,21 @@ def _run_gaussian_model(payload: dict, constants, tol, out_dir):
 
 
 def _run_sweep_kind(payload: dict, tol):
-    for key in ("dims", "trials", "seed"):
-        if key not in payload:
-            raise SchemaError(f"sweep payload is missing {key!r}")
-    dims = payload["dims"]
-    if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(x, int) for x in dims)):
-        raise SchemaError("dims must be [lo, hi] integers")
-    interaction = payload.get("interaction", "haar")
-    if interaction not in ("haar", "identity"):
-        raise SchemaError("interaction must be 'haar' or 'identity'")
-    trials = _number(payload["trials"], "trials", integer=True)
-    seed = _number(payload["seed"], "seed", integer=True)
-    census, _ = run_sweep(dims=tuple(dims), trials=trials, seed=seed,
-                          interaction=interaction, tol=tol)
+    dims, trials, seed = _require(payload, "dims", "trials", "seed", what="sweep payload")
+    census, _ = run_sweep(dims=tuple(_numbers(dims, "dims", 2, integer=True)),
+                          trials=_number(trials, "trials", integer=True),
+                          seed=_number(seed, "seed", integer=True),
+                          interaction=_choice(payload.get("interaction", "haar"),
+                                              ("haar", "identity"), "interaction"),
+                          tol=tol)
     return census.as_dict(), census.all_universal_hold
 
 
 def run_scenario(cfg: dict, out_dir: str, hbar_flag=None, tol_flag=None) -> int:
     """Execute one scenario config and write report.json / report.csv."""
-    if not isinstance(cfg, dict):
-        raise SchemaError("config must be a JSON object")
-    kind = cfg.get("kind")
-    if kind not in KINDS:
-        raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}")
-    payload = cfg.get("payload")
-    if not isinstance(payload, dict):
-        raise SchemaError("payload must be an object")
+    kind, payload = _require(cfg, "kind", "payload", what="config")
+    _choice(kind, KINDS, "kind")
+    _require(payload, what="payload")
     constants, tol = _effective_settings(cfg, hbar_flag, tol_flag)
 
     start = time.perf_counter()

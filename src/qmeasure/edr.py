@@ -223,17 +223,10 @@ class _Scenario:
     def __init__(self, mp: MeasuringProcess, a, b, rho, tol: Tolerances):
         self.mp = mp
         self.tol = tol
-        self.obs = {x: self._observable(op) for x, op in (("a", a), ("b", b)) if op is not None}
-        self.rho = _as_state_matrix(rho, tol)
-        if self.rho.shape[0] != mp.system_dim:
-            raise ValidationError("state dimension does not match the system")
+        self.obs = {x: mp._on_system(op, _as_observable_matrix, tol)
+                    for x, op in (("a", a), ("b", b)) if op is not None}
+        self.rho = mp._on_system(rho, _as_state_matrix, tol)
         self._memo = {}
-
-    def _observable(self, op) -> np.ndarray:
-        om = _as_observable_matrix(op, self.tol)
-        if om.shape[0] != self.mp.system_dim:
-            raise ValidationError("observable dimension does not match the system")
-        return om
 
     def _once(self, key, make):
         if key not in self._memo:

@@ -31,6 +31,7 @@ from .operators import (
     PhysicalConstants,
     Tolerances,
     ValidationError,
+    _Immutable,
 )
 
 VON_NEUMANN = "von_neumann"
@@ -62,8 +63,9 @@ _MODEL_MATRICES = {
 _X, _PX, _Y, _PY = 0, 1, 2, 3
 
 
-class GaussianState:
-    """Mean (q, p) and 2x2 covariance of one canonical pair.
+class GaussianState(_Immutable):
+    """Mean (q, p) and 2x2 covariance of one canonical pair, immutable,
+    with read-only arrays.
 
     Admissibility requires det(cov) >= (hbar/2)^2 - eq_tol, the
     uncertainty bound for Gaussian states.
@@ -90,9 +92,7 @@ class GaussianState:
                 f"cov violates the uncertainty bound: det {np.linalg.det(cov)} < {bound}")
         mean.setflags(write=False)
         cov.setflags(write=False)
-        self.mean = mean
-        self.cov = cov
-        self.constants = constants
+        self._init_fields(mean=mean, cov=cov, constants=constants)
 
     @property
     def mean_q(self) -> float:

@@ -130,19 +130,20 @@ class MeasuringProcess(_Immutable):
         """U+ X U for a composite operator X, Hermitian part."""
         return hermitian_part(dagger(self.unitary) @ big @ self.unitary)
 
+    def _on_system(self, x, as_matrix, tol: Tolerances) -> np.ndarray:
+        """as_matrix(x, tol), checked to act on the system."""
+        m = as_matrix(x, tol)
+        if m.shape[0] != self.system_dim:
+            raise ValidationError(f"dimension mismatch: {m.shape} vs system {self.system_dim}")
+        return m
+
     def composite_state(self, rho) -> np.ndarray:
         """rho x rho0 on system x probe."""
-        rm = _as_state_matrix(rho, self.tol)
-        if rm.shape[0] != self.system_dim:
-            raise ValidationError("state dimension does not match the system")
-        return tensor(rm, self.probe_state.matrix)
+        return tensor(self._on_system(rho, _as_state_matrix, self.tol), self.probe_state.matrix)
 
     def embedded_system(self, a) -> np.ndarray:
         """A(0) = A x 1, the system observable before the interaction."""
-        am = _as_observable_matrix(a, self.tol)
-        if am.shape[0] != self.system_dim:
-            raise ValidationError("observable dimension does not match the system")
-        return tensor(am, np.eye(self.probe_dim))
+        return tensor(self._on_system(a, _as_observable_matrix, self.tol), np.eye(self.probe_dim))
 
     def evolved_meter(self) -> np.ndarray:
         """M(dt) = U+ (1 x M) U, the meter after the interaction.
@@ -192,6 +193,7 @@ def apply_kraus(kraus_ops, rho) -> np.ndarray:
     """Sum_j K_j rho K_j+ for one outcome's Kraus family."""
     rm = _as_matrix(rho)
     ks = _kraus_stack(kraus_ops, rm.shape[0])
+    _check_dims(ks, rm)
     return (ks @ rm @ dagger(ks)).sum(axis=0)
 
 

@@ -180,26 +180,15 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def _as_observable_matrix(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Matrix of an observable argument; validates Hermiticity for raw arrays."""
-    if isinstance(a, HermitianObservable):
-        return a.matrix
-    op = as_operator(a)
-    if not is_hermitian(op, tol):
-        raise ValidationError("observable must be Hermitian within eq_tol")
-    return hermitian_part(op)
+    """Matrix of an observable argument, a raw array validated as
+    HermitianObservable validates it."""
+    return (a if isinstance(a, HermitianObservable) else HermitianObservable(a, tol)).matrix
 
 
 def _as_state_matrix(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Matrix of a state argument. Raw arrays get the cheap checks only;
-    full positivity validation lives in DensityOperator."""
-    if isinstance(rho, DensityOperator):
-        return rho.matrix
-    op = as_operator(rho)
-    if not is_hermitian(op, tol):
-        raise ValidationError("state must be Hermitian within eq_tol")
-    if abs(np.trace(op).real - 1.0) > tol.eq_tol:
-        raise ValidationError("state must have unit trace")
-    return hermitian_part(op)
+    """Matrix of a state argument, a raw array validated as DensityOperator
+    validates it."""
+    return (rho if isinstance(rho, DensityOperator) else DensityOperator(rho, tol)).matrix
 
 
 @dataclass(frozen=True)

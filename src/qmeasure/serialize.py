@@ -1,7 +1,9 @@
 """JSON and CSV encodings for the library's value types.
 
 Complex matrices serialize as row-major nested lists of [re, im] pairs.
-Schema problems (missing keys, malformed nesting) raise SchemaError;
+Schema problems (missing keys, malformed nesting, a value of the wrong
+JSON type, a number that is not finite) raise SchemaError, from the
+schema helpers _require, _number, _numbers, _choice and matrix_from_json;
 values that parse but violate physics invariants raise ValidationError
 from the constructors instead.
 """
@@ -14,14 +16,12 @@ from dataclasses import fields
 import numpy as np
 
 from .edr import EDRReport
-from .gaussian import GaussianState, ModelEDR
+from .gaussian import GaussianState, ModelEDR, min_uncertainty_packet
 from .instruments import CPInstrument, MeasuringProcess, POVM
 from .jpd import JointDistribution, PrecisionReport
 from .operators import (
     DEFAULT_CONSTANTS,
     DEFAULT_TOL,
-    DensityOperator,
-    HermitianObservable,
     PhysicalConstants,
     Tolerances,
 )
@@ -57,7 +57,34 @@ def matrix_to_json(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
 
 
+def _numbers(values, what: str, length: int = None, integer: bool = False) -> list:
+    """A list of _number values, of the given length when set."""
+    if not isinstance(values, list) or (length is not None and len(values) != length):
+        raise SchemaError(f"{what} must be a list of " + (f"{length} " if length else "") + "numbers")
+    return [_number(x, what, integer) for x in values]
+
+
+def _require(data, *keys, what: str) -> list:
+    """The values under keys of an object; raises SchemaError if data is
+    not an object or lacks one of the keys."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what} must be an object")
+    for key in keys:
+        if key not in data:
+            raise SchemaError(f"{what} is missing {key!r}")
+    return [data[key] for key in keys]
+
+
+def _choice(value, options: tuple, what: str):
+    """value, checked to be one of the option strings."""
+    if value not in options:
+        raise SchemaError(f"{what} must be one of {options}, got {value!r}")
+    return value
+
+
 def matrix_from_json(data) -> np.ndarray:
+    """A complex matrix from rows of [re, im] pairs of finite numbers, each
+    cell checked inline (a _number call per cell would dominate the cost)."""
     if not isinstance(data, list) or not data:
         raise SchemaError("matrix must be a non-empty list of rows")
     rows = []
@@ -69,19 +96,14 @@ def matrix_from_json(data) -> np.ndarray:
         vals = []
         for cell in row:
             if (not isinstance(cell, (list, tuple)) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) for x in cell)):
-                raise SchemaError("matrix entries must be [re, im] pairs")
+                    or not all(type(x) in (int, float) for x in cell)):
+                raise SchemaError("matrix entries must be [re, im] pairs of numbers")
             vals.append(complex(cell[0], cell[1]))
         rows.append(vals)
-    return np.array(rows, dtype=complex)
-
-
-def _require(data: dict, key: str):
-    if not isinstance(data, dict):
-        raise SchemaError(f"expected an object with key {key!r}")
-    if key not in data:
-        raise SchemaError(f"missing key {key!r}")
-    return data[key]
+    arr = np.array(rows, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise SchemaError("matrix entries must be finite numbers")
+    return arr
 
 
 def process_to_dict(mp: MeasuringProcess) -> dict:
@@ -95,10 +117,8 @@ def process_to_dict(mp: MeasuringProcess) -> dict:
 
 
 def process_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> MeasuringProcess:
-    probe = DensityOperator(matrix_from_json(_require(data, "probe_state")), tol=tol)
-    unitary = matrix_from_json(_require(data, "unitary"))
-    meter = HermitianObservable(matrix_from_json(_require(data, "meter")), tol=tol)
-    mp = MeasuringProcess(probe, unitary, meter, tol=tol)
+    mp = MeasuringProcess(*(matrix_from_json(m) for m in _require(
+        data, "probe_state", "unitary", "meter", what="process")), tol=tol)
     for key in ("system_dim", "probe_dim"):
         if key in data and _number(data[key], key, integer=True) != getattr(mp, key):
             raise SchemaError(f"{key} {data[key]} does not match matrices ({getattr(mp, key)})")
@@ -113,17 +133,11 @@ def instrument_to_dict(inst: CPInstrument) -> dict:
 
 
 def instrument_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> CPInstrument:
-    outcomes = _require(data, "outcomes")
-    kraus_data = _require(data, "kraus")
-    if not isinstance(outcomes, list) or not isinstance(kraus_data, list):
-        raise SchemaError("outcomes and kraus must be lists")
-    outcomes = [_number(x, "outcome") for x in outcomes]
-    kraus = []
-    for ops in kraus_data:
-        if not isinstance(ops, list):
-            raise SchemaError("each outcome's Kraus entry must be a list of matrices")
-        kraus.append([matrix_from_json(k) for k in ops])
-    return CPInstrument(outcomes, kraus, tol=tol)
+    outcomes, kraus = _require(data, "outcomes", "kraus", what="instrument")
+    if not isinstance(kraus, list) or not all(isinstance(ops, list) for ops in kraus):
+        raise SchemaError("kraus must be a list with a list of matrices per outcome")
+    return CPInstrument(_numbers(outcomes, "outcomes"),
+                        [[matrix_from_json(k) for k in ops] for ops in kraus], tol=tol)
 
 
 def povm_to_dict(p: POVM) -> dict:
@@ -134,12 +148,10 @@ def povm_to_dict(p: POVM) -> dict:
 
 
 def povm_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> POVM:
-    outcomes = _require(data, "outcomes")
-    effects = _require(data, "effects")
-    if not isinstance(outcomes, list) or not isinstance(effects, list):
-        raise SchemaError("outcomes and effects must be lists")
-    return POVM([_number(x, "outcome") for x in outcomes],
-                [matrix_from_json(e) for e in effects], tol=tol)
+    outcomes, effects = _require(data, "outcomes", "effects", what="POVM")
+    if not isinstance(effects, list):
+        raise SchemaError("effects must be a list")
+    return POVM(_numbers(outcomes, "outcomes"), [matrix_from_json(e) for e in effects], tol=tol)
 
 
 def gaussian_state_to_dict(state: GaussianState) -> dict:
@@ -151,15 +163,16 @@ def gaussian_state_to_dict(state: GaussianState) -> dict:
 
 def gaussian_state_from_dict(data: dict, constants: PhysicalConstants = DEFAULT_CONSTANTS,
                              tol: Tolerances = DEFAULT_TOL) -> GaussianState:
-    mean = _require(data, "mean")
-    cov = _require(data, "cov")
-    if not isinstance(mean, list) or len(mean) != 2:
-        raise SchemaError("mean must be [q, p]")
-    if (not isinstance(cov, list) or len(cov) != 2
-            or not all(isinstance(r, list) and len(r) == 2 for r in cov)):
+    """A Gaussian state from {"mean": [q, p], "cov": [[..], [..]]}, or the
+    minimum-uncertainty packet of {"packet": {"q", "p", "q1"}}."""
+    _require(data, what="Gaussian state")
+    if "packet" in data:
+        q, p, q1 = _numbers(_require(data["packet"], "q", "p", "q1", what="packet"), "packet")
+        return min_uncertainty_packet(q, p, q1, constants=constants)
+    mean, cov = _require(data, "mean", "cov", what="Gaussian state")
+    if not isinstance(cov, list) or len(cov) != 2:
         raise SchemaError("cov must be a 2x2 array")
-    return GaussianState([_number(x, "mean entry") for x in mean],
-                         [[_number(x, "cov entry") for x in r] for r in cov],
+    return GaussianState(_numbers(mean, "mean", 2), [_numbers(r, "cov row", 2) for r in cov],
                          constants=constants, tol=tol)
 
 

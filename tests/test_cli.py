@@ -351,6 +351,10 @@ BAD_NUMBERS = [
     ("system-dim-string", finite_process_config, ("payload", "process", "system_dim"), "x"),
     ("probe-dim-fraction", finite_process_config, ("payload", "process", "probe_dim"), 2.5),
     ("matrix-entry-string", finite_process_config, ("payload", "observable_a", 0, 0, 0), "1"),
+    ("dims-bool", sweep_config, ("payload", "dims"), [True, 2]),
+    ("constants-list", gaussian_config, ("constants",), []),
+    ("model-unknown", gaussian_config, ("payload", "model"), "nope"),
+    ("model-number", gaussian_config, ("payload", "model"), 5),
 ]
 
 
@@ -460,3 +464,39 @@ class TestConfigFuzz:
             code, err = run_captured(["run", cfg_path, "--out", os.path.join(tmp, "out")])
         assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_ASSERTION), err
         assert "Traceback" not in err
+
+
+def number_paths(node, prefix=()):
+    """The path of every number in a config, object values and list
+    elements alike (bools are not numbers)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield prefix
+        return
+    for key, value in items:
+        yield from number_paths(value, prefix + (key,))
+
+
+NOT_NUMBERS = {"true": True, "string": "1", "null": None, "nan": float("nan"),
+               "inf": float("inf"), "-inf": float("-inf")}
+
+
+class TestNumberLeaves:
+    @pytest.mark.parametrize("bad", list(NOT_NUMBERS))
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_every_number_replaced_is_schema_error(self, tmp_path, name, bad):
+        # every number of a shipped config (with its settings explicit),
+        # replaced in turn by a value that is not a finite number
+        paths = list(number_paths(load_fuzz_base(name)))
+        assert paths
+        misses = []
+        for path in paths:
+            cfg_path = write_config(tmp_path, set_path(load_fuzz_base(name), path, NOT_NUMBERS[bad]))
+            code, err = run_captured(["run", cfg_path, "--out", str(tmp_path / "out")])
+            if code != EXIT_SCHEMA or "schema violation" not in err or "Traceback" in err:
+                misses.append((path, code))
+        assert misses == []

@@ -27,6 +27,14 @@ def random_admissible_state(rng, constants=qm.DEFAULT_CONSTANTS) -> qm.GaussianS
 
 
 class TestGaussianState:
+    @pytest.mark.parametrize("name", ["mean", "cov", "constants", "extra"])
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        st = qm.min_uncertainty_packet(0.0, 0.0, 1.0)
+        with pytest.raises(AttributeError):
+            setattr(st, name, [[0.01, 0.0], [0.0, 0.01]])
+        with pytest.raises(AttributeError):
+            delattr(st, name)
+
     def test_rejects_asymmetric_cov(self):
         with pytest.raises(qm.ValidationError):
             qm.GaussianState((0, 0), [[1.0, 0.3], [0.1, 1.0]])

@@ -360,12 +360,20 @@ DIMENSION_MISMATCHES = {
                                                           MISMATCHED_STATE, 0.0),
     "check_repeatability-instrument": lambda: qm.check_repeatability(
         qm.luders_instrument(SZ), np.diag([1.0, 2.0, 3.0]), MISMATCHED_STATE, 0.0),
+    "apply_kraus": lambda: qm.apply_kraus(qm.luders_instrument(SZ).kraus[0], MISMATCHED_STATE),
+    "CPInstrument.apply": lambda: qm.luders_instrument(SZ).apply(MISMATCHED_STATE),
+    "post_state": lambda: qm.post_state(qm.luders_instrument(SZ), 1.0, MISMATCHED_STATE),
+    "edr_ledger": lambda: qm.edr_ledger(dilated_luders(SZ), SZ, SX, MISMATCHED_STATE),
+    "MeasuringProcess.composite_state": lambda: dilated_luders(SZ).composite_state(
+        MISMATCHED_STATE),
+    "MeasuringProcess.embedded_system": lambda: dilated_luders(SZ).embedded_system(
+        np.diag([1.0, 2.0, 3.0])),
 }
 
 
 @pytest.mark.parametrize("name", list(DIMENSION_MISMATCHES))
 def test_dimension_mismatch_is_validation_error(name):
-    # a 2 x 2 observable or instrument against a 3 x 3 state
+    # a 2 x 2 observable, instrument or process against a 3 x 3 state or observable
     with pytest.raises(qm.ValidationError, match="dimension mismatch"):
         DIMENSION_MISMATCHES[name]()
 

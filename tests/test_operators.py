@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmeasure as qm
-from helpers import EYE2, KET0, KET_PLUS, P0, SX, SY, SZ
+from helpers import EYE2, KET0, KET_PLUS, P0, SX, SY, SZ, dilated_luders
 
 
 class TestValidation:
@@ -53,6 +53,31 @@ class TestValidation:
         assert c.h == pytest.approx(4 * np.pi)
         with pytest.raises(qm.ValidationError):
             qm.PhysicalConstants(hbar=0.0)
+
+
+# Hermitian with unit trace, but not positive: a raw array passed as a
+# state is validated exactly as DensityOperator validates it
+NON_POSITIVE_STATE = np.diag([1.5, -0.5]).astype(complex)
+ACCEPTS_RAW_STATE = {
+    "edr_ledger": lambda rho: qm.edr_ledger(dilated_luders(SZ), SZ, SX, rho),
+    "rms_error": lambda rho: qm.rms_error(dilated_luders(SZ), SZ, rho),
+    "rms_disturbance": lambda rho: qm.rms_disturbance(dilated_luders(SZ), SX, rho),
+    "locally_uniform_rms_error": lambda rho: qm.locally_uniform_rms_error(
+        dilated_luders(SZ), SZ, rho),
+    "std_dev": lambda rho: qm.std_dev(SZ, rho),
+    "robertson_bound": lambda rho: qm.robertson_bound(SZ, SX, rho),
+    "cyclic_subspace": lambda rho: qm.cyclic_subspace(SZ, rho),
+    "commute_in_state": lambda rho: qm.commute_in_state(SZ, SX, rho),
+    "post_state": lambda rho: qm.post_state(qm.luders_instrument(SZ), 1.0, rho),
+    "MeasuringProcess.composite_state": lambda rho: dilated_luders(SZ).composite_state(rho),
+}
+
+
+@pytest.mark.parametrize("name", list(ACCEPTS_RAW_STATE))
+def test_raw_state_is_validated_as_density_operator(name):
+    ACCEPTS_RAW_STATE[name](P0)  # a valid raw state passes
+    with pytest.raises(qm.ValidationError, match="negative eigenvalue"):
+        ACCEPTS_RAW_STATE[name](NON_POSITIVE_STATE)
 
 
 class TestImmutable:
