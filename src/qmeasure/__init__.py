@@ -49,7 +49,6 @@ from .instruments import (
     povm_of,
 )
 from .edr import (
-    EDR_SLACK,
     EDRReport,
     Subspace,
     cyclic_subspace,

@@ -114,7 +114,7 @@ def _run_gaussian_model(payload: dict, constants, tol, out_dir):
     model = build_model(_choice(model, (VON_NEUMANN, OZAWA_1988), "model"))
     obj = gaussian_state_from_dict(obj, constants=constants, tol=tol)
     probe = gaussian_state_from_dict(probe, constants=constants, tol=tol)
-    report = model_edr(model, obj, probe, constants=constants)
+    report = model_edr(model, obj, probe, constants=constants, tol=tol)
     if "grid" in payload:
         grid = _numbers(payload["grid"], "grid")
         dens = output_distribution(model, obj, probe, grid)

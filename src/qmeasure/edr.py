@@ -11,7 +11,8 @@ epsilon*eta >= (1/2)|<[A,B]>| together with two universally valid
 strengthenings: one adding a commutator correlation term built from the
 mean noise and mean disturbance operators, and one adding the
 standard-deviation cross terms epsilon*sigma(B) + sigma(A)*eta.
-All inequality flags carry an absolute slack of 1e-8.
+Every inequality flag allows the slack of ||A|| ||B||: eq_tol times the
+product of the max-abs entries of A and B, so no flag depends on units.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .operators import (
     _as_state_matrix,
     _check_dims,
     _robertson,
+    _slack,
     _spectral_std_dev,
     commutator,
     dagger,
@@ -37,9 +39,6 @@ from .operators import (
     spectral_decompose,
     tensor,
 )
-
-EDR_SLACK = 1e-8
-
 
 def noise_operator(mp: MeasuringProcess, a) -> np.ndarray:
     """N(A) = M(dt) - A(0) on the composite space."""
@@ -101,7 +100,8 @@ class EDRReport:
 
     heisenberg_product = epsilon*eta, uedr_lhs adds the correlation term,
     oedr_lhs adds the standard-deviation cross terms. Each *_holds flag
-    compares its left side against the robertson bound with slack 1e-8.
+    compares its left side against the robertson bound, allowing the
+    slack of ||A|| ||B|| in the max-abs norm.
     """
 
     epsilon: float
@@ -284,6 +284,11 @@ class _Scenario:
         """sup of the rms figure over the unit vectors of the cyclic subspace."""
         return float(np.sqrt(max(self.top(x), 0.0)))
 
+    def holds(self, lhs: float, bound: float) -> bool:
+        """lhs >= bound within the slack of ||A|| ||B||, max-abs norms."""
+        scale = float(np.abs(self.obs["a"]).max() * np.abs(self.obs["b"]).max())
+        return bool(lhs >= bound - _slack(self.tol, scale))
+
     def ledger(self) -> EDRReport:
         am, bm, rm = self.obs["a"], self.obs["b"], self.rho
         # D(B) first: building B(dt) then does not overlap a newly cached M(dt)
@@ -306,7 +311,7 @@ class _Scenario:
             heisenberg_product=product,
             uedr_lhs=uedr,
             oedr_lhs=oedr,
-            heisenberg_holds=bool(product >= bound - EDR_SLACK),
-            uedr_holds=bool(uedr >= bound - EDR_SLACK),
-            oedr_holds=bool(oedr >= bound - EDR_SLACK),
+            heisenberg_holds=self.holds(product, bound),
+            uedr_holds=self.holds(uedr, bound),
+            oedr_holds=self.holds(oedr, bound),
         )

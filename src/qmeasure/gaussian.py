@@ -32,6 +32,7 @@ from .operators import (
     Tolerances,
     ValidationError,
     _Immutable,
+    _slack,
 )
 
 VON_NEUMANN = "von_neumann"
@@ -67,8 +68,8 @@ class GaussianState(_Immutable):
     """Mean (q, p) and 2x2 covariance of one canonical pair, immutable,
     with read-only arrays.
 
-    Admissibility requires det(cov) >= (hbar/2)^2 - eq_tol, the
-    uncertainty bound for Gaussian states.
+    Admissibility requires det(cov) >= (hbar/2)^2, the uncertainty bound
+    for Gaussian states, within the slack of (hbar/2)^2.
     """
 
     def __init__(self, mean, cov, constants: PhysicalConstants = DEFAULT_CONSTANTS,
@@ -87,7 +88,7 @@ class GaussianState(_Immutable):
         if float(np.linalg.eigvalsh(cov).min()) < tol.psd_tol:
             raise ValidationError("cov must be positive semidefinite")
         bound = (constants.hbar / 2.0) ** 2
-        if float(np.linalg.det(cov)) < bound - tol.eq_tol:
+        if float(np.linalg.det(cov)) < bound - _slack(tol, bound):
             raise ValidationError(
                 f"cov violates the uncertainty bound: det {np.linalg.det(cov)} < {bound}")
         mean.setflags(write=False)
@@ -191,7 +192,7 @@ class ModelEDR:
     epsilon is the rms gap between the meter after the interaction and
     the object position before it; eta is the rms momentum kick. The
     kennard_bound is hbar/2, and heisenberg_violated records
-    product < hbar/2 - 1e-12.
+    product < hbar/2 beyond the slack of hbar/2.
     """
 
     model_id: str
@@ -203,7 +204,8 @@ class ModelEDR:
 
 
 def model_edr(model: LinearModel, obj: GaussianState, probe: GaussianState,
-              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ModelEDR:
+              constants: PhysicalConstants = DEFAULT_CONSTANTS,
+              tol: Tolerances = DEFAULT_TOL) -> ModelEDR:
     """Exact rms error and disturbance of a linear model on Gaussian inputs.
 
     Noise and disturbance are the linear combinations y(dt) - x(0) and
@@ -227,7 +229,7 @@ def model_edr(model: LinearModel, obj: GaussianState, probe: GaussianState,
         eta=eta,
         product=product,
         kennard_bound=bound,
-        heisenberg_violated=bool(product < bound - 1e-12),
+        heisenberg_violated=bool(product < bound - _slack(tol, bound)),
     )
 
 

@@ -33,6 +33,7 @@ from .operators import (
     _as_state_matrix,
     _check_dims,
     _cluster_labels,
+    _slack,
     as_operator,
     dagger,
     hermitian_part,
@@ -210,13 +211,10 @@ def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
     ordered by descending Choi eigenvalue.
     """
     w, v = np.linalg.eigh(hermitian_part(np.asarray(choi, dtype=complex)))
-    ops = []
-    for idx in range(len(w) - 1, -1, -1):
-        lam = float(w[idx])
-        if lam <= cutoff:
-            break
-        ops.append(np.sqrt(lam) * v[:, idx].reshape(dim, dim).T)
-    return ops
+    w, v = w[::-1], v[:, ::-1]
+    r = int(np.sum(w > cutoff))
+    # column j of v is vec(K_j), with vec(K)[(i, m)] = K[m, i] as in choi_matrix
+    return list(np.sqrt(w[:r])[:, None, None] * v[:, :r].T.reshape(r, dim, dim).swapaxes(1, 2))
 
 
 def _sorted_family(outcomes, effects: np.ndarray, tol: Tolerances, count_error: str,
@@ -265,12 +263,14 @@ class CPInstrument(_Immutable):
                           tol=tol, _effects=effects)
 
     def _select(self, outcome_set) -> list:
-        """Indices of outcomes matching a value or iterable of values."""
+        """Indices of outcomes matching a value or iterable of values, within
+        the slack of the largest |outcome|."""
         if np.isscalar(outcome_set):
             outcome_set = [outcome_set]
+        slack = _slack(self.tol, float(np.abs(self.outcomes).max()))
         idx = []
         for target in outcome_set:
-            hits = [i for i, x in enumerate(self.outcomes) if abs(x - float(target)) <= self.tol.eq_tol]
+            hits = [i for i, x in enumerate(self.outcomes) if abs(x - float(target)) <= slack]
             if not hits:
                 raise ValidationError(f"outcome {target} not found in instrument")
             idx.extend(hits)
@@ -423,14 +423,15 @@ def dilate(instrument: CPInstrument, tol: Tolerances = None) -> MeasuringProcess
 def instrument_choi_distance(a: CPInstrument, b: CPInstrument, tol: Tolerances = None) -> float:
     """Max-abs distance between per-outcome Choi matrices of two instruments.
 
-    Outcomes are matched by value within eq_tol; an outcome present on one
-    side only is compared against the zero map.
+    Outcomes are matched by value, clustered as spectral_decompose clusters
+    eigenvalues; an outcome present on one side only is compared against
+    the zero map.
     """
     tol = tol or a.tol
     if a.dim != b.dim:
         raise ValidationError("instruments act on different dimensions")
     values = sorted(set(a.outcomes) | set(b.outcomes))
-    label = dict(zip(values, _cluster_labels(values, tol.eq_tol).tolist()))
+    label = dict(zip(values, _cluster_labels(values, tol).tolist()))
     sums = np.zeros((2, label[values[-1]] + 1, a.dim ** 2, a.dim ** 2), dtype=complex)
     for side, inst in enumerate((a, b)):
         for i, x in enumerate(inst.outcomes):
@@ -442,9 +443,10 @@ def instrument_choi_distance(a: CPInstrument, b: CPInstrument, tol: Tolerances =
 class RepeatabilityReport:
     """Residuals r(a) = sqrt(Tr[(A - a) rho_a (A - a)]) per observed outcome.
 
-    repeatable means every residual is at most epsilon + eq_tol. The
-    ar_bound_ok flag records the approximate-repeatability corollary
-    sigma(A, rho_a) <= r(a) on each post-measurement state.
+    repeatable means every residual is at most epsilon plus the noise
+    floor of check_repeatability. The ar_bound_ok flag records the
+    approximate-repeatability corollary sigma(A, rho_a) <= r(a) on each
+    post-measurement state.
     """
 
     repeatable: bool
@@ -462,21 +464,22 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float,
     Outcomes with probability at or below eq_tol are skipped. The residual
     uses the raw outcome label even when it is not an eigenvalue of A.
     Residuals cannot be resolved below sqrt(machine eps) times the
-    operator scale, so the repeatable flag and the AR comparison use that
-    noise floor (or eq_tol, whichever is larger) as slack.
+    operator scale dim * max|A_ij|, so the repeatable flag and the AR
+    comparison use that noise floor (or the slack of that scale, whichever
+    is larger) as slack.
     """
     tol = tol or instrument.tol
     am = _as_observable_matrix(a, tol)
-    rm = _as_state_matrix(rho, tol)
-    _check_dims(am, rm)
-    scale = 1.0 + float(np.abs(am).max()) * am.shape[0]
-    floor = max(tol.eq_tol, float(np.sqrt(np.finfo(float).eps)) * scale)
+    rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho, tol)
+    _check_dims(am, rho.matrix)
+    scale = float(np.abs(am).max()) * am.shape[0]
+    floor = max(_slack(tol, scale), float(np.sqrt(np.finfo(float).eps)) * scale)
     outs, residuals, sds = [], [], []
-    probs = outcome_probabilities(instrument, rm, tol)
-    for i, (x, p) in enumerate(zip(probs.outcomes, probs.probabilities)):
+    probs = outcome_probabilities(instrument, rho, tol)
+    for x, p in zip(probs.outcomes, probs.probabilities):
         if p <= tol.eq_tol:
             continue
-        rho_a = post_state(instrument, x, rm, tol)
+        rho_a = post_state(instrument, x, rho, tol)
         shifted = am - x * np.eye(instrument.dim)
         r2 = np.trace(shifted @ rho_a.matrix @ shifted).real
         outs.append(float(x))

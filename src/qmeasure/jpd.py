@@ -32,6 +32,7 @@ from .operators import (
     _as_state_matrix,
     _check_dims,
     _cluster_labels,
+    _slack,
     spectral_decompose,
     tensor,
 )
@@ -179,8 +180,10 @@ def weak_joint_distribution(mp: MeasuringProcess, a, rho,
 
 
 def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
-    """True when every atom with |x - y| > eq_tol has |weight| <= eq_tol."""
-    off = np.abs(jd.x_atoms[:, None] - jd.y_atoms[None, :]) > tol.eq_tol
+    """True when every atom with |x - y| beyond the slack of the largest
+    |atom| has |weight| <= eq_tol."""
+    scale = max(np.abs(jd.x_atoms).max(), np.abs(jd.y_atoms).max())
+    off = np.abs(jd.x_atoms[:, None] - jd.y_atoms[None, :]) > _slack(tol, scale)
     return not bool((off & (np.abs(jd.weights) > tol.eq_tol)).any())
 
 
@@ -224,13 +227,14 @@ def _outcome_clusters(a_values, m_values, tol: Tolerances):
     values = np.concatenate([a_values, m_values]).astype(float)
     order = np.argsort(values, kind="stable")
     labels = np.empty(len(values), dtype=int)
-    labels[order] = _cluster_labels(values[order], tol.eq_tol)
+    labels[order] = _cluster_labels(values[order], tol)
     return labels[:len(a_values)], labels[len(a_values):], int(labels.max()) + 1
 
 
 def probability_reproducible(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> bool:
     """Whether the meter statistics in rho reproduce the Born statistics
-    of A in rho, matching outcome values within eq_tol."""
+    of A in rho, matching outcome values within the slack of the largest
+    |value|."""
     tol = tol or mp.tol
     rm = _as_state_matrix(rho, tol)
     ba = born_distribution(a, rm, tol)
@@ -269,9 +273,10 @@ def theorem2_check(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> Prec
     strong/weak: diagonal concentration of the (weak) joint distribution
     of A(0) and M(dt) in rho x rho0. eps_zero_on_cyclic: the noise second
     moment compressed to the cyclic subspace of (A, rho) has top
-    eigenvalue at most eq_tol. prob_repro_on_cyclic: the process POVM and
-    the spectral measure of A agree as quadratic forms on that subspace,
-    outcome cluster by outcome cluster.
+    eigenvalue within the slack of ||A||^2 (max-abs norm).
+    prob_repro_on_cyclic: the process POVM and the spectral measure of A
+    agree as quadratic forms on that subspace, outcome cluster by outcome
+    cluster.
     """
     return _precision_report(_Scenario(mp, a, None, rho, tol or mp.tol))
 
@@ -290,9 +295,10 @@ def _precision_report(ctx: _Scenario) -> PrecisionReport:
     np.add.at(eff_sums, m_labels, m_effects)
     pc = ctx.cyclic("a").projector()
     repro = float(np.abs(pc @ (eff_sums - proj_sums) @ pc).max()) <= max(tol.eq_tol, 1e-9)
+    a_scale = float(np.abs(ctx.obs["a"]).max())
     return PrecisionReport(
         strong_precise=bool(_strong_precise(ctx, p0, q, weak)),
         weak_precise=bool(_diagonal_concentrated(weak, tol)),
-        eps_zero_on_cyclic=bool(ctx.top("a") <= tol.eq_tol),
+        eps_zero_on_cyclic=bool(ctx.top("a") <= _slack(tol, a_scale ** 2)),
         prob_repro_on_cyclic=bool(repro),
     )

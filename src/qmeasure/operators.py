@@ -21,9 +21,11 @@ class ValidationError(ValueError):
 class Tolerances:
     """Numerical tolerances shared across the library.
 
-    eq_tol bounds equality checks (Hermiticity residuals, trace defects,
-    eigenvalue clustering). psd_tol is the floor for eigenvalues of
-    nominally positive matrices; it is zero or slightly negative.
+    eq_tol bounds equality checks: absolutely for dimensionless quantities
+    (probabilities, projector and effect sums, ranks, residuals of raw
+    input), relatively (_slack) for a quantity with the units of an
+    observable. psd_tol is the floor for eigenvalues of nominally positive
+    matrices; it is zero or slightly negative.
     """
 
     eq_tol: float = 1e-9
@@ -53,6 +55,7 @@ class PhysicalConstants:
 
 DEFAULT_TOL = Tolerances()
 DEFAULT_CONSTANTS = PhysicalConstants()
+_EPS = float(np.finfo(float).eps)
 
 
 def as_operator(matrix) -> np.ndarray:
@@ -88,6 +91,13 @@ def is_hermitian(op, tol: Tolerances = DEFAULT_TOL) -> bool:
 def operator_distance(x, y) -> float:
     """Max-abs entrywise distance, the norm used for operator equality checks."""
     return float(np.abs(np.asarray(x) - np.asarray(y)).max())
+
+
+def _slack(tol: Tolerances, scale: float) -> float:
+    """eq_tol times the scale of a quantity carrying the units of an
+    observable: the one rule by which such a quantity counts as zero. An
+    eq_tol below machine eps counts as eps, the rounding level."""
+    return max(tol.eq_tol, _EPS) * scale
 
 
 def _check_dims(*ops):
@@ -214,29 +224,30 @@ class SpectralDecomposition:
         return np.einsum("i,iab->ab", self.eigenvalues, self.projectors)
 
 
-def _cluster_labels(values, eq_tol: float) -> np.ndarray:
+def _cluster_labels(values, tol: Tolerances) -> np.ndarray:
     """Cluster index of each of a sorted run of values.
 
     A new cluster starts wherever the gap to the previous value exceeds
-    eq_tol, so a chain of values each within eq_tol of the next is one
-    cluster however far it spans.
+    the slack of the run's largest |value|, so a chain of values each
+    within that slack of the next is one cluster however far it spans.
     """
     v = np.asarray(values, dtype=float)
     labels = np.zeros(len(v), dtype=int)
-    np.cumsum(v[1:] - v[:-1] > eq_tol, out=labels[1:])
+    np.cumsum(v[1:] - v[:-1] > _slack(tol, max(abs(v[0]), abs(v[-1]))), out=labels[1:])
     return labels
 
 
 def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalue clustering.
 
-    Eigenvalues closer than tol.eq_tol (consecutively, after sorting) are
-    merged into a single spectral value whose projector spans the combined
-    eigenspace and whose value is the weighted mean of the cluster.
+    Eigenvalues closer than eq_tol times the spectral radius
+    (consecutively, after sorting) are merged into a single spectral value
+    whose projector spans the combined eigenspace and whose value is the
+    weighted mean of the cluster.
     """
     mat = _as_observable_matrix(a, tol)
     w, v = np.linalg.eigh(mat)
-    labels = _cluster_labels(w, tol.eq_tol)
+    labels = _cluster_labels(w, tol)
     bounds = np.searchsorted(labels, np.arange(labels[-1] + 2))
     values = np.empty(len(bounds) - 1)
     projectors = np.empty(values.shape + mat.shape, dtype=complex)
@@ -245,7 +256,7 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
         values[i] = w[start:stop].sum() / (stop - start)
         projectors[i] = hermitian_part(block @ dagger(block))
     dec = SpectralDecomposition(values, projectors)
-    if operator_distance(dec.reconstruct(), mat) > max(1e-12, 1e3 * tol.eq_tol) * max(1.0, float(np.abs(w).max())):
+    if operator_distance(dec.reconstruct(), mat) > 1e3 * _slack(tol, float(np.abs(w).max())):
         raise ValidationError("spectral reconstruction failed")
     return dec
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .edr import EDR_SLACK, EDRReport, _Scenario
+from .edr import EDRReport, _Scenario
 from .jpd import PrecisionReport, _precision_report
 from .operators import DEFAULT_TOL, Tolerances, ValidationError
 from .sampling import (
@@ -72,11 +70,8 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
         raise ValidationError("trials must be positive")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    uedr_failures = 0
-    oedr_failures = 0
-    lu_failures = 0
-    heisenberg_violations = 0
-    theorem2_disagreements = 0
+    tally = dict.fromkeys(("uedr_failures", "oedr_failures", "lu_oedr_failures",
+                           "heisenberg_violations", "theorem2_disagreements"), 0)
     records = [] if collect else None
     for t in range(int(trials)):
         rng = rng_from(seed, t)
@@ -96,30 +91,15 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
         precision = _precision_report(ctx)
         report = ctx.ledger()
         lu_lhs = lu_eps * lu_eta + lu_eps * report.sigma_b + report.sigma_a * lu_eta
-        lu_holds = bool(lu_lhs >= report.robertson - EDR_SLACK)
+        lu_holds = ctx.holds(lu_lhs, report.robertson)
 
-        if not report.uedr_holds:
-            uedr_failures += 1
-        if not report.oedr_holds:
-            oedr_failures += 1
-        if not lu_holds:
-            lu_failures += 1
-        if not report.heisenberg_holds:
-            heisenberg_violations += 1
-        if not precision.consistent:
-            theorem2_disagreements += 1
+        for key, ok in zip(tally, (report.uedr_holds, report.oedr_holds, lu_holds,
+                                   report.heisenberg_holds, precision.consistent)):
+            tally[key] += not ok
         if collect:
             records.append(TrialRecord(
                 trial=t, system_dim=ds, probe_dim=dp, report=report,
                 lu_epsilon=lu_eps, lu_eta=lu_eta, lu_oedr_lhs=lu_lhs,
                 lu_oedr_holds=lu_holds, precision=precision,
             ))
-    census = SweepCensus(
-        trials=int(trials),
-        uedr_failures=uedr_failures,
-        oedr_failures=oedr_failures,
-        lu_oedr_failures=lu_failures,
-        heisenberg_violations=heisenberg_violations,
-        theorem2_disagreements=theorem2_disagreements,
-    )
-    return census, records
+    return SweepCensus(trials=int(trials), **tally), records

@@ -493,6 +493,20 @@ class TestRepeatability:
             assert rep.worst_residual < 1e-7
             assert rep.ar_bound_ok
 
+    def test_raw_state_is_validated_once(self, monkeypatch):
+        # one DensityOperator for the raw state and one per post-measurement state
+        built = []
+        init = qm.DensityOperator.__init__
+        monkeypatch.setattr(qm.DensityOperator, "__init__",
+                            lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+        a = np.diag([0.0, 1.0, 2.0, 3.0])
+        inst = qm.luders_instrument(a)
+        rep = qm.check_repeatability(inst, a, np.eye(4) / 4, epsilon=0.0)
+        assert len(built) <= 5
+        assert rep == qm.RepeatabilityReport(
+            repeatable=True, worst_residual=0.0, outcomes=(0.0, 1.0, 2.0, 3.0),
+            residuals=(0.0,) * 4, post_std_devs=(0.0,) * 4, ar_bound_ok=True)
+
     def test_identity_instrument_not_repeatable(self):
         inst = qm.CPInstrument([0.0], [[np.eye(2, dtype=complex)]])
         rho = qm.DensityOperator.pure(KET_PLUS)

@@ -329,10 +329,12 @@ class TestReferenceWeights:
 
 
 class TestClusterChain:
-    """Values 0, 0.8, 1.6, 2.4 (units of eq_tol = 1e-9): each within eq_tol
-    of the next, 2.4 eq_tol end to end. All clustering merges them into one."""
+    """Values 0, 0.8, 1.6, 2.4 (units of eq_tol = 1e-9) on top of a value of
+    order 1, so that the slack is about eq_tol: each within the slack of the
+    next, 2.4 eq_tol end to end. All clustering merges them into one."""
 
     CHAIN = [0.0, 0.8e-9, 1.6e-9, 2.4e-9]
+    SHIFTED = [1.0 + x for x in CHAIN]
 
     def test_spectral_decompose(self):
         dec = qm.spectral_decompose(np.diag(self.CHAIN + [1.0]))
@@ -342,16 +344,17 @@ class TestClusterChain:
     def test_instrument_choi_distance(self):
         # split pairwise instead of by chain, the clusters would pit P0 against P1
         p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        a = qm.CPInstrument(self.CHAIN[0::2], [[p0], [p1]])
-        b = qm.CPInstrument(self.CHAIN[1::2], [[p1], [p0]])
+        a = qm.CPInstrument(self.SHIFTED[0::2], [[p0], [p1]])
+        b = qm.CPInstrument(self.SHIFTED[1::2], [[p1], [p0]])
         assert qm.instrument_choi_distance(a, b) <= 1e-12
 
     def test_theorem2_check(self):
-        # A takes 0 and 1.6e-9 on |0>, |1>; the meter reads 0.8e-9 on |1> and
-        # 2.4e-9 on |0>. Only the merged cluster reproduces A's statistics.
-        a = np.diag(self.CHAIN[0::2])
+        # A takes 1 and 1 + 1.6e-9 on |0>, |1>; the meter reads 1 + 0.8e-9 on
+        # |1> and 1 + 2.4e-9 on |0>. Only the merged cluster reproduces A's
+        # statistics.
+        a = np.diag(self.SHIFTED[0::2])
         p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        mp = qm.dilate(qm.CPInstrument(self.CHAIN[1::2], [[p1], [p0]]))
+        mp = qm.dilate(qm.CPInstrument(self.SHIFTED[1::2], [[p1], [p0]]))
         rho = qm.DensityOperator.pure(KET_PLUS)
         assert qm.theorem2_check(mp, a, rho).prob_repro_on_cyclic
         assert qm.probability_reproducible(mp, a, rho)

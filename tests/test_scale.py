@@ -1,0 +1,133 @@
+"""Flags at every scale: a quantity with the units of an observable counts
+as zero within eq_tol times its own scale, so no flag, cluster or outcome
+match depends on the units of A, B, the meter or hbar."""
+
+import json
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qmeasure as qm
+from qmeasure.cli import EXIT_OK, main
+from helpers import EYE2, KET0, KET_PLUS, SX, SY, SZ
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
+EXPONENTS = st.integers(min_value=-8, max_value=8)
+
+
+def no_interaction_process() -> qm.MeasuringProcess:
+    """U = 1 on two qubits, meter 0, probe |0>: the process does nothing."""
+    return qm.MeasuringProcess(qm.DensityOperator.pure(KET0), np.eye(4), np.zeros((2, 2)))
+
+
+def finite_instance(kind: str, seed: int):
+    """(process, A, B, rho) at scale 1: a Haar process, the dilation of a
+    Lüders instrument with A its observable, or the no-interaction process."""
+    rng = qm.rng_from(seed)
+    if kind == "none":
+        return no_interaction_process(), SX, SY, qm.DensityOperator.pure(KET0)
+    ds = int(rng.integers(2, 4))
+    a, b = qm.random_hermitian(ds, rng).matrix, qm.random_hermitian(ds, rng).matrix
+    rho = qm.random_density_operator(ds, rng)
+    if kind == "haar":
+        return qm.random_measuring_process(ds, 2, rng), a, b, rho
+    return qm.dilate(qm.luders_instrument(a)), a, b, rho
+
+
+def flags(mp, a, b, rho):
+    rep = qm.edr_ledger(mp, a, b, rho)
+    return ((rep.heisenberg_holds, rep.uedr_holds, rep.oedr_holds)
+            + qm.theorem2_check(mp, a, rho).flags())
+
+
+class TestScaleInvariance:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["haar", "luders", "none"]), seed=st.integers(0, 2 ** 16),
+           s_exp=EXPONENTS, t_exp=EXPONENTS)
+    def test_finite_flags(self, kind, seed, s_exp, t_exp):
+        # (A, meter) -> (sA, s meter), B -> tB
+        s, t = 10.0 ** s_exp, 10.0 ** t_exp
+        mp, a, b, rho = finite_instance(kind, seed)
+        scaled = qm.MeasuringProcess(mp.probe_state, mp.unitary, s * mp.meter.matrix)
+        assert flags(scaled, s * a, t * b, rho) == flags(mp, a, b, rho)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(model=st.sampled_from([qm.VON_NEUMANN, qm.OZAWA_1988]),
+           packets=st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 10),
+                                      st.floats(-1, 1), st.sampled_from([1.0, 1.5])),
+                            min_size=2, max_size=2),
+           s_exp=EXPONENTS, t_exp=EXPONENTS)
+    def test_gaussian_flags(self, model, packets, s_exp, t_exp):
+        # x -> s x, p -> t p, hbar -> s t hbar; every packet sits at or above
+        # the uncertainty bound, most of them exactly on it
+        s, t = 10.0 ** s_exp, 10.0 ** t_exp
+
+        def run(sx, tp):
+            constants = qm.PhysicalConstants(hbar=sx * tp)
+            states = []
+            for q, p, a, c, excess in packets:
+                cov = excess / 2.0 * np.array([[a, c], [c, (1.0 + c * c) / a]])
+                states.append(qm.GaussianState([sx * q, tp * p], np.outer([sx, tp], [sx, tp]) * cov,
+                                               constants=constants))
+            return qm.model_edr(qm.build_model(model), *states, constants=constants).heisenberg_violated
+
+        assert run(s, t) == run(1.0, 1.0)
+
+
+class TestRegressions:
+    """Cases an absolute slack decided wrongly, and the rounding floor of
+    the relative slack."""
+
+    @pytest.mark.parametrize("s", [1.0, 1e-5, 1e-8])
+    def test_no_interaction_breaks_heisenberg_at_every_scale(self, s):
+        # product 0, bound s^2
+        rep = qm.edr_ledger(no_interaction_process(), s * SX, s * SY, qm.DensityOperator.pure(KET0))
+        assert rep.heisenberg_product == 0.0 and rep.robertson == pytest.approx(s * s)
+        assert not rep.heisenberg_holds
+
+    def test_small_eigenvalues_stay_distinct(self):
+        assert len(qm.spectral_decompose(1e-10 * SZ).eigenvalues) == 2
+
+    def test_tolerance_below_rounding_level(self):
+        # the reconstruction check allows 1e3 slacks, never less than 1e3 eps
+        a = qm.random_hermitian(12, qm.rng_from(7))
+        dec = qm.spectral_decompose(a, qm.Tolerances(eq_tol=1e-19))
+        assert len(dec.eigenvalues) == 12
+
+    def test_outcome_selection_at_small_scale(self):
+        post = qm.post_state(qm.luders_instrument(1e-10 * SZ), 1e-10, qm.DensityOperator.pure(KET_PLUS))
+        assert np.allclose(post.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+
+    def test_repeatability_at_small_scale(self):
+        # residuals sqrt(2) * 1e-10 against epsilon 0
+        rep = qm.check_repeatability(qm.luders_instrument(1e-10 * SX), 1e-10 * SZ, EYE2 / 2, 0.0)
+        assert rep.worst_residual == pytest.approx(np.sqrt(2.0) * 1e-10)
+        assert not rep.repeatable
+
+    @pytest.mark.parametrize("s", [1e-5, 1e-10])
+    def test_precision_at_small_scale(self, s):
+        mp = qm.dilate(qm.luders_instrument(s * SX))
+        rep = qm.theorem2_check(mp, s * SZ, qm.DensityOperator.pure(KET_PLUS))
+        assert rep.flags() == (False, False, False, False)
+
+    def test_gaussian_zero_covariance_rejected_at_small_hbar(self):
+        with pytest.raises(qm.ValidationError, match="uncertainty bound"):
+            qm.GaussianState([0.0, 0.0], np.zeros((2, 2)), constants=qm.PhysicalConstants(hbar=1e-5))
+
+    def test_gaussian_min_uncertainty_accepted_at_large_hbar(self):
+        constants = qm.PhysicalConstants(hbar=1e15)
+        for q1 in (0.3, 1.0, 7.0, 1e8):
+            packet = qm.min_uncertainty_packet(0.0, 0.0, q1, constants=constants)
+            assert packet.sigma_q * packet.sigma_p == pytest.approx(5e14)
+
+    def test_cli_ozawa_violates_at_small_hbar(self, tmp_path):
+        out = str(tmp_path / "out")
+        rc = main(["run", os.path.join(CONFIG_DIR, "gaussian_1988.json"), "--out", out,
+                   "--hbar", "1e-12"])
+        assert rc == EXIT_OK
+        with open(os.path.join(out, "report.json")) as fh:
+            assert json.load(fh)["results"]["heisenberg_violated"] is True
