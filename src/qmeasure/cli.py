@@ -52,7 +52,7 @@ from .serialize import (
     precision_report_to_dict,
     process_from_dict,
 )
-from .sweep import run_sweep
+from .sweep import _INTERACTIONS, run_sweep
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -131,8 +131,8 @@ def _run_sweep_kind(payload: dict, tol):
     census, _ = run_sweep(dims=tuple(_numbers(dims, "dims", 2, integer=True)),
                           trials=_number(trials, "trials", integer=True),
                           seed=_number(seed, "seed", integer=True),
-                          interaction=_choice(payload.get("interaction", "haar"),
-                                              ("haar", "identity"), "interaction"),
+                          interaction=_choice(payload.get("interaction", "haar"), _INTERACTIONS,
+                                              "interaction"),
                           tol=tol)
     return census.as_dict(), census.all_universal_hold
 

@@ -25,6 +25,8 @@ import numpy as np
 from .instruments import MeasuringProcess
 from .operators import (
     DEFAULT_TOL,
+    DensityOperator,
+    HermitianObservable,
     Tolerances,
     ValidationError,
     _as_observable_matrix,
@@ -51,21 +53,14 @@ def disturbance_operator(mp: MeasuringProcess, b) -> np.ndarray:
     return mp._evolve(b0) - b0
 
 
-def _rms(square: np.ndarray, joint: np.ndarray) -> float:
-    """sqrt(Tr[X^2 sigma]) from the square X^2, clipped at zero."""
-    return float(np.sqrt(max(float(np.trace(square @ joint).real), 0.0)))
-
-
 def rms_error(mp: MeasuringProcess, a, rho) -> float:
     """epsilon(A, rho) = sqrt(Tr[N(A)^2 (rho x rho0)])."""
-    n = noise_operator(mp, a)
-    return _rms(n @ n, mp.composite_state(rho))
+    return _Scenario(mp, a, None, rho, mp.tol).figures("a")[0]
 
 
 def rms_disturbance(mp: MeasuringProcess, b, rho) -> float:
     """eta(B, rho) = sqrt(Tr[D(B)^2 (rho x rho0)])."""
-    d = disturbance_operator(mp, b)
-    return _rms(d @ d, mp.composite_state(rho))
+    return _Scenario(mp, None, b, rho, mp.tol).figures("b")[0]
 
 
 def mean_noise_operator(mp: MeasuringProcess, a) -> np.ndarray:
@@ -204,28 +199,27 @@ class _Scenario:
     """One validated (process, A, B, rho) under one Tolerances, with every
     intermediate shared by its figures computed once.
 
-    A, B and rho are validated on construction; A or B may be None when
-    the figures read need only the other. The rest is computed on first
-    use and kept: rho x rho0 for the joint distributions (a pass builds
-    and drops its own), the eigh pair of rho, and per observable
-    x ("a" or "b") its spectral decomposition, its cyclic subspace, one
-    pass over its composite operator (N(A) for "a", D(B) for "b") and the
-    top eigenvalue of the compressed second moment.
+    A and B (either may be None when only the other is read) are kept as
+    HermitianObservable and rho as its matrix, validated on construction.
+    The rest is computed on first use and kept: rho x rho0 for the joint
+    distributions, the eigh pair of rho, and per observable x ("a" or "b")
+    its spectral decomposition, its cyclic subspace, one pass over its
+    composite operator (N(A) for "a", D(B) for "b") and the top eigenvalue
+    of the compressed second moment.
 
     A pass gives the rms figure and the mean operator, and the
-    second-moment operator only when asked, so a lone ledger does no
-    work beyond its own; read a second-moment figure (locally uniform,
-    top) before the ledger when both are wanted, so that one pass serves
-    both. A pass releases its n x n operators before returning, so one
-    composite operator is alive at a time besides M(dt).
+    second-moment operator only when asked; read a second-moment figure
+    (locally uniform, top) before the ledger when both are wanted, so that
+    one pass serves both. A pass releases its n x n operators before
+    returning, so one composite operator is alive at a time besides M(dt).
     """
 
     def __init__(self, mp: MeasuringProcess, a, b, rho, tol: Tolerances):
         self.mp = mp
         self.tol = tol
-        self.obs = {x: mp._on_system(op, _as_observable_matrix, tol)
+        self.obs = {x: mp._on_system(op, HermitianObservable, tol)
                     for x, op in (("a", a), ("b", b)) if op is not None}
-        self.rho = mp._on_system(rho, _as_state_matrix, tol)
+        self.rho = mp._on_system(rho, DensityOperator, tol).matrix
         self._memo = {}
 
     def _once(self, key, make):
@@ -254,23 +248,15 @@ class _Scenario:
         for x = "a", of D(B) for x = "b", from one build of the operator."""
         got = self._memo.get(("figures", x))
         if got is None or (moment and got[2] is None):
-            mp = self.mp
-            if x == "a":
-                # M(dt) first: a first build then does not overlap A x 1
-                evolved = mp.evolved_meter()
-                x0 = tensor(self.obs[x], np.eye(mp.probe_dim))
-            else:
-                x0 = tensor(self.obs[x], np.eye(mp.probe_dim))
-                evolved = mp._evolve(x0)
-            op = evolved - x0
-            del x0, evolved
-            mean = mp._probe_average(op)
+            op = (noise_operator if x == "a" else disturbance_operator)(self.mp, self.obs[x])
+            mean = self.mp._probe_average(op)
             square = op @ op
             del op
             # a rho x rho0 of its own, dropped at once: a kept one would be
             # alive beside M(dt), N(A) and the probe average's operands
-            rms = _rms(square, tensor(self.rho, mp.probe_state.matrix))
-            got = (rms, mean, mp._probe_average(square) if moment else None)
+            trace = float(np.trace(square @ tensor(self.rho, self.mp.probe_state.matrix)).real)
+            rms = float(np.sqrt(max(trace, 0.0)))
+            got = (rms, mean, self.mp._probe_average(square) if moment else None)
             self._memo[("figures", x)] = got
         return got
 
@@ -286,11 +272,11 @@ class _Scenario:
 
     def holds(self, lhs: float, bound: float) -> bool:
         """lhs >= bound within the slack of ||A|| ||B||, max-abs norms."""
-        scale = float(np.abs(self.obs["a"]).max() * np.abs(self.obs["b"]).max())
+        scale = float(np.abs(self.obs["a"].matrix).max() * np.abs(self.obs["b"].matrix).max())
         return bool(lhs >= bound - _slack(self.tol, scale))
 
     def ledger(self) -> EDRReport:
-        am, bm, rm = self.obs["a"], self.obs["b"], self.rho
+        am, bm, rm = self.obs["a"].matrix, self.obs["b"].matrix, self.rho
         # D(B) first: building B(dt) then does not overlap a newly cached M(dt)
         eta, d_mean, _ = self.figures("b")
         eps, n_mean, _ = self.figures("a")

@@ -34,13 +34,14 @@ from .operators import (
     _check_dims,
     _cluster_labels,
     _slack,
+    _spectral_measure,
+    _spectral_std_dev,
     as_operator,
     dagger,
     hermitian_part,
     operator_distance,
     partial_trace,
     spectral_decompose,
-    std_dev,
     tensor,
 )
 
@@ -96,9 +97,10 @@ class MeasuringProcess(_Immutable):
 
     The system dimension is inferred from the unitary, which acts on
     system x probe. The meter acts on the probe alone. A process is
-    immutable: what depends on it alone (the evolved meter, its spectral
-    decomposition and the process POVM) is computed on first use and
-    kept, the tolerance-dependent parts once per Tolerances value.
+    immutable: what depends on it alone (the evolved meter, the eigh pair
+    of the meter, the spectral decomposition of M(dt) and the process POVM)
+    is computed on first use and kept, the last two once per Tolerances
+    value.
     """
 
     def __init__(self, probe_state: DensityOperator, unitary, meter: HermitianObservable,
@@ -131,20 +133,21 @@ class MeasuringProcess(_Immutable):
         """U+ X U for a composite operator X, Hermitian part."""
         return hermitian_part(dagger(self.unitary) @ big @ self.unitary)
 
-    def _on_system(self, x, as_matrix, tol: Tolerances) -> np.ndarray:
-        """as_matrix(x, tol), checked to act on the system."""
-        m = as_matrix(x, tol)
-        if m.shape[0] != self.system_dim:
-            raise ValidationError(f"dimension mismatch: {m.shape} vs system {self.system_dim}")
-        return m
+    def _on_system(self, x, kind, tol: Tolerances):
+        """x as a validated kind (HermitianObservable or DensityOperator) on the system."""
+        x = x if isinstance(x, kind) else kind(x, tol)
+        if x.dim != self.system_dim:
+            raise ValidationError(
+                f"dimension mismatch: {x.matrix.shape} vs system {self.system_dim}")
+        return x
 
     def composite_state(self, rho) -> np.ndarray:
         """rho x rho0 on system x probe."""
-        return tensor(self._on_system(rho, _as_state_matrix, self.tol), self.probe_state.matrix)
+        return tensor(self._on_system(rho, DensityOperator, self.tol), self.probe_state.matrix)
 
     def embedded_system(self, a) -> np.ndarray:
         """A(0) = A x 1, the system observable before the interaction."""
-        return tensor(self._on_system(a, _as_observable_matrix, self.tol), np.eye(self.probe_dim))
+        return tensor(self._on_system(a, HermitianObservable, self.tol), np.eye(self.probe_dim))
 
     def evolved_meter(self) -> np.ndarray:
         """M(dt) = U+ (1 x M) U, the meter after the interaction.
@@ -168,10 +171,20 @@ class MeasuringProcess(_Immutable):
         ref = tensor(np.eye(self.system_dim), self.probe_state.matrix)
         return hermitian_part(partial_trace(op @ ref, (self.system_dim, self.probe_dim), keep="first"))
 
+    def _meter_eigh(self):
+        """The meter's eigh pair (w, q), behind its measure and M(dt)'s."""
+        return self._cached("meter_eigh", lambda: np.linalg.eigh(self.meter.matrix))
+
     def _meter_decomposition(self, tol: Tolerances) -> SpectralDecomposition:
-        """Spectral decomposition of M(dt) under tol."""
-        return self._cached(("meter_decomposition", tol),
-                            lambda: spectral_decompose(self.evolved_meter(), tol))
+        """Spectral decomposition of M(dt) under tol, in closed form: its
+        eigenvectors U+ (e_s x q_j) carry the meter's w_j, so each cluster is
+        valued exactly as in the meter's own decomposition."""
+        def make():
+            (w, q), d = self._meter_eigh(), self.system_dim
+            # column (j, s) is U+ (e_s x q_j): d consecutive columns per w_j
+            v = (dagger(self.unitary).reshape(-1, d, self.probe_dim) @ q).swapaxes(1, 2)
+            return _spectral_measure(self.evolved_meter(), w, v.reshape(len(v), -1), tol, d)
+        return self._cached(("meter_decomposition", tol), make)
 
     def _povm(self, tol: Tolerances):
         """Meter outcome values under tol with their POVM effects
@@ -322,7 +335,8 @@ class POVM(_Immutable):
 def instrument_from_process(mp: MeasuringProcess, tol: Tolerances = None) -> CPInstrument:
     """The CP instrument induced by reading the meter of a process.
 
-    For each spectral value m of the meter with projector Q_m,
+    For each spectral value m of the meter with projector Q_m (from the
+    process's one eigensolve of the meter, as M(dt)'s measure is),
     I(m)rho = Tr_probe[(1 x Q_m) U (rho x rho0) U+ (1 x Q_m)]. With the
     probe spectrum rho0 = sum_l lam_l |phi_l><phi_l| this map has the
     closed-form Kraus family sqrt(lam_l) (1 x <e_k|Q_m) U (1 x |phi_l>),
@@ -335,7 +349,7 @@ def instrument_from_process(mp: MeasuringProcess, tol: Tolerances = None) -> CPI
     descending Choi eigenvalue.
     """
     tol = tol or mp.tol
-    mdec = spectral_decompose(mp.meter, tol)
+    mdec = _spectral_measure(mp.meter.matrix, *mp._meter_eigh(), tol)
     d, dp = mp.system_dim, mp.probe_dim
     lam, phi = np.linalg.eigh(mp.probe_state.matrix)
     keep = lam > 0
@@ -484,7 +498,7 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float,
         r2 = np.trace(shifted @ rho_a.matrix @ shifted).real
         outs.append(float(x))
         residuals.append(float(np.sqrt(max(r2, 0.0))))
-        sds.append(std_dev(am, rho_a, tol))
+        sds.append(_spectral_std_dev(am, rho_a.matrix, np.linalg.eigh(rho_a.matrix)))
     worst = max(residuals) if residuals else 0.0
     ar_ok = all(s <= r + floor for s, r in zip(sds, residuals))
     return RepeatabilityReport(

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edr import _Scenario
-from .instruments import MeasuringProcess, _born, born_distribution
+from .instruments import MeasuringProcess, _born
 from .operators import (
     DEFAULT_TOL,
+    SpectralDecomposition,
     Tolerances,
     ValidationError,
-    _as_observable_matrix,
     _as_state_matrix,
     _check_dims,
     _cluster_labels,
@@ -118,17 +118,6 @@ def _real_part(jd: JointDistribution, tol: Tolerances) -> JointDistribution:
     return JointDistribution(jd.x_atoms, jd.y_atoms, np.maximum(w.real, 0.0))
 
 
-def _commuting_joint(x, y, sigma: np.ndarray, tol: Tolerances):
-    """The joint distribution of x and y in sigma, or None when they do
-    not commute in sigma."""
-    dx = spectral_decompose(x, tol)
-    dy = spectral_decompose(y, tol)
-    if not _commute(dx.projectors, dy.projectors, sigma, tol):
-        return None
-    jd = _joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors, sigma, tol)
-    return _real_part(jd, tol)
-
-
 def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistribution:
     """The joint distribution of two observables commuting in a state.
 
@@ -136,10 +125,12 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     imaginary residue above eq_tol, if a weight falls below the psd_tol
     floor, or if a marginal strays from the Born distribution.
     """
-    jd = _commuting_joint(x, y, _as_state_matrix(rho, tol), tol)
-    if jd is None:
+    dx, dy = spectral_decompose(x, tol), spectral_decompose(y, tol)
+    sigma = _as_state_matrix(rho, tol)
+    if not _commute(dx.projectors, dy.projectors, sigma, tol):
         raise ValidationError("observables do not commute in the state")
-    return jd
+    return _real_part(_joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors,
+                             sigma, tol), tol)
 
 
 def gauss_rms(jd: JointDistribution) -> float:
@@ -153,19 +144,17 @@ def gauss_rms(jd: JointDistribution) -> float:
     return float(np.sqrt(max(float((jd.weights * dx ** 2).sum()), 0.0)))
 
 
-def _a0_meter(ctx: _Scenario):
-    """Stacked projectors of A(0) and M(dt), and their weak joint
-    distribution in rho x rho0.
-
-    A(0) = A x 1 has the projectors P_i x 1 and the eigenvalues of A, so
-    no n x n decomposition of A(0) is needed; M(dt) is decomposed once
-    per process and tolerance.
-    """
-    da = ctx.decomposition("a")
-    dm = ctx.mp._meter_decomposition(ctx.tol)
-    p0 = tensor(da.projectors, np.eye(ctx.mp.probe_dim))
-    return p0, dm.projectors, _joint(da.eigenvalues, p0, dm.eigenvalues, dm.projectors,
-                                     ctx.joint, ctx.tol)
+def _before_after(ctx: _Scenario, x: str):
+    """Projectors of X(0) and of its partner after the interaction, M(dt)
+    for x = "a" and B(dt) for x = "b", and their weak joint distribution
+    in rho x rho0, all in closed form: X(0) = X x 1 has X's values with
+    the projectors P_i x 1, B(dt) the same values with U+ (P_i x 1) U."""
+    dx = ctx.decomposition(x)
+    p0 = tensor(dx.projectors, np.eye(ctx.mp.probe_dim))
+    after = (ctx.mp._meter_decomposition(ctx.tol) if x == "a"
+             else SpectralDecomposition(dx.eigenvalues, ctx.mp._evolve(p0)))
+    return p0, after.projectors, _joint(dx.eigenvalues, p0, after.eigenvalues, after.projectors,
+                                        ctx.joint, ctx.tol)
 
 
 def weak_joint_distribution(mp: MeasuringProcess, a, rho,
@@ -173,10 +162,10 @@ def weak_joint_distribution(mp: MeasuringProcess, a, rho,
     """Weak joint distribution of A(0) and M(dt) in rho x rho0.
 
     Always defined, with complex weights; real nonnegative exactly when
-    the pair commutes in the state. Marginals are real and reproduce the
-    Born distributions of A(0) and M(dt).
+    the pair commutes in the state. Marginals are the real Born statistics
+    over A's spectral values and over the instrument's outcome values.
     """
-    return _a0_meter(_Scenario(mp, a, None, rho, tol or mp.tol))[2]
+    return _before_after(_Scenario(mp, a, None, rho, tol or mp.tol), "a")[2]
 
 
 def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
@@ -188,8 +177,8 @@ def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
 
 
 def _strong_precise(ctx: _Scenario, p0, q, weak: JointDistribution) -> bool:
-    """A(0) and M(dt) commute in rho x rho0 and their joint distribution,
-    the real part of the weak one, sits on the diagonal."""
+    """The pair of _before_after commutes in rho x rho0 and its joint
+    distribution, the real part of the weak one, sits on the diagonal."""
     return (_commute(p0, q, ctx.joint, ctx.tol)
             and _diagonal_concentrated(_real_part(weak, ctx.tol), ctx.tol))
 
@@ -206,43 +195,41 @@ def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong",
     if mode not in ("strong", "weak"):
         raise ValidationError(f"mode must be 'strong' or 'weak', got {mode!r}")
     ctx = _Scenario(mp, a, None, rho, tol or mp.tol)
-    p0, q, weak = _a0_meter(ctx)
+    p0, q, weak = _before_after(ctx, "a")
     if mode == "weak":
         return _diagonal_concentrated(weak, ctx.tol)
     return _strong_precise(ctx, p0, q, weak)
 
 
 def is_nondisturbing(mp: MeasuringProcess, b, rho, tol: Tolerances = None) -> bool:
-    """Whether B is left undisturbed in rho: B(0) and B(dt) commute in
-    rho x rho0 with a diagonal-concentrated joint distribution."""
-    tol = tol or mp.tol
-    b0 = mp.embedded_system(_as_observable_matrix(b, tol))
-    jd = _commuting_joint(b0, mp._evolve(b0), mp.composite_state(rho), tol)
-    return jd is not None and _diagonal_concentrated(jd, tol)
+    """Whether B(0) and B(dt) commute in rho x rho0 with a diagonal-
+    concentrated joint distribution: the strong is_precise test, for B."""
+    ctx = _Scenario(mp, None, b, rho, tol or mp.tol)
+    return _strong_precise(ctx, *_before_after(ctx, "b"))
 
 
-def _outcome_clusters(a_values, m_values, tol: Tolerances):
-    """Cluster labels of the outcome values of A and of the meter, merged
-    into one sorted run, and the number of clusters."""
-    values = np.concatenate([a_values, m_values]).astype(float)
+def _cluster_gap(ctx: _Scenario) -> np.ndarray:
+    """The process POVM minus the spectral measure of A, summed over each
+    cluster of their outcome values merged into one sorted run, as one
+    (k, d, d) stack: zero exactly when the meter reproduces A's statistics."""
+    da = ctx.decomposition("a")
+    m_values, m_effects = ctx.mp._povm(ctx.tol)
+    values = np.concatenate([da.eigenvalues, m_values])
     order = np.argsort(values, kind="stable")
     labels = np.empty(len(values), dtype=int)
-    labels[order] = _cluster_labels(values[order], tol)
-    return labels[:len(a_values)], labels[len(a_values):], int(labels.max()) + 1
+    labels[order] = _cluster_labels(values[order], ctx.tol)
+    gap = np.zeros((labels.max() + 1,) + ctx.rho.shape, dtype=complex)
+    np.add.at(gap, labels, np.concatenate([-da.projectors, m_effects]))
+    return gap
 
 
 def probability_reproducible(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> bool:
     """Whether the meter statistics in rho reproduce the Born statistics
     of A in rho, matching outcome values within the slack of the largest
     |value|."""
-    tol = tol or mp.tol
-    rm = _as_state_matrix(rho, tol)
-    ba = born_distribution(a, rm, tol)
-    bm = _born(*mp._povm(tol), rm, tol)
-    a_labels, m_labels, k = _outcome_clusters(ba.outcomes, bm.outcomes, tol)
-    pa = np.bincount(a_labels, weights=ba.probabilities, minlength=k)
-    pm = np.bincount(m_labels, weights=bm.probabilities, minlength=k)
-    return bool(np.abs(pa - pm).max() <= max(tol.eq_tol, 1e-10))
+    ctx = _Scenario(mp, a, None, rho, tol or mp.tol)
+    gap = np.einsum("kab,ba->k", _cluster_gap(ctx), ctx.rho)
+    return bool(np.abs(gap).max() <= max(ctx.tol.eq_tol, 1e-10))
 
 
 @dataclass(frozen=True)
@@ -285,17 +272,10 @@ def _precision_report(ctx: _Scenario) -> PrecisionReport:
     """theorem2_check of a scenario; the strong and weak flags share one
     weight matrix, eps_zero_on_cyclic the locally uniform top eigenvalue."""
     tol = ctx.tol
-    p0, q, weak = _a0_meter(ctx)
-    da = ctx.decomposition("a")
-    m_values, m_effects = ctx.mp._povm(tol)
-    a_labels, m_labels, k = _outcome_clusters(da.eigenvalues, m_values, tol)
-    proj_sums = np.zeros((k,) + ctx.rho.shape, dtype=complex)
-    eff_sums = np.zeros((k,) + ctx.rho.shape, dtype=complex)
-    np.add.at(proj_sums, a_labels, da.projectors)
-    np.add.at(eff_sums, m_labels, m_effects)
+    p0, q, weak = _before_after(ctx, "a")
     pc = ctx.cyclic("a").projector()
-    repro = float(np.abs(pc @ (eff_sums - proj_sums) @ pc).max()) <= max(tol.eq_tol, 1e-9)
-    a_scale = float(np.abs(ctx.obs["a"]).max())
+    repro = float(np.abs(pc @ _cluster_gap(ctx) @ pc).max()) <= max(tol.eq_tol, 1e-9)
+    a_scale = float(np.abs(ctx.obs["a"].matrix).max())
     return PrecisionReport(
         strong_precise=bool(_strong_precise(ctx, p0, q, weak)),
         weak_precise=bool(_diagonal_concentrated(weak, tol)),

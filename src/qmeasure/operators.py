@@ -246,13 +246,20 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     weighted mean of the cluster.
     """
     mat = _as_observable_matrix(a, tol)
-    w, v = np.linalg.eigh(mat)
+    return _spectral_measure(mat, *np.linalg.eigh(mat), tol)
+
+
+def _spectral_measure(mat, w, v, tol: Tolerances, copies: int = 1) -> SpectralDecomposition:
+    """The decomposition of mat from eigenpairs: w ascending, and the
+    columns of v its eigenvectors, copies consecutive ones per value of w.
+    One projector per cluster of w, summed from its block of v and valued
+    at the cluster mean of w; raises unless it reconstructs mat."""
     labels = _cluster_labels(w, tol)
-    bounds = np.searchsorted(labels, np.arange(labels[-1] + 2))
+    bounds = np.searchsorted(labels, np.arange(labels[-1] + 2)).tolist()
     values = np.empty(len(bounds) - 1)
     projectors = np.empty(values.shape + mat.shape, dtype=complex)
-    for i, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-        block = v[:, start:stop]
+    for i, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        block = v[:, copies * start:copies * stop]
         values[i] = w[start:stop].sum() / (stop - start)
         projectors[i] = hermitian_part(block @ dagger(block))
     dec = SpectralDecomposition(values, projectors)

@@ -15,9 +15,12 @@ from .operators import (
     DensityOperator,
     HermitianObservable,
     Tolerances,
+    ValidationError,
     dagger,
     hermitian_part,
 )
+
+_INTERACTIONS = ("haar", "identity")
 
 
 def rng_from(seed: int, *branch: int) -> np.random.Generator:
@@ -70,7 +73,7 @@ def random_measuring_process(system_dim: int, probe_dim: int, rng: np.random.Gen
     elif interaction == "identity":
         u = np.eye(n, dtype=complex)
     else:
-        raise ValueError(f"interaction must be 'haar' or 'identity', got {interaction!r}")
+        raise ValidationError(f"interaction must be one of {_INTERACTIONS}, got {interaction!r}")
     return MeasuringProcess(probe, u, meter, tol=tol)
 
 

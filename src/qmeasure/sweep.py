@@ -9,12 +9,14 @@ the Heisenberg-type product may, and the census counts how often.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .edr import EDRReport, _Scenario
 from .jpd import PrecisionReport, _precision_report
 from .operators import DEFAULT_TOL, Tolerances, ValidationError
 from .sampling import (
+    _INTERACTIONS,
     random_density_operator,
     random_hermitian,
     random_measuring_process,
@@ -62,18 +64,25 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
               tol: Tolerances = DEFAULT_TOL, collect: bool = False):
     """Run a seeded sweep; returns (census, records) with records None
     unless collect is set. Dimensions are drawn from dims = (lo, hi) with
-    2 <= lo <= hi <= MAX_DIM."""
-    lo, hi = int(dims[0]), int(dims[1])
+    2 <= lo <= hi <= MAX_DIM. dims, trials and seed are integers (2.0
+    counts as 2, a bool does not)."""
+    values = (dims[0], dims[1], trials, seed)
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+               or isinstance(x, float) and x.is_integer() for x in values):
+        raise ValidationError(f"dims, trials and seed must be integers, got {values}")
+    lo, hi, trials, seed = map(int, values)
     if lo < 2 or hi < lo or hi > MAX_DIM:
         raise ValidationError(f"dims range must satisfy 2 <= lo <= hi <= {MAX_DIM}, got {dims}")
     if trials < 1:
         raise ValidationError("trials must be positive")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
+    if interaction not in _INTERACTIONS:
+        raise ValidationError(f"interaction must be one of {_INTERACTIONS}, got {interaction!r}")
     tally = dict.fromkeys(("uedr_failures", "oedr_failures", "lu_oedr_failures",
                            "heisenberg_violations", "theorem2_disagreements"), 0)
     records = [] if collect else None
-    for t in range(int(trials)):
+    for t in range(trials):
         rng = rng_from(seed, t)
         ds = int(rng.integers(lo, hi + 1))
         dp = int(rng.integers(lo, hi + 1))
@@ -102,4 +111,4 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
                 lu_epsilon=lu_eps, lu_eta=lu_eta, lu_oedr_lhs=lu_lhs,
                 lu_oedr_holds=lu_holds, precision=precision,
             ))
-    return SweepCensus(trials=int(trials), **tally), records
+    return SweepCensus(trials=trials, **tally), records

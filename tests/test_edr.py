@@ -94,6 +94,22 @@ class TestMomentOperators:
             assert abs(lhs - qm.rms_error(mp, a, phi) ** 2) < 1e-10
 
 
+    @pytest.mark.parametrize("mp, b, rho", [c[1:] for c in reference_cases()],
+                             ids=[c[0] for c in reference_cases()])
+    def test_disturbance_moment_operator(self, mp, b, rho):
+        # T is PSD, <phi| T |phi> = eta(B, phi)^2, and the top eigenvalue of
+        # T compressed to the cyclic subspace of (B, rho) is the locally
+        # uniform eta squared, all within 1e-12 of the scale of T
+        t = qm.disturbance_moment_operator(mp, b)
+        w = np.linalg.eigvalsh(t)
+        scale = float(np.abs(w).max())
+        assert w.min() >= -1e-12 * scale
+        phi = qm.random_pure_state(mp.system_dim, qm.rng_from(306, mp.system_dim))
+        assert abs(qm.expectation(t, phi).real - qm.rms_disturbance(mp, b, phi) ** 2) <= 1e-12 * scale
+        top = np.linalg.eigvalsh(qm.hermitian_part(qm.cyclic_subspace(b, rho).compress(t))).max()
+        assert abs(top - qm.locally_uniform_rms_disturbance(mp, b, rho) ** 2) <= 1e-12 * scale
+
+
 class TestLedgerFrozenExamples:
     def test_uncoupled_meter_breaks_nothing_but_heisenberg_form(self):
         # A = sigma_x read as pure noise, B = sigma_y untouched, rho = |0><0|
@@ -243,6 +259,27 @@ class TestUniversality:
             qm.run_sweep(dims=(2, 4), trials=0, seed=0)
         with pytest.raises(qm.ValidationError):
             qm.run_sweep(dims=(2, MAX_DIM + 1), trials=1, seed=0)
+
+    @pytest.mark.parametrize("bad", [{"trials": 2.5}, {"seed": 1.7}, {"trials": True},
+                                     {"seed": False}, {"dims": (2.5, 3)}, {"dims": (2, True)},
+                                     {"trials": "2"}, {"seed": None}, {"trials": float("nan")},
+                                     {"interaction": "nope"}])
+    def test_sweep_rejects_before_the_first_trial(self, bad, monkeypatch):
+        streams = []
+        monkeypatch.setattr("qmeasure.sweep.rng_from", lambda *args: streams.append(args))
+        with pytest.raises(qm.ValidationError):
+            qm.run_sweep(**{"dims": (2, 3), "trials": 2, "seed": 1, **bad})
+        assert streams == []
+
+    def test_sweep_accepts_integral_floats(self):
+        census, _ = qm.run_sweep(dims=(2.0, 3.0), trials=2.0, seed=1.0)
+        assert census == qm.run_sweep(dims=(2, 3), trials=2, seed=1)[0]
+        assert census.trials == 2 and type(census.trials) is int
+        assert qm.run_sweep(dims=(np.int64(2), 3), trials=np.int64(2), seed=1)[0] == census
+
+    def test_unknown_interaction_is_a_validation_error(self):
+        with pytest.raises(qm.ValidationError):
+            qm.random_measuring_process(2, 2, qm.rng_from(0), interaction="nope")
 
     @pytest.mark.parametrize("dims, trials", [((2, 4), 40), ((5, 6), 6)])
     def test_records_equal_public_calls_on_fresh_processes(self, dims, trials):

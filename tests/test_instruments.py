@@ -507,6 +507,19 @@ class TestRepeatability:
             repeatable=True, worst_residual=0.0, outcomes=(0.0, 1.0, 2.0, 3.0),
             residuals=(0.0,) * 4, post_std_devs=(0.0,) * 4, ar_bound_ok=True)
 
+    def test_raw_observable_is_validated_once(self, monkeypatch):
+        a = np.diag([0.0, 1.0, 2.0, 3.0])
+        inst = qm.luders_instrument(a)
+        built = []
+        init = qm.HermitianObservable.__init__
+        monkeypatch.setattr(qm.HermitianObservable, "__init__",
+                            lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+        rep = qm.check_repeatability(inst, a, np.eye(4) / 4, epsilon=0.0)
+        assert len(built) == 1
+        assert rep == qm.RepeatabilityReport(
+            repeatable=True, worst_residual=0.0, outcomes=(0.0, 1.0, 2.0, 3.0),
+            residuals=(0.0,) * 4, post_std_devs=(0.0,) * 4, ar_bound_ok=True)
+
     def test_identity_instrument_not_repeatable(self):
         inst = qm.CPInstrument([0.0], [[np.eye(2, dtype=complex)]])
         rho = qm.DensityOperator.pure(KET_PLUS)

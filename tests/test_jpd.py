@@ -12,6 +12,7 @@ from helpers import (
     dilated_luders,
     identity_coupling_process,
     independent_meter_process,
+    reference_cases,
     reference_joint_weights,
 )
 
@@ -326,6 +327,68 @@ class TestReferenceWeights:
         jd = qm.joint_distribution(x, y, sigma)
         assert not np.iscomplexobj(jd.weights)
         assert np.abs(jd.weights - ref).max() <= 1e-12
+
+
+def fresh(mp: qm.MeasuringProcess) -> qm.MeasuringProcess:
+    """The same process with an empty cache."""
+    return qm.MeasuringProcess(mp.probe_state, mp.unitary, mp.meter)
+
+
+class TestClosedFormMeasures:
+    """M(dt), B(0) and B(dt) take their spectral measures from the
+    decompositions of their factors, so the meter has one set of outcome
+    values and no eigensolve runs on the composite space."""
+
+    def test_no_eigensolve_on_composite_space(self, monkeypatch):
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, *args, _solve=solve, **kw:
+                                sizes.append(np.shape(m)[-1]) or _solve(m, *args, **kw))
+        qm.run_sweep(dims=(3, 3), trials=4, seed=0)
+        assert sizes and max(sizes) <= 3
+        rng = qm.rng_from(811)
+        for ds, dp in ((2, 3), (3, 2), (3, 3)):
+            a, b = qm.random_hermitian(ds, rng), qm.random_hermitian(ds, rng)
+            rho = qm.random_density_operator(ds, rng)
+            for mp in (qm.random_measuring_process(ds, dp, rng),
+                       qm.random_measuring_process(ds, dp, rng, interaction="identity"),
+                       qm.dilate(qm.luders_instrument(a))):
+                sizes.clear()
+                qm.theorem2_check(fresh(mp), a, rho)
+                qm.is_precise(fresh(mp), a, rho, mode="strong")
+                qm.is_precise(fresh(mp), a, rho, mode="weak")
+                qm.is_nondisturbing(fresh(mp), b, rho)
+                qm.is_nondisturbing(fresh(mp), a, rho)
+                qm.weak_joint_distribution(fresh(mp), a, rho)
+                qm.probability_reproducible(fresh(mp), a, rho)
+                assert max(sizes) <= max(mp.system_dim, mp.probe_dim)
+
+    def test_weak_atoms_are_instrument_outcomes(self):
+        rng = qm.rng_from(3)
+        for _ in range(60):
+            ds, dp = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            mp = qm.random_measuring_process(ds, dp, rng)
+            a, rho = qm.random_hermitian(ds, rng), qm.random_density_operator(ds, rng)
+            atoms = qm.weak_joint_distribution(mp, a, rho).y_atoms
+            assert tuple(atoms.tolist()) == qm.instrument_from_process(fresh(mp)).outcomes
+
+    def test_dilated_instrument_atoms_are_its_outcomes(self):
+        rng = qm.rng_from(4)
+        for _ in range(20):
+            mp = qm.dilate(qm.random_cp_instrument(3, 3, rng))
+            a, rho = qm.random_hermitian(3, rng), qm.random_density_operator(3, rng)
+            atoms = qm.weak_joint_distribution(mp, a, rho).y_atoms
+            assert tuple(atoms.tolist()) == (0.0, 1.0, 2.0)
+            assert qm.instrument_from_process(fresh(mp)).outcomes == (0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("mp, a, rho", [c[1:] for c in reference_cases()],
+                             ids=[c[0] for c in reference_cases()])
+    def test_y_marginal_is_instrument_statistics(self, mp, a, rho):
+        wjd = qm.weak_joint_distribution(mp, a, rho)
+        probs = qm.outcome_probabilities(qm.instrument_from_process(mp), rho)
+        assert tuple(wjd.y_atoms.tolist()) == probs.outcomes
+        assert np.abs(wjd.y_marginal() - probs.probabilities).max() <= 1e-12
 
 
 class TestClusterChain:
