@@ -114,7 +114,7 @@ def _run_gaussian_model(payload: dict, constants, tol, out_dir):
     model = build_model(_choice(model, (VON_NEUMANN, OZAWA_1988), "model"))
     obj = gaussian_state_from_dict(obj, constants=constants, tol=tol)
     probe = gaussian_state_from_dict(probe, constants=constants, tol=tol)
-    report = model_edr(model, obj, probe, constants=constants, tol=tol)
+    report = model_edr(model, obj, probe, tol=tol)
     if "grid" in payload:
         grid = _numbers(payload["grid"], "grid")
         dens = output_distribution(model, obj, probe, grid)
@@ -193,20 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qmeasure",
                                      description="Measurement statistics batch runner")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", required=True, help="output directory for reports")
+    shared.add_argument("--hbar", type=float, default=None, help="override hbar")
+    shared.add_argument("--tol", type=float, default=None, help="override eq_tol")
 
-    p_run = sub.add_parser("run", help="run one scenario config")
+    p_run = sub.add_parser("run", parents=[shared], help="run one scenario config")
     p_run.add_argument("config", help="path to a scenario JSON file")
-    p_run.add_argument("--out", required=True, help="output directory for reports")
-    p_run.add_argument("--hbar", type=float, default=None, help="override hbar")
-    p_run.add_argument("--tol", type=float, default=None, help="override eq_tol")
 
-    p_sweep = sub.add_parser("sweep", help="randomized universality sweep")
+    p_sweep = sub.add_parser("sweep", parents=[shared], help="randomized universality sweep")
     p_sweep.add_argument("--dims", default="2..4", help="dimension range, e.g. 2..4")
     p_sweep.add_argument("--trials", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, required=True)
-    p_sweep.add_argument("--out", required=True, help="output directory for reports")
-    p_sweep.add_argument("--hbar", type=float, default=None, help="override hbar")
-    p_sweep.add_argument("--tol", type=float, default=None, help="override eq_tol")
     return parser
 
 

@@ -3,8 +3,10 @@
 The noise operator compares the meter after the interaction with the
 target observable before it, N(A) = M(dt) - A(0); the disturbance
 operator compares a second observable with itself across the
-interaction, D(B) = B(dt) - B(0). Their second moments in rho x rho0
-give the rms error epsilon(A) and rms disturbance eta(B).
+interaction, D(B) = B(dt) - B(0). Each is averaged over the probe
+state into a mean operator Tr_probe[X (1 x rho0)] and a second-moment
+operator Tr_probe[X^2 (1 x rho0)]; the expectation of the latter in rho
+is the squared rms error epsilon(A)^2 or rms disturbance eta(B)^2.
 
 edr_ledger evaluates, in one pass, the breakable Heisenberg-type bound
 epsilon*eta >= (1/2)|<[A,B]>| together with two universally valid
@@ -18,7 +20,6 @@ product of the max-abs entries of A and B, so no flag depends on units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -116,11 +117,12 @@ class EDRReport:
 def edr_ledger(mp: MeasuringProcess, a, b, rho, tol: Tolerances = None) -> EDRReport:
     """Evaluate the three error-disturbance relations for one scenario.
 
-    The noise operator N(A) is built once and gives both epsilon and the
-    mean noise operator n(A); it is released before the disturbance
-    operator D(B) is built, which likewise gives eta and d(B). The results
-    equal those of rms_error, rms_disturbance, mean_noise_operator and
-    mean_disturbance_operator, and every float field is a Python float.
+    D(B) and then N(A) are each built once, in one pass that gives the
+    mean operator (d(B), n(A)) and the second-moment operator, whose
+    expectation in rho is eta^2 (epsilon^2); each is released before the
+    next is built. The results equal those of rms_error, rms_disturbance,
+    mean_noise_operator and mean_disturbance_operator, and every float
+    field is a Python float.
     """
     return _Scenario(mp, a, b, rho, tol or mp.tol).ledger()
 
@@ -205,13 +207,10 @@ class _Scenario:
     distributions, the eigh pair of rho, and per observable x ("a" or "b")
     its spectral decomposition, its cyclic subspace, one pass over its
     composite operator (N(A) for "a", D(B) for "b") and the top eigenvalue
-    of the compressed second moment.
-
-    A pass gives the rms figure and the mean operator, and the
-    second-moment operator only when asked; read a second-moment figure
-    (locally uniform, top) before the ledger when both are wanted, so that
-    one pass serves both. A pass releases its n x n operators before
-    returning, so one composite operator is alive at a time besides M(dt).
+    of the compressed second moment. Every figure reads these entries, so
+    the figures may be read in any order. A pass keeps only d x d results;
+    its composite operator and that operator's square are released on
+    return.
     """
 
     def __init__(self, mp: MeasuringProcess, a, b, rho, tol: Tolerances):
@@ -227,44 +226,38 @@ class _Scenario:
             self._memo[key] = make()
         return self._memo[key]
 
-    @cached_property
     def joint(self) -> np.ndarray:
         """rho x rho0."""
-        return tensor(self.rho, self.mp.probe_state.matrix)
+        return self._once("joint", lambda: tensor(self.rho, self.mp.probe_state.matrix))
 
-    @cached_property
     def rho_spectrum(self):
-        return np.linalg.eigh(self.rho)
+        return self._once("rho_spectrum", lambda: np.linalg.eigh(self.rho))
 
     def decomposition(self, x: str):
         return self._once(("decomposition", x), lambda: spectral_decompose(self.obs[x], self.tol))
 
     def cyclic(self, x: str) -> Subspace:
         return self._once(("cyclic", x), lambda: _cyclic_subspace(
-            self.decomposition(x), self.rho_spectrum, self.tol))
+            self.decomposition(x), self.rho_spectrum(), self.tol))
 
-    def figures(self, x: str, moment: bool = False):
-        """(rms, mean operator, second-moment operator or None) of N(A)
-        for x = "a", of D(B) for x = "b", from one build of the operator."""
-        got = self._memo.get(("figures", x))
-        if got is None or (moment and got[2] is None):
+    def figures(self, x: str):
+        """(rms, mean operator, second-moment operator) of X = N(A) for
+        x = "a", of X = D(B) for x = "b", from one build of X: the mean and
+        second-moment operators are Tr_probe[X (1 x rho0)] and
+        Tr_probe[X^2 (1 x rho0)], and rms^2 = Tr[rho Tr_probe[X^2 (1 x rho0)]]."""
+        def make():
             op = (noise_operator if x == "a" else disturbance_operator)(self.mp, self.obs[x])
             mean = self.mp._probe_average(op)
-            square = op @ op
-            del op
-            # a rho x rho0 of its own, dropped at once: a kept one would be
-            # alive beside M(dt), N(A) and the probe average's operands
-            trace = float(np.trace(square @ tensor(self.rho, self.mp.probe_state.matrix)).real)
-            rms = float(np.sqrt(max(trace, 0.0)))
-            got = (rms, mean, self.mp._probe_average(square) if moment else None)
-            self._memo[("figures", x)] = got
-        return got
+            moment = self.mp._probe_average(op @ op)
+            trace = float(np.einsum("ab,ba->", moment, self.rho).real)
+            return float(np.sqrt(max(trace, 0.0))), mean, moment
+        return self._once(("figures", x), make)
 
     def top(self, x: str) -> float:
         """Largest eigenvalue of the second-moment operator compressed to
         the cyclic subspace of (x, rho)."""
         return self._once(("top", x), lambda: float(np.linalg.eigvalsh(hermitian_part(
-            self.cyclic(x).compress(self.figures(x, moment=True)[2]))).max()))
+            self.cyclic(x).compress(self.figures(x)[2]))).max()))
 
     def locally_uniform(self, x: str) -> float:
         """sup of the rms figure over the unit vectors of the cyclic subspace."""
@@ -280,8 +273,8 @@ class _Scenario:
         # D(B) first: building B(dt) then does not overlap a newly cached M(dt)
         eta, d_mean, _ = self.figures("b")
         eps, n_mean, _ = self.figures("a")
-        sig_a = _spectral_std_dev(am, rm, self.rho_spectrum)
-        sig_b = _spectral_std_dev(bm, rm, self.rho_spectrum)
+        sig_a = _spectral_std_dev(am, rm, self.rho_spectrum())
+        sig_b = _spectral_std_dev(bm, rm, self.rho_spectrum())
         bound = _robertson(am, bm, rm)
         corr = float(abs(np.trace((commutator(n_mean, bm) + commutator(am, d_mean)) @ rm)))
         product = eps * eta

@@ -204,15 +204,18 @@ class ModelEDR:
 
 
 def model_edr(model: LinearModel, obj: GaussianState, probe: GaussianState,
-              constants: PhysicalConstants = DEFAULT_CONSTANTS,
               tol: Tolerances = DEFAULT_TOL) -> ModelEDR:
     """Exact rms error and disturbance of a linear model on Gaussian inputs.
 
     Noise and disturbance are the linear combinations y(dt) - x(0) and
     p_x(dt) - p_x(0); their second moments come straight from the joint
     Gaussian moments, so an identically zero combination gives an exact
-    0.0 (no rounding).
+    0.0 (no rounding). hbar is the one both states carry; states with
+    different hbar raise ValidationError.
     """
+    hbar = obj.constants.hbar
+    if probe.constants.hbar != hbar:
+        raise ValidationError(f"object and probe hbar differ: {hbar} vs {probe.constants.hbar}")
     s = model.symplectic
     m2 = _second_moment_matrix(obj, probe)
     v_noise = s[_Y, :].copy()
@@ -222,7 +225,7 @@ def model_edr(model: LinearModel, obj: GaussianState, probe: GaussianState,
     eps = 0.0 if not v_noise.any() else float(np.sqrt(max(v_noise @ m2 @ v_noise, 0.0)))
     eta = 0.0 if not v_dist.any() else float(np.sqrt(max(v_dist @ m2 @ v_dist, 0.0)))
     product = eps * eta
-    bound = constants.hbar / 2.0
+    bound = hbar / 2.0
     return ModelEDR(
         model_id=model.model_id,
         epsilon=eps,

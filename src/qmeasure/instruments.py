@@ -40,7 +40,6 @@ from .operators import (
     dagger,
     hermitian_part,
     operator_distance,
-    partial_trace,
     spectral_decompose,
     tensor,
 )
@@ -163,13 +162,11 @@ class MeasuringProcess(_Immutable):
 
     def _probe_average(self, op: np.ndarray) -> np.ndarray:
         """Tr_probe[op (1 x rho0)], Hermitian part, of a composite operator
-        or of each operator of a stack.
-
-        1 x rho0 is rebuilt per call rather than kept: it is n x n, and
-        keeping it would add to the peak memory of every pass.
-        """
-        ref = tensor(np.eye(self.system_dim), self.probe_state.matrix)
-        return hermitian_part(partial_trace(op @ ref, (self.system_dim, self.probe_dim), keep="first"))
+        or of each operator of a stack: with op indexed ((i, j), (k, l)) over
+        system x probe, the sum of op[(i, j), (k, l)] rho0[l, j] over j, l."""
+        ds, dp = self.system_dim, self.probe_dim
+        blocks = op.reshape(op.shape[:-2] + (ds, dp, ds, dp))
+        return hermitian_part(np.einsum("...ijkl,lj->...ik", blocks, self.probe_state.matrix))
 
     def _meter_eigh(self):
         """The meter's eigh pair (w, q), behind its measure and M(dt)'s."""

@@ -154,7 +154,7 @@ def _before_after(ctx: _Scenario, x: str):
     after = (ctx.mp._meter_decomposition(ctx.tol) if x == "a"
              else SpectralDecomposition(dx.eigenvalues, ctx.mp._evolve(p0)))
     return p0, after.projectors, _joint(dx.eigenvalues, p0, after.eigenvalues, after.projectors,
-                                        ctx.joint, ctx.tol)
+                                        ctx.joint(), ctx.tol)
 
 
 def weak_joint_distribution(mp: MeasuringProcess, a, rho,
@@ -179,7 +179,7 @@ def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
 def _strong_precise(ctx: _Scenario, p0, q, weak: JointDistribution) -> bool:
     """The pair of _before_after commutes in rho x rho0 and its joint
     distribution, the real part of the weak one, sits on the diagonal."""
-    return (_commute(p0, q, ctx.joint, ctx.tol)
+    return (_commute(p0, q, ctx.joint(), ctx.tol)
             and _diagonal_concentrated(_real_part(weak, ctx.tol), ctx.tol))
 
 

@@ -64,9 +64,13 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
               tol: Tolerances = DEFAULT_TOL, collect: bool = False):
     """Run a seeded sweep; returns (census, records) with records None
     unless collect is set. Dimensions are drawn from dims = (lo, hi) with
-    2 <= lo <= hi <= MAX_DIM. dims, trials and seed are integers (2.0
-    counts as 2, a bool does not)."""
-    values = (dims[0], dims[1], trials, seed)
+    2 <= lo <= hi <= MAX_DIM. dims is two integers, and trials and seed
+    are integers (2.0 counts as 2, a bool does not)."""
+    try:
+        lo, hi = dims
+    except (TypeError, ValueError):
+        raise ValidationError(f"dims must be two integers (lo, hi), got {dims!r}")
+    values = (lo, hi, trials, seed)
     if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
                or isinstance(x, float) and x.is_integer() for x in values):
         raise ValidationError(f"dims, trials and seed must be integers, got {values}")
@@ -92,13 +96,11 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
                else random_density_operator(ds, rng, tol))
         mp = random_measuring_process(ds, dp, rng, interaction=interaction, tol=tol)
 
-        # the locally uniform figures first: their passes over N(A) and
-        # D(B) also give the ledger's figures
         ctx = _Scenario(mp, a, b, rho, tol)
+        report = ctx.ledger()
         lu_eps = ctx.locally_uniform("a")
         lu_eta = ctx.locally_uniform("b")
         precision = _precision_report(ctx)
-        report = ctx.ledger()
         lu_lhs = lu_eps * lu_eta + lu_eps * report.sigma_b + report.sigma_a * lu_eta
         lu_holds = ctx.holds(lu_lhs, report.robertson)
 

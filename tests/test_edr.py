@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qmeasure as qm
+from qmeasure import edr
 from qmeasure.sweep import MAX_DIM, TrialRecord
 from helpers import (
     EYE2,
@@ -16,6 +17,7 @@ from helpers import (
     identity_coupling_process,
     reference_cases,
     reference_cyclic_basis,
+    reference_partial_trace,
     shifted_meter,
 )
 
@@ -108,6 +110,56 @@ class TestMomentOperators:
         assert abs(qm.expectation(t, phi).real - qm.rms_disturbance(mp, b, phi) ** 2) <= 1e-12 * scale
         top = np.linalg.eigvalsh(qm.hermitian_part(qm.cyclic_subspace(b, rho).compress(t))).max()
         assert abs(top - qm.locally_uniform_rms_disturbance(mp, b, rho) ** 2) <= 1e-12 * scale
+
+
+class TestProbeAverage:
+    @pytest.mark.parametrize("ds, dp", [(2, 3), (3, 2)])
+    def test_matches_block_sum_reference(self, ds, dp):
+        # unequal dimensions both ways and a complex full-rank probe, so a
+        # swapped system/probe index or a transposed rho0 shows
+        rng = qm.rng_from(310, ds)
+        mp = qm.random_measuring_process(ds, dp, rng, pure_probe=False)
+        rho0 = mp.probe_state.matrix
+        assert np.linalg.matrix_rank(rho0) == dp and np.abs(rho0.imag).max() > 1e-2
+        n = ds * dp
+        stack = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        a = qm.random_hermitian(ds, rng)
+        noise = qm.noise_operator(mp, a)
+        for got, ops in ((mp._probe_average(stack), stack),
+                         (mp._probe_average(stack[1]), stack[1]),
+                         (qm.mean_noise_operator(mp, a), noise),
+                         (qm.noise_moment_operator(mp, a), noise @ noise)):
+            want = qm.hermitian_part(reference_partial_trace(
+                np.reshape(ops @ np.kron(np.eye(ds), rho0), (-1, n, n)), (ds, dp)))
+            assert got.shape == ops.shape[:-2] + (ds, ds)
+            assert np.abs(got - want.reshape(got.shape)).max() <= 1e-12 * np.abs(ops).max()
+
+
+class TestScenarioReadOrder:
+    def test_ledger_and_locally_uniform_share_one_pass(self, monkeypatch):
+        # whichever is read first, the ledger and the locally uniform figures
+        # give the same floats from one build of N(A) and one of D(B)
+        built = []
+        for name in ("noise_operator", "disturbance_operator"):
+            real = getattr(edr, name)
+            monkeypatch.setattr(edr, name, lambda *args, real=real, name=name:
+                                built.append(name) or real(*args))
+        rng = qm.rng_from(311)
+        mp = qm.random_measuring_process(3, 2, rng)
+        a, b = qm.random_hermitian(3, rng), qm.random_hermitian(3, rng)
+        rho = qm.random_density_operator(3, rng)
+        results = []
+        for ledger_first in (True, False):
+            built.clear()
+            ctx = edr._Scenario(mp, a, b, rho, mp.tol)
+            if ledger_first:
+                report = ctx.ledger()
+            lu = (ctx.locally_uniform("a"), ctx.locally_uniform("b"))
+            if not ledger_first:
+                report = ctx.ledger()
+            assert sorted(built) == ["disturbance_operator", "noise_operator"]
+            results.append((report, lu))
+        assert results[0] == results[1]
 
 
 class TestLedgerFrozenExamples:
@@ -263,7 +315,8 @@ class TestUniversality:
     @pytest.mark.parametrize("bad", [{"trials": 2.5}, {"seed": 1.7}, {"trials": True},
                                      {"seed": False}, {"dims": (2.5, 3)}, {"dims": (2, True)},
                                      {"trials": "2"}, {"seed": None}, {"trials": float("nan")},
-                                     {"interaction": "nope"}])
+                                     {"interaction": "nope"}, {"dims": 5}, {"dims": None},
+                                     {"dims": (2,)}, {"dims": (2, 3, 4)}])
     def test_sweep_rejects_before_the_first_trial(self, bad, monkeypatch):
         streams = []
         monkeypatch.setattr("qmeasure.sweep.rng_from", lambda *args: streams.append(args))

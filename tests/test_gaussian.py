@@ -218,10 +218,29 @@ class TestModelEDR:
     def test_hbar_rescales_bound(self):
         obj = qm.min_uncertainty_packet(0.0, 0.0, 1.0, constants=HBAR2)
         probe = qm.min_uncertainty_packet(0.0, 0.0, 1.0, constants=HBAR2)
-        r = qm.model_edr(qm.build_model(qm.VON_NEUMANN), obj, probe, constants=HBAR2)
+        r = qm.model_edr(qm.build_model(qm.VON_NEUMANN), obj, probe)
         assert r.kennard_bound == 1.0
         assert r.product == pytest.approx(1.0, abs=1e-12)
         assert not r.heisenberg_violated
+
+    @pytest.mark.parametrize("hbar", [0.5, 2.0, 1e-3])
+    def test_bound_read_from_the_states(self, hbar):
+        # minimum-uncertainty packets under the von Neumann model sit on the
+        # bound hbar/2 of their own hbar, whatever the default
+        constants = qm.PhysicalConstants(hbar=hbar)
+        obj = qm.min_uncertainty_packet(0.3, -0.2, 0.7, constants=constants)
+        probe = qm.min_uncertainty_packet(0.0, 0.0, 1.1, constants=constants)
+        for model in (qm.VON_NEUMANN, qm.OZAWA_1988):
+            r = qm.model_edr(qm.build_model(model), obj, probe)
+            assert r.kennard_bound == hbar / 2.0
+            assert r.heisenberg_violated == (model == qm.OZAWA_1988)
+
+    def test_mixed_hbar_rejected(self):
+        obj = qm.min_uncertainty_packet(0.0, 0.0, 1.0)
+        probe = qm.min_uncertainty_packet(0.0, 0.0, 1.0, constants=HBAR2)
+        for pair in ((obj, probe), (probe, obj)):
+            with pytest.raises(qm.ValidationError):
+                qm.model_edr(qm.build_model(qm.VON_NEUMANN), *pair)
 
 
 class TestDensities:

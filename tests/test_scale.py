@@ -73,7 +73,7 @@ class TestScaleInvariance:
                 cov = excess / 2.0 * np.array([[a, c], [c, (1.0 + c * c) / a]])
                 states.append(qm.GaussianState([sx * q, tp * p], np.outer([sx, tp], [sx, tp]) * cov,
                                                constants=constants))
-            return qm.model_edr(qm.build_model(model), *states, constants=constants).heisenberg_violated
+            return qm.model_edr(qm.build_model(model), *states).heisenberg_violated
 
         assert run(s, t) == run(1.0, 1.0)
 
