@@ -13,7 +13,9 @@ sweep assertion failure. Apart from the wall_time field, report.json is
 byte-identical across reruns of the same scenario.
 
 Tolerance precedence: --tol flag, then the config's tolerances.eq_tol,
-then the QMEASURE_TOL environment variable, then the library default.
+then the library default. The resolved Tolerances build every process,
+instrument, observable and state of the run, and each figure is judged
+under the Tolerances of the process it reads.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ EXIT_IO = 1
 EXIT_SCHEMA = 2
 EXIT_ASSERTION = 3
 
-ENV_TOL = "QMEASURE_TOL"
-
 KINDS = ("finite_process", "gaussian_model", "sweep")
 
 # config sections read into a run's settings, with the dataclass of each
@@ -69,16 +69,8 @@ _SETTINGS = (("constants", PhysicalConstants), ("tolerances", Tolerances))
 
 def _effective_settings(cfg: dict, hbar_flag, tol_flag):
     """PhysicalConstants and Tolerances of a run: each value from its flag,
-    then its config section, then QMEASURE_TOL (eq_tol only), then the
-    dataclass default."""
+    then its config section, then the dataclass default."""
     values = {}
-    env = os.environ.get(ENV_TOL)
-    if env is not None:
-        try:
-            env_tol = float(env)
-        except ValueError:
-            raise SchemaError(f"{ENV_TOL} must be a float, got {env!r}")
-        values["eq_tol"] = _number(env_tol, ENV_TOL)
     for section, cls in _SETTINGS:
         data = cfg.get(section, {})
         _require(data, what=section)
@@ -95,7 +87,7 @@ def _run_finite_process(payload: dict, tol):
     if "process" in payload:
         mp = process_from_dict(payload["process"], tol=tol)
     elif "instrument" in payload:
-        mp = dilate(instrument_from_dict(payload["instrument"], tol=tol), tol=tol)
+        mp = dilate(instrument_from_dict(payload["instrument"], tol=tol))
     else:
         raise SchemaError("finite_process payload needs 'process' or 'instrument'")
     a, b, rho = (matrix_from_json(m) for m in _require(
@@ -104,8 +96,8 @@ def _run_finite_process(payload: dict, tol):
     a, b = HermitianObservable(a, tol=tol), HermitianObservable(b, tol=tol)
     rho = DensityOperator(rho, tol=tol)
     if which == "edr":
-        return edr_report_to_dict(edr_ledger(mp, a, b, rho, tol=tol)), True
-    return precision_report_to_dict(theorem2_check(mp, a, rho, tol=tol)), True
+        return edr_report_to_dict(edr_ledger(mp, a, b, rho)), True
+    return precision_report_to_dict(theorem2_check(mp, a, rho)), True
 
 
 def _run_gaussian_model(payload: dict, constants, tol, out_dir):

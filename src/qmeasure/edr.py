@@ -56,12 +56,12 @@ def disturbance_operator(mp: MeasuringProcess, b) -> np.ndarray:
 
 def rms_error(mp: MeasuringProcess, a, rho) -> float:
     """epsilon(A, rho) = sqrt(Tr[N(A)^2 (rho x rho0)])."""
-    return _Scenario(mp, a, None, rho, mp.tol).figures("a")[0]
+    return _Scenario(mp, a, None, rho).figures("a")[0]
 
 
 def rms_disturbance(mp: MeasuringProcess, b, rho) -> float:
     """eta(B, rho) = sqrt(Tr[D(B)^2 (rho x rho0)])."""
-    return _Scenario(mp, None, b, rho, mp.tol).figures("b")[0]
+    return _Scenario(mp, None, b, rho).figures("b")[0]
 
 
 def mean_noise_operator(mp: MeasuringProcess, a) -> np.ndarray:
@@ -114,7 +114,7 @@ class EDRReport:
     oedr_holds: bool
 
 
-def edr_ledger(mp: MeasuringProcess, a, b, rho, tol: Tolerances = None) -> EDRReport:
+def edr_ledger(mp: MeasuringProcess, a, b, rho) -> EDRReport:
     """Evaluate the three error-disturbance relations for one scenario.
 
     D(B) and then N(A) are each built once, in one pass that gives the
@@ -124,7 +124,7 @@ def edr_ledger(mp: MeasuringProcess, a, b, rho, tol: Tolerances = None) -> EDRRe
     mean_noise_operator and mean_disturbance_operator, and every float
     field is a Python float.
     """
-    return _Scenario(mp, a, b, rho, tol or mp.tol).ledger()
+    return _Scenario(mp, a, b, rho).ledger()
 
 
 @dataclass(frozen=True)
@@ -185,21 +185,21 @@ def _cyclic_subspace(dec, rho_spectrum, tol: Tolerances) -> Subspace:
     return Subspace(dec.dim, u[:, :rank])
 
 
-def locally_uniform_rms_error(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> float:
+def locally_uniform_rms_error(mp: MeasuringProcess, a, rho) -> float:
     """sup of epsilon(A, phi) over unit vectors phi in the cyclic subspace
     of (A, rho): the largest eigenvalue of the compressed noise second
     moment, square-rooted."""
-    return _Scenario(mp, a, None, rho, tol or mp.tol).locally_uniform("a")
+    return _Scenario(mp, a, None, rho).locally_uniform("a")
 
 
-def locally_uniform_rms_disturbance(mp: MeasuringProcess, b, rho, tol: Tolerances = None) -> float:
+def locally_uniform_rms_disturbance(mp: MeasuringProcess, b, rho) -> float:
     """sup of eta(B, phi) over the cyclic subspace of (B, rho)."""
-    return _Scenario(mp, None, b, rho, tol or mp.tol).locally_uniform("b")
+    return _Scenario(mp, None, b, rho).locally_uniform("b")
 
 
 class _Scenario:
-    """One validated (process, A, B, rho) under one Tolerances, with every
-    intermediate shared by its figures computed once.
+    """One validated (process, A, B, rho) under the process's Tolerances,
+    with every intermediate shared by its figures computed once.
 
     A and B (either may be None when only the other is read) are kept as
     HermitianObservable and rho as its matrix, validated on construction.
@@ -213,12 +213,12 @@ class _Scenario:
     return.
     """
 
-    def __init__(self, mp: MeasuringProcess, a, b, rho, tol: Tolerances):
+    def __init__(self, mp: MeasuringProcess, a, b, rho):
         self.mp = mp
-        self.tol = tol
-        self.obs = {x: mp._on_system(op, HermitianObservable, tol)
+        self.tol = mp.tol
+        self.obs = {x: mp._on_system(op, HermitianObservable)
                     for x, op in (("a", a), ("b", b)) if op is not None}
-        self.rho = mp._on_system(rho, DensityOperator, tol).matrix
+        self.rho = mp._on_system(rho, DensityOperator).matrix
         self._memo = {}
 
     def _once(self, key, make):

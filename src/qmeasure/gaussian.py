@@ -33,6 +33,7 @@ from .operators import (
     ValidationError,
     _Immutable,
     _slack,
+    operator_distance,
 )
 
 VON_NEUMANN = "von_neumann"
@@ -132,7 +133,8 @@ def min_uncertainty_packet(q_center: float, p_center: float, q1: float,
 @dataclass(frozen=True)
 class LinearModel:
     """A measurement interaction as a 4x4 symplectic matrix on
-    (x, p_x, y, p_y). The form S J S^T = J must hold exactly."""
+    (x, p_x, y, p_y). The form S J S^T = J must hold within the default
+    slack of max|S_ij|^2, the scale of S J S^T."""
 
     model_id: str
     symplectic: np.ndarray
@@ -141,8 +143,9 @@ class LinearModel:
         s = self.symplectic
         if s.shape != (4, 4):
             raise ValidationError("symplectic matrix must be 4x4")
-        if not np.array_equal(s @ _J @ s.T, _J):
-            raise ValidationError("matrix does not preserve the symplectic form exactly")
+        scale = float(np.abs(s).max()) ** 2
+        if not operator_distance(s @ _J @ s.T, _J) <= _slack(DEFAULT_TOL, scale):
+            raise ValidationError("matrix does not preserve the symplectic form")
         s.setflags(write=False)
 
 

@@ -98,8 +98,8 @@ class MeasuringProcess(_Immutable):
     system x probe. The meter acts on the probe alone. A process is
     immutable: what depends on it alone (the evolved meter, the eigh pair
     of the meter, the spectral decomposition of M(dt) and the process POVM)
-    is computed on first use and kept, the last two once per Tolerances
-    value.
+    is computed on first use and kept. Every figure of the process is
+    judged under the Tolerances it was built with.
     """
 
     def __init__(self, probe_state: DensityOperator, unitary, meter: HermitianObservable,
@@ -132,9 +132,9 @@ class MeasuringProcess(_Immutable):
         """U+ X U for a composite operator X, Hermitian part."""
         return hermitian_part(dagger(self.unitary) @ big @ self.unitary)
 
-    def _on_system(self, x, kind, tol: Tolerances):
+    def _on_system(self, x, kind):
         """x as a validated kind (HermitianObservable or DensityOperator) on the system."""
-        x = x if isinstance(x, kind) else kind(x, tol)
+        x = x if isinstance(x, kind) else kind(x, self.tol)
         if x.dim != self.system_dim:
             raise ValidationError(
                 f"dimension mismatch: {x.matrix.shape} vs system {self.system_dim}")
@@ -142,11 +142,11 @@ class MeasuringProcess(_Immutable):
 
     def composite_state(self, rho) -> np.ndarray:
         """rho x rho0 on system x probe."""
-        return tensor(self._on_system(rho, DensityOperator, self.tol), self.probe_state.matrix)
+        return tensor(self._on_system(rho, DensityOperator), self.probe_state.matrix)
 
     def embedded_system(self, a) -> np.ndarray:
         """A(0) = A x 1, the system observable before the interaction."""
-        return tensor(self._on_system(a, HermitianObservable, self.tol), np.eye(self.probe_dim))
+        return tensor(self._on_system(a, HermitianObservable), np.eye(self.probe_dim))
 
     def evolved_meter(self) -> np.ndarray:
         """M(dt) = U+ (1 x M) U, the meter after the interaction.
@@ -172,22 +172,22 @@ class MeasuringProcess(_Immutable):
         """The meter's eigh pair (w, q), behind its measure and M(dt)'s."""
         return self._cached("meter_eigh", lambda: np.linalg.eigh(self.meter.matrix))
 
-    def _meter_decomposition(self, tol: Tolerances) -> SpectralDecomposition:
-        """Spectral decomposition of M(dt) under tol, in closed form: its
+    def _meter_decomposition(self) -> SpectralDecomposition:
+        """Spectral decomposition of M(dt), in closed form: its
         eigenvectors U+ (e_s x q_j) carry the meter's w_j, so each cluster is
         valued exactly as in the meter's own decomposition."""
         def make():
             (w, q), d = self._meter_eigh(), self.system_dim
             # column (j, s) is U+ (e_s x q_j): d consecutive columns per w_j
             v = (dagger(self.unitary).reshape(-1, d, self.probe_dim) @ q).swapaxes(1, 2)
-            return _spectral_measure(self.evolved_meter(), w, v.reshape(len(v), -1), tol, d)
-        return self._cached(("meter_decomposition", tol), make)
+            return _spectral_measure(self.evolved_meter(), w, v.reshape(len(v), -1), self.tol, d)
+        return self._cached("meter_decomposition", make)
 
-    def _povm(self, tol: Tolerances):
-        """Meter outcome values under tol with their POVM effects
-        Tr_probe[Q_m (1 x rho0)] on the system, stacked."""
-        dm = self._meter_decomposition(tol)
-        return dm.eigenvalues, self._cached(("povm", tol), lambda: self._probe_average(dm.projectors))
+    def _povm(self):
+        """Meter outcome values with their POVM effects Tr_probe[Q_m (1 x rho0)]
+        on the system, stacked."""
+        dm = self._meter_decomposition()
+        return dm.eigenvalues, self._cached("povm", lambda: self._probe_average(dm.projectors))
 
     def __repr__(self):
         return f"MeasuringProcess(system_dim={self.system_dim}, probe_dim={self.probe_dim})"
@@ -321,15 +321,14 @@ class POVM(_Immutable):
                                            "effects do not sum to the identity")
         self._init_fields(outcomes=outcomes, effects=effs, dim=effs.shape[-1], tol=tol)
 
-    def probabilities(self, rho, tol: Tolerances = None) -> OutcomeDistribution:
-        tol = tol or self.tol
-        return _born(self.outcomes, self.effects, _as_state_matrix(rho, tol), tol)
+    def probabilities(self, rho) -> OutcomeDistribution:
+        return _born(self.outcomes, self.effects, _as_state_matrix(rho, self.tol), self.tol)
 
     def __repr__(self):
         return f"POVM(outcomes={self.outcomes}, dim={self.dim})"
 
 
-def instrument_from_process(mp: MeasuringProcess, tol: Tolerances = None) -> CPInstrument:
+def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
     """The CP instrument induced by reading the meter of a process.
 
     For each spectral value m of the meter with projector Q_m (from the
@@ -343,9 +342,10 @@ def instrument_from_process(mp: MeasuringProcess, tol: Tolerances = None) -> CPI
     is V V+, so its eigenvectors are the left singular vectors and its
     eigenvalues the squared singular values s^2. Operators with
     s^2 <= eq_tol are discarded, and the rest come out ordered by
-    descending Choi eigenvalue.
+    descending Choi eigenvalue. The instrument carries the process's
+    Tolerances.
     """
-    tol = tol or mp.tol
+    tol = mp.tol
     mdec = _spectral_measure(mp.meter.matrix, *mp._meter_eigh(), tol)
     d, dp = mp.system_dim, mp.probe_dim
     lam, phi = np.linalg.eigh(mp.probe_state.matrix)
@@ -368,19 +368,19 @@ def povm_of(instrument: CPInstrument) -> POVM:
     return POVM(instrument.outcomes, instrument._effects, tol=instrument.tol)
 
 
-def outcome_probabilities(instrument: CPInstrument, rho, tol: Tolerances = None) -> OutcomeDistribution:
+def outcome_probabilities(instrument: CPInstrument, rho) -> OutcomeDistribution:
     """Pr{m} = Tr[I(m) rho] = Tr[E_m rho] for each outcome."""
-    tol = tol or instrument.tol
+    tol = instrument.tol
     return _born(instrument.outcomes, instrument._effects, _as_state_matrix(rho, tol), tol)
 
 
-def post_state(instrument: CPInstrument, outcome_set, rho, tol: Tolerances = None) -> DensityOperator:
+def post_state(instrument: CPInstrument, outcome_set, rho) -> DensityOperator:
     """Normalized state after observing an outcome in outcome_set.
 
     Raises ZeroProbabilityError if the conditioning probability is at or
     below eq_tol (zero-probability condition).
     """
-    tol = tol or instrument.tol
+    tol = instrument.tol
     rm = _as_state_matrix(rho, tol)
     unnorm = instrument.apply(rm, outcome_set)
     p = float(np.trace(unnorm).real)
@@ -396,7 +396,7 @@ def luders_instrument(a, tol: Tolerances = DEFAULT_TOL) -> CPInstrument:
     return CPInstrument(dec.eigenvalues, dec.projectors[:, None], tol=tol)
 
 
-def dilate(instrument: CPInstrument, tol: Tolerances = None) -> MeasuringProcess:
+def dilate(instrument: CPInstrument) -> MeasuringProcess:
     """An explicit measuring process realizing a CP instrument.
 
     The probe dimension is the total Kraus count r, with one block of
@@ -408,9 +408,10 @@ def dilate(instrument: CPInstrument, tol: Tolerances = None) -> MeasuringProcess
     V = QR, so the construction is deterministic. The probe starts in the
     pure state |e0> (the first block vector) and the meter takes the
     value outcomes[m] on block m. Reading the meter of the resulting
-    process reproduces the instrument (per-outcome Choi agreement).
+    process reproduces the instrument (per-outcome Choi agreement), and
+    the process carries the instrument's Tolerances.
     """
-    tol = tol or instrument.tol
+    tol = instrument.tol
     d = instrument.dim
     counts = [len(ops) for ops in instrument.kraus]
     probe_dim = sum(counts)
@@ -431,18 +432,20 @@ def dilate(instrument: CPInstrument, tol: Tolerances = None) -> MeasuringProcess
     return MeasuringProcess(probe, u, meter, tol=tol)
 
 
-def instrument_choi_distance(a: CPInstrument, b: CPInstrument, tol: Tolerances = None) -> float:
+def instrument_choi_distance(a: CPInstrument, b: CPInstrument) -> float:
     """Max-abs distance between per-outcome Choi matrices of two instruments.
 
     Outcomes are matched by value, clustered as spectral_decompose clusters
-    eigenvalues; an outcome present on one side only is compared against
-    the zero map.
+    eigenvalues under the instruments' common Tolerances; an outcome
+    present on one side only is compared against the zero map. Raises
+    ValidationError when the two instruments carry different Tolerances.
     """
-    tol = tol or a.tol
+    if a.tol != b.tol:
+        raise ValidationError(f"instruments carry different Tolerances: {a.tol} vs {b.tol}")
     if a.dim != b.dim:
         raise ValidationError("instruments act on different dimensions")
     values = sorted(set(a.outcomes) | set(b.outcomes))
-    label = dict(zip(values, _cluster_labels(values, tol).tolist()))
+    label = dict(zip(values, _cluster_labels(values, a.tol).tolist()))
     sums = np.zeros((2, label[values[-1]] + 1, a.dim ** 2, a.dim ** 2), dtype=complex)
     for side, inst in enumerate((a, b)):
         for i, x in enumerate(inst.outcomes):
@@ -468,29 +471,29 @@ class RepeatabilityReport:
     ar_bound_ok: bool
 
 
-def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float,
-                        tol: Tolerances = None) -> RepeatabilityReport:
+def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> RepeatabilityReport:
     """Check epsilon-repeatability outcome by outcome.
 
-    Outcomes with probability at or below eq_tol are skipped. The residual
-    uses the raw outcome label even when it is not an eigenvalue of A.
-    Residuals cannot be resolved below sqrt(machine eps) times the
-    operator scale dim * max|A_ij|, so the repeatable flag and the AR
-    comparison use that noise floor (or the slack of that scale, whichever
-    is larger) as slack.
+    Each outcome m is conditioned on by its own Kraus family, with the
+    post-measurement state I(m)rho / Pr{m}; outcomes with probability at
+    or below eq_tol are skipped. The residual uses the raw outcome label
+    even when it is not an eigenvalue of A. Residuals cannot be resolved
+    below sqrt(machine eps) times the operator scale dim * max|A_ij|, so
+    the repeatable flag and the AR comparison use that noise floor (or the
+    slack of that scale, whichever is larger) as slack.
     """
-    tol = tol or instrument.tol
+    tol = instrument.tol
     am = _as_observable_matrix(a, tol)
-    rho = rho if isinstance(rho, DensityOperator) else DensityOperator(rho, tol)
-    _check_dims(am, rho.matrix)
+    rm = _as_state_matrix(rho, tol)
+    _check_dims(am, rm)
     scale = float(np.abs(am).max()) * am.shape[0]
     floor = max(_slack(tol, scale), float(np.sqrt(np.finfo(float).eps)) * scale)
     outs, residuals, sds = [], [], []
-    probs = outcome_probabilities(instrument, rho, tol)
-    for x, p in zip(probs.outcomes, probs.probabilities):
+    probs = _born(instrument.outcomes, instrument._effects, rm, tol).probabilities
+    for x, kraus, p in zip(instrument.outcomes, instrument.kraus, probs):
         if p <= tol.eq_tol:
             continue
-        rho_a = post_state(instrument, x, rho, tol)
+        rho_a = DensityOperator(hermitian_part(apply_kraus(kraus, rm)) / p, tol=tol)
         shifted = am - x * np.eye(instrument.dim)
         r2 = np.trace(shifted @ rho_a.matrix @ shifted).real
         outs.append(float(x))

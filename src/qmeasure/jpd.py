@@ -151,21 +151,20 @@ def _before_after(ctx: _Scenario, x: str):
     the projectors P_i x 1, B(dt) the same values with U+ (P_i x 1) U."""
     dx = ctx.decomposition(x)
     p0 = tensor(dx.projectors, np.eye(ctx.mp.probe_dim))
-    after = (ctx.mp._meter_decomposition(ctx.tol) if x == "a"
+    after = (ctx.mp._meter_decomposition() if x == "a"
              else SpectralDecomposition(dx.eigenvalues, ctx.mp._evolve(p0)))
     return p0, after.projectors, _joint(dx.eigenvalues, p0, after.eigenvalues, after.projectors,
                                         ctx.joint(), ctx.tol)
 
 
-def weak_joint_distribution(mp: MeasuringProcess, a, rho,
-                            tol: Tolerances = None) -> JointDistribution:
+def weak_joint_distribution(mp: MeasuringProcess, a, rho) -> JointDistribution:
     """Weak joint distribution of A(0) and M(dt) in rho x rho0.
 
     Always defined, with complex weights; real nonnegative exactly when
     the pair commutes in the state. Marginals are the real Born statistics
     over A's spectral values and over the instrument's outcome values.
     """
-    return _before_after(_Scenario(mp, a, None, rho, tol or mp.tol), "a")[2]
+    return _before_after(_Scenario(mp, a, None, rho), "a")[2]
 
 
 def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
@@ -183,8 +182,7 @@ def _strong_precise(ctx: _Scenario, p0, q, weak: JointDistribution) -> bool:
             and _diagonal_concentrated(_real_part(weak, ctx.tol), ctx.tol))
 
 
-def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong",
-               tol: Tolerances = None) -> bool:
+def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong") -> bool:
     """Whether the process reproduces A exactly in the state rho.
 
     mode "strong": A(0) and M(dt) commute in rho x rho0 and their joint
@@ -194,17 +192,17 @@ def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong",
     """
     if mode not in ("strong", "weak"):
         raise ValidationError(f"mode must be 'strong' or 'weak', got {mode!r}")
-    ctx = _Scenario(mp, a, None, rho, tol or mp.tol)
+    ctx = _Scenario(mp, a, None, rho)
     p0, q, weak = _before_after(ctx, "a")
     if mode == "weak":
         return _diagonal_concentrated(weak, ctx.tol)
     return _strong_precise(ctx, p0, q, weak)
 
 
-def is_nondisturbing(mp: MeasuringProcess, b, rho, tol: Tolerances = None) -> bool:
+def is_nondisturbing(mp: MeasuringProcess, b, rho) -> bool:
     """Whether B(0) and B(dt) commute in rho x rho0 with a diagonal-
     concentrated joint distribution: the strong is_precise test, for B."""
-    ctx = _Scenario(mp, None, b, rho, tol or mp.tol)
+    ctx = _Scenario(mp, None, b, rho)
     return _strong_precise(ctx, *_before_after(ctx, "b"))
 
 
@@ -213,7 +211,7 @@ def _cluster_gap(ctx: _Scenario) -> np.ndarray:
     cluster of their outcome values merged into one sorted run, as one
     (k, d, d) stack: zero exactly when the meter reproduces A's statistics."""
     da = ctx.decomposition("a")
-    m_values, m_effects = ctx.mp._povm(ctx.tol)
+    m_values, m_effects = ctx.mp._povm()
     values = np.concatenate([da.eigenvalues, m_values])
     order = np.argsort(values, kind="stable")
     labels = np.empty(len(values), dtype=int)
@@ -223,11 +221,11 @@ def _cluster_gap(ctx: _Scenario) -> np.ndarray:
     return gap
 
 
-def probability_reproducible(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> bool:
+def probability_reproducible(mp: MeasuringProcess, a, rho) -> bool:
     """Whether the meter statistics in rho reproduce the Born statistics
     of A in rho, matching outcome values within the slack of the largest
     |value|."""
-    ctx = _Scenario(mp, a, None, rho, tol or mp.tol)
+    ctx = _Scenario(mp, a, None, rho)
     gap = np.einsum("kab,ba->k", _cluster_gap(ctx), ctx.rho)
     return bool(np.abs(gap).max() <= max(ctx.tol.eq_tol, 1e-10))
 
@@ -254,7 +252,7 @@ class PrecisionReport:
         return len(set(self.flags())) == 1
 
 
-def theorem2_check(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> PrecisionReport:
+def theorem2_check(mp: MeasuringProcess, a, rho) -> PrecisionReport:
     """Evaluate the four equivalent precision conditions independently.
 
     strong/weak: diagonal concentration of the (weak) joint distribution
@@ -265,7 +263,7 @@ def theorem2_check(mp: MeasuringProcess, a, rho, tol: Tolerances = None) -> Prec
     agree as quadratic forms on that subspace, outcome cluster by outcome
     cluster.
     """
-    return _precision_report(_Scenario(mp, a, None, rho, tol or mp.tol))
+    return _precision_report(_Scenario(mp, a, None, rho))
 
 
 def _precision_report(ctx: _Scenario) -> PrecisionReport:

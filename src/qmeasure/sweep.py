@@ -96,7 +96,7 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
                else random_density_operator(ds, rng, tol))
         mp = random_measuring_process(ds, dp, rng, interaction=interaction, tol=tol)
 
-        ctx = _Scenario(mp, a, b, rho, tol)
+        ctx = _Scenario(mp, a, b, rho)
         report = ctx.ledger()
         lu_eps = ctx.locally_uniform("a")
         lu_eta = ctx.locally_uniform("b")

@@ -208,35 +208,15 @@ class TestExitCodes:
 
 
 class TestSettingsPrecedence:
-    def test_env_var_sets_tolerance(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QMEASURE_TOL", "1e-7")
-        cfg = write_config(tmp_path, gaussian_config())
-        out = str(tmp_path / "out")
-        assert main(["run", cfg, "--out", out]) == EXIT_OK
-        assert read_report(out)["scenario"]["tolerances"]["eq_tol"] == 1e-7
-
-    def test_config_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QMEASURE_TOL", "1e-7")
+    def test_flag_beats_config_and_env(self, tmp_path):
         cfg = gaussian_config()
         cfg["tolerances"] = {"eq_tol": 1e-8}
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "out")
         assert main(["run", path, "--out", out]) == EXIT_OK
         assert read_report(out)["scenario"]["tolerances"]["eq_tol"] == 1e-8
-
-    def test_flag_beats_config_and_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QMEASURE_TOL", "1e-7")
-        cfg = gaussian_config()
-        cfg["tolerances"] = {"eq_tol": 1e-8}
-        path = write_config(tmp_path, cfg)
-        out = str(tmp_path / "out")
         assert main(["run", path, "--out", out, "--tol", "1e-6"]) == EXIT_OK
         assert read_report(out)["scenario"]["tolerances"]["eq_tol"] == 1e-6
-
-    def test_bad_env_var_is_schema(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QMEASURE_TOL", "tiny")
-        cfg = write_config(tmp_path, gaussian_config())
-        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
 
 class TestReportCsv:
@@ -366,13 +346,6 @@ class TestBadNumbers:
         code, err = run_captured(["run", path_, "--out", str(tmp_path / "out")])
         assert code == EXIT_SCHEMA
         assert "schema violation" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("env", ["nan", "inf", "x"])
-    def test_env_tolerance_is_schema_error(self, tmp_path, monkeypatch, env):
-        monkeypatch.setenv("QMEASURE_TOL", env)
-        code, _ = run_captured(["run", write_config(tmp_path, gaussian_config()),
-                                "--out", str(tmp_path / "out")])
-        assert code == EXIT_SCHEMA
 
     @pytest.mark.parametrize("flag", ["--hbar", "--tol"])
     def test_non_finite_flag_is_schema_error(self, tmp_path, flag):

@@ -151,7 +151,7 @@ class TestScenarioReadOrder:
         results = []
         for ledger_first in (True, False):
             built.clear()
-            ctx = edr._Scenario(mp, a, b, rho, mp.tol)
+            ctx = edr._Scenario(mp, a, b, rho)
             if ledger_first:
                 report = ctx.ledger()
             lu = (ctx.locally_uniform("a"), ctx.locally_uniform("b"))

@@ -97,8 +97,16 @@ class TestModels:
             assert np.array_equal(s @ J4 @ s.T, J4)
 
     def test_rejects_non_symplectic(self):
-        with pytest.raises(qm.ValidationError):
-            qm.LinearModel("broken", np.eye(4) * 2.0)
+        for s in (np.eye(4) * 2.0, np.diag([2.0, 1.0, 1.0, 1.0]), np.full((4, 4), np.nan)):
+            with pytest.raises(qm.ValidationError):
+                qm.LinearModel("broken", s)
+
+    def test_accepts_symplectic_with_rounding_residual(self):
+        # a beam splitter: S J S^T misses J by rounding, about 1e-16
+        c, s = np.cos(0.3), np.sin(0.3)
+        bs = np.array([[c, 0.0, s, 0.0], [0.0, c, 0.0, s], [-s, 0.0, c, 0.0], [0.0, -s, 0.0, c]])
+        assert not np.array_equal(bs @ J4 @ bs.T, J4)
+        assert qm.LinearModel("beam_splitter", bs).symplectic is bs
 
     def test_von_neumann_action(self):
         s = qm.build_model(qm.VON_NEUMANN).symplectic

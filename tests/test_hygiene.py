@@ -1,13 +1,19 @@
-"""Source hygiene: every name a module of the package imports is used in it.
+"""Source hygiene: every name a module of the package imports is used in it,
+importing the package pulls in numpy and the stdlib only, and a process,
+instrument or POVM is judged under its own Tolerances, never under a tol
+passed per call.
 
-A stdlib ast scan, so it needs no linter. __init__.py is skipped, since its
-imports are the package's re-exports, and so is the __future__ import of
-annotations.
+Stdlib ast scans, so they need no linter. __init__.py is skipped by the
+import scan, since its imports are the package's re-exports, and so is the
+__future__ import of annotations.
 """
 
 import ast
 import glob
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +43,56 @@ def test_scan_finds_an_unused_import(tmp_path):
     path.write_text("from __future__ import annotations\nimport os\nimport numpy as np\n"
                     "from a.b import c, d\n\nx = np.zeros(c)\n")
     assert unused_imports(str(path)) == ["d", "os"]
+
+
+def test_runtime_imports_are_numpy_only():
+    # modules loaded before the import (site-packages may preload some) do not count
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import qmeasure, qmeasure.cli\n"
+            "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'qmeasure'})))")
+    path = os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert json.loads(out) == []
+
+
+JUDGED = ("MeasuringProcess", "CPInstrument")
+
+
+def tol_overrides(path: str) -> list:
+    """Public functions whose first parameter is annotated MeasuringProcess
+    or CPInstrument, and public methods of those classes and of POVM, that
+    take a tol parameter."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    candidates = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.args.args:
+            first = node.args.args[0].annotation
+            if isinstance(first, ast.Name) and first.id in JUDGED:
+                candidates.append((node.name, node))
+        elif isinstance(node, ast.ClassDef) and node.name in JUDGED + ("POVM",):
+            candidates.extend((f"{node.name}.{f.name}", f) for f in node.body
+                              if isinstance(f, ast.FunctionDef))
+    return sorted(name for name, f in candidates
+                  if not name.split(".")[-1].startswith("_")
+                  and "tol" in [a.arg for a in f.args.args + f.args.kwonlyargs])
+
+
+@pytest.mark.parametrize("module", ["instruments", "edr", "jpd"])
+def test_judged_objects_take_no_tol(module):
+    assert tol_overrides(os.path.join(SRC, module + ".py")) == []
+
+
+def test_scan_finds_a_tol_override(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(mp: MeasuringProcess, a, tol=None): pass\n"
+                    "def g(inst: CPInstrument, *, tol=None): pass\n"
+                    "def h(a, tol=None): pass\n"
+                    "def _k(mp: MeasuringProcess, tol=None): pass\n"
+                    "class POVM:\n"
+                    "    def __init__(self, effects, tol=None): pass\n"
+                    "    def probabilities(self, rho, tol=None): pass\n")
+    assert tol_overrides(str(path)) == ["POVM.probabilities", "f", "g"]

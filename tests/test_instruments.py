@@ -337,12 +337,12 @@ class TestStackedFamilyReferences:
                              ids=[c[0] for c in REFERENCE_CASES])
     def test_stacked_partial_trace_matches_block_sums(self, mp, a, rho):
         dims = (mp.system_dim, mp.probe_dim)
-        stack = mp._meter_decomposition(mp.tol).projectors @ qm.tensor(
+        stack = mp._meter_decomposition().projectors @ qm.tensor(
             np.eye(mp.system_dim), mp.probe_state.matrix)
         for keep in ("first", "second"):
             ref = reference_partial_trace(stack, dims, keep)
             assert np.abs(qm.partial_trace(stack, dims, keep) - ref).max() <= 1e-12
-        effects = mp._povm(mp.tol)[1]
+        effects = mp._povm()[1]
         ref = qm.hermitian_part(reference_partial_trace(stack, dims))
         assert np.abs(effects - ref).max() <= 1e-12
 
@@ -480,6 +480,18 @@ class TestChoiDistance:
         with pytest.raises(qm.ValidationError):
             qm.instrument_choi_distance(a, b)
 
+    def test_tolerance_mismatch_rejected(self):
+        a = qm.luders_instrument(SZ)
+        b = qm.luders_instrument(SZ, qm.Tolerances(eq_tol=1e-6))
+        with pytest.raises(qm.ValidationError, match="different Tolerances"):
+            qm.instrument_choi_distance(a, b)
+
+    def test_round_trip_carries_the_tolerances(self):
+        loose = qm.Tolerances(eq_tol=1e-6)
+        mp = qm.dilate(qm.luders_instrument(SZ, loose))
+        assert mp.tol == loose
+        assert qm.instrument_from_process(mp).tol == loose
+
 
 class TestRepeatability:
     def test_luders_is_repeatable(self):
@@ -534,6 +546,16 @@ class TestRepeatability:
         rho = qm.DensityOperator.pure(KET_PLUS)
         rep = qm.check_repeatability(inst, SZ, rho, epsilon=1.0)
         assert rep.repeatable
+
+    def test_nearby_outcomes_are_conditioned_on_separately(self):
+        # outcomes 0 and 1e-12 lie within the outcome-match slack of each other,
+        # yet each must be conditioned on by its own Kraus family
+        inst = qm.CPInstrument([0.0, 1e-12, 1.0], [[np.diag(e)] for e in np.eye(3)])
+        rep = qm.check_repeatability(inst, np.diag([0.0, 5.0, 1.0]), np.eye(3) / 3, epsilon=4.0)
+        assert rep.outcomes == (0.0, 1e-12, 1.0)
+        assert rep.residuals == pytest.approx((0.0, 5.0, 0.0))
+        assert rep.post_std_devs == (0.0, 0.0, 0.0)
+        assert not rep.repeatable
 
     def test_zero_probability_outcomes_skipped(self):
         inst = qm.luders_instrument(SZ)
