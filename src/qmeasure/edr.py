@@ -8,6 +8,13 @@ state into a mean operator Tr_probe[X (1 x rho0)] and a second-moment
 operator Tr_probe[X^2 (1 x rho0)]; the expectation of the latter in rho
 is the squared rms error epsilon(A)^2 or rms disturbance eta(B)^2.
 
+The error depends on the process only through its POVM and the
+disturbance only through its channel, so both are computed on the system
+from the Kraus operators K of MeasuringProcess: with G = M K - K A (M on
+the probe index) or G = [B, K], the mean is sum K+ G (F(M) - A, T*(B) - B)
+and the moment sum G+ G (F(M^2) - F(M)A - AF(M) + A^2 and
+T*(B^2) - T*(B)B - BT*(B) + B^2), PSD and free of cancellation.
+
 edr_ledger evaluates, in one pass, the breakable Heisenberg-type bound
 epsilon*eta >= (1/2)|<[A,B]>| together with two universally valid
 strengthenings: one adding a commutator correlation term built from the
@@ -40,7 +47,6 @@ from .operators import (
     dagger,
     hermitian_part,
     spectral_decompose,
-    tensor,
 )
 
 def noise_operator(mp: MeasuringProcess, a) -> np.ndarray:
@@ -64,14 +70,22 @@ def rms_disturbance(mp: MeasuringProcess, b, rho) -> float:
     return _Scenario(mp, None, b, rho).figures("b")[0]
 
 
+def _moments(mp: MeasuringProcess, x: str, s: np.ndarray):
+    """(mean, moment) of N(A) (x = "a", s = A) or D(B) (x = "b", s = B)."""
+    k = mp._kraus()
+    first = mp._apply(mp.meter.matrix, probe=True) if x == "a" else mp._apply(s)
+    gf = (first - (k.reshape(-1, len(s)) @ s).reshape(k.shape)).reshape(-1, len(s))
+    return mp._dual(gf.reshape(k.shape)), hermitian_part(dagger(gf) @ gf)
+
+
 def mean_noise_operator(mp: MeasuringProcess, a) -> np.ndarray:
-    """n(A) = Tr_probe[N(A) (1 x rho0)], a system observable."""
-    return mp._probe_average(noise_operator(mp, a))
+    """n(A) = Tr_probe[N(A) (1 x rho0)] = F(M) - A, a system observable."""
+    return _moments(mp, "a", mp._on_system(a, HermitianObservable).matrix)[0]
 
 
 def mean_disturbance_operator(mp: MeasuringProcess, b) -> np.ndarray:
-    """d(B) = Tr_probe[D(B) (1 x rho0)], a system observable."""
-    return mp._probe_average(disturbance_operator(mp, b))
+    """d(B) = Tr_probe[D(B) (1 x rho0)] = T*(B) - B, a system observable."""
+    return _moments(mp, "b", mp._on_system(b, HermitianObservable).matrix)[0]
 
 
 def noise_moment_operator(mp: MeasuringProcess, a) -> np.ndarray:
@@ -80,14 +94,12 @@ def noise_moment_operator(mp: MeasuringProcess, a) -> np.ndarray:
     Positive semidefinite; its expectation in a vector state phi is
     epsilon(A, phi)^2.
     """
-    n = noise_operator(mp, a)
-    return mp._probe_average(n @ n)
+    return _moments(mp, "a", mp._on_system(a, HermitianObservable).matrix)[1]
 
 
 def disturbance_moment_operator(mp: MeasuringProcess, b) -> np.ndarray:
     """Second-moment operator Tr_probe[D(B)^2 (1 x rho0)]."""
-    d = disturbance_operator(mp, b)
-    return mp._probe_average(d @ d)
+    return _moments(mp, "b", mp._on_system(b, HermitianObservable).matrix)[1]
 
 
 @dataclass(frozen=True)
@@ -117,12 +129,9 @@ class EDRReport:
 def edr_ledger(mp: MeasuringProcess, a, b, rho) -> EDRReport:
     """Evaluate the three error-disturbance relations for one scenario.
 
-    D(B) and then N(A) are each built once, in one pass that gives the
-    mean operator (d(B), n(A)) and the second-moment operator, whose
-    expectation in rho is eta^2 (epsilon^2); each is released before the
-    next is built. The results equal those of rms_error, rms_disturbance,
-    mean_noise_operator and mean_disturbance_operator, and every float
-    field is a Python float.
+    One _moments pass per observable gives the figures of rms_error,
+    rms_disturbance and the mean operators; every float field is a Python
+    float.
     """
     return _Scenario(mp, a, b, rho).ledger()
 
@@ -203,14 +212,11 @@ class _Scenario:
 
     A and B (either may be None when only the other is read) are kept as
     HermitianObservable and rho as its matrix, validated on construction.
-    The rest is computed on first use and kept: rho x rho0 for the joint
-    distributions, the eigh pair of rho, and per observable x ("a" or "b")
-    its spectral decomposition, its cyclic subspace, one pass over its
-    composite operator (N(A) for "a", D(B) for "b") and the top eigenvalue
-    of the compressed second moment. Every figure reads these entries, so
-    the figures may be read in any order. A pass keeps only d x d results;
-    its composite operator and that operator's square are released on
-    return.
+    The rest is computed on first use and kept: the eigh pair of rho, and
+    per observable x ("a" or "b") its spectral decomposition, its cyclic
+    subspace, one figure pass (_moments of N(A) for "a", of D(B) for "b")
+    and the top eigenvalue of the compressed second moment. Every figure
+    reads these entries, so the figures may be read in any order.
     """
 
     def __init__(self, mp: MeasuringProcess, a, b, rho):
@@ -226,10 +232,6 @@ class _Scenario:
             self._memo[key] = make()
         return self._memo[key]
 
-    def joint(self) -> np.ndarray:
-        """rho x rho0."""
-        return self._once("joint", lambda: tensor(self.rho, self.mp.probe_state.matrix))
-
     def rho_spectrum(self):
         return self._once("rho_spectrum", lambda: np.linalg.eigh(self.rho))
 
@@ -242,13 +244,10 @@ class _Scenario:
 
     def figures(self, x: str):
         """(rms, mean operator, second-moment operator) of X = N(A) for
-        x = "a", of X = D(B) for x = "b", from one build of X: the mean and
-        second-moment operators are Tr_probe[X (1 x rho0)] and
-        Tr_probe[X^2 (1 x rho0)], and rms^2 = Tr[rho Tr_probe[X^2 (1 x rho0)]]."""
+        x = "a", of X = D(B) for x = "b", from one _moments pass, with
+        rms^2 = Tr[rho Tr_probe[X^2 (1 x rho0)]]."""
         def make():
-            op = (noise_operator if x == "a" else disturbance_operator)(self.mp, self.obs[x])
-            mean = self.mp._probe_average(op)
-            moment = self.mp._probe_average(op @ op)
+            mean, moment = _moments(self.mp, x, self.obs[x].matrix)
             trace = float(np.einsum("ab,ba->", moment, self.rho).real)
             return float(np.sqrt(max(trace, 0.0))), mean, moment
         return self._once(("figures", x), make)
@@ -270,7 +269,6 @@ class _Scenario:
 
     def ledger(self) -> EDRReport:
         am, bm, rm = self.obs["a"].matrix, self.obs["b"].matrix, self.rho
-        # D(B) first: building B(dt) then does not overlap a newly cached M(dt)
         eta, d_mean, _ = self.figures("b")
         eps, n_mean, _ = self.figures("a")
         sig_a = _spectral_std_dev(am, rm, self.rho_spectrum())

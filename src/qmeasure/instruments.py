@@ -27,6 +27,7 @@ from .operators import (
     SpectralDecomposition,
     Tolerances,
     ValidationError,
+    _EPS,
     _Immutable,
     _as_matrix,
     _as_observable_matrix,
@@ -34,7 +35,6 @@ from .operators import (
     _check_dims,
     _cluster_labels,
     _slack,
-    _spectral_measure,
     _spectral_std_dev,
     as_operator,
     dagger,
@@ -96,10 +96,14 @@ class MeasuringProcess(_Immutable):
 
     The system dimension is inferred from the unitary, which acts on
     system x probe. The meter acts on the probe alone. A process is
-    immutable: what depends on it alone (the evolved meter, the eigh pair
-    of the meter, the spectral decomposition of M(dt) and the process POVM)
-    is computed on first use and kept. Every figure of the process is
-    judged under the Tolerances it was built with.
+    immutable: what depends on it alone (the meter's spectral measure, the
+    Kraus tensor, the POVM, and M(dt) when asked for) is computed on first
+    use, kept, and judged under its Tolerances. Figures read it through its
+    Kraus operators K_bl = sqrt(lam_l) (1 x <e_b|) U (1 x |phi_l>), with
+    rho0 = sum lam_l |phi_l><phi_l|, as d_s x d_s products:
+    H(X, Y) = Tr_p[U+ (X x Y) U (1 x rho0)] = sum K_bl+ X Y[b, b'] K_b'l
+    gives the channel T*(X) = H(X, 1) and the POVM effect F(Q_m) = H(1, Q_m)
+    of each meter projector Q_m.
     """
 
     def __init__(self, probe_state: DensityOperator, unitary, meter: HermitianObservable,
@@ -160,34 +164,39 @@ class MeasuringProcess(_Immutable):
         """B(dt) = U+ (B x 1) U, the system observable after the interaction."""
         return self._evolve(self.embedded_system(b))
 
-    def _probe_average(self, op: np.ndarray) -> np.ndarray:
-        """Tr_probe[op (1 x rho0)], Hermitian part, of a composite operator
-        or of each operator of a stack: with op indexed ((i, j), (k, l)) over
-        system x probe, the sum of op[(i, j), (k, l)] rho0[l, j] over j, l."""
-        ds, dp = self.system_dim, self.probe_dim
-        blocks = op.reshape(op.shape[:-2] + (ds, dp, ds, dp))
-        return hermitian_part(np.einsum("...ijkl,lj->...ik", blocks, self.probe_state.matrix))
+    def _meter_measure(self) -> SpectralDecomposition:
+        """The meter's spectral measure, behind every reading of the meter."""
+        return self._cached("meter_measure", lambda: spectral_decompose(self.meter, self.tol))
 
-    def _meter_eigh(self):
-        """The meter's eigh pair (w, q), behind its measure and M(dt)'s."""
-        return self._cached("meter_eigh", lambda: np.linalg.eigh(self.meter.matrix))
-
-    def _meter_decomposition(self) -> SpectralDecomposition:
-        """Spectral decomposition of M(dt), in closed form: its
-        eigenvectors U+ (e_s x q_j) carry the meter's w_j, so each cluster is
-        valued exactly as in the meter's own decomposition."""
+    def _kraus(self) -> np.ndarray:
+        """k[b, a, l, c] = K_bl[a, c], l over the probe eigenvalues above
+        d_p * machine eps, the rounding level of a unit-trace matrix."""
         def make():
-            (w, q), d = self._meter_eigh(), self.system_dim
-            # column (j, s) is U+ (e_s x q_j): d consecutive columns per w_j
-            v = (dagger(self.unitary).reshape(-1, d, self.probe_dim) @ q).swapaxes(1, 2)
-            return _spectral_measure(self.evolved_meter(), w, v.reshape(len(v), -1), self.tol, d)
-        return self._cached("meter_decomposition", make)
+            ds, dp = self.system_dim, self.probe_dim
+            lam, phi = np.linalg.eigh(self.probe_state.matrix)
+            keep = lam > dp * _EPS
+            # t[a, b, c, l] = sum_e U[(a, b), (c, e)] sqrt(lam_l) phi_l[e]
+            t = self.unitary.reshape(ds, dp, ds, dp) @ (phi[:, keep] * np.sqrt(lam[keep]))
+            return np.ascontiguousarray(t.transpose(1, 0, 3, 2))
+        return self._cached("kraus", make)
+
+    def _apply(self, op: np.ndarray, probe: bool = False) -> np.ndarray:
+        """X K_bl, or sum_b' Y[b, b'] K_b'l for op = Y on the probe, shaped
+        like _kraus(); op may be a stack."""
+        k = self._kraus()
+        flat = k.reshape((1, len(k), -1) if probe else k.shape[:2] + (-1,))
+        return (op[..., None, :, :] @ flat).reshape(op.shape[:-2] + k.shape)
+
+    def _dual(self, g: np.ndarray) -> np.ndarray:
+        """sum K_bl+ G_bl, Hermitian part, for g like _kraus() or a stack."""
+        kf, d = self._kraus().reshape(-1, self.system_dim), self.system_dim
+        return hermitian_part(dagger(kf) @ g.reshape(g.shape[:-4] + (-1, d)))
 
     def _povm(self):
-        """Meter outcome values with their POVM effects Tr_probe[Q_m (1 x rho0)]
-        on the system, stacked."""
-        dm = self._meter_decomposition()
-        return dm.eigenvalues, self._cached("povm", lambda: self._probe_average(dm.projectors))
+        """Meter outcome values with their POVM effects E_m, stacked."""
+        dm = self._meter_measure()
+        return dm.eigenvalues, self._cached("povm", lambda: self._dual(
+            self._apply(dm.projectors, probe=True)))
 
     def __repr__(self):
         return f"MeasuringProcess(system_dim={self.system_dim}, probe_dim={self.probe_dim})"
@@ -273,18 +282,18 @@ class CPInstrument(_Immutable):
                           tol=tol, _effects=effects)
 
     def _select(self, outcome_set) -> list:
-        """Indices of outcomes matching a value or iterable of values, within
-        the slack of the largest |outcome|."""
+        """Indices of the outcomes nearest to a value or to each of an
+        iterable of values, each within the slack of the largest |outcome|."""
         if np.isscalar(outcome_set):
             outcome_set = [outcome_set]
         slack = _slack(self.tol, float(np.abs(self.outcomes).max()))
-        idx = []
+        idx = set()
         for target in outcome_set:
-            hits = [i for i, x in enumerate(self.outcomes) if abs(x - float(target)) <= slack]
-            if not hits:
+            gap, i = min((abs(x - float(target)), i) for i, x in enumerate(self.outcomes))
+            if gap > slack:
                 raise ValidationError(f"outcome {target} not found in instrument")
-            idx.extend(hits)
-        return sorted(set(idx))
+            idx.add(i)
+        return sorted(idx)
 
     def apply(self, rho, outcome_set=None) -> np.ndarray:
         """Unnormalized state change I(D)rho, D defaulting to all outcomes."""
@@ -331,36 +340,25 @@ class POVM(_Immutable):
 def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
     """The CP instrument induced by reading the meter of a process.
 
-    For each spectral value m of the meter with projector Q_m (from the
-    process's one eigensolve of the meter, as M(dt)'s measure is),
-    I(m)rho = Tr_probe[(1 x Q_m) U (rho x rho0) U+ (1 x Q_m)]. With the
-    probe spectrum rho0 = sum_l lam_l |phi_l><phi_l| this map has the
-    closed-form Kraus family sqrt(lam_l) (1 x <e_k|Q_m) U (1 x |phi_l>),
-    e_k running over the probe basis; eigenvalues lam_l <= 0, which
-    psd_tol admits, are dropped. The family is reduced to minimal rank by
-    an SVD of the stacked columns vec(K): the Choi matrix of the outcome
-    is V V+, so its eigenvectors are the left singular vectors and its
-    eigenvalues the squared singular values s^2. Operators with
-    s^2 <= eq_tol are discarded, and the rest come out ordered by
-    descending Choi eigenvalue. The instrument carries the process's
-    Tolerances.
+    For each spectral value m of the meter with projector Q_m,
+    I(m)rho = Tr_probe[(1 x Q_m) U (rho x rho0) U+ (1 x Q_m)] has the Kraus
+    family sum_b' Q_m[b, b'] K_b'l over the process's K_bl. It is reduced
+    to minimal rank by an SVD of the stacked columns vec(K): the outcome's
+    Choi matrix is V V+, so its eigenvectors are the left singular vectors
+    and its eigenvalues s^2. Operators with s^2 <= eq_tol are discarded,
+    the rest ordered by descending Choi eigenvalue. The instrument carries
+    the process's Tolerances.
     """
-    tol = mp.tol
-    mdec = _spectral_measure(mp.meter.matrix, *mp._meter_eigh(), tol)
-    d, dp = mp.system_dim, mp.probe_dim
-    lam, phi = np.linalg.eigh(mp.probe_state.matrix)
-    keep = lam > 0
-    # t[a, b, c, l] = sum_e U[(a, b), (c, e)] sqrt(lam_l) phi_l[e]
-    t = mp.unitary.reshape(d, dp, d, dp) @ (phi[:, keep] * np.sqrt(lam[keep]))
+    tol, d, dm = mp.tol, mp.system_dim, mp._meter_measure()
     families = []
-    for q in mdec.projectors:
-        # column (k, l) is vec(K_kl), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
-        v = np.einsum("kb,abcl->cakl", q, t).reshape(d * d, -1)
+    for g in mp._apply(dm.projectors, probe=True):
+        # column (b, l) is vec(G_bl), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
+        v = g.transpose(3, 1, 0, 2).reshape(d * d, -1)
         w, s, _ = np.linalg.svd(v, full_matrices=False)
         rank = int(np.sum(s * s > tol.eq_tol))
         # K_j[a, c] = s_j w[(c, a), j]
         families.append(s[:rank, None, None] * w[:, :rank].T.reshape(rank, d, d).swapaxes(1, 2))
-    return CPInstrument(mdec.eigenvalues, families, tol=tol)
+    return CPInstrument(dm.eigenvalues, families, tol=tol)
 
 
 def povm_of(instrument: CPInstrument) -> POVM:

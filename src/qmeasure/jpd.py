@@ -26,26 +26,28 @@ from .edr import _Scenario
 from .instruments import MeasuringProcess, _born
 from .operators import (
     DEFAULT_TOL,
-    SpectralDecomposition,
     Tolerances,
     ValidationError,
     _as_state_matrix,
     _check_dims,
     _cluster_labels,
     _slack,
+    dagger,
     spectral_decompose,
     tensor,
 )
 
 
-def _commute(p: np.ndarray, q: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> bool:
-    """Whether [P_i, Q_j] sigma = 0 within eq_tol for every pair from two
-    stacks of projectors; stops at the first pair that fails."""
-    _check_dims(p, q, sigma)
-    for pi in p:
-        for qj in q:
-            if float(np.abs((pi @ qj - qj @ pi) @ sigma).max()) > tol.eq_tol:
-                return False
+def _commute(p: np.ndarray, factors, sigma: np.ndarray, tol: Tolerances) -> bool:
+    """Whether [P_i x 1, V V+] sigma = 0 within eq_tol for a stack of P_i,
+    acting on the leading index of V's rows, and every V of the factors (a
+    projector is its own); one pass per V, stopping at the first failure."""
+    d = p.shape[-1]
+    for v in factors:
+        pv = (p @ v.reshape(d, -1)).reshape((len(p),) + v.shape)
+        comm = pv @ (dagger(v) @ sigma) - v @ (dagger(pv) @ sigma)
+        if float(np.abs(comm).max()) > tol.eq_tol:
+            return False
     return True
 
 
@@ -55,8 +57,10 @@ def commute_in_state(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> bool:
     Commutation in a state is weaker than operator commutation: it only
     constrains the support of rho.
     """
-    return _commute(spectral_decompose(x, tol).projectors, spectral_decompose(y, tol).projectors,
-                    _as_state_matrix(rho, tol), tol)
+    px, py = spectral_decompose(x, tol).projectors, spectral_decompose(y, tol).projectors
+    sigma = _as_state_matrix(rho, tol)
+    _check_dims(px, py, sigma)
+    return _commute(px, py, sigma, tol)
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,8 @@ class JointDistribution:
 
 def _joint(x_atoms, p: np.ndarray, y_atoms, q: np.ndarray, sigma: np.ndarray,
            tol: Tolerances) -> JointDistribution:
-    """Complex weights W[i, j] = Tr[P_i Q_j sigma] from stacks of projectors
-    with their values.
+    """Complex weights W[i, j] = Tr[P_i Q_j sigma] from stacks of effects
+    (projectors, or POVM effects for Q) with their values.
 
     Raises if the total strays from 1 or a marginal from the Born
     distribution of its stack in sigma.
@@ -127,6 +131,7 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     """
     dx, dy = spectral_decompose(x, tol), spectral_decompose(y, tol)
     sigma = _as_state_matrix(rho, tol)
+    _check_dims(dx.projectors, dy.projectors, sigma)
     if not _commute(dx.projectors, dy.projectors, sigma, tol):
         raise ValidationError("observables do not commute in the state")
     return _real_part(_joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors,
@@ -145,16 +150,14 @@ def gauss_rms(jd: JointDistribution) -> float:
 
 
 def _before_after(ctx: _Scenario, x: str):
-    """Projectors of X(0) and of its partner after the interaction, M(dt)
-    for x = "a" and B(dt) for x = "b", and their weak joint distribution
-    in rho x rho0, all in closed form: X(0) = X x 1 has X's values with
-    the projectors P_i x 1, B(dt) the same values with U+ (P_i x 1) U."""
-    dx = ctx.decomposition(x)
-    p0 = tensor(dx.projectors, np.eye(ctx.mp.probe_dim))
-    after = (ctx.mp._meter_decomposition() if x == "a"
-             else SpectralDecomposition(dx.eigenvalues, ctx.mp._evolve(p0)))
-    return p0, after.projectors, _joint(dx.eigenvalues, p0, after.eigenvalues, after.projectors,
-                                        ctx.joint(), ctx.tol)
+    """The weak joint distribution in rho x rho0 of X(0) = X x 1 and its
+    partner after the interaction, M(dt) for x = "a" and B(dt) for x = "b",
+    from system operators alone: Tr[P_i E_j rho] with E_j the process POVM
+    for "a" and T*(P_j) for "b"."""
+    mp, dx = ctx.mp, ctx.decomposition(x)
+    values, effects = (mp._povm() if x == "a"
+                       else (dx.eigenvalues, mp._dual(mp._apply(dx.projectors))))
+    return _joint(dx.eigenvalues, dx.projectors, values, effects, ctx.rho, ctx.tol)
 
 
 def weak_joint_distribution(mp: MeasuringProcess, a, rho) -> JointDistribution:
@@ -164,7 +167,7 @@ def weak_joint_distribution(mp: MeasuringProcess, a, rho) -> JointDistribution:
     the pair commutes in the state. Marginals are the real Born statistics
     over A's spectral values and over the instrument's outcome values.
     """
-    return _before_after(_Scenario(mp, a, None, rho), "a")[2]
+    return _before_after(_Scenario(mp, a, None, rho), "a")
 
 
 def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
@@ -175,10 +178,17 @@ def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
     return not bool((off & (np.abs(jd.weights) > tol.eq_tol)).any())
 
 
-def _strong_precise(ctx: _Scenario, p0, q, weak: JointDistribution) -> bool:
-    """The pair of _before_after commutes in rho x rho0 and its joint
-    distribution, the real part of the weak one, sits on the diagonal."""
-    return (_commute(p0, q, ctx.joint(), ctx.tol)
+def _strong_precise(ctx: _Scenario, x: str, weak: JointDistribution) -> bool:
+    """The pair of _before_after commutes in rho x rho0, the after-projectors
+    taken as thin factors V V+ (U+ (e_s x q_j) per meter value, U+ (u_j x e_k)
+    per value of B), and the real part of the weak distribution is diagonal."""
+    mp = ctx.mp
+    ud = dagger(mp.unitary).reshape(-1, mp.system_dim, mp.probe_dim)  # columns (s, k)
+    w, vecs = np.linalg.eigh((mp.meter if x == "a" else ctx.obs["b"]).matrix)
+    blocks = np.split(vecs, np.flatnonzero(np.diff(_cluster_labels(w, ctx.tol))) + 1, axis=1)
+    factors = ((ud @ v if x == "a" else ud.swapaxes(1, 2) @ v).reshape(len(ud), -1) for v in blocks)
+    sigma = tensor(ctx.rho, mp.probe_state.matrix)
+    return (_commute(ctx.decomposition(x).projectors, factors, sigma, ctx.tol)
             and _diagonal_concentrated(_real_part(weak, ctx.tol), ctx.tol))
 
 
@@ -193,17 +203,17 @@ def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong") -> bool:
     if mode not in ("strong", "weak"):
         raise ValidationError(f"mode must be 'strong' or 'weak', got {mode!r}")
     ctx = _Scenario(mp, a, None, rho)
-    p0, q, weak = _before_after(ctx, "a")
+    weak = _before_after(ctx, "a")
     if mode == "weak":
         return _diagonal_concentrated(weak, ctx.tol)
-    return _strong_precise(ctx, p0, q, weak)
+    return _strong_precise(ctx, "a", weak)
 
 
 def is_nondisturbing(mp: MeasuringProcess, b, rho) -> bool:
     """Whether B(0) and B(dt) commute in rho x rho0 with a diagonal-
     concentrated joint distribution: the strong is_precise test, for B."""
     ctx = _Scenario(mp, None, b, rho)
-    return _strong_precise(ctx, *_before_after(ctx, "b"))
+    return _strong_precise(ctx, "b", _before_after(ctx, "b"))
 
 
 def _cluster_gap(ctx: _Scenario) -> np.ndarray:
@@ -270,12 +280,12 @@ def _precision_report(ctx: _Scenario) -> PrecisionReport:
     """theorem2_check of a scenario; the strong and weak flags share one
     weight matrix, eps_zero_on_cyclic the locally uniform top eigenvalue."""
     tol = ctx.tol
-    p0, q, weak = _before_after(ctx, "a")
+    weak = _before_after(ctx, "a")
     pc = ctx.cyclic("a").projector()
     repro = float(np.abs(pc @ _cluster_gap(ctx) @ pc).max()) <= max(tol.eq_tol, 1e-9)
     a_scale = float(np.abs(ctx.obs["a"].matrix).max())
     return PrecisionReport(
-        strong_precise=bool(_strong_precise(ctx, p0, q, weak)),
+        strong_precise=bool(_strong_precise(ctx, "a", weak)),
         weak_precise=bool(_diagonal_concentrated(weak, tol)),
         eps_zero_on_cyclic=bool(ctx.top("a") <= _slack(tol, a_scale ** 2)),
         prob_repro_on_cyclic=bool(repro),

@@ -155,3 +155,53 @@ def reference_partial_trace(stack, dims, keep: str = "first") -> np.ndarray:
         return np.stack([sum(z[j::d2, j::d2] for j in range(d2)) for z in stack])
     return np.stack([sum(z[i * d2:(i + 1) * d2, i * d2:(i + 1) * d2] for i in range(d1))
                      for z in stack])
+
+
+def composite_cases():
+    """(name, process, A, B, rho) for checking the instrument-side figures
+    against their composite definitions: Haar couplings up to dimension
+    12 with mixed and pure probes, a degenerate meter, identity couplings,
+    and dilated instruments (Lueders and random)."""
+    cases = []
+    for i, (ds, dp, pure) in enumerate(((2, 3, False), (3, 2, True), (4, 4, False),
+                                        (12, 2, True), (2, 12, False), (5, 4, True))):
+        rng = qm.rng_from(520, i)
+        cases.append((f"haar-{ds}x{dp}-{'pure' if pure else 'mixed'}",
+                      qm.random_measuring_process(ds, dp, rng, pure_probe=pure),
+                      qm.random_hermitian(ds, rng), qm.random_hermitian(ds, rng),
+                      qm.random_density_operator(ds, rng)))
+    rng = qm.rng_from(521)
+    w = qm.haar_unitary(4, rng)
+    meter = qm.HermitianObservable(w @ np.diag([1.0, 1.0, -1.0, 2.0]) @ qm.dagger(w))
+    cases.append(("degenerate-meter", qm.MeasuringProcess(qm.random_density_operator(4, rng),
+                                                         qm.haar_unitary(12, rng), meter),
+                  qm.random_hermitian(3, rng), qm.random_hermitian(3, rng),
+                  qm.random_pure_state(3, rng)))
+    cases.append(("identity", qm.random_measuring_process(3, 3, rng, interaction="identity"),
+                  qm.random_hermitian(3, rng), qm.random_hermitian(3, rng),
+                  qm.random_density_operator(3, rng)))
+    a = qm.random_hermitian(4, rng)
+    cases.append(("dilated-luders", qm.dilate(qm.luders_instrument(a)), a,
+                  qm.random_hermitian(4, rng), qm.random_density_operator(4, rng)))
+    cases.append(("dilated-random", qm.dilate(qm.random_cp_instrument(3, 3, rng)),
+                  qm.random_hermitian(3, rng), qm.random_hermitian(3, rng),
+                  qm.random_density_operator(3, rng)))
+    return cases
+
+
+def reference_strong_face(x_projectors, x_values, y_projectors, y_values, sigma,
+                          tol: qm.Tolerances = qm.DEFAULT_TOL) -> bool:
+    """The strong face on composite projector stacks by a double loop over
+    pairs: [P_i, Q_j] sigma = 0 within eq_tol for every pair, and no weight
+    Tr[P_i Q_j sigma] of an atom off the diagonal (beyond the slack of the
+    largest |value|) above eq_tol. The reference for qm.is_precise in
+    strong mode and qm.is_nondisturbing."""
+    for p in x_projectors:
+        for q in y_projectors:
+            if float(np.abs((p @ q - q @ p) @ sigma).max()) > tol.eq_tol:
+                return False
+    w = reference_joint_weights(x_projectors, y_projectors, sigma)
+    x, y = np.asarray(x_values), np.asarray(y_values)
+    scale = max(np.abs(x).max(), np.abs(y).max())
+    off = np.abs(x[:, None] - y[None, :]) > max(tol.eq_tol, np.finfo(float).eps) * scale
+    return not bool((off & (np.abs(w.real) > tol.eq_tol)).any())

@@ -13,6 +13,7 @@ from helpers import (
     SY,
     SZ,
     cnot_process,
+    composite_cases,
     dilated_luders,
     identity_coupling_process,
     reference_cases,
@@ -112,52 +113,63 @@ class TestMomentOperators:
         assert abs(top - qm.locally_uniform_rms_disturbance(mp, b, rho) ** 2) <= 1e-12 * scale
 
 
-class TestProbeAverage:
-    @pytest.mark.parametrize("ds, dp", [(2, 3), (3, 2)])
-    def test_matches_block_sum_reference(self, ds, dp):
-        # unequal dimensions both ways and a complex full-rank probe, so a
-        # swapped system/probe index or a transposed rho0 shows
+def probe_average_cases():
+    """(name, process, A, B): two processes with unequal dimensions both
+    ways and a complex full-rank probe, so that a swapped system/probe
+    index or a transposed rho0 shows, then the composite_cases."""
+    cases = []
+    for ds, dp in ((2, 3), (3, 2)):
         rng = qm.rng_from(310, ds)
         mp = qm.random_measuring_process(ds, dp, rng, pure_probe=False)
         rho0 = mp.probe_state.matrix
         assert np.linalg.matrix_rank(rho0) == dp and np.abs(rho0.imag).max() > 1e-2
-        n = ds * dp
-        stack = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
-        a = qm.random_hermitian(ds, rng)
-        noise = qm.noise_operator(mp, a)
-        for got, ops in ((mp._probe_average(stack), stack),
-                         (mp._probe_average(stack[1]), stack[1]),
-                         (qm.mean_noise_operator(mp, a), noise),
-                         (qm.noise_moment_operator(mp, a), noise @ noise)):
-            want = qm.hermitian_part(reference_partial_trace(
-                np.reshape(ops @ np.kron(np.eye(ds), rho0), (-1, n, n)), (ds, dp)))
-            assert got.shape == ops.shape[:-2] + (ds, ds)
-            assert np.abs(got - want.reshape(got.shape)).max() <= 1e-12 * np.abs(ops).max()
+        cases.append((f"{ds}-{dp}", mp, qm.random_hermitian(ds, rng), qm.random_hermitian(ds, rng)))
+    return cases + [c[:4] for c in composite_cases()]
+
+
+PROBE_AVERAGE_CASES = probe_average_cases()
+
+
+class TestProbeAverage:
+    @pytest.mark.parametrize("mp, a, b", [c[1:] for c in PROBE_AVERAGE_CASES],
+                             ids=[c[0] for c in PROBE_AVERAGE_CASES])
+    def test_matches_block_sum_reference(self, mp, a, b):
+        # the mean and moment operators, computed from the process's Kraus
+        # operators, against Tr_p[X (1 x rho0)] of the composite N(A), D(B)
+        # and their squares by block sums, within 1e-12 of the scale of X
+        ds, dp = mp.system_dim, mp.probe_dim
+        lift = np.kron(np.eye(ds), mp.probe_state.matrix)
+        noise, dist = qm.noise_operator(mp, a), qm.disturbance_operator(mp, b)
+        for got, op in ((qm.mean_noise_operator(mp, a), noise),
+                        (qm.noise_moment_operator(mp, a), noise @ noise),
+                        (qm.mean_disturbance_operator(mp, b), dist),
+                        (qm.disturbance_moment_operator(mp, b), dist @ dist)):
+            want = qm.hermitian_part(reference_partial_trace([op @ lift], (ds, dp))[0])
+            assert got.shape == (ds, ds)
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(op).max(), 1.0)
 
 
 class TestScenarioReadOrder:
     def test_ledger_and_locally_uniform_share_one_pass(self, monkeypatch):
         # whichever is read first, the ledger and the locally uniform figures
-        # give the same floats from one build of N(A) and one of D(B)
-        built = []
-        for name in ("noise_operator", "disturbance_operator"):
-            real = getattr(edr, name)
-            monkeypatch.setattr(edr, name, lambda *args, real=real, name=name:
-                                built.append(name) or real(*args))
+        # give the same floats from one figure pass per observable
+        passes = []
+        real = edr._moments
+        monkeypatch.setattr(edr, "_moments", lambda mp, x, s: passes.append(x) or real(mp, x, s))
         rng = qm.rng_from(311)
         mp = qm.random_measuring_process(3, 2, rng)
         a, b = qm.random_hermitian(3, rng), qm.random_hermitian(3, rng)
         rho = qm.random_density_operator(3, rng)
         results = []
         for ledger_first in (True, False):
-            built.clear()
+            passes.clear()
             ctx = edr._Scenario(mp, a, b, rho)
             if ledger_first:
                 report = ctx.ledger()
             lu = (ctx.locally_uniform("a"), ctx.locally_uniform("b"))
             if not ledger_first:
                 report = ctx.ledger()
-            assert sorted(built) == ["disturbance_operator", "noise_operator"]
+            assert sorted(passes) == ["a", "b"]
             results.append((report, lu))
         assert results[0] == results[1]
 

@@ -336,9 +336,12 @@ class TestStackedFamilyReferences:
     @pytest.mark.parametrize("mp, a, rho", [c[1:] for c in REFERENCE_CASES],
                              ids=[c[0] for c in REFERENCE_CASES])
     def test_stacked_partial_trace_matches_block_sums(self, mp, a, rho):
+        # the projectors U+ (1 x Q_m) U of M(dt), times 1 x rho0
         dims = (mp.system_dim, mp.probe_dim)
-        stack = mp._meter_decomposition().projectors @ qm.tensor(
-            np.eye(mp.system_dim), mp.probe_state.matrix)
+        meter = qm.spectral_decompose(mp.meter)
+        lifted = np.stack([np.kron(np.eye(mp.system_dim), q) for q in meter.projectors])
+        evolved = qm.dagger(mp.unitary) @ lifted @ mp.unitary
+        stack = evolved @ qm.tensor(np.eye(mp.system_dim), mp.probe_state.matrix)
         for keep in ("first", "second"):
             ref = reference_partial_trace(stack, dims, keep)
             assert np.abs(qm.partial_trace(stack, dims, keep) - ref).max() <= 1e-12
@@ -396,6 +399,19 @@ class TestPostState:
         rho = qm.DensityOperator.maximally_mixed(3)
         post = qm.post_state(inst, [0.0, 1.0], rho)
         assert np.allclose(post.matrix, np.diag([0.5, 0.5, 0.0]))
+
+    def test_nearby_outcomes_are_selected_separately(self):
+        # outcomes 0 and 1e-12 lie within the match slack of each other; a
+        # requested value selects only the nearest outcome
+        inst = qm.CPInstrument([0.0, 1e-12, 1.0], [[np.diag(e)] for e in np.eye(3)])
+        rho = np.eye(3) / 3
+        for value, kept in ((0.0, 0), (1e-12, 1), (1.0, 2), (1.0 + 1e-13, 2)):
+            want = np.diag(np.eye(3)[kept])
+            assert np.array_equal(qm.post_state(inst, value, rho).matrix, want)
+            assert np.array_equal(inst.apply(rho, value), want / 3)
+        assert np.allclose(qm.post_state(inst, [0.0, 1e-12], rho).matrix, np.diag([0.5, 0.5, 0.0]))
+        with pytest.raises(qm.ValidationError, match="not found"):
+            inst.apply(rho, 0.5)
 
 
 class TestDilation:

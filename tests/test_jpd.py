@@ -9,11 +9,14 @@ from helpers import (
     SX,
     SZ,
     cnot_process,
+    composite_cases,
     dilated_luders,
     identity_coupling_process,
     independent_meter_process,
     reference_cases,
     reference_joint_weights,
+    reference_partial_trace,
+    reference_strong_face,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -421,6 +424,64 @@ class TestClusterChain:
         rho = qm.DensityOperator.pure(KET_PLUS)
         assert qm.theorem2_check(mp, a, rho).prob_repro_on_cyclic
         assert qm.probability_reproducible(mp, a, rho)
+
+
+COMPOSITE_CASES = composite_cases()
+
+
+def composite_pairs(mp, x, rho):
+    """Composite projector stacks of X(0) = X x 1, with X's values, and of
+    B(dt) = U+ (X x 1) U and M(dt), each from its own decomposition, with
+    rho x rho0."""
+    dp = mp.probe_dim
+    dx = qm.spectral_decompose(x)
+    before = np.stack([np.kron(p, np.eye(dp)) for p in dx.projectors])
+    after = qm.dagger(mp.unitary) @ before @ mp.unitary
+    return dx, before, after, qm.spectral_decompose(mp.evolved_meter()), mp.composite_state(rho)
+
+
+class TestInstrumentSideMatchesComposite:
+    """The POVM, the joint weights and the strong faces, computed from the
+    process's d_s x d_s Kraus operators and thin after-factors, against
+    their composite definitions (the mean and moment operators are in
+    test_edr.TestProbeAverage)."""
+
+    @pytest.mark.parametrize("mp, a, b, rho", [c[1:] for c in COMPOSITE_CASES],
+                             ids=[c[0] for c in COMPOSITE_CASES])
+    def test_povm_and_joint_weights(self, mp, a, b, rho):
+        dims = (mp.system_dim, mp.probe_dim)
+        lift = np.kron(np.eye(mp.system_dim), mp.probe_state.matrix)
+        _, before, _, dm, sigma = composite_pairs(mp, a, rho)
+        values, effects = mp._povm()
+        assert np.abs(values - dm.eigenvalues).max() <= 1e-12 * np.abs(values).max()
+        want = qm.hermitian_part(reference_partial_trace(dm.projectors @ lift, dims))
+        assert np.abs(effects - want).max() <= 1e-12
+        weak = qm.weak_joint_distribution(mp, a, rho).weights
+        assert np.abs(weak - reference_joint_weights(before, dm.projectors, sigma)).max() <= 1e-12
+        _, before, after, _, sigma = composite_pairs(mp, b, rho)
+        ctx = qm.edr._Scenario(mp, None, b, rho)
+        pair = qm.jpd._before_after(ctx, "b").weights
+        assert np.abs(pair - reference_joint_weights(before, after, sigma)).max() <= 1e-12
+
+    @pytest.mark.parametrize("mp, a, b, rho", [c[1:] for c in COMPOSITE_CASES],
+                             ids=[c[0] for c in COMPOSITE_CASES])
+    def test_strong_faces(self, mp, a, b, rho):
+        dx, before, _, dm, sigma = composite_pairs(mp, a, rho)
+        assert qm.is_precise(mp, a, rho, mode="strong") == reference_strong_face(
+            before, dx.eigenvalues, dm.projectors, dm.eigenvalues, sigma)
+        for x in (a, b):
+            dx, before, after, _, sigma = composite_pairs(mp, x, rho)
+            assert qm.is_nondisturbing(mp, x, rho) == reference_strong_face(
+                before, dx.eigenvalues, after, dx.eigenvalues, sigma)
+
+    def test_strong_faces_decide_both_ways(self):
+        # the cases above hold precise and imprecise, disturbing and
+        # nondisturbing processes, so a face stuck at one value shows
+        flags = {(name, qm.is_precise(mp, a, rho, mode="strong"), qm.is_nondisturbing(mp, b, rho))
+                 for name, mp, a, b, rho in COMPOSITE_CASES}
+        assert {p for _, p, _ in flags} == {True, False}
+        assert {d for _, _, d in flags} == {True, False}
+        assert ("dilated-luders", True, False) in flags and ("identity", False, True) in flags
 
 
 def split_meter_process(gap: float) -> qm.MeasuringProcess:
