@@ -38,7 +38,7 @@ from .operators import (
     Tolerances,
     ValidationError,
     _as_observable_matrix,
-    _as_state_matrix,
+    _as_state,
     _check_dims,
     _robertson,
     _slack,
@@ -174,15 +174,15 @@ def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     the target; locally uniform error/disturbance are suprema over it.
     """
     am = _as_observable_matrix(a, tol)
-    rm = _as_state_matrix(rho, tol)
-    _check_dims(am, rm)
-    return _cyclic_subspace(spectral_decompose(am, tol), np.linalg.eigh(rm), tol)
+    rho = _as_state(rho, tol)
+    _check_dims(am, rho.matrix)
+    return _cyclic_subspace(spectral_decompose(am, tol), rho, tol)
 
 
-def _cyclic_subspace(dec, rho_spectrum, tol: Tolerances) -> Subspace:
-    """cyclic_subspace from the decomposition of A and the eigh pair of rho;
+def _cyclic_subspace(dec, rho: DensityOperator, tol: Tolerances) -> Subspace:
+    """cyclic_subspace from the decomposition of A and the spectrum of rho;
     column k * #P + i of the spanning set is P_i phi_k."""
-    w, v = rho_spectrum
+    w, v = rho.spectrum
     phi = v[:, w > tol.eq_tol]
     if phi.shape[1] == 0:
         raise ValidationError("state has no eigenvalue above eq_tol")
@@ -211,9 +211,9 @@ class _Scenario:
     with every intermediate shared by its figures computed once.
 
     A and B (either may be None when only the other is read) are kept as
-    HermitianObservable and rho as its matrix, validated on construction.
-    The rest is computed on first use and kept: the eigh pair of rho, and
-    per observable x ("a" or "b") its spectral decomposition, its cyclic
+    HermitianObservable and rho as DensityOperator, with its spectrum,
+    validated on construction. The rest is computed on first use and kept,
+    per observable x ("a" or "b"): its spectral decomposition, its cyclic
     subspace, one figure pass (_moments of N(A) for "a", of D(B) for "b")
     and the top eigenvalue of the compressed second moment. Every figure
     reads these entries, so the figures may be read in any order.
@@ -224,7 +224,7 @@ class _Scenario:
         self.tol = mp.tol
         self.obs = {x: mp._on_system(op, HermitianObservable)
                     for x, op in (("a", a), ("b", b)) if op is not None}
-        self.rho = mp._on_system(rho, DensityOperator).matrix
+        self.rho = mp._on_system(rho, DensityOperator)
         self._memo = {}
 
     def _once(self, key, make):
@@ -232,15 +232,12 @@ class _Scenario:
             self._memo[key] = make()
         return self._memo[key]
 
-    def rho_spectrum(self):
-        return self._once("rho_spectrum", lambda: np.linalg.eigh(self.rho))
-
     def decomposition(self, x: str):
         return self._once(("decomposition", x), lambda: spectral_decompose(self.obs[x], self.tol))
 
     def cyclic(self, x: str) -> Subspace:
         return self._once(("cyclic", x), lambda: _cyclic_subspace(
-            self.decomposition(x), self.rho_spectrum(), self.tol))
+            self.decomposition(x), self.rho, self.tol))
 
     def figures(self, x: str):
         """(rms, mean operator, second-moment operator) of X = N(A) for
@@ -248,7 +245,7 @@ class _Scenario:
         rms^2 = Tr[rho Tr_probe[X^2 (1 x rho0)]]."""
         def make():
             mean, moment = _moments(self.mp, x, self.obs[x].matrix)
-            trace = float(np.einsum("ab,ba->", moment, self.rho).real)
+            trace = float(np.einsum("ab,ba->", moment, self.rho.matrix).real)
             return float(np.sqrt(max(trace, 0.0))), mean, moment
         return self._once(("figures", x), make)
 
@@ -268,11 +265,11 @@ class _Scenario:
         return bool(lhs >= bound - _slack(self.tol, scale))
 
     def ledger(self) -> EDRReport:
-        am, bm, rm = self.obs["a"].matrix, self.obs["b"].matrix, self.rho
+        am, bm, rm = self.obs["a"].matrix, self.obs["b"].matrix, self.rho.matrix
         eta, d_mean, _ = self.figures("b")
         eps, n_mean, _ = self.figures("a")
-        sig_a = _spectral_std_dev(am, rm, self.rho_spectrum())
-        sig_b = _spectral_std_dev(bm, rm, self.rho_spectrum())
+        sig_a = _spectral_std_dev(am, self.rho)
+        sig_b = _spectral_std_dev(bm, self.rho)
         bound = _robertson(am, bm, rm)
         corr = float(abs(np.trace((commutator(n_mean, bm) + commutator(am, d_mean)) @ rm)))
         product = eps * eta

@@ -69,8 +69,8 @@ class GaussianState(_Immutable):
     """Mean (q, p) and 2x2 covariance of one canonical pair, immutable,
     with read-only arrays.
 
-    Admissibility requires det(cov) >= (hbar/2)^2, the uncertainty bound
-    for Gaussian states, within the slack of (hbar/2)^2.
+    Admissible: cov symmetric within the slack of max|cov_ij|, cov_qq > 0,
+    and det(cov) >= (hbar/2)^2, the uncertainty bound, within its slack.
     """
 
     def __init__(self, mean, cov, constants: PhysicalConstants = DEFAULT_CONSTANTS,
@@ -83,15 +83,15 @@ class GaussianState(_Immutable):
             raise ValidationError("cov must be 2x2")
         if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
             raise ValidationError("Gaussian moments must be finite")
-        if abs(cov[0, 1] - cov[1, 0]) > tol.eq_tol:
+        if abs(cov[0, 1] - cov[1, 0]) > _slack(tol, float(np.abs(cov).max())):
             raise ValidationError("cov must be symmetric")
         cov = 0.5 * (cov + cov.T)
-        if float(np.linalg.eigvalsh(cov).min()) < tol.psd_tol:
-            raise ValidationError("cov must be positive semidefinite")
         bound = (constants.hbar / 2.0) ** 2
         if float(np.linalg.det(cov)) < bound - _slack(tol, bound):
             raise ValidationError(
                 f"cov violates the uncertainty bound: det {np.linalg.det(cov)} < {bound}")
+        if not cov[0, 0] > 0:  # with det > 0, the 2x2 criterion for cov > 0
+            raise ValidationError("cov must be positive semidefinite")
         mean.setflags(write=False)
         cov.setflags(write=False)
         self._init_fields(mean=mean, cov=cov, constants=constants)
@@ -174,9 +174,10 @@ def propagate(model: LinearModel, joint_mean, joint_cov, tol: Tolerances = DEFAU
         raise ValidationError("joint mean must have 4 components")
     if v.shape != (4, 4):
         raise ValidationError("joint covariance must be 4x4")
-    if float(np.abs(v - v.T).max()) > tol.eq_tol:
+    slack = _slack(tol, float(np.abs(v).max()))
+    if float(np.abs(v - v.T).max()) > slack:
         raise ValidationError("joint covariance must be symmetric")
-    if float(np.linalg.eigvalsh(0.5 * (v + v.T)).min()) < tol.psd_tol:
+    if float(np.linalg.eigvalsh(0.5 * (v + v.T)).min()) < -slack:
         raise ValidationError("joint covariance must be positive semidefinite")
     s = model.symplectic
     out_cov = s @ v @ s.T

@@ -31,7 +31,7 @@ from .operators import (
     _Immutable,
     _as_matrix,
     _as_observable_matrix,
-    _as_state_matrix,
+    _as_state,
     _check_dims,
     _cluster_labels,
     _slack,
@@ -88,7 +88,7 @@ def _born(outcomes, effects: np.ndarray, rm: np.ndarray, tol: Tolerances) -> Out
 def born_distribution(a, rho, tol: Tolerances = DEFAULT_TOL) -> OutcomeDistribution:
     """Outcome statistics Pr{a_i} = Tr[P_i rho] of an observable in a state."""
     dec = spectral_decompose(a, tol)
-    return _born(dec.eigenvalues, dec.projectors, _as_state_matrix(rho, tol), tol)
+    return _born(dec.eigenvalues, dec.projectors, _as_state(rho, tol).matrix, tol)
 
 
 class MeasuringProcess(_Immutable):
@@ -173,7 +173,7 @@ class MeasuringProcess(_Immutable):
         d_p * machine eps, the rounding level of a unit-trace matrix."""
         def make():
             ds, dp = self.system_dim, self.probe_dim
-            lam, phi = np.linalg.eigh(self.probe_state.matrix)
+            lam, phi = self.probe_state.spectrum
             keep = lam > dp * _EPS
             # t[a, b, c, l] = sum_e U[(a, b), (c, e)] sqrt(lam_l) phi_l[e]
             t = self.unitary.reshape(ds, dp, ds, dp) @ (phi[:, keep] * np.sqrt(lam[keep]))
@@ -331,7 +331,7 @@ class POVM(_Immutable):
         self._init_fields(outcomes=outcomes, effects=effs, dim=effs.shape[-1], tol=tol)
 
     def probabilities(self, rho) -> OutcomeDistribution:
-        return _born(self.outcomes, self.effects, _as_state_matrix(rho, self.tol), self.tol)
+        return _born(self.outcomes, self.effects, _as_state(rho, self.tol).matrix, self.tol)
 
     def __repr__(self):
         return f"POVM(outcomes={self.outcomes}, dim={self.dim})"
@@ -369,7 +369,7 @@ def povm_of(instrument: CPInstrument) -> POVM:
 def outcome_probabilities(instrument: CPInstrument, rho) -> OutcomeDistribution:
     """Pr{m} = Tr[I(m) rho] = Tr[E_m rho] for each outcome."""
     tol = instrument.tol
-    return _born(instrument.outcomes, instrument._effects, _as_state_matrix(rho, tol), tol)
+    return _born(instrument.outcomes, instrument._effects, _as_state(rho, tol).matrix, tol)
 
 
 def post_state(instrument: CPInstrument, outcome_set, rho) -> DensityOperator:
@@ -379,7 +379,7 @@ def post_state(instrument: CPInstrument, outcome_set, rho) -> DensityOperator:
     below eq_tol (zero-probability condition).
     """
     tol = instrument.tol
-    rm = _as_state_matrix(rho, tol)
+    rm = _as_state(rho, tol).matrix
     unnorm = instrument.apply(rm, outcome_set)
     p = float(np.trace(unnorm).real)
     if p <= tol.eq_tol:
@@ -474,15 +474,15 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
 
     Each outcome m is conditioned on by its own Kraus family, with the
     post-measurement state I(m)rho / Pr{m}; outcomes with probability at
-    or below eq_tol are skipped. The residual uses the raw outcome label
-    even when it is not an eigenvalue of A. Residuals cannot be resolved
-    below sqrt(machine eps) times the operator scale dim * max|A_ij|, so
-    the repeatable flag and the AR comparison use that noise floor (or the
-    slack of that scale, whichever is larger) as slack.
+    or below eq_tol are skipped. The residual about the raw outcome label
+    (an eigenvalue of A or not) is summed over the spectrum of rho_a, as
+    sigma(A, rho_a) is. The repeatable flag and the AR comparison allow a
+    noise floor of sqrt(machine eps) times dim * max|A_ij|, or the slack
+    of that scale if larger.
     """
     tol = instrument.tol
     am = _as_observable_matrix(a, tol)
-    rm = _as_state_matrix(rho, tol)
+    rm = _as_state(rho, tol).matrix
     _check_dims(am, rm)
     scale = float(np.abs(am).max()) * am.shape[0]
     floor = max(_slack(tol, scale), float(np.sqrt(np.finfo(float).eps)) * scale)
@@ -492,11 +492,9 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
         if p <= tol.eq_tol:
             continue
         rho_a = DensityOperator(hermitian_part(apply_kraus(kraus, rm)) / p, tol=tol)
-        shifted = am - x * np.eye(instrument.dim)
-        r2 = np.trace(shifted @ rho_a.matrix @ shifted).real
         outs.append(float(x))
-        residuals.append(float(np.sqrt(max(r2, 0.0))))
-        sds.append(_spectral_std_dev(am, rho_a.matrix, np.linalg.eigh(rho_a.matrix)))
+        residuals.append(_spectral_std_dev(am, rho_a, centre=x))
+        sds.append(_spectral_std_dev(am, rho_a))
     worst = max(residuals) if residuals else 0.0
     ar_ok = all(s <= r + floor for s, r in zip(sds, residuals))
     return RepeatabilityReport(

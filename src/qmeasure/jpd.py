@@ -28,7 +28,7 @@ from .operators import (
     DEFAULT_TOL,
     Tolerances,
     ValidationError,
-    _as_state_matrix,
+    _as_state,
     _check_dims,
     _cluster_labels,
     _slack,
@@ -40,8 +40,8 @@ from .operators import (
 
 def _commute(p: np.ndarray, factors, sigma: np.ndarray, tol: Tolerances) -> bool:
     """Whether [P_i x 1, V V+] sigma = 0 within eq_tol for a stack of P_i,
-    acting on the leading index of V's rows, and every V of the factors (a
-    projector is its own); one pass per V, stopping at the first failure."""
+    acting on the leading index of V's rows, and every thin factor V (V V+ a
+    projector); one pass per V, stopping at the first failure."""
     d = p.shape[-1]
     for v in factors:
         pv = (p @ v.reshape(d, -1)).reshape((len(p),) + v.shape)
@@ -57,10 +57,10 @@ def commute_in_state(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> bool:
     Commutation in a state is weaker than operator commutation: it only
     constrains the support of rho.
     """
-    px, py = spectral_decompose(x, tol).projectors, spectral_decompose(y, tol).projectors
-    sigma = _as_state_matrix(rho, tol)
-    _check_dims(px, py, sigma)
-    return _commute(px, py, sigma, tol)
+    px, dy = spectral_decompose(x, tol).projectors, spectral_decompose(y, tol)
+    sigma = _as_state(rho, tol).matrix
+    _check_dims(px, dy.projectors, sigma)
+    return _commute(px, dy.blocks, sigma, tol)
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,9 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     floor, or if a marginal strays from the Born distribution.
     """
     dx, dy = spectral_decompose(x, tol), spectral_decompose(y, tol)
-    sigma = _as_state_matrix(rho, tol)
+    sigma = _as_state(rho, tol).matrix
     _check_dims(dx.projectors, dy.projectors, sigma)
-    if not _commute(dx.projectors, dy.projectors, sigma, tol):
+    if not _commute(dx.projectors, dy.blocks, sigma, tol):
         raise ValidationError("observables do not commute in the state")
     return _real_part(_joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors,
                              sigma, tol), tol)
@@ -157,7 +157,7 @@ def _before_after(ctx: _Scenario, x: str):
     mp, dx = ctx.mp, ctx.decomposition(x)
     values, effects = (mp._povm() if x == "a"
                        else (dx.eigenvalues, mp._dual(mp._apply(dx.projectors))))
-    return _joint(dx.eigenvalues, dx.projectors, values, effects, ctx.rho, ctx.tol)
+    return _joint(dx.eigenvalues, dx.projectors, values, effects, ctx.rho.matrix, ctx.tol)
 
 
 def weak_joint_distribution(mp: MeasuringProcess, a, rho) -> JointDistribution:
@@ -180,14 +180,13 @@ def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
 
 def _strong_precise(ctx: _Scenario, x: str, weak: JointDistribution) -> bool:
     """The pair of _before_after commutes in rho x rho0, the after-projectors
-    taken as thin factors V V+ (U+ (e_s x q_j) per meter value, U+ (u_j x e_k)
-    per value of B), and the real part of the weak distribution is diagonal."""
+    taken as thin factors V V+ (U+ (e_s x q_j) over a meter block q, U+ (u_j x e_k)
+    over a block u of B), and the real part of the weak distribution is diagonal."""
     mp = ctx.mp
     ud = dagger(mp.unitary).reshape(-1, mp.system_dim, mp.probe_dim)  # columns (s, k)
-    w, vecs = np.linalg.eigh((mp.meter if x == "a" else ctx.obs["b"]).matrix)
-    blocks = np.split(vecs, np.flatnonzero(np.diff(_cluster_labels(w, ctx.tol))) + 1, axis=1)
+    blocks = (mp._meter_measure() if x == "a" else ctx.decomposition("b")).blocks
     factors = ((ud @ v if x == "a" else ud.swapaxes(1, 2) @ v).reshape(len(ud), -1) for v in blocks)
-    sigma = tensor(ctx.rho, mp.probe_state.matrix)
+    sigma = tensor(ctx.rho, mp.probe_state)
     return (_commute(ctx.decomposition(x).projectors, factors, sigma, ctx.tol)
             and _diagonal_concentrated(_real_part(weak, ctx.tol), ctx.tol))
 
@@ -226,7 +225,7 @@ def _cluster_gap(ctx: _Scenario) -> np.ndarray:
     order = np.argsort(values, kind="stable")
     labels = np.empty(len(values), dtype=int)
     labels[order] = _cluster_labels(values[order], ctx.tol)
-    gap = np.zeros((labels.max() + 1,) + ctx.rho.shape, dtype=complex)
+    gap = np.zeros((labels.max() + 1,) + ctx.rho.matrix.shape, dtype=complex)
     np.add.at(gap, labels, np.concatenate([-da.projectors, m_effects]))
     return gap
 
@@ -236,7 +235,7 @@ def probability_reproducible(mp: MeasuringProcess, a, rho) -> bool:
     of A in rho, matching outcome values within the slack of the largest
     |value|."""
     ctx = _Scenario(mp, a, None, rho)
-    gap = np.einsum("kab,ba->k", _cluster_gap(ctx), ctx.rho)
+    gap = np.einsum("kab,ba->k", _cluster_gap(ctx), ctx.rho.matrix)
     return bool(np.abs(gap).max() <= max(ctx.tol.eq_tol, 1e-10))
 
 

@@ -147,7 +147,7 @@ class HermitianObservable(_Immutable):
 
 class DensityOperator(_Immutable):
     """A quantum state: Hermitian, unit trace, eigenvalues >= psd_tol.
-    Immutable, with a read-only matrix."""
+    Immutable; the matrix and its eigh pair spectrum = (w, v) are read-only."""
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOL):
         op = as_operator(matrix)
@@ -156,11 +156,12 @@ class DensityOperator(_Immutable):
         if abs(np.trace(op).real - 1.0) > tol.eq_tol or abs(np.trace(op).imag) > tol.eq_tol:
             raise ValidationError(f"density operator must have unit trace, got {np.trace(op)}")
         sym = hermitian_part(op)
-        lo = float(np.linalg.eigvalsh(sym).min())
-        if lo < tol.psd_tol:
-            raise ValidationError(f"density operator has negative eigenvalue {lo}")
-        sym.setflags(write=False)
-        self._init_fields(matrix=sym, dim=sym.shape[0])
+        w, v = np.linalg.eigh(sym)
+        if w[0] < tol.psd_tol:
+            raise ValidationError(f"density operator has negative eigenvalue {w[0]}")
+        for arr in (sym, w, v):
+            arr.setflags(write=False)
+        self._init_fields(matrix=sym, dim=sym.shape[0], spectrum=(w, v))
 
     @classmethod
     def pure(cls, vector, tol: Tolerances = DEFAULT_TOL) -> "DensityOperator":
@@ -195,26 +196,27 @@ def _as_observable_matrix(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (a if isinstance(a, HermitianObservable) else HermitianObservable(a, tol)).matrix
 
 
-def _as_state_matrix(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Matrix of a state argument, a raw array validated as DensityOperator
-    validates it."""
-    return (rho if isinstance(rho, DensityOperator) else DensityOperator(rho, tol)).matrix
+def _as_state(rho, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
+    """A state argument, a raw array validated as a DensityOperator."""
+    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho, tol)
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Distinct eigenvalues (ascending) with orthogonal spectral projectors,
-    stacked in one read-only (k, n, n) array.
+    stacked in one read-only (k, n, n) array, and blocks[i], the read-only
+    orthonormal (n, r_i) eigenvector columns with blocks[i] blocks[i]+ = P_i.
 
     sum(projectors) = identity and sum(a_i * P_i) reconstructs the operator.
     """
 
     eigenvalues: np.ndarray
     projectors: np.ndarray
+    blocks: tuple
 
     def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.projectors.setflags(write=False)
+        for arr in (self.eigenvalues, self.projectors, *self.blocks):
+            arr.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -249,14 +251,13 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     mat = _as_observable_matrix(a, tol)
     w, v = np.linalg.eigh(mat)
     labels = _cluster_labels(w, tol)
-    bounds = np.searchsorted(labels, np.arange(labels[-1] + 2)).tolist()
-    values = np.empty(len(bounds) - 1)
-    projectors = np.empty(values.shape + mat.shape, dtype=complex)
-    for i, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        block = v[:, start:stop]
-        values[i] = w[start:stop].sum() / (stop - start)
-        projectors[i] = hermitian_part(block @ dagger(block))
-    dec = SpectralDecomposition(values, projectors)
+    counts = np.bincount(labels)
+    starts = np.cumsum(counts) - counts
+    padded = np.zeros((len(counts), len(w), counts.max()), dtype=complex)
+    padded[labels, :, np.arange(len(w)) - starts[labels]] = v.T
+    dec = SpectralDecomposition(np.bincount(labels, weights=w) / counts,
+                                hermitian_part(padded @ dagger(padded)),
+                                tuple(np.split(v, starts[1:], axis=1)))
     if operator_distance(dec.reconstruct(), mat) > 1e3 * _slack(tol, float(np.abs(w).max())):
         raise ValidationError("spectral reconstruction failed")
     return dec
@@ -273,29 +274,29 @@ def expectation(x, rho) -> complex:
 def std_dev(a, rho, tol: Tolerances = DEFAULT_TOL) -> float:
     """Standard deviation sqrt(Tr[(A - <A>)^2 rho]) of an observable in a state.
 
-    The centered moment is summed over the spectrum of the state,
+    The centered moment is summed over the spectrum the state keeps,
     sum_j w_j |(A - <A>) phi_j|^2, dropping weights w_j at or below
     dim * machine eps, the rounding level of a unit-trace matrix. Taken
     entrywise, as <A^2> - <A>^2 or Tr[(A - <A>)^2 rho], it keeps that
     rounding and returns about sqrt(machine eps) times the operator
     scale on an eigenstate.
     """
-    rm = _as_state_matrix(rho, tol)
-    return _spectral_std_dev(_as_observable_matrix(a, tol), rm, np.linalg.eigh(rm))
+    return _spectral_std_dev(_as_observable_matrix(a, tol), _as_state(rho, tol))
 
 
-def _spectral_std_dev(am: np.ndarray, rm: np.ndarray, rho_spectrum) -> float:
-    """std_dev of validated matrices, given the eigh pair (w, v) of rm."""
-    w, v = rho_spectrum
-    centered = am - expectation(am, rm).real * np.eye(am.shape[0])
+def _spectral_std_dev(am: np.ndarray, rho: DensityOperator, centre=None) -> float:
+    """std_dev of a validated matrix in a state, or sqrt(Tr[(A - c) rho (A - c)])
+    about a given centre c, from the spectrum of rho."""
+    w, v = rho.spectrum
     keep = w > am.shape[0] * np.finfo(float).eps
-    return float(np.sqrt(np.sum(w[keep] * np.sum(np.abs(centered @ v[:, keep]) ** 2, axis=0))))
+    dev = am - (expectation(am, rho.matrix).real if centre is None else centre) * np.eye(len(am))
+    return float(np.sqrt(np.sum(w[keep] * np.sum(np.abs(dev @ v[:, keep]) ** 2, axis=0))))
 
 
 def robertson_bound(a, b, rho, tol: Tolerances = DEFAULT_TOL) -> float:
     """Lower bound (1/2)|Tr[[A,B] rho]| appearing in the uncertainty relations."""
     return _robertson(_as_observable_matrix(a, tol), _as_observable_matrix(b, tol),
-                      _as_state_matrix(rho, tol))
+                      _as_state(rho, tol).matrix)
 
 
 def _robertson(am: np.ndarray, bm: np.ndarray, rm: np.ndarray) -> float:

@@ -511,15 +511,19 @@ class TestChoiDistance:
 
 class TestRepeatability:
     def test_luders_is_repeatable(self):
+        # r(a) = 0 exactly; summed over the spectrum of rho_a it reads zero to
+        # rounding at every scale of A, not sqrt(machine eps) times the scale
         rng = qm.rng_from(208)
         for _ in range(20):
             d = int(rng.integers(2, 5))
             a = qm.random_hermitian(d, rng)
             rho = qm.random_density_operator(d, rng)
-            rep = qm.check_repeatability(qm.luders_instrument(a), a, rho, epsilon=0.0)
-            assert rep.repeatable
-            assert rep.worst_residual < 1e-7
-            assert rep.ar_bound_ok
+            for k in range(-6, 7):
+                scaled = 10.0 ** k * a.matrix
+                rep = qm.check_repeatability(qm.luders_instrument(scaled), scaled, rho, epsilon=0.0)
+                assert rep.repeatable
+                assert rep.worst_residual <= 1e-12 * np.abs(scaled).max() * d
+                assert rep.ar_bound_ok
 
     def test_raw_state_is_validated_once(self, monkeypatch):
         # one DensityOperator for the raw state and one per post-measurement state

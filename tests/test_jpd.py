@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -340,16 +342,27 @@ def fresh(mp: qm.MeasuringProcess) -> qm.MeasuringProcess:
 class TestClosedFormMeasures:
     """M(dt), B(0) and B(dt) take their spectral measures from the
     decompositions of their factors, so the meter has one set of outcome
-    values and no eigensolve runs on the composite space."""
+    values, no eigensolve runs on the composite space, and no matrix of a
+    sweep trial is diagonalised twice."""
 
     def test_no_eigensolve_on_composite_space(self, monkeypatch):
-        sizes = []
+        sizes, inputs, repeats = [], set(), []
+
+        def spy(solve, m, *args, **kw):
+            sizes.append(np.shape(m)[-1])
+            key = hash(np.ascontiguousarray(m).tobytes())
+            if key in inputs:
+                repeats.append(np.shape(m))
+            inputs.add(key)
+            return solve(m, *args, **kw)
+
         for name in ("eigh", "eigvalsh"):
-            solve = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda m, *args, _solve=solve, **kw:
-                                sizes.append(np.shape(m)[-1]) or _solve(m, *args, **kw))
+            monkeypatch.setattr(np.linalg, name, functools.partial(spy, getattr(np.linalg, name)))
+        # each trial starts by drawing its stream
+        monkeypatch.setattr(qm.sweep, "rng_from", lambda *key: inputs.clear() or qm.rng_from(*key))
         qm.run_sweep(dims=(3, 3), trials=4, seed=0)
         assert sizes and max(sizes) <= 3
+        assert repeats == []
         rng = qm.rng_from(811)
         for ds, dp in ((2, 3), (3, 2), (3, 3)):
             a, b = qm.random_hermitian(ds, rng), qm.random_hermitian(ds, rng)

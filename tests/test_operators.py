@@ -101,6 +101,16 @@ class TestImmutable:
         assert dec.projectors.shape == (2, 2, 2)
         with pytest.raises(ValueError):
             dec.projectors[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            dec.blocks[0][0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            dec.blocks = ()
+        rho = qm.DensityOperator(P0)
+        for arr in rho.spectrum:
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+        with pytest.raises(AttributeError):
+            rho.spectrum = (np.ones(2), np.eye(2))
 
 
 class TestAlgebra:
@@ -142,9 +152,12 @@ class TestSpectral:
     def test_random_sweep_resolution_of_identity(self):
         # projectors resolve the identity, are orthogonal, and rebuild A
         rng = qm.rng_from(101)
-        for _ in range(1000):
+        for t in range(1000):
             d = int(rng.integers(2, 9))
             a = qm.random_hermitian(d, rng)
+            if t % 2:  # degenerate: integer eigenvalues in a Haar basis
+                u = qm.haar_unitary(d, rng)
+                a = qm.HermitianObservable(u @ np.diag(rng.integers(-2, 3, d)) @ u.conj().T)
             dec = qm.spectral_decompose(a)
             total = sum(dec.projectors)
             assert qm.operator_distance(total, np.eye(d)) < 1e-9
@@ -153,6 +166,14 @@ class TestSpectral:
                 assert qm.operator_distance(p @ p, p) < 1e-9
                 for q in dec.projectors[:i]:
                     assert qm.operator_distance(p @ q, np.zeros((d, d))) < 1e-9
+            # each block holds orthonormal eigenvector columns spanning its
+            # projector's range, with the cluster's value as their mean eigenvalue
+            assert len(dec.blocks) == len(dec.projectors)
+            for v, p, x in zip(dec.blocks, dec.projectors, dec.eigenvalues):
+                assert qm.operator_distance(v.conj().T @ v, np.eye(v.shape[1])) < 1e-12
+                assert qm.operator_distance(v @ v.conj().T, p) < 1e-12
+                assert v.shape == (d, round(np.trace(p).real))
+                assert abs(np.trace(v.conj().T @ a.matrix @ v).real / v.shape[1] - x) < 1e-12
 
 
 class TestStatistics:

@@ -118,6 +118,26 @@ class TestRegressions:
         with pytest.raises(qm.ValidationError, match="uncertainty bound"):
             qm.GaussianState([0.0, 0.0], np.zeros((2, 2)), constants=qm.PhysicalConstants(hbar=1e-5))
 
+    def test_gaussian_rotated_squeezed_accepted_at_large_hbar(self):
+        # cov symmetric up to rounding of its own entries, on the bound
+        hbar = 1e8
+        constants = qm.PhysicalConstants(hbar=hbar)
+        for theta in np.linspace(0.0, np.pi, 60):
+            r = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            cov = (r @ np.diag([9 * hbar / 2, hbar / 18])) @ r.T
+            qm.GaussianState([0.0, 0.0], cov, constants=constants)
+
+    def test_gaussian_negative_covariance_rejected_at_small_hbar(self):
+        # det(-1e-12 I) meets the bound (hbar/2)^2; the state has sigma_q = NaN
+        with pytest.raises(qm.ValidationError, match="positive"):
+            qm.GaussianState([0.0, 0.0], -1e-12 * np.eye(2),
+                             constants=qm.PhysicalConstants(hbar=1e-12))
+
+    def test_gaussian_asymmetric_covariance_rejected_at_small_hbar(self):
+        with pytest.raises(qm.ValidationError, match="symmetric"):
+            qm.GaussianState([0.0, 0.0], [[1e-12, 5e-13], [0.0, 1e-12]],
+                             constants=qm.PhysicalConstants(hbar=1e-12))
+
     def test_gaussian_min_uncertainty_accepted_at_large_hbar(self):
         constants = qm.PhysicalConstants(hbar=1e15)
         for q1 in (0.3, 1.0, 7.0, 1e8):
