@@ -433,8 +433,8 @@ def dilate(instrument: CPInstrument) -> MeasuringProcess:
 def instrument_choi_distance(a: CPInstrument, b: CPInstrument) -> float:
     """Max-abs distance between per-outcome Choi matrices of two instruments.
 
-    Outcomes are matched by value, clustered as spectral_decompose clusters
-    eigenvalues under the instruments' common Tolerances; an outcome
+    Outcomes are matched by value, by _cluster_labels over both outcome
+    runs under the instruments' common Tolerances; an outcome
     present on one side only is compared against the zero map. Raises
     ValidationError when the two instruments carry different Tolerances.
     """
@@ -442,12 +442,11 @@ def instrument_choi_distance(a: CPInstrument, b: CPInstrument) -> float:
         raise ValidationError(f"instruments carry different Tolerances: {a.tol} vs {b.tol}")
     if a.dim != b.dim:
         raise ValidationError("instruments act on different dimensions")
-    values = sorted(set(a.outcomes) | set(b.outcomes))
-    label = dict(zip(values, _cluster_labels(values, a.tol).tolist()))
-    sums = np.zeros((2, label[values[-1]] + 1, a.dim ** 2, a.dim ** 2), dtype=complex)
-    for side, inst in enumerate((a, b)):
-        for i, x in enumerate(inst.outcomes):
-            sums[side, label[x]] += inst.choi(i)
+    labels = _cluster_labels(a.outcomes + b.outcomes, a.tol)
+    sums = np.zeros((2, labels.max() + 1, a.dim ** 2, a.dim ** 2), dtype=complex)
+    for side, (inst, lab) in enumerate(zip((a, b), np.split(labels, [len(a.outcomes)]))):
+        for i, label in enumerate(lab):
+            sums[side, label] += inst.choi(i)
     return max(operator_distance(ca, cb) for ca, cb in zip(sums[0], sums[1]))
 
 

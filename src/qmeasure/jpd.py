@@ -8,12 +8,13 @@ rho x rho0 the Gauss rms of that joint distribution coincides with the
 rms error. Without commutation one still has the weak joint distribution,
 whose atoms may be complex or negative.
 
-A process is precise in a state when the (weak) joint distribution is
-concentrated on the diagonal x = y. theorem2_check evaluates the four
-numerically checkable faces of that property: strong and weak diagonal
-concentration, vanishing rms error across the cyclic subspace, and
-probability reproducibility across the cyclic subspace. They are
-equivalent, so the four flags must agree.
+A process is precise in a state when the weak joint distribution is
+concentrated on the diagonal x = y, outcome values matched by
+_cluster_labels alone. theorem2_check evaluates the four numerically
+checkable faces of that property: weak diagonal concentration, the same
+with commutation in rho x rho0 (strong), vanishing rms error across the
+cyclic subspace, and probability reproducibility across the cyclic
+subspace. They are equivalent, so the four flags must agree.
 """
 
 from __future__ import annotations
@@ -110,18 +111,6 @@ def _joint(x_atoms, p: np.ndarray, y_atoms, q: np.ndarray, sigma: np.ndarray,
     return JointDistribution(np.array(x_atoms), np.array(y_atoms), w)
 
 
-def _real_part(jd: JointDistribution, tol: Tolerances) -> JointDistribution:
-    """The genuine joint distribution behind complex weights that should
-    be real: raises if a weight has an imaginary residue above eq_tol or
-    falls below the psd_tol floor."""
-    w = jd.weights
-    if np.abs(w.imag).max() > tol.eq_tol:
-        raise ValidationError(f"joint weight has imaginary residue {np.abs(w.imag).max()}")
-    if w.real.min() < tol.psd_tol:
-        raise ValidationError(f"negative joint weight {w.real.min()}")
-    return JointDistribution(jd.x_atoms, jd.y_atoms, np.maximum(w.real, 0.0))
-
-
 def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistribution:
     """The joint distribution of two observables commuting in a state.
 
@@ -134,8 +123,12 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     _check_dims(dx.projectors, dy.projectors, sigma)
     if not _commute(dx.projectors, dy.blocks, sigma, tol):
         raise ValidationError("observables do not commute in the state")
-    return _real_part(_joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors,
-                             sigma, tol), tol)
+    w = _joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors, sigma, tol).weights
+    if np.abs(w.imag).max() > tol.eq_tol:
+        raise ValidationError(f"joint weight has imaginary residue {np.abs(w.imag).max()}")
+    if w.real.min() < tol.psd_tol:
+        raise ValidationError(f"negative joint weight {w.real.min()}")
+    return JointDistribution(dx.eigenvalues, dy.eigenvalues, np.maximum(w.real, 0.0))
 
 
 def gauss_rms(jd: JointDistribution) -> float:
@@ -171,60 +164,56 @@ def weak_joint_distribution(mp: MeasuringProcess, a, rho) -> JointDistribution:
 
 
 def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
-    """True when every atom with |x - y| beyond the slack of the largest
-    |atom| has |weight| <= eq_tol."""
-    scale = max(np.abs(jd.x_atoms).max(), np.abs(jd.y_atoms).max())
-    off = np.abs(jd.x_atoms[:, None] - jd.y_atoms[None, :]) > _slack(tol, scale)
+    """True when every atom whose x and y fall in different clusters of
+    _cluster_labels over both runs of atoms has |weight| <= eq_tol."""
+    labels = _cluster_labels(np.concatenate([jd.x_atoms, jd.y_atoms]), tol)
+    off = labels[:len(jd.x_atoms), None] != labels[None, len(jd.x_atoms):]
     return not bool((off & (np.abs(jd.weights) > tol.eq_tol)).any())
 
 
-def _strong_precise(ctx: _Scenario, x: str, weak: JointDistribution) -> bool:
-    """The pair of _before_after commutes in rho x rho0, the after-projectors
-    taken as thin factors V V+ (U+ (e_s x q_j) over a meter block q, U+ (u_j x e_k)
-    over a block u of B), and the real part of the weak distribution is diagonal."""
+def _commutes_after(ctx: _Scenario, x: str) -> bool:
+    """Whether the pair of _before_after commutes in rho x rho0, the
+    after-projectors taken as thin factors V V+ (U+ (e_s x q_j) over a meter
+    block q, U+ (u_j x e_k) over a block u of B)."""
     mp = ctx.mp
     ud = dagger(mp.unitary).reshape(-1, mp.system_dim, mp.probe_dim)  # columns (s, k)
     blocks = (mp._meter_measure() if x == "a" else ctx.decomposition("b")).blocks
     factors = ((ud @ v if x == "a" else ud.swapaxes(1, 2) @ v).reshape(len(ud), -1) for v in blocks)
     sigma = tensor(ctx.rho, mp.probe_state)
-    return (_commute(ctx.decomposition(x).projectors, factors, sigma, ctx.tol)
-            and _diagonal_concentrated(_real_part(weak, ctx.tol), ctx.tol))
+    return _commute(ctx.decomposition(x).projectors, factors, sigma, ctx.tol)
 
 
 def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong") -> bool:
     """Whether the process reproduces A exactly in the state rho.
 
-    mode "strong": A(0) and M(dt) commute in rho x rho0 and their joint
-    distribution sits on the diagonal. mode "weak": the weak joint
-    distribution sits on the diagonal in modulus. Strong implies weak;
-    for measurement precision the two agree (theorem2_check).
+    mode "weak": the weak joint distribution of A(0) and M(dt) in
+    rho x rho0 sits on the diagonal in modulus. mode "strong": that, and
+    the pair commutes in rho x rho0, so that the weak distribution is the
+    genuine one; the commutation test runs only if the weak face holds.
+    For measurement precision the two agree (theorem2_check).
     """
     if mode not in ("strong", "weak"):
         raise ValidationError(f"mode must be 'strong' or 'weak', got {mode!r}")
     ctx = _Scenario(mp, a, None, rho)
-    weak = _before_after(ctx, "a")
-    if mode == "weak":
-        return _diagonal_concentrated(weak, ctx.tol)
-    return _strong_precise(ctx, "a", weak)
+    weak = _diagonal_concentrated(_before_after(ctx, "a"), ctx.tol)
+    return weak if mode == "weak" else weak and _commutes_after(ctx, "a")
 
 
 def is_nondisturbing(mp: MeasuringProcess, b, rho) -> bool:
-    """Whether B(0) and B(dt) commute in rho x rho0 with a diagonal-
-    concentrated joint distribution: the strong is_precise test, for B."""
+    """Whether the weak joint distribution of B(0) and B(dt) sits on the
+    diagonal and the pair commutes in rho x rho0: the strong is_precise
+    test, for B."""
     ctx = _Scenario(mp, None, b, rho)
-    return _strong_precise(ctx, "b", _before_after(ctx, "b"))
+    return _diagonal_concentrated(_before_after(ctx, "b"), ctx.tol) and _commutes_after(ctx, "b")
 
 
 def _cluster_gap(ctx: _Scenario) -> np.ndarray:
     """The process POVM minus the spectral measure of A, summed over each
-    cluster of their outcome values merged into one sorted run, as one
-    (k, d, d) stack: zero exactly when the meter reproduces A's statistics."""
+    _cluster_labels cluster of their outcome values, as one (k, d, d)
+    stack: zero exactly when the meter reproduces A's statistics."""
     da = ctx.decomposition("a")
     m_values, m_effects = ctx.mp._povm()
-    values = np.concatenate([da.eigenvalues, m_values])
-    order = np.argsort(values, kind="stable")
-    labels = np.empty(len(values), dtype=int)
-    labels[order] = _cluster_labels(values[order], ctx.tol)
+    labels = _cluster_labels(np.concatenate([da.eigenvalues, m_values]), ctx.tol)
     gap = np.zeros((labels.max() + 1,) + ctx.rho.matrix.shape, dtype=complex)
     np.add.at(gap, labels, np.concatenate([-da.projectors, m_effects]))
     return gap
@@ -244,7 +233,8 @@ class PrecisionReport:
     """Four numerically checkable faces of measurement precision in a state.
 
     The underlying conditions are mathematically equivalent, so the flags
-    agree whenever the numerical checks are conclusive.
+    agree whenever the numerical checks are conclusive. strong_precise is
+    weak_precise and the commutation test, so it never exceeds it.
     """
 
     strong_precise: bool
@@ -262,30 +252,31 @@ class PrecisionReport:
 
 
 def theorem2_check(mp: MeasuringProcess, a, rho) -> PrecisionReport:
-    """Evaluate the four equivalent precision conditions independently.
+    """Evaluate the four equivalent precision conditions.
 
-    strong/weak: diagonal concentration of the (weak) joint distribution
-    of A(0) and M(dt) in rho x rho0. eps_zero_on_cyclic: the noise second
+    weak: the weak joint distribution of A(0) and M(dt) in rho x rho0 sits
+    on the diagonal; strong: weak, and the pair commutes in rho x rho0
+    (tested only if weak holds). eps_zero_on_cyclic: the noise second
     moment compressed to the cyclic subspace of (A, rho) has top
     eigenvalue within the slack of ||A||^2 (max-abs norm).
     prob_repro_on_cyclic: the process POVM and the spectral measure of A
-    agree as quadratic forms on that subspace, outcome cluster by outcome
-    cluster.
+    agree as quadratic forms on that subspace, cluster by cluster of
+    their outcome values. Values match by _cluster_labels throughout.
     """
     return _precision_report(_Scenario(mp, a, None, rho))
 
 
 def _precision_report(ctx: _Scenario) -> PrecisionReport:
-    """theorem2_check of a scenario; the strong and weak flags share one
-    weight matrix, eps_zero_on_cyclic the locally uniform top eigenvalue."""
+    """theorem2_check of a scenario; the strong flag reads the weak one,
+    eps_zero_on_cyclic the locally uniform top eigenvalue."""
     tol = ctx.tol
-    weak = _before_after(ctx, "a")
+    weak = _diagonal_concentrated(_before_after(ctx, "a"), tol)
     pc = ctx.cyclic("a").projector()
     repro = float(np.abs(pc @ _cluster_gap(ctx) @ pc).max()) <= max(tol.eq_tol, 1e-9)
     a_scale = float(np.abs(ctx.obs["a"].matrix).max())
     return PrecisionReport(
-        strong_precise=bool(_strong_precise(ctx, "a", weak)),
-        weak_precise=bool(_diagonal_concentrated(weak, tol)),
+        strong_precise=bool(weak and _commutes_after(ctx, "a")),
+        weak_precise=bool(weak),
         eps_zero_on_cyclic=bool(ctx.top("a") <= _slack(tol, a_scale ** 2)),
         prob_repro_on_cyclic=bool(repro),
     )

@@ -22,10 +22,10 @@ class Tolerances:
     """Numerical tolerances shared across the library.
 
     eq_tol bounds equality checks: absolutely for dimensionless quantities
-    (probabilities, projector and effect sums, ranks, residuals of raw
-    input), relatively (_slack) for a quantity with the units of an
-    observable. psd_tol is the floor for eigenvalues of nominally positive
-    matrices; it is zero or slightly negative.
+    (probabilities, projector and effect sums, ranks, a raw state's
+    asymmetry), relatively (_slack) for a quantity with the units of an
+    observable, a raw observable's asymmetry included. psd_tol is the floor
+    for eigenvalues of nominally positive matrices; it is zero or slightly negative.
     """
 
     eq_tol: float = 1e-9
@@ -84,8 +84,9 @@ def hermitian_part(op: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(op, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether X - X+ is zero within the slack of max|X_ij|, at any scale of X."""
     op = np.asarray(op, dtype=complex)
-    return float(np.abs(op - dagger(op)).max()) <= tol.eq_tol
+    return float(np.abs(op - dagger(op)).max()) <= _slack(tol, float(np.abs(op).max()))
 
 
 def operator_distance(x, y) -> float:
@@ -126,8 +127,8 @@ class HermitianObservable(_Immutable):
     """A self-adjoint operator, immutable.
 
     The stored matrix is the exact Hermitian part of the input, read-only.
-    Construction fails if the input deviates from Hermiticity by more
-    than tol.eq_tol in max-abs norm.
+    Construction fails unless the input is_hermitian: its deviation from
+    Hermiticity, in max-abs norm, is within the slack of max|X_ij|.
     """
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOL):
@@ -151,7 +152,7 @@ class DensityOperator(_Immutable):
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOL):
         op = as_operator(matrix)
-        if not is_hermitian(op, tol):
+        if operator_distance(op, dagger(op)) > tol.eq_tol:
             raise ValidationError("density operator must be Hermitian within eq_tol")
         if abs(np.trace(op).real - 1.0) > tol.eq_tol or abs(np.trace(op).imag) > tol.eq_tol:
             raise ValidationError(f"density operator must have unit trace, got {np.trace(op)}")
@@ -227,15 +228,18 @@ class SpectralDecomposition:
 
 
 def _cluster_labels(values, tol: Tolerances) -> np.ndarray:
-    """Cluster index of each of a sorted run of values.
+    """Cluster index of each value, in input order, clusters numbered in
+    ascending value order: the one rule by which two values match.
 
-    A new cluster starts wherever the gap to the previous value exceeds
-    the slack of the run's largest |value|, so a chain of values each
-    within that slack of the next is one cluster however far it spans.
+    In sorted order, a new cluster starts wherever the gap to the previous
+    value exceeds the slack of the largest |value|, so a chain of values
+    each within that slack of the next is one cluster however far it spans.
     """
     v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    s = v[order]
     labels = np.zeros(len(v), dtype=int)
-    np.cumsum(v[1:] - v[:-1] > _slack(tol, max(abs(v[0]), abs(v[-1]))), out=labels[1:])
+    labels[order[1:]] = np.cumsum(s[1:] - s[:-1] > _slack(tol, max(abs(s[0]), abs(s[-1]))))
     return labels
 
 

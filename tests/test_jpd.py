@@ -226,6 +226,35 @@ class TestTheorem2:
             report = qm.theorem2_check(mp, a, rho)
             assert report.consistent, f"trial {trial}: {report}"
 
+    def test_perturbed_precise_processes_never_raise(self):
+        # dilated Lüders processes with the coupling perturbed by exp(-itG),
+        # t = 1e-11..1e-8: weak weights slightly below zero are read, not
+        # rejected, and the strong face never exceeds the weak one
+        rng = qm.rng_from(7)
+        for _ in range(400):
+            d = int(rng.integers(3, 7))
+            a = qm.random_hermitian(d, rng)
+            qm.random_hermitian(d, rng)
+            mp = qm.dilate(qm.luders_instrument(a))
+            w, v = np.linalg.eigh(qm.random_hermitian(len(mp.unitary), rng).matrix)
+            u = mp.unitary @ (v * np.exp(-1j * 10.0 ** rng.uniform(-11, -8) * w)) @ v.conj().T
+            mp = qm.MeasuringProcess(mp.probe_state, u, mp.meter)
+            rho = qm.random_density_operator(d, rng)
+            report = qm.theorem2_check(mp, a, rho)
+            assert qm.is_precise(mp, a, rho, mode="strong") == report.strong_precise
+            assert report.weak_precise or not report.strong_precise
+            qm.is_nondisturbing(mp, a, rho)
+
+    def test_commutation_tested_only_behind_the_weak_face(self, monkeypatch):
+        # no Haar trial is weakly precise, so none builds rho x rho0
+        calls = []
+        commute = qm.jpd._commute
+        monkeypatch.setattr(qm.jpd, "_commute", lambda *args: calls.append(1) or commute(*args))
+        census, _ = qm.run_sweep(dims=(2, 4), trials=200, seed=0)
+        assert census.theorem2_disagreements == 0 and calls == []
+        assert qm.is_precise(dilated_luders(SZ), SZ, qm.DensityOperator.pure(KET_PLUS))
+        assert calls
+
 
 class TestIndependentMeterCounterexample:
     def test_reproducible_but_imprecise(self):
@@ -410,7 +439,8 @@ class TestClosedFormMeasures:
 class TestClusterChain:
     """Values 0, 0.8, 1.6, 2.4 (units of eq_tol = 1e-9) on top of a value of
     order 1, so that the slack is about eq_tol: each within the slack of the
-    next, 2.4 eq_tol end to end. All clustering merges them into one."""
+    next, 2.4 eq_tol end to end. All clustering and all value matching
+    merges them into one."""
 
     CHAIN = [0.0, 0.8e-9, 1.6e-9, 2.4e-9]
     SHIFTED = [1.0 + x for x in CHAIN]
@@ -437,6 +467,18 @@ class TestClusterChain:
         rho = qm.DensityOperator.pure(KET_PLUS)
         assert qm.theorem2_check(mp, a, rho).prob_repro_on_cyclic
         assert qm.probability_reproducible(mp, a, rho)
+
+    def test_every_precision_face_matches_by_chain(self):
+        # A takes 1 and 1 + 1.6e-9; an uncoupled meter reads 1 + 0.8e-9 or
+        # 1 + 2.4e-9 at random. Each atom pairs values of one chain, so all
+        # four faces hold; pairwise matching put 1 against 1 + 2.4e-9.
+        a = np.diag(self.SHIFTED[0::2])
+        mp = identity_coupling_process(np.diag(self.SHIFTED[1::2]),
+                                       qm.DensityOperator.maximally_mixed(2))
+        rho = qm.DensityOperator.maximally_mixed(2)
+        assert qm.theorem2_check(mp, a, rho).flags() == (True, True, True, True)
+        assert qm.is_precise(mp, a, rho, mode="strong")
+        assert qm.is_precise(mp, a, rho, mode="weak")
 
 
 COMPOSITE_CASES = composite_cases()

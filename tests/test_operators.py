@@ -176,6 +176,30 @@ class TestSpectral:
                 assert abs(np.trace(v.conj().T @ a.matrix @ v).real / v.shape[1] - x) < 1e-12
 
 
+def sorted_run_labels(v, tol=qm.DEFAULT_TOL):
+    """Cluster labels of an ascending run by the chain rule, written out."""
+    labels = [0]
+    slack = max(tol.eq_tol, np.finfo(float).eps) * max(abs(v[0]), abs(v[-1]))
+    for lo, hi in zip(v[:-1], v[1:]):
+        labels.append(labels[-1] + int(hi - lo > slack))
+    return labels
+
+
+class TestClusterLabels:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(gaps=st.lists(st.sampled_from([0.0, 0.5e-9, 0.9e-9, 1.2e-9, 2e-9, 1e-6]),
+                         min_size=1, max_size=10),
+           offset=st.sampled_from([0.0, 1.0, -3.0, 1e-8]), data=st.data())
+    def test_labels_follow_the_values_in_any_order(self, gaps, offset, data):
+        # values in input order get the labels of their sorted positions, and
+        # a sorted run is labelled by the chain rule
+        run = offset + np.concatenate([[0.0], np.cumsum(gaps)])
+        labels = qm.operators._cluster_labels(run, qm.DEFAULT_TOL)
+        assert labels.tolist() == sorted_run_labels(run)
+        perm = np.array(data.draw(st.permutations(range(len(run)))))
+        assert (qm.operators._cluster_labels(run[perm], qm.DEFAULT_TOL) == labels[perm]).all()
+
+
 class TestStatistics:
     def test_expectation_frozen(self):
         rho = qm.DensityOperator.pure(KET0)

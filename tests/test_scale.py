@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import qmeasure as qm
 from qmeasure.cli import EXIT_OK, main
+from qmeasure.serialize import matrix_to_json
 from helpers import EYE2, KET0, KET_PLUS, SX, SY, SZ
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
@@ -113,6 +114,34 @@ class TestRegressions:
         mp = qm.dilate(qm.luders_instrument(s * SX))
         rep = qm.theorem2_check(mp, s * SZ, qm.DensityOperator.pure(KET_PLUS))
         assert rep.flags() == (False, False, False, False)
+
+    def test_rotated_observable_accepted_at_every_scale(self):
+        # U D U+ is Hermitian up to the rounding of its own entries, which an
+        # absolute eq_tol rejects at 1e8
+        rng = qm.rng_from(13)
+        for k in range(-8, 9):
+            for _ in range(5):
+                u = qm.haar_unitary(3, rng)
+                m = 10.0 ** k * (u * rng.uniform(1.0, 2.0, 3)) @ u.conj().T
+                assert qm.is_hermitian(m)
+                qm.HermitianObservable(m)
+
+    def test_asymmetric_observable_rejected_at_every_scale(self):
+        # an asymmetry of 1e-3 relative, which an absolute eq_tol misses at 1e-8
+        for k in range(-8, 9):
+            m = 10.0 ** k * np.array([[0.0, 1.0], [1.001, 0.0]])
+            assert not qm.is_hermitian(m)
+            with pytest.raises(qm.ValidationError, match="Hermitian"):
+                qm.HermitianObservable(m)
+
+    def test_cli_accepts_rotated_observable_at_large_scale(self, tmp_path):
+        with open(os.path.join(CONFIG_DIR, "finite_luders.json")) as fh:
+            cfg = json.load(fh)
+        u = qm.haar_unitary(2, qm.rng_from(14))
+        cfg["payload"]["observable_a"] = matrix_to_json(1e8 * (u * [1.0, 2.0]) @ u.conj().T)
+        path = tmp_path / "rotated.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_gaussian_zero_covariance_rejected_at_small_hbar(self):
         with pytest.raises(qm.ValidationError, match="uncertainty bound"):
