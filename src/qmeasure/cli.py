@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .edr import edr_ledger
 from .gaussian import OZAWA_1988, VON_NEUMANN, build_model, model_edr, output_distribution
@@ -150,8 +150,8 @@ def run_scenario(cfg: dict, out_dir: str, hbar_flag=None, tol_flag=None) -> int:
         "scenario": {
             "kind": kind,
             "payload": payload,
-            "constants": {"hbar": constants.hbar},
-            "tolerances": {"eq_tol": tol.eq_tol, "psd_tol": tol.psd_tol},
+            "constants": asdict(constants),
+            "tolerances": asdict(tol),
         },
         "results": results,
         "wall_time": wall,

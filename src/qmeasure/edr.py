@@ -163,12 +163,10 @@ class Subspace:
         return dagger(self.basis) @ op @ self.basis
 
 
-_RANK_CUTOFF = 1e-8
-
-
 def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """span{P_i phi_k}: spectral projectors of A applied to eigenvectors
-    of rho with eigenvalue above eq_tol.
+    of rho with eigenvalue above the _slack of d terms, the span's rank cut
+    at the _slack of as many terms as it has entries.
 
     This is the set of states the process explores around rho when A is
     the target; locally uniform error/disturbance are suprema over it.
@@ -183,12 +181,12 @@ def _cyclic_subspace(dec, rho: DensityOperator, tol: Tolerances) -> Subspace:
     """cyclic_subspace from the decomposition of A and the spectrum of rho;
     column k * #P + i of the spanning set is P_i phi_k."""
     w, v = rho.spectrum
-    phi = v[:, w > tol.eq_tol]
+    phi = v[:, w > _slack(tol, terms=len(w))]
     if phi.shape[1] == 0:
         raise ValidationError("state has no eigenvalue above eq_tol")
     m = (dec.projectors @ phi).transpose(1, 2, 0).reshape(dec.dim, -1)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > _RANK_CUTOFF))
+    rank = int(np.sum(s > _slack(tol, terms=m.size)))
     if rank == 0:
         raise ValidationError("cyclic subspace collapsed to zero")
     return Subspace(dec.dim, u[:, :rank])

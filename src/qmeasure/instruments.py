@@ -72,15 +72,15 @@ class OutcomeDistribution:
 
 
 def _born(outcomes, effects: np.ndarray, rm: np.ndarray, tol: Tolerances) -> OutcomeDistribution:
-    """Pr{m} = Tr[E_m rho] over a stack of effects; raises on a probability
-    below psd_tol (the rest are clipped at 0) or a total off 1."""
+    """Pr{m} = Tr[E_m rho] over a stack of effects; raises on a probability below
+    psd_tol (the rest are clipped at 0) or a total off 1 (_slack of d^2 #m terms)."""
     _check_dims(effects, rm)
     probs = np.einsum("iab,ba->i", effects, rm).real
     if probs.min() < tol.psd_tol:
         raise ValidationError(f"negative probability {probs.min()}")
     probs = np.maximum(probs, 0.0)
     total = float(probs.sum())
-    if abs(total - 1.0) > max(tol.eq_tol, 1e-12 * len(probs)):
+    if abs(total - 1.0) > _slack(tol, terms=effects.shape[-1] ** 2 * len(probs)):
         raise ValidationError(f"probabilities sum to {total}, expected 1")
     return OutcomeDistribution(tuple(float(x) for x in outcomes), tuple(probs.tolist()))
 
@@ -117,7 +117,7 @@ class MeasuringProcess(_Immutable):
             raise ValidationError("meter and probe state dimensions differ")
         if u.shape[0] % probe_state.dim != 0:
             raise ValidationError("unitary dimension is not a multiple of the probe dimension")
-        if operator_distance(dagger(u) @ u, np.eye(u.shape[0])) > tol.eq_tol:
+        if operator_distance(dagger(u) @ u, np.eye(u.shape[0])) > _slack(tol, terms=u.shape[0]):
             raise ValidationError("coupling matrix is not unitary within eq_tol")
         self._init_fields(probe_state=probe_state, unitary=u, meter=meter,
                           probe_dim=probe_state.dim, system_dim=u.shape[0] // probe_state.dim,
@@ -247,7 +247,7 @@ def _sorted_family(outcomes, effects: np.ndarray, tol: Tolerances, count_error: 
         raise ValidationError("outcome values must be distinct")
     order = np.argsort(outcomes)
     effects = effects[order]
-    if operator_distance(effects.sum(axis=0), np.eye(effects.shape[-1])) > max(tol.eq_tol, 1e-8):
+    if operator_distance(effects.sum(axis=0), np.eye(effects.shape[-1])) > max(_slack(tol), 1e-8):
         raise ValidationError(identity_error)
     effects.setflags(write=False)
     return tuple(outcomes[i] for i in order), order, effects
@@ -258,7 +258,7 @@ class CPInstrument(_Immutable):
 
     outcomes are distinct reals sorted ascending; kraus[m] is a read-only
     (r_m, d, d) stack, (0, d, d) for an outcome without Kraus operators.
-    The effects sum_j K+K, computed once, sum to 1 within eq_tol.
+    The effects sum_j K+K, computed once, sum to 1 within max(eq_tol, 1e-8).
     """
 
     def __init__(self, outcomes, kraus, tol: Tolerances = DEFAULT_TOL):
@@ -345,7 +345,7 @@ def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
     family sum_b' Q_m[b, b'] K_b'l over the process's K_bl. It is reduced
     to minimal rank by an SVD of the stacked columns vec(K): the outcome's
     Choi matrix is V V+, so its eigenvectors are the left singular vectors
-    and its eigenvalues s^2. Operators with s^2 <= eq_tol are discarded,
+    and its eigenvalues s^2. Operators with s^2 <= _slack of d^2 terms go,
     the rest ordered by descending Choi eigenvalue. The instrument carries
     the process's Tolerances.
     """
@@ -355,7 +355,7 @@ def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
         # column (b, l) is vec(G_bl), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
         v = g.transpose(3, 1, 0, 2).reshape(d * d, -1)
         w, s, _ = np.linalg.svd(v, full_matrices=False)
-        rank = int(np.sum(s * s > tol.eq_tol))
+        rank = int(np.sum(s * s > _slack(tol, terms=d * d)))
         # K_j[a, c] = s_j w[(c, a), j]
         families.append(s[:rank, None, None] * w[:, :rank].T.reshape(rank, d, d).swapaxes(1, 2))
     return CPInstrument(dm.eigenvalues, families, tol=tol)
@@ -376,13 +376,13 @@ def post_state(instrument: CPInstrument, outcome_set, rho) -> DensityOperator:
     """Normalized state after observing an outcome in outcome_set.
 
     Raises ZeroProbabilityError if the conditioning probability is at or
-    below eq_tol (zero-probability condition).
+    below the _slack of d^2 terms (zero-probability condition).
     """
     tol = instrument.tol
     rm = _as_state(rho, tol).matrix
     unnorm = instrument.apply(rm, outcome_set)
     p = float(np.trace(unnorm).real)
-    if p <= tol.eq_tol:
+    if p <= _slack(tol, terms=rm.shape[0] ** 2):
         raise ZeroProbabilityError(
             f"zero-probability condition: outcome set has probability {p}")
     return DensityOperator(hermitian_part(unnorm) / p, tol=tol)
@@ -472,9 +472,9 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
     """Check epsilon-repeatability outcome by outcome.
 
     Each outcome m is conditioned on by its own Kraus family, with the
-    post-measurement state I(m)rho / Pr{m}; outcomes with probability at
-    or below eq_tol are skipped. The residual about the raw outcome label
-    (an eigenvalue of A or not) is summed over the spectrum of rho_a, as
+    post-measurement state I(m)rho / Pr{m}; outcomes with probability within
+    the _slack of d^2 terms are skipped. The residual about the raw outcome
+    label (an eigenvalue of A or not) is summed over the spectrum of rho_a, as
     sigma(A, rho_a) is. The repeatable flag and the AR comparison allow a
     noise floor of sqrt(machine eps) times dim * max|A_ij|, or the slack
     of that scale if larger.
@@ -488,7 +488,7 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
     outs, residuals, sds = [], [], []
     probs = _born(instrument.outcomes, instrument._effects, rm, tol).probabilities
     for x, kraus, p in zip(instrument.outcomes, instrument.kraus, probs):
-        if p <= tol.eq_tol:
+        if p <= _slack(tol, terms=rm.shape[0] ** 2):
             continue
         rho_a = DensityOperator(hermitian_part(apply_kraus(kraus, rm)) / p, tol=tol)
         outs.append(float(x))

@@ -40,14 +40,14 @@ from .operators import (
 
 
 def _commute(p: np.ndarray, factors, sigma: np.ndarray, tol: Tolerances) -> bool:
-    """Whether [P_i x 1, V V+] sigma = 0 within eq_tol for a stack of P_i,
-    acting on the leading index of V's rows, and every thin factor V (V V+ a
-    projector); one pass per V, stopping at the first failure."""
-    d = p.shape[-1]
+    """Whether [P_i x 1, V V+] sigma = 0 within the _slack of len(sigma) terms
+    for a stack of P_i, acting on the leading index of V's rows, and every thin
+    factor V (V V+ a projector); one pass per V, stopping at the first failure."""
+    d, slack = p.shape[-1], _slack(tol, terms=len(sigma))
     for v in factors:
         pv = (p @ v.reshape(d, -1)).reshape((len(p),) + v.shape)
         comm = pv @ (dagger(v) @ sigma) - v @ (dagger(pv) @ sigma)
-        if float(np.abs(comm).max()) > tol.eq_tol:
+        if float(np.abs(comm).max()) > slack:
             return False
     return True
 
@@ -96,11 +96,11 @@ def _joint(x_atoms, p: np.ndarray, y_atoms, q: np.ndarray, sigma: np.ndarray,
     """Complex weights W[i, j] = Tr[P_i Q_j sigma] from stacks of effects
     (projectors, or POVM effects for Q) with their values.
 
-    Raises if the total strays from 1 or a marginal from the Born
-    distribution of its stack in sigma.
+    Raises if the total strays from 1 or a marginal from the Born distribution
+    of its stack in sigma by more than the _slack of n * #atoms terms.
     """
     w = np.einsum("iab,jba->ij", p, q @ sigma)
-    slack = max(tol.eq_tol, 1e-10, 1e-12 * w.size)
+    slack = _slack(tol, terms=len(sigma) * w.size)
     total = complex(w.sum())
     if abs(total - 1.0) > slack:
         raise ValidationError(f"joint weights sum to {total}")
@@ -115,8 +115,8 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     """The joint distribution of two observables commuting in a state.
 
     Raises if the pair fails commute_in_state, if any weight has an
-    imaginary residue above eq_tol, if a weight falls below the psd_tol
-    floor, or if a marginal strays from the Born distribution.
+    imaginary residue above the _slack of n * #atoms terms, if a weight falls
+    below the psd_tol floor, or if a marginal strays from the Born distribution.
     """
     dx, dy = spectral_decompose(x, tol), spectral_decompose(y, tol)
     sigma = _as_state(rho, tol).matrix
@@ -124,7 +124,7 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     if not _commute(dx.projectors, dy.blocks, sigma, tol):
         raise ValidationError("observables do not commute in the state")
     w = _joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors, sigma, tol).weights
-    if np.abs(w.imag).max() > tol.eq_tol:
+    if np.abs(w.imag).max() > _slack(tol, terms=len(sigma) * w.size):
         raise ValidationError(f"joint weight has imaginary residue {np.abs(w.imag).max()}")
     if w.real.min() < tol.psd_tol:
         raise ValidationError(f"negative joint weight {w.real.min()}")
@@ -165,10 +165,10 @@ def weak_joint_distribution(mp: MeasuringProcess, a, rho) -> JointDistribution:
 
 def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
     """True when every atom whose x and y fall in different clusters of
-    _cluster_labels over both runs of atoms has |weight| <= eq_tol."""
+    _cluster_labels over both runs of atoms has |weight| <= _slack of #atoms."""
     labels = _cluster_labels(np.concatenate([jd.x_atoms, jd.y_atoms]), tol)
     off = labels[:len(jd.x_atoms), None] != labels[None, len(jd.x_atoms):]
-    return not bool((off & (np.abs(jd.weights) > tol.eq_tol)).any())
+    return not bool((off & (np.abs(jd.weights) > _slack(tol, terms=jd.weights.size))).any())
 
 
 def _commutes_after(ctx: _Scenario, x: str) -> bool:
@@ -225,7 +225,7 @@ def probability_reproducible(mp: MeasuringProcess, a, rho) -> bool:
     |value|."""
     ctx = _Scenario(mp, a, None, rho)
     gap = np.einsum("kab,ba->k", _cluster_gap(ctx), ctx.rho.matrix)
-    return bool(np.abs(gap).max() <= max(ctx.tol.eq_tol, 1e-10))
+    return bool(np.abs(gap).max() <= _slack(ctx.tol, terms=ctx.rho.dim))
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ def _precision_report(ctx: _Scenario) -> PrecisionReport:
     tol = ctx.tol
     weak = _diagonal_concentrated(_before_after(ctx, "a"), tol)
     pc = ctx.cyclic("a").projector()
-    repro = float(np.abs(pc @ _cluster_gap(ctx) @ pc).max()) <= max(tol.eq_tol, 1e-9)
+    repro = float(np.abs(pc @ _cluster_gap(ctx) @ pc).max()) <= _slack(tol, terms=len(pc))
     a_scale = float(np.abs(ctx.obs["a"].matrix).max())
     return PrecisionReport(
         strong_precise=bool(weak and _commutes_after(ctx, "a")),

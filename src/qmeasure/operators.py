@@ -21,11 +21,10 @@ class ValidationError(ValueError):
 class Tolerances:
     """Numerical tolerances shared across the library.
 
-    eq_tol bounds equality checks: absolutely for dimensionless quantities
-    (probabilities, projector and effect sums, ranks, a raw state's
-    asymmetry), relatively (_slack) for a quantity with the units of an
-    observable, a raw observable's asymmetry included. psd_tol is the floor
-    for eigenvalues of nominally positive matrices; it is zero or slightly negative.
+    eq_tol bounds every equality check, through _slack alone: it is the
+    relative slack of a quantity with the units of an observable and the
+    absolute one of a dimensionless quantity, never below the rounding level
+    of the sums behind it. psd_tol (<= 0) floors the eigenvalues of nominally positive matrices.
     """
 
     eq_tol: float = 1e-9
@@ -94,11 +93,11 @@ def operator_distance(x, y) -> float:
     return float(np.abs(np.asarray(x) - np.asarray(y)).max())
 
 
-def _slack(tol: Tolerances, scale: float) -> float:
-    """eq_tol times the scale of a quantity carrying the units of an
-    observable: the one rule by which such a quantity counts as zero. An
-    eq_tol below machine eps counts as eps, the rounding level."""
-    return max(tol.eq_tol, _EPS) * scale
+def _slack(tol: Tolerances, scale: float = 1.0, terms: int = 1) -> float:
+    """The one rule by which a quantity counts as zero: eq_tol times its scale
+    (1 if dimensionless), eq_tol counting as at least 16 * terms machine eps,
+    the rounding level of a sum of that many terms."""
+    return max(tol.eq_tol, 16 * terms * _EPS) * scale
 
 
 def _check_dims(*ops):
@@ -152,9 +151,10 @@ class DensityOperator(_Immutable):
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOL):
         op = as_operator(matrix)
-        if operator_distance(op, dagger(op)) > tol.eq_tol:
+        slack = _slack(tol, terms=op.shape[0])
+        if operator_distance(op, dagger(op)) > slack:
             raise ValidationError("density operator must be Hermitian within eq_tol")
-        if abs(np.trace(op).real - 1.0) > tol.eq_tol or abs(np.trace(op).imag) > tol.eq_tol:
+        if abs(np.trace(op).real - 1.0) > slack or abs(np.trace(op).imag) > slack:
             raise ValidationError(f"density operator must have unit trace, got {np.trace(op)}")
         sym = hermitian_part(op)
         w, v = np.linalg.eigh(sym)
@@ -169,8 +169,8 @@ class DensityOperator(_Immutable):
         """Rank-one state |v><v| from a (not necessarily normalized) vector."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(v)
-        if nrm <= tol.eq_tol:
-            raise ValidationError("cannot normalize a (near-)zero vector")
+        if not 0 < nrm < np.inf:
+            raise ValidationError("cannot normalize a zero or non-finite vector")
         v = v / nrm
         return cls(np.outer(v, v.conj()), tol=tol)
 

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module of the package imports is used in it,
-importing the package pulls in numpy and the stdlib only, and a process,
+importing the package pulls in numpy and the stdlib only, a process,
 instrument or POVM is judged under its own Tolerances, never under a tol
-passed per call.
+passed per call, and only Tolerances and _slack read eq_tol.
 
 Stdlib ast scans, so they need no linter. __init__.py is skipped by the
 import scan, since its imports are the package's re-exports, and so is the
@@ -96,3 +96,40 @@ def test_scan_finds_a_tol_override(tmp_path):
                     "    def __init__(self, effects, tol=None): pass\n"
                     "    def probabilities(self, rho, tol=None): pass\n")
     assert tol_overrides(str(path)) == ["POVM.probabilities", "f", "g"]
+
+
+# the top-level definitions allowed to read eq_tol, per module: every other
+# check counts a quantity as zero through operators._slack
+EQ_TOL_READERS = {"operators.py": ("Tolerances", "_slack")}
+
+
+def eq_tol_reads(path: str, allowed=()) -> list:
+    """Top-level definitions outside allowed that read an eq_tol attribute,
+    "<module>" for module-level code."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        if name not in allowed and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "eq_tol"
+                and isinstance(sub.ctx, ast.Load) for sub in ast.walk(node)):
+            found.add(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_only_slack_reads_eq_tol(path):
+    assert eq_tol_reads(path, EQ_TOL_READERS.get(os.path.basename(path), ())) == []
+
+
+def test_scan_finds_an_eq_tol_read(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class Tolerances:\n"
+                    "    def __post_init__(self):\n        assert self.eq_tol > 0\n"
+                    "def _slack(tol): return tol.eq_tol\n"
+                    "def f(tol): return max(tol.eq_tol, 1e-8)\n"
+                    "class C:\n    def g(self): return {'eq_tol': self.tol.eq_tol}\n"
+                    "def h(tol): return {'eq_tol': 1}\n"
+                    "x = DEFAULT_TOL.eq_tol\n")
+    assert eq_tol_reads(str(path), ("Tolerances", "_slack")) == ["<module>", "C", "f"]

@@ -1,9 +1,11 @@
 """Flags at every scale: a quantity with the units of an observable counts
 as zero within eq_tol times its own scale, so no flag, cluster or outcome
-match depends on the units of A, B, the meter or hbar."""
+match depends on the units of A, B, the meter or hbar; and at every eq_tol,
+since no check asks for less than the rounding of its sums."""
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +144,57 @@ class TestRegressions:
         path = tmp_path / "rotated.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    @pytest.mark.parametrize("eq_tol", ["1e-15", "1e-16", "1e-18"])
+    def test_cli_runs_below_rounding_level(self, eq_tol, tmp_path):
+        # unitarity, a state's trace and the sweep's Haar unitaries are checked
+        # no tighter than the rounding of their sums
+        for name in sorted(os.listdir(CONFIG_DIR)):
+            argv = ["run", os.path.join(CONFIG_DIR, name), "--out", str(tmp_path / name)]
+            assert main(argv + ["--tol", eq_tol]) == EXIT_OK
+        assert main(["sweep", "--dims", "2..3", "--trials", "5", "--seed", "0",
+                     "--out", str(tmp_path / "sweep"), "--tol", eq_tol]) == EXIT_OK
+
+    @pytest.mark.parametrize("eq_tol", [1e-15, 1e-18])
+    def test_luders_dilation_precise_below_rounding_level(self, eq_tol):
+        tol = qm.Tolerances(eq_tol=eq_tol)
+        for seed in range(20):
+            rng = qm.rng_from(seed)
+            d = 2 + seed % 4
+            a = qm.random_hermitian(d, rng, tol=tol)
+            rho = qm.random_density_operator(d, rng, tol=tol)
+            mp = qm.dilate(qm.luders_instrument(a, tol))
+            assert qm.theorem2_check(mp, a, rho).flags() == (True,) * 4
+            assert qm.is_nondisturbing(mp, a, rho)
+
+    def test_tol_reaches_reproducibility_face(self):
+        # a Lüders dilation of diag(0, 1) perturbed by exp(-itG), t = 1e-11:
+        # precise at the default eq_tol, neither strong precise nor
+        # probability reproducible on the cyclic subspace at 1e-13
+        a = np.diag([0.0, 1.0])
+        w, v = np.linalg.eigh(qm.random_hermitian(4, qm.rng_from(3)).matrix)
+        kick = (v * np.exp(-1e-11j * w)) @ v.conj().T
+
+        def report(eq_tol):
+            tol = qm.Tolerances(eq_tol=eq_tol)
+            mp = qm.dilate(qm.luders_instrument(a, tol))
+            mp = qm.MeasuringProcess(mp.probe_state, mp.unitary @ kick, mp.meter, tol=tol)
+            return qm.theorem2_check(mp, a, qm.DensityOperator(EYE2 / 2, tol)).flags()
+
+        assert report(1e-9) == (True, True, True, True)
+        assert report(1e-13) == (False, True, True, False)
+
+    def test_pure_normalizes_at_every_scale(self):
+        for k in range(-150, 151):
+            rho = qm.DensityOperator.pure([10.0 ** k, 10.0 ** k])
+            assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("vector", [[0.0, 0.0], [np.inf, 0.0], [np.nan, 1.0]])
+    def test_pure_rejects_zero_or_non_finite_vector(self, vector):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(qm.ValidationError, match="zero or non-finite"):
+                qm.DensityOperator.pure(vector)
 
     def test_gaussian_zero_covariance_rejected_at_small_hbar(self):
         with pytest.raises(qm.ValidationError, match="uncertainty bound"):
