@@ -236,34 +236,15 @@ def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
     return list(np.sqrt(w[:r])[:, None, None] * v[:, :r].T.reshape(r, dim, dim).swapaxes(1, 2))
 
 
-def _sorted_family(outcomes, effects: np.ndarray, tol: Tolerances, count_error: str,
-                   identity_error: str):
-    """Distinct outcome values as floats sorted ascending, the permutation and
-    the stacked effects, one per outcome, permuted alike and summing to 1."""
-    outcomes = [float(x) for x in outcomes]
-    if len(outcomes) != len(effects):
-        raise ValidationError(count_error)
-    if len(set(outcomes)) != len(outcomes):
-        raise ValidationError("outcome values must be distinct")
-    order = np.argsort(outcomes)
-    effects = effects[order]
-    if operator_distance(effects.sum(axis=0), np.eye(effects.shape[-1])) > max(_slack(tol), 1e-8):
-        raise ValidationError(identity_error)
-    effects.setflags(write=False)
-    return tuple(outcomes[i] for i in order), order, effects
-
-
 class CPInstrument(_Immutable):
     """Outcome-indexed family of CP maps summing to a channel, immutable.
 
     outcomes are distinct reals sorted ascending; kraus[m] is a read-only
     (r_m, d, d) stack, (0, d, d) for an outcome without Kraus operators.
-    The effects sum_j K+K, computed once, sum to 1 within max(eq_tol, 1e-8).
+    It keeps the POVM of its effects sum_j K+K, which validates the family.
     """
 
     def __init__(self, outcomes, kraus, tol: Tolerances = DEFAULT_TOL):
-        if len(kraus) == 0:
-            raise ValidationError("instrument needs at least one outcome")
         ops = [[as_operator(k) for k in fam] for fam in kraus]
         dims = {k.shape[0] for fam in ops for k in fam}
         if len(dims) > 1:
@@ -272,14 +253,12 @@ class CPInstrument(_Immutable):
             raise ValidationError("instrument has no Kraus operators at all")
         dim = dims.pop()
         stacks = [_kraus_stack(fam, dim) for fam in ops]
-        effects = np.stack([hermitian_part((dagger(k) @ k).sum(axis=0)) for k in stacks])
-        outcomes, order, effects = _sorted_family(
-            outcomes, effects, tol, "need one Kraus list per outcome",
-            "Kraus family is not trace-preserving: sum K+K != 1")
+        outcomes = [float(x) for x in outcomes]
+        povm = POVM(outcomes, [(dagger(k) @ k).sum(axis=0) for k in stacks], tol)
         for k in stacks:
             k.setflags(write=False)
-        self._init_fields(outcomes=outcomes, kraus=tuple(stacks[i] for i in order), dim=dim,
-                          tol=tol, _effects=effects)
+        kraus = tuple(stacks[i] for i in np.argsort(outcomes))
+        self._init_fields(outcomes=povm.outcomes, kraus=kraus, dim=dim, tol=tol, _povm=povm)
 
     def _select(self, outcome_set) -> list:
         """Indices of the outcomes nearest to a value or to each of an
@@ -303,7 +282,7 @@ class CPInstrument(_Immutable):
 
     def effect(self, i: int) -> np.ndarray:
         """POVM effect sum_j K+K of the i-th outcome, read-only."""
-        return self._effects[i]
+        return self._povm.effects[i]
 
     def choi(self, i: int) -> np.ndarray:
         return choi_matrix(self.kraus[i], self.dim)
@@ -313,22 +292,31 @@ class CPInstrument(_Immutable):
 
 
 class POVM(_Immutable):
-    """Positive effects, one per outcome, summing to the identity; immutable,
-    with the effects as one read-only (m, d, d) stack in ascending outcome
-    order."""
+    """Positive effects, one per outcome, summing to the identity within the
+    _slack of d * m terms; immutable, with distinct float outcomes sorted
+    ascending and the effects as one read-only (m, d, d) stack in that order.
+    The one validator of an outcome family, an instrument's effects included."""
 
     def __init__(self, outcomes, effects, tol: Tolerances = DEFAULT_TOL):
+        outcomes = [float(x) for x in outcomes]
         effs = [hermitian_part(as_operator(e)) for e in effects]
         if not effs:
             raise ValidationError("POVM needs at least one outcome")
+        if len(outcomes) != len(effs):
+            raise ValidationError("need one effect per outcome")
+        if len(set(outcomes)) != len(outcomes):
+            raise ValidationError("outcome values must be distinct")
         if len({e.shape for e in effs}) > 1:
             raise ValidationError("all effects must share one dimension")
-        effs = np.stack(effs)
+        order = np.argsort(outcomes)
+        effs = np.stack(effs)[order]
         if float(np.linalg.eigvalsh(effs).min()) < tol.psd_tol:
             raise ValidationError("effect is not positive semidefinite")
-        outcomes, _, effs = _sorted_family(outcomes, effs, tol, "need one effect per outcome",
-                                           "effects do not sum to the identity")
-        self._init_fields(outcomes=outcomes, effects=effs, dim=effs.shape[-1], tol=tol)
+        d = effs.shape[-1]
+        if operator_distance(effs.sum(axis=0), np.eye(d)) > _slack(tol, terms=d * len(effs)):
+            raise ValidationError("effects do not sum to the identity")
+        effs.setflags(write=False)
+        self._init_fields(outcomes=tuple(outcomes[i] for i in order), effects=effs, dim=d, tol=tol)
 
     def probabilities(self, rho) -> OutcomeDistribution:
         return _born(self.outcomes, self.effects, _as_state(rho, self.tol).matrix, self.tol)
@@ -345,31 +333,31 @@ def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
     family sum_b' Q_m[b, b'] K_b'l over the process's K_bl. It is reduced
     to minimal rank by an SVD of the stacked columns vec(K): the outcome's
     Choi matrix is V V+, so its eigenvectors are the left singular vectors
-    and its eigenvalues s^2. Operators with s^2 <= _slack of d^2 terms go,
+    and its eigenvalues s^2. Operators go at s <= 16 * max(v.shape) * eps,
+    the rounding of a unit-scale family (sum K+K = 1) whatever eq_tol is,
     the rest ordered by descending Choi eigenvalue. The instrument carries
     the process's Tolerances.
     """
-    tol, d, dm = mp.tol, mp.system_dim, mp._meter_measure()
+    d, dm = mp.system_dim, mp._meter_measure()
     families = []
     for g in mp._apply(dm.projectors, probe=True):
         # column (b, l) is vec(G_bl), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
         v = g.transpose(3, 1, 0, 2).reshape(d * d, -1)
         w, s, _ = np.linalg.svd(v, full_matrices=False)
-        rank = int(np.sum(s * s > _slack(tol, terms=d * d)))
+        rank = int(np.sum(s > 16 * max(v.shape) * _EPS))
         # K_j[a, c] = s_j w[(c, a), j]
         families.append(s[:rank, None, None] * w[:, :rank].T.reshape(rank, d, d).swapaxes(1, 2))
-    return CPInstrument(dm.eigenvalues, families, tol=tol)
+    return CPInstrument(dm.eigenvalues, families, tol=mp.tol)
 
 
 def povm_of(instrument: CPInstrument) -> POVM:
-    """The outcome statistics of an instrument as a POVM."""
-    return POVM(instrument.outcomes, instrument._effects, tol=instrument.tol)
+    """The outcome statistics of an instrument as a POVM: the one it keeps."""
+    return instrument._povm
 
 
 def outcome_probabilities(instrument: CPInstrument, rho) -> OutcomeDistribution:
     """Pr{m} = Tr[I(m) rho] = Tr[E_m rho] for each outcome."""
-    tol = instrument.tol
-    return _born(instrument.outcomes, instrument._effects, _as_state(rho, tol).matrix, tol)
+    return instrument._povm.probabilities(rho)
 
 
 def post_state(instrument: CPInstrument, outcome_set, rho) -> DensityOperator:
@@ -486,7 +474,7 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
     scale = float(np.abs(am).max()) * am.shape[0]
     floor = max(_slack(tol, scale), float(np.sqrt(np.finfo(float).eps)) * scale)
     outs, residuals, sds = [], [], []
-    probs = _born(instrument.outcomes, instrument._effects, rm, tol).probabilities
+    probs = _born(instrument.outcomes, instrument._povm.effects, rm, tol).probabilities
     for x, kraus, p in zip(instrument.outcomes, instrument.kraus, probs):
         if p <= _slack(tol, terms=rm.shape[0] ** 2):
             continue

@@ -51,10 +51,10 @@ def random_density_operator(dim: int, rng: np.random.Generator,
     return DensityOperator(u @ np.diag(w) @ dagger(u), tol=tol)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0,
+def random_hermitian(dim: int, rng: np.random.Generator,
                      tol: Tolerances = DEFAULT_TOL) -> HermitianObservable:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianObservable(scale * hermitian_part(g), tol=tol)
+    return HermitianObservable(hermitian_part(g), tol=tol)
 
 
 def random_measuring_process(system_dim: int, probe_dim: int, rng: np.random.Generator,
@@ -80,14 +80,13 @@ def random_measuring_process(system_dim: int, probe_dim: int, rng: np.random.Gen
 def random_cp_instrument(dim: int, n_outcomes: int, rng: np.random.Generator,
                          max_kraus_per_outcome: int = 2,
                          tol: Tolerances = DEFAULT_TOL) -> CPInstrument:
-    """Random instrument: Gaussian Kraus seeds normalized into a channel."""
-    raw = []
+    """Random instrument: Gaussian Kraus seeds, stacked into one column V = W S Zh
+    (SVD), normalized into a channel by its polar factor W Zh = V (V+V)^(-1/2)."""
+    raw, counts = [], []
     for _ in range(n_outcomes):
-        count = int(rng.integers(1, max_kraus_per_outcome + 1))
-        raw.append([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                    for _ in range(count)])
-    total = sum(dagger(k) @ k for ops in raw for k in ops)
-    w, v = np.linalg.eigh(hermitian_part(total))
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ dagger(v)
-    kraus = [[k @ inv_sqrt for k in ops] for ops in raw]
+        counts.append(int(rng.integers(1, max_kraus_per_outcome + 1)))
+        raw.extend(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                   for _ in range(counts[-1]))
+    w, _, zh = np.linalg.svd(np.concatenate(raw), full_matrices=False)
+    kraus = np.split((w @ zh).reshape(-1, dim, dim), np.cumsum(counts)[:-1])
     return CPInstrument(np.arange(n_outcomes, dtype=float), kraus, tol=tol)

@@ -206,6 +206,21 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_ASSERTION
 
+    def test_leaky_instrument_is_assertion(self, tmp_path, capsys):
+        # effects summing to 1 + 2.5e-9: rejected as an instrument, not as
+        # the coupling of its dilation
+        with open(os.path.join(CONFIG_DIR, "finite_instrument.json")) as fh:
+            cfg = json.load(fh)
+        eye = np.eye(2)
+        cfg["payload"]["instrument"] = {
+            "outcomes": [0.0, 1.0],
+            "kraus": [[ser.matrix_to_json(np.sqrt(0.5 * (1 + 5e-9)) * eye)],
+                      [ser.matrix_to_json(np.sqrt(0.5) * eye)]],
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_ASSERTION
+        assert "sum to the identity" in capsys.readouterr().err
+
 
 class TestSettingsPrecedence:
     def test_flag_beats_config_and_env(self, tmp_path):

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used in it,
 importing the package pulls in numpy and the stdlib only, a process,
 instrument or POVM is judged under its own Tolerances, never under a tol
-passed per call, and only Tolerances and _slack read eq_tol.
+passed per call, only Tolerances and _slack read eq_tol, and no check
+floors the slack with max().
 
 Stdlib ast scans, so they need no linter. __init__.py is skipped by the
 import scan, since its imports are the package's re-exports, and so is the
@@ -133,3 +134,43 @@ def test_scan_finds_an_eq_tol_read(tmp_path):
                     "def h(tol): return {'eq_tol': 1}\n"
                     "x = DEFAULT_TOL.eq_tol\n")
     assert eq_tol_reads(str(path), ("Tolerances", "_slack")) == ["<module>", "C", "f"]
+
+
+# the top-level definitions allowed to floor _slack with max(), per module:
+# check_repeatability's sqrt(eps) noise floor, which README documents
+SLACK_FLOORS = {"instruments.py": ("check_repeatability",)}
+
+
+def _calls(node, name: str) -> list:
+    return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name) and sub.func.id == name]
+
+
+def slack_floors(path: str, allowed=()) -> list:
+    """Top-level definitions outside allowed with a max(...) call that takes
+    a _slack(...) call among its arguments, "<module>" for module-level code."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        if name not in allowed and any(_calls(arg, "_slack") for call in _calls(node, "max")
+                                       for arg in call.args):
+            found.add(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_floor_on_slack(path):
+    assert slack_floors(path, SLACK_FLOORS.get(os.path.basename(path), ())) == []
+
+
+def test_scan_finds_a_slack_floor(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(tol): return max(_slack(tol), 1e-8)\n"
+                    "def g(tol): return max(2 * _slack(tol, terms=4), 1e-9)\n"
+                    "def h(tol): return max(tol.psd_tol, 0.0) + _slack(tol)\n"
+                    "def check_repeatability(tol): return max(_slack(tol), 1e-8)\n"
+                    "class C:\n    def k(self): return max(_slack(self.tol), 1e-8)\n"
+                    "x = max(_slack(DEFAULT_TOL), 1.0)\n")
+    assert slack_floors(str(path), ("check_repeatability",)) == ["<module>", "C", "f", "g"]

@@ -322,6 +322,15 @@ class TestPOVM:
             assert a.outcomes == b.outcomes
             assert np.allclose(a.probabilities, b.probabilities, atol=1e-9)
 
+    def test_povm_of_is_the_instruments_own(self):
+        inst = qm.random_cp_instrument(3, 2, qm.rng_from(216))
+        povm = qm.povm_of(inst)
+        assert qm.povm_of(inst) is povm
+        assert povm.outcomes == inst.outcomes and povm.tol == inst.tol
+        assert all(np.shares_memory(inst.effect(i), povm.effects) for i in range(2))
+        with pytest.raises(ValueError):
+            povm.effects[0, 0, 0] = 2.0
+
 
 class TestStackedFamilyReferences:
     """The stacked computations against the per-operator loops they replaced."""
@@ -473,6 +482,50 @@ class TestDilation:
         back = qm.instrument_from_process(mp)
         assert [len(ops) for ops in back.kraus] == [6] * 6
         assert qm.instrument_choi_distance(inst, back) < 1e-10
+
+
+LEAKY_KRAUS = [[np.sqrt(0.5 * (1 + 5e-9)) * EYE2], [np.sqrt(0.5) * EYE2]]
+
+
+class TestEveryInstrumentDilates:
+    """An instrument the library accepts or builds, at any eq_tol, is realized
+    by dilate: its effects sum to 1 within the slack of the dilation's
+    unitarity check."""
+
+    def test_leaky_instrument_rejected(self):
+        # effects miss 1 by 2.5e-9, over the slack at the default eq_tol
+        with pytest.raises(qm.ValidationError, match="sum to the identity"):
+            qm.CPInstrument([0.0, 1.0], LEAKY_KRAUS)
+        with pytest.raises(qm.ValidationError, match="sum to the identity"):
+            qm.POVM([0.0, 1.0], [k[0].conj().T @ k[0] for k in LEAKY_KRAUS])
+
+    @pytest.mark.parametrize("eq_tol", [1e-15, 1e-16, 1e-18])
+    def test_random_instruments_dilate_below_rounding_level(self, eq_tol):
+        tol = qm.Tolerances(eq_tol=eq_tol)
+        eps = np.finfo(float).eps
+        for seed in range(400):
+            rng = qm.rng_from(seed)
+            d, m, k = (int(rng.integers(lo, hi + 1)) for lo, hi in ((2, 8), (1, 6), (1, 6)))
+            inst = qm.random_cp_instrument(d, m, rng, max_kraus_per_outcome=k, tol=tol)
+            miss = qm.operator_distance(qm.povm_of(inst).effects.sum(axis=0), np.eye(d))
+            assert miss <= 16 * d * m * eps
+            qm.dilate(inst)
+
+    @pytest.mark.parametrize("eq_tol", [1e-2, 3e-2, 1e-1])
+    def test_perturbed_dilations_read_back_at_loose_tolerance(self, eq_tol):
+        # a Lüders dilation kicked by exp(-itG), t of order sqrt(eq_tol): many
+        # Kraus operators of weight near the slack, none of them negligible
+        tol = qm.Tolerances(eq_tol=eq_tol)
+        for seed in range(400):
+            rng = qm.rng_from(5, seed)
+            d = int(rng.integers(2, 5))
+            mp0 = qm.dilate(qm.luders_instrument(qm.random_hermitian(d, rng), tol=tol))
+            w, v = np.linalg.eigh(qm.random_hermitian(mp0.unitary.shape[0], rng).matrix)
+            t = np.sqrt(eq_tol) * rng.uniform(0.3, 3.0)
+            kick = (v * np.exp(-1j * t * w)) @ v.conj().T
+            probe = qm.random_density_operator(mp0.probe_dim, rng, tol)
+            mp = qm.MeasuringProcess(probe, mp0.unitary @ kick, mp0.meter, tol=tol)
+            qm.dilate(qm.instrument_from_process(mp))
 
 
 class TestChoiDistance:
