@@ -50,7 +50,6 @@ from .instruments import (
 )
 from .edr import (
     EDRReport,
-    Subspace,
     cyclic_subspace,
     disturbance_moment_operator,
     disturbance_operator,

@@ -4,11 +4,12 @@
     qmeasure sweep --dims 2..4 --trials N --seed S --out <dir> [--hbar X] [--tol X]
 
 Scenario kinds and their payloads are documented in the README. Every
-config value is read through the schema helpers of qmeasure.serialize.
-Exit codes: 0 success, 1 I/O failure, 2 schema violation (a missing key,
-a config section or payload that is not an object, an unknown kind,
-model, report or interaction, or a config number that is not a finite
-JSON number), 3 numerical validation failure, arithmetic overflow, or
+config value is read through the schema helpers of qmeasure.serialize, a
+sweep payload's by run_sweep. Exit codes: 0 success, 1 I/O failure, 2
+SchemaError (a missing key, a config section or payload that is not an
+object, an unknown kind, model, report or interaction, or a config number
+that is not a finite JSON number), 3 any other ValidationError
+(SchemaError subclasses it and is caught first), arithmetic overflow, or
 sweep assertion failure. Apart from the wall_time field, report.json is
 byte-identical across reruns of the same scenario.
 
@@ -54,7 +55,7 @@ from .serialize import (
     precision_report_to_dict,
     process_from_dict,
 )
-from .sweep import _INTERACTIONS, run_sweep
+from .sweep import run_sweep
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -119,13 +120,8 @@ def _run_gaussian_model(payload: dict, constants, tol, out_dir):
 
 
 def _run_sweep_kind(payload: dict, tol):
-    dims, trials, seed = _require(payload, "dims", "trials", "seed", what="sweep payload")
-    census, _ = run_sweep(dims=tuple(_numbers(dims, "dims", 2, integer=True)),
-                          trials=_number(trials, "trials", integer=True),
-                          seed=_number(seed, "seed", integer=True),
-                          interaction=_choice(payload.get("interaction", "haar"), _INTERACTIONS,
-                                              "interaction"),
-                          tol=tol)
+    census, _ = run_sweep(*_require(payload, "dims", "trials", "seed", what="sweep payload"),
+                          interaction=payload.get("interaction", "haar"), tol=tol)
     return census.as_dict(), census.all_universal_hold
 
 

@@ -136,37 +136,10 @@ def edr_ledger(mp: MeasuringProcess, a, b, rho) -> EDRReport:
     return _Scenario(mp, a, b, rho).ledger()
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Orthonormal basis columns of a subspace of an ambient space."""
-
-    ambient_dim: int
-    basis: np.ndarray  # shape (ambient_dim, k)
-
-    def __post_init__(self):
-        if self.basis.ndim != 2 or self.basis.shape[0] != self.ambient_dim:
-            raise ValidationError("basis must be (ambient_dim, k)")
-        gram = dagger(self.basis) @ self.basis
-        if float(np.abs(gram - np.eye(self.basis.shape[1])).max()) > 1e-8:
-            raise ValidationError("basis columns are not orthonormal")
-        self.basis.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ dagger(self.basis)
-
-    def compress(self, op: np.ndarray) -> np.ndarray:
-        """B+ X B, the operator viewed inside the subspace."""
-        return dagger(self.basis) @ op @ self.basis
-
-
-def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """span{P_i phi_k}: spectral projectors of A applied to eigenvectors
-    of rho with eigenvalue above the _slack of d terms, the span's rank cut
-    at the _slack of as many terms as it has entries.
+def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """span{P_i phi_k} as a read-only (d, k) basis V, V+ V = 1: A's spectral
+    projectors on the eigenvectors of rho above the _slack of d terms, the
+    rank cut at the _slack of as many terms as the span has entries.
 
     This is the set of states the process explores around rho when A is
     the target; locally uniform error/disturbance are suprema over it.
@@ -177,9 +150,9 @@ def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return _cyclic_subspace(spectral_decompose(am, tol), rho, tol)
 
 
-def _cyclic_subspace(dec, rho: DensityOperator, tol: Tolerances) -> Subspace:
-    """cyclic_subspace from the decomposition of A and the spectrum of rho;
-    column k * #P + i of the spanning set is P_i phi_k."""
+def _cyclic_subspace(dec, rho: DensityOperator, tol: Tolerances) -> np.ndarray:
+    """cyclic_subspace from the decomposition of A and the spectrum of rho: the
+    left singular vectors of the span, whose column k * #P + i is P_i phi_k."""
     w, v = rho.spectrum
     phi = v[:, w > _slack(tol, terms=len(w))]
     if phi.shape[1] == 0:
@@ -189,7 +162,8 @@ def _cyclic_subspace(dec, rho: DensityOperator, tol: Tolerances) -> Subspace:
     rank = int(np.sum(s > _slack(tol, terms=m.size)))
     if rank == 0:
         raise ValidationError("cyclic subspace collapsed to zero")
-    return Subspace(dec.dim, u[:, :rank])
+    u.setflags(write=False)
+    return u[:, :rank]
 
 
 def locally_uniform_rms_error(mp: MeasuringProcess, a, rho) -> float:
@@ -233,7 +207,7 @@ class _Scenario:
     def decomposition(self, x: str):
         return self._once(("decomposition", x), lambda: spectral_decompose(self.obs[x], self.tol))
 
-    def cyclic(self, x: str) -> Subspace:
+    def cyclic(self, x: str) -> np.ndarray:
         return self._once(("cyclic", x), lambda: _cyclic_subspace(
             self.decomposition(x), self.rho, self.tol))
 
@@ -248,10 +222,10 @@ class _Scenario:
         return self._once(("figures", x), make)
 
     def top(self, x: str) -> float:
-        """Largest eigenvalue of the second-moment operator compressed to
-        the cyclic subspace of (x, rho)."""
+        """Largest eigenvalue of V+ T V: the second-moment operator T
+        compressed to the basis V of the cyclic subspace of (x, rho)."""
         return self._once(("top", x), lambda: float(np.linalg.eigvalsh(hermitian_part(
-            self.cyclic(x).compress(self.figures(x)[2]))).max()))
+            dagger(self.cyclic(x)) @ self.figures(x)[2] @ self.cyclic(x))).max()))
 
     def locally_uniform(self, x: str) -> float:
         """sup of the rms figure over the unit vectors of the cyclic subspace."""

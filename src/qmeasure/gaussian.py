@@ -253,6 +253,15 @@ def _check_grid(grid) -> np.ndarray:
     return g
 
 
+def _meter_moments(model: LinearModel, obj: GaussianState, probe: GaussianState):
+    """(mean, cov) after the interaction and the meter variance cov[y, y] > 0."""
+    mean, cov = propagate(model, *joint_moments(obj, probe))
+    var = float(cov[_Y, _Y])
+    if var <= 0:
+        raise ValidationError("meter variance is not positive")
+    return mean, cov, var
+
+
 def output_distribution(model: LinearModel, obj: GaussianState, probe: GaussianState,
                         grid) -> np.ndarray:
     """Meter reading density on a grid after the interaction.
@@ -262,10 +271,7 @@ def output_distribution(model: LinearModel, obj: GaussianState, probe: GaussianS
     narrows it converges to the object's Born density.
     """
     g = _check_grid(grid)
-    mean, cov = propagate(model, *joint_moments(obj, probe))
-    var = float(cov[_Y, _Y])
-    if var <= 0:
-        raise ValidationError("meter variance is not positive")
+    mean, _, var = _meter_moments(model, obj, probe)
     return _gaussian_density(g, float(mean[_Y]), var)
 
 
@@ -283,9 +289,6 @@ def conditional_position_spread(model: LinearModel, obj: GaussianState,
     this equals (1/Vxx + 1/Vyy)^(-1/2), which never exceeds the rms
     error, the approximate-repeatability property of the model.
     """
-    _, cov = propagate(model, *joint_moments(obj, probe))
-    var_meter = float(cov[_Y, _Y])
-    if var_meter <= 0:
-        raise ValidationError("meter variance is not positive")
+    _, cov, var_meter = _meter_moments(model, obj, probe)
     var = float(cov[_X, _X]) - float(cov[_X, _Y]) ** 2 / var_meter
     return float(np.sqrt(max(var, 0.0)))

@@ -271,7 +271,7 @@ def _precision_report(ctx: _Scenario) -> PrecisionReport:
     eps_zero_on_cyclic the locally uniform top eigenvalue."""
     tol = ctx.tol
     weak = _diagonal_concentrated(_before_after(ctx, "a"), tol)
-    pc = ctx.cyclic("a").projector()
+    pc = ctx.cyclic("a") @ dagger(ctx.cyclic("a"))
     repro = float(np.abs(pc @ _cluster_gap(ctx) @ pc).max()) <= _slack(tol, terms=len(pc))
     a_scale = float(np.abs(ctx.obs["a"].matrix).max())
     return PrecisionReport(

@@ -2,15 +2,17 @@
 
 Complex matrices serialize as row-major nested lists of [re, im] pairs.
 Schema problems (missing keys, malformed nesting, a value of the wrong
-JSON type, a number that is not finite) raise SchemaError, from the
-schema helpers _require, _number, _numbers, _choice and matrix_from_json;
+type, a number that is not finite) raise SchemaError, from the schema
+helpers _require, _number, _numbers, _choice and matrix_from_json;
 values that parse but violate physics invariants raise ValidationError
-from the constructors instead.
+from the constructors instead. SchemaError subclasses ValidationError, so
+catching ValidationError catches both; run_sweep checks through _number too.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import fields
 
 import numpy as np
@@ -24,20 +26,22 @@ from .operators import (
     DEFAULT_TOL,
     PhysicalConstants,
     Tolerances,
+    ValidationError,
 )
 
 
-class SchemaError(ValueError):
-    """Input JSON does not match the documented schema."""
+class SchemaError(ValidationError):
+    """An input does not match the documented schema."""
 
 
 def _number(value, what: str, integer: bool = False):
-    """A finite JSON number as a float, or as an int when integer is set.
+    """A finite real number (numpy scalars too) as a float, or as an int
+    when integer is set.
 
     Strings, bools, NaN, infinities, integers beyond the float range and,
     when integer is set, fractional values raise SchemaError.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise SchemaError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
@@ -58,8 +62,9 @@ def matrix_to_json(m) -> list:
 
 
 def _numbers(values, what: str, length: int = None, integer: bool = False) -> list:
-    """A list of _number values, of the given length when set."""
-    if not isinstance(values, list) or (length is not None and len(values) != length):
+    """A list of _number values from a list, tuple or array, of length when set."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(values, (list, tuple)) or (length is not None and len(values) != length):
         raise SchemaError(f"{what} must be a list of " + (f"{length} " if length else "") + "numbers")
     return [_number(x, what, integer) for x in values]
 

@@ -9,7 +9,6 @@ the Heisenberg-type product may, and the census counts how often.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 from .edr import EDRReport, _Scenario
@@ -23,7 +22,7 @@ from .sampling import (
     random_pure_state,
     rng_from,
 )
-from .serialize import _report_to_dict
+from .serialize import _choice, _number, _numbers, _report_to_dict
 
 # largest dimension a sweep draws, so that n = d_s * d_p <= 1024
 MAX_DIM = 32
@@ -65,24 +64,18 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
     """Run a seeded sweep; returns (census, records) with records None
     unless collect is set. Dimensions are drawn from dims = (lo, hi) with
     2 <= lo <= hi <= MAX_DIM. dims is two integers, and trials and seed
-    are integers (2.0 counts as 2, a bool does not)."""
-    try:
-        lo, hi = dims
-    except (TypeError, ValueError):
-        raise ValidationError(f"dims must be two integers (lo, hi), got {dims!r}")
-    values = (lo, hi, trials, seed)
-    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
-               or isinstance(x, float) and x.is_integer() for x in values):
-        raise ValidationError(f"dims, trials and seed must be integers, got {values}")
-    lo, hi, trials, seed = map(int, values)
+    are integers (2.0 counts as 2, a bool does not); a value of the wrong
+    type raises SchemaError, one out of range ValidationError."""
+    lo, hi = _numbers(dims, "dims", 2, integer=True)
+    trials = _number(trials, "trials", integer=True)
+    seed = _number(seed, "seed", integer=True)
+    _choice(interaction, _INTERACTIONS, "interaction")
     if lo < 2 or hi < lo or hi > MAX_DIM:
         raise ValidationError(f"dims range must satisfy 2 <= lo <= hi <= {MAX_DIM}, got {dims}")
     if trials < 1:
         raise ValidationError("trials must be positive")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    if interaction not in _INTERACTIONS:
-        raise ValidationError(f"interaction must be one of {_INTERACTIONS}, got {interaction!r}")
     tally = dict.fromkeys(("uedr_failures", "oedr_failures", "lu_oedr_failures",
                            "heisenberg_violations", "theorem2_disagreements"), 0)
     records = [] if collect else None

@@ -392,6 +392,17 @@ class TestBadNumbers:
         assert code == EXIT_ASSERTION
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("path, value", [(("payload", "dims"), [1, 4]),
+                                             (("payload", "trials"), 0)],
+                             ids=["dims-below-2", "trials-zero"])
+    def test_sweep_range_fault_is_assertion(self, tmp_path, path, value):
+        # run_sweep raises SchemaError, itself a ValidationError, for a value
+        # of the wrong type; one of the right type out of range exits 3
+        path_ = write_config(tmp_path, set_path(sweep_config(), path, value))
+        code, err = run_captured(["run", path_, "--out", str(tmp_path / "out")])
+        assert code == EXIT_ASSERTION
+        assert "validation failure" in err and "Traceback" not in err
+
     def test_integral_float_trials_accepted(self, tmp_path):
         out = str(tmp_path / "out")
         path = write_config(tmp_path, sweep_config(trials=2.0))

@@ -3,6 +3,7 @@ import pytest
 
 import qmeasure as qm
 from qmeasure import edr
+from qmeasure.serialize import SchemaError
 from qmeasure.sweep import MAX_DIM, TrialRecord
 from helpers import (
     EYE2,
@@ -109,7 +110,8 @@ class TestMomentOperators:
         assert w.min() >= -1e-12 * scale
         phi = qm.random_pure_state(mp.system_dim, qm.rng_from(306, mp.system_dim))
         assert abs(qm.expectation(t, phi).real - qm.rms_disturbance(mp, b, phi) ** 2) <= 1e-12 * scale
-        top = np.linalg.eigvalsh(qm.hermitian_part(qm.cyclic_subspace(b, rho).compress(t))).max()
+        v = qm.cyclic_subspace(b, rho)
+        top = np.linalg.eigvalsh(qm.hermitian_part(qm.dagger(v) @ t @ v)).max()
         assert abs(top - qm.locally_uniform_rms_disturbance(mp, b, rho) ** 2) <= 1e-12 * scale
 
 
@@ -220,28 +222,24 @@ class TestLedgerFrozenExamples:
 
 class TestCyclicSubspace:
     def test_full_space_when_projections_spread(self):
-        sub = qm.cyclic_subspace(SZ, qm.DensityOperator.pure(KET_PLUS))
-        assert sub.dim == 2
-        assert np.allclose(sub.projector(), EYE2)
+        v = qm.cyclic_subspace(SZ, qm.DensityOperator.pure(KET_PLUS))
+        assert v.shape[1] == 2
+        assert np.allclose(v @ qm.dagger(v), EYE2)
 
     def test_eigenstate_gives_one_dimension(self):
-        sub = qm.cyclic_subspace(SZ, qm.DensityOperator.pure(KET0))
-        assert sub.dim == 1
-        assert np.allclose(sub.projector(), np.diag([1.0, 0.0]))
+        v = qm.cyclic_subspace(SZ, qm.DensityOperator.pure(KET0))
+        assert v.shape[1] == 1
+        assert np.allclose(v @ qm.dagger(v), np.diag([1.0, 0.0]))
 
     def test_negligible_state_weight_excluded(self):
         rho = qm.DensityOperator(np.diag([1.0 - 1e-12, 1e-12]).astype(complex))
-        sub = qm.cyclic_subspace(SZ, rho)
-        assert sub.dim == 1
+        v = qm.cyclic_subspace(SZ, rho)
+        assert v.shape[1] == 1
 
     def test_identity_observable_spans_state_support(self):
         rho = qm.DensityOperator(np.diag([0.5, 0.5, 0.0]).astype(complex))
-        sub = qm.cyclic_subspace(np.eye(3, dtype=complex), rho)
-        assert sub.dim == 2
-
-    def test_subspace_validation(self):
-        with pytest.raises(qm.ValidationError):
-            qm.Subspace(2, np.array([[1.0], [1.0]], dtype=complex))
+        v = qm.cyclic_subspace(np.eye(3, dtype=complex), rho)
+        assert v.shape[1] == 2
 
     @pytest.mark.parametrize("a, rho", [c[2:] for c in reference_cases()],
                              ids=[c[0] for c in reference_cases()])
@@ -249,9 +247,12 @@ class TestCyclicSubspace:
         cols = reference_cyclic_basis(qm.spectral_decompose(a).projectors, rho)
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
         basis = u[:, :int(np.sum(s > 1e-8))]
-        sub = qm.cyclic_subspace(a, rho)
-        assert sub.dim == basis.shape[1]
-        assert np.abs(sub.projector() - basis @ qm.dagger(basis)).max() <= 1e-12
+        v = qm.cyclic_subspace(a, rho)
+        # a read-only (d, k) array of orthonormal columns
+        assert not v.flags.writeable
+        assert v.shape == (len(rho.matrix), basis.shape[1])
+        assert np.abs(qm.dagger(v) @ v - np.eye(v.shape[1])).max() <= 1e-12
+        assert np.abs(v @ qm.dagger(v) - basis @ qm.dagger(basis)).max() <= 1e-12
 
 
 class TestLocallyUniform:
@@ -282,10 +283,10 @@ class TestLocallyUniform:
             mp = qm.random_measuring_process(d, int(rng.integers(2, 4)), rng)
             a = qm.random_hermitian(d, rng)
             rho = qm.random_density_operator(d, rng)
-            sub = qm.cyclic_subspace(a, rho)
+            v = qm.cyclic_subspace(a, rho)
             bar = qm.locally_uniform_rms_error(mp, a, rho)
-            w = qm.random_density_operator(sub.dim, rng)
-            inner = sub.basis @ w.matrix @ sub.basis.conj().T
+            w = qm.random_density_operator(v.shape[1], rng)
+            inner = v @ w.matrix @ v.conj().T
             rho_prime = qm.DensityOperator(inner)
             assert bar >= qm.rms_error(mp, a, rho_prime) - 1e-8
 
@@ -341,6 +342,14 @@ class TestUniversality:
         assert census == qm.run_sweep(dims=(2, 3), trials=2, seed=1)[0]
         assert census.trials == 2 and type(census.trials) is int
         assert qm.run_sweep(dims=(np.int64(2), 3), trials=np.int64(2), seed=1)[0] == census
+        assert qm.run_sweep(dims=np.array([2, 3]), trials=2, seed=1)[0] == census
+
+    def test_sweep_type_faults_are_schema_errors(self):
+        # run_sweep checks through the config schema helpers, so a value of
+        # the wrong type raises SchemaError, a ValidationError
+        assert issubclass(SchemaError, qm.ValidationError)
+        with pytest.raises(SchemaError):
+            qm.run_sweep(dims=[True, 2], trials=2, seed=1)
 
     def test_unknown_interaction_is_a_validation_error(self):
         with pytest.raises(qm.ValidationError):

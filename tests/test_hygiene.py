@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package imports is used in it,
 importing the package pulls in numpy and the stdlib only, a process,
 instrument or POVM is judged under its own Tolerances, never under a tol
-passed per call, only Tolerances and _slack read eq_tol, and no check
-floors the slack with max().
+passed per call, only Tolerances and _slack read eq_tol, no check
+floors the slack with max(), and no tolerance-sized float literal lives
+outside Tolerances.
 
 Stdlib ast scans, so they need no linter. __init__.py is skipped by the
 import scan, since its imports are the package's re-exports, and so is the
@@ -174,3 +175,41 @@ def test_scan_finds_a_slack_floor(tmp_path):
                     "class C:\n    def k(self): return max(_slack(self.tol), 1e-8)\n"
                     "x = max(_slack(DEFAULT_TOL), 1.0)\n")
     assert slack_floors(str(path), ("check_repeatability",)) == ["<module>", "C", "f", "g"]
+
+
+# the top-level definitions allowed to hold a float literal below 1e-3 in
+# modulus, per module: the defaults of Tolerances; every other tolerance is
+# derived from a Tolerances through _slack
+SMALL_FLOAT_HOMES = {"operators.py": ("Tolerances",)}
+
+
+def small_float_literals(path: str, allowed=()) -> list:
+    """(definition, value) of every float or complex literal x with
+    0 < |x| < 1e-3 in a top-level definition outside allowed, "<module>"
+    for module-level code."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        if name not in allowed:
+            found.extend((name, sub.value) for sub in ast.walk(node)
+                         if isinstance(sub, ast.Constant) and type(sub.value) in (float, complex)
+                         and 0 < abs(sub.value) < 1e-3)
+    return sorted(found, key=repr)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_literal_tolerances(path):
+    assert small_float_literals(path, SMALL_FLOAT_HOMES.get(os.path.basename(path), ())) == []
+
+
+def test_scan_finds_a_literal_tolerance(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class Tolerances:\n    eq_tol: float = 1e-9\n    psd_tol: float = -1e-10\n"
+                    "class Subspace:\n    def check(self, g): return g > 1e-8\n"
+                    "def f(x): return x < -2.5e-4 or x == 1e-12j\n"
+                    "def g(x): return x * 1e-3 + 0.5 + 0.0 + 3 + (1 > 0)\n"
+                    "EPS = 1e-15\n")
+    assert small_float_literals(str(path), ("Tolerances",)) == [
+        ("<module>", 1e-15), ("Subspace", 1e-08), ("f", 0.00025), ("f", 1e-12j)]
