@@ -30,6 +30,7 @@ from .operators import (
     _EPS,
     _Immutable,
     _as_matrix,
+    _as_operators,
     _as_observable_matrix,
     _as_state,
     _check_dims,
@@ -241,18 +242,20 @@ class CPInstrument(_Immutable):
 
     outcomes are distinct reals sorted ascending; kraus[m] is a read-only
     (r_m, d, d) stack, (0, d, d) for an outcome without Kraus operators.
-    It keeps the POVM of its effects sum_j K+K, which validates the family.
+    Each family (a list, tuple or stack) is converted and checked as one
+    array. It keeps the POVM of its effects sum_j K+K, which validates the
+    family.
     """
 
     def __init__(self, outcomes, kraus, tol: Tolerances = DEFAULT_TOL):
-        ops = [[as_operator(k) for k in fam] for fam in kraus]
-        dims = {k.shape[0] for fam in ops for k in fam}
+        stacks = [_as_operators(fam) for fam in kraus]
+        dims = {k.shape[-1] for k in stacks if len(k)}
         if len(dims) > 1:
             raise ValidationError("all Kraus operators must share one dimension")
         if not dims:
             raise ValidationError("instrument has no Kraus operators at all")
         dim = dims.pop()
-        stacks = [_kraus_stack(fam, dim) for fam in ops]
+        stacks = [_kraus_stack(k, dim) for k in stacks]
         outcomes = [float(x) for x in outcomes]
         povm = POVM(outcomes, [(dagger(k) @ k).sum(axis=0) for k in stacks], tol)
         for k in stacks:
@@ -294,22 +297,21 @@ class CPInstrument(_Immutable):
 class POVM(_Immutable):
     """Positive effects, one per outcome, summing to the identity within the
     _slack of d * m terms; immutable, with distinct float outcomes sorted
-    ascending and the effects as one read-only (m, d, d) stack in that order.
-    The one validator of an outcome family, an instrument's effects included."""
+    ascending and the effects as one read-only (m, d, d) stack in that order,
+    converted and checked as one array. The one validator of an outcome
+    family, an instrument's effects included."""
 
     def __init__(self, outcomes, effects, tol: Tolerances = DEFAULT_TOL):
         outcomes = [float(x) for x in outcomes]
-        effs = [hermitian_part(as_operator(e)) for e in effects]
-        if not effs:
+        effs = _as_operators(effects)
+        if not len(effs):
             raise ValidationError("POVM needs at least one outcome")
         if len(outcomes) != len(effs):
             raise ValidationError("need one effect per outcome")
         if len(set(outcomes)) != len(outcomes):
             raise ValidationError("outcome values must be distinct")
-        if len({e.shape for e in effs}) > 1:
-            raise ValidationError("all effects must share one dimension")
         order = np.argsort(outcomes)
-        effs = np.stack(effs)[order]
+        effs = hermitian_part(effs[order])
         if float(np.linalg.eigvalsh(effs).min()) < tol.psd_tol:
             raise ValidationError("effect is not positive semidefinite")
         d = effs.shape[-1]
@@ -328,26 +330,37 @@ class POVM(_Immutable):
 def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
     """The CP instrument induced by reading the meter of a process.
 
-    For each spectral value m of the meter with projector Q_m,
+    For each spectral value m of the meter, with orthonormal eigenvector
+    columns q_m (its block, Q_m = q_m q_m+),
     I(m)rho = Tr_probe[(1 x Q_m) U (rho x rho0) U+ (1 x Q_m)] has the Kraus
-    family sum_b' Q_m[b, b'] K_b'l over the process's K_bl. It is reduced
-    to minimal rank by an SVD of the stacked columns vec(K): the outcome's
-    Choi matrix is V V+, so its eigenvectors are the left singular vectors
-    and its eigenvalues s^2. Operators go at s <= 16 * max(v.shape) * eps,
-    the rounding of a unit-scale family (sum K+K = 1) whatever eq_tol is,
-    the rest ordered by descending Choi eigenvalue. The instrument carries
-    the process's Tolerances.
+    family G_il = sum_b conj(q_m[b, i]) K_bl over the process's K_bl: r_m L
+    operators, r_m the multiplicity of m and L the number of probe
+    eigenvalues kept (one matmul with the concatenated blocks forms all of
+    them). The family is reduced to minimal rank by an SVD of its stacked
+    columns vec(G): the outcome's Choi matrix is V V+ (the same as from
+    the projector's d_p L operators, since q_m+ q_m = 1), so its
+    eigenvectors are the left singular vectors and its eigenvalues s^2.
+    All outcomes go through one stacked SVD, each family zero-padded to the
+    largest block; zero columns add only zero singular values. Operators
+    go at s <= 16 * max(d_s^2, d_p L) * eps, the rounding of a unit-scale
+    family (sum K+K = 1) whatever eq_tol is, the rest ordered by descending
+    Choi eigenvalue. The instrument carries the process's Tolerances.
     """
-    d, dm = mp.system_dim, mp._meter_measure()
-    families = []
-    for g in mp._apply(dm.projectors, probe=True):
-        # column (b, l) is vec(G_bl), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
-        v = g.transpose(3, 1, 0, 2).reshape(d * d, -1)
-        w, s, _ = np.linalg.svd(v, full_matrices=False)
-        rank = int(np.sum(s > 16 * max(v.shape) * _EPS))
-        # K_j[a, c] = s_j w[(c, a), j]
-        families.append(s[:rank, None, None] * w[:, :rank].T.reshape(rank, d, d).swapaxes(1, 2))
-    return CPInstrument(dm.eigenvalues, families, tol=mp.tol)
+    dm, k = mp._meter_measure(), mp._kraus()
+    dp, d, nl = k.shape[:3]
+    sizes = [q.shape[1] for q in dm.blocks]
+    # g[i, a, l, c] = G_il[a, c], i over the concatenated blocks
+    g = (dagger(np.concatenate(dm.blocks, axis=1)) @ k.reshape(dp, -1)).reshape(k.shape)
+    padded = np.zeros((len(sizes), max(sizes)) + k.shape[1:], dtype=complex)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    padded[labels, np.arange(dp) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = g
+    # column (i, l) of outcome m is vec(G_il), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
+    v = padded.transpose(0, 4, 2, 1, 3).reshape(len(sizes), d * d, -1)
+    w, s, _ = np.linalg.svd(v, full_matrices=False)
+    ranks = np.sum(s > 16 * max(d * d, dp * nl) * _EPS, axis=1)
+    # K_j[a, c] = s_j w[(c, a), j]
+    kraus = s[..., None, None] * w.swapaxes(1, 2).reshape(s.shape + (d, d)).swapaxes(2, 3)
+    return CPInstrument(dm.eigenvalues, [ops[:r] for ops, r in zip(kraus, ranks)], tol=mp.tol)
 
 
 def povm_of(instrument: CPInstrument) -> POVM:
@@ -405,11 +418,11 @@ def dilate(instrument: CPInstrument) -> MeasuringProcess:
 
     # iso[(s, b), i] = K_b[s, i], the row of component (s, b) being s*probe_dim + b
     iso = np.concatenate(instrument.kraus).swapaxes(0, 1).reshape(n, d)
-    filled = np.zeros(n, dtype=bool)
-    filled[::probe_dim] = True
     u = np.empty((n, n), dtype=complex)
-    u[:, filled] = iso
-    u[:, ~filled] = np.linalg.qr(iso, mode="complete")[0][:, d:]
+    # column (i, b) of u is i*probe_dim + b: psi_i x e0 at b = 0, the complement after
+    cols = u.reshape(n, d, probe_dim)
+    cols[:, :, 0] = iso
+    cols[:, :, 1:] = np.linalg.qr(iso, mode="complete")[0][:, d:].reshape(n, d, probe_dim - 1)
 
     meter = HermitianObservable(np.diag(np.repeat(instrument.outcomes, counts)), tol=tol)
     e0 = np.zeros(probe_dim)

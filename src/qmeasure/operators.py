@@ -68,6 +68,22 @@ def as_operator(matrix) -> np.ndarray:
     return arr
 
 
+def _as_operators(ops) -> np.ndarray:
+    """A family of operators as one finite complex (r, d, d) copy, converted
+    and checked at once; an empty family comes back as it is, of size 0."""
+    try:
+        arr = np.array(ops, dtype=complex)
+    except ValueError:  # a ragged family
+        raise ValidationError("operators of one family must share one shape") from None
+    if arr.shape[:1] == (0,):
+        return arr
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ValidationError(f"operators must be square matrices, got a stack of shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("operator entries must be finite")
+    return arr
+
+
 def dagger(op: np.ndarray) -> np.ndarray:
     """Conjugate transpose of an operator, or of each operator of a stack."""
     return op.conj().swapaxes(-1, -2)

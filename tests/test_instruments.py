@@ -148,6 +148,11 @@ class TestChoiKraus:
         assert np.allclose(out, P0 @ rho @ P0 + P1 @ rho @ P1)
 
 
+NAN_P0 = np.diag([np.nan, 0.0]).astype(complex)
+INF_P0 = np.diag([1.0, 1j * np.inf])
+NON_SQUARE = np.zeros((2, 3), dtype=complex)
+
+
 class TestCPInstrument:
     def test_outcomes_sorted_with_kraus(self):
         inst = qm.CPInstrument([3.0, -1.0], [[P1], [P0]])
@@ -162,6 +167,42 @@ class TestCPInstrument:
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(qm.ValidationError):
             qm.CPInstrument([0.0, 1.0], [[P0], [0.5 * P1]])
+
+    @pytest.mark.parametrize("kraus", [
+        [[P0, np.eye(3)], [P1]],
+        [[P0], [np.eye(3)]],
+        [[NON_SQUARE], [P1]],
+        [[P0, NON_SQUARE], [P1]],
+        [[NAN_P0], [P1]],
+        [[P0], [INF_P0]],
+        [[], []],
+        [],
+    ], ids=["mixed-in-family", "mixed-across-families", "non-square", "non-square-in-family",
+            "nan", "inf", "all-empty", "no-families"])
+    def test_malformed_families_rejected(self, kraus):
+        with pytest.raises(qm.ValidationError):
+            qm.CPInstrument(np.arange(float(len(kraus))), kraus)
+
+    def test_all_empty_families_message(self):
+        with pytest.raises(qm.ValidationError, match="instrument has no Kraus operators at all"):
+            qm.CPInstrument([0.0, 1.0], [[], np.zeros((0, 2, 2))])
+
+    @pytest.mark.parametrize("wrap", [list, tuple, np.array])
+    def test_family_containers_accepted(self, wrap):
+        inst = qm.CPInstrument((1.0, 0.0), wrap([wrap([P1]), wrap([P0])]))
+        assert inst.outcomes == (0.0, 1.0)
+        assert np.array_equal(inst.kraus[0], [P0]) and np.array_equal(inst.kraus[1], [P1])
+
+    def test_ragged_families_of_arrays_accepted(self):
+        half = np.sqrt(0.5) * EYE2
+        inst = qm.CPInstrument([0.0, 1.0], (np.stack([half, np.sqrt(0.5) * P0]), (P1 * np.sqrt(0.5),)))
+        assert [k.shape for k in inst.kraus] == [(2, 2, 2), (1, 2, 2)]
+
+    def test_kraus_stacks_are_copies(self):
+        src = np.array([[P0], [P1]])
+        inst = qm.CPInstrument([0.0, 1.0], src)
+        src[0, 0, 0, 0] = 5.0
+        assert np.array_equal(inst.kraus[0], [P0])
 
     def test_luders_apply_and_effect(self):
         inst = qm.luders_instrument(SX)
@@ -288,12 +329,61 @@ class TestInstrumentFromProcess:
             assert_matches_reference(process_with(probe, [0.0, 1.0, 2.0, 3.0], 3, rng))
 
 
+class TestReadBackOfDilations:
+    """instrument_from_process on dilated instruments: the meter is degenerate
+    whenever an outcome has several Kraus operators, and the outcomes' Kraus
+    families are ragged, so every outcome is factored in the one zero-padded
+    SVD next to larger ones."""
+
+    @staticmethod
+    def assert_reads_back(inst):
+        back = qm.instrument_from_process(qm.dilate(inst))
+        assert [len(ops) for ops in back.kraus] == [len(ops) for ops in inst.kraus]
+        for ops in back.kraus:
+            norms = np.linalg.norm(ops, axis=(1, 2))
+            assert np.all(np.diff(norms) <= 1e-12)
+        assert qm.instrument_choi_distance(back, inst) <= 1e-12
+
+    def test_ragged_random_instruments(self):
+        rng = qm.rng_from(217)
+        for d in range(2, 7):
+            for _ in range(8):
+                inst = qm.random_cp_instrument(d, int(rng.integers(1, 5)), rng,
+                                               max_kraus_per_outcome=3)
+                self.assert_reads_back(inst)
+
+    def test_luders_instruments_of_degenerate_observables(self):
+        rng = qm.rng_from(218)
+        for d in range(2, 7):
+            for _ in range(4):
+                values = rng.integers(0, d, size=d).astype(float)
+                v = qm.haar_unitary(d, rng)
+                self.assert_reads_back(qm.luders_instrument((v * values) @ v.conj().T))
+
+
 class TestPOVM:
     def test_povm_validation(self):
         with pytest.raises(qm.ValidationError):
             qm.POVM([0.0, 1.0], [P0, 0.5 * P1])
         with pytest.raises(qm.ValidationError):
             qm.POVM([0.0, 1.0], [2 * P0, EYE2 - 2 * P0])
+
+    @pytest.mark.parametrize("effects", [
+        [P0, np.eye(3)],
+        [P0, NON_SQUARE],
+        [NAN_P0, P1],
+        [P0, INF_P0],
+        [],
+    ], ids=["mixed", "non-square", "nan", "inf", "empty"])
+    def test_malformed_effects_rejected(self, effects):
+        with pytest.raises(qm.ValidationError):
+            qm.POVM(np.arange(float(len(effects))), effects)
+
+    @pytest.mark.parametrize("wrap", [list, tuple, np.array])
+    def test_effect_containers_accepted(self, wrap):
+        povm = qm.POVM((1.0, 0.0), wrap([P1, P0]))
+        assert povm.outcomes == (0.0, 1.0)
+        assert np.array_equal(povm.effects, [P0, P1])
 
     @pytest.mark.parametrize("name", ["outcomes", "effects", "dim", "tol", "extra"])
     def test_attributes_cannot_be_set_or_deleted(self, name):
@@ -466,6 +556,9 @@ class TestDilation:
             for b, k in enumerate(kraus):
                 for i in range(d):
                     assert np.array_equal(u[b::r, i * r], k[:, i])
+            # the other columns, in index order, are the complement of the complete QR
+            complement = np.linalg.qr(u[:, ::r], mode="complete")[0][:, d:]
+            assert np.array_equal(np.delete(u, np.s_[::r], axis=1), complement)
             assert qm.operator_distance(u.conj().T @ u, np.eye(d * r)) <= 1e-12
 
     def test_round_trip_choi_d6_with_36_kraus(self):
