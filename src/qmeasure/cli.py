@@ -13,6 +13,11 @@ that is not a finite JSON number), 3 any other ValidationError
 sweep assertion failure. Apart from the wall_time field, report.json is
 byte-identical across reruns of the same scenario.
 
+main(argv) runs the same commands in-process and returns the exit code,
+a usage error (argparse's 2, or 0 for --help) included; the console
+script exits with it. main parses through one parser built on its first
+call and kept for the process, so repeated calls do not rebuild it.
+
 Tolerance precedence: --tol flag, then the config's tolerances.eq_tol,
 then the library default. The resolved Tolerances build every process,
 instrument, observable and state of the run, and each figure is judged
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -178,6 +184,7 @@ def _parse_dims(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the qmeasure command line on each call."""
     parser = argparse.ArgumentParser(prog="qmeasure",
                                      description="Measurement statistics batch runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -196,8 +203,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads with, built on first use and kept for the
+    process: parse_args keeps no state between calls, each returns a new
+    Namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line and return its exit code; a usage error
+    returns argparse's code (2, or 0 for --help) instead of exiting."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as stop:
+        return stop.code
     try:
         if args.command == "run":
             try:

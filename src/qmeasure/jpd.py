@@ -163,10 +163,18 @@ def weak_joint_distribution(mp: MeasuringProcess, a, rho) -> JointDistribution:
     return _before_after(_Scenario(mp, a, None, rho), "a")
 
 
-def _diagonal_concentrated(jd: JointDistribution, tol: Tolerances) -> bool:
+def _labels(ctx: _Scenario, x: str) -> np.ndarray:
+    """_cluster_labels over X's eigenvalues followed by the outcome values
+    of its _before_after partner (the meter's for "a", X's own for "b"):
+    the labels _diagonal_concentrated and _cluster_gap read."""
+    dx = ctx.decomposition(x)
+    values = ctx.mp._povm()[0] if x == "a" else dx.eigenvalues
+    return _cluster_labels(np.concatenate([dx.eigenvalues, values]), ctx.tol)
+
+
+def _diagonal_concentrated(jd: JointDistribution, labels: np.ndarray, tol: Tolerances) -> bool:
     """True when every atom whose x and y fall in different clusters of
-    _cluster_labels over both runs of atoms has |weight| <= _slack of #atoms."""
-    labels = _cluster_labels(np.concatenate([jd.x_atoms, jd.y_atoms]), tol)
+    labels (_labels of jd's scenario) has |weight| <= _slack of #atoms."""
     off = labels[:len(jd.x_atoms), None] != labels[None, len(jd.x_atoms):]
     return not bool((off & (np.abs(jd.weights) > _slack(tol, terms=jd.weights.size))).any())
 
@@ -195,7 +203,7 @@ def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong") -> bool:
     if mode not in ("strong", "weak"):
         raise ValidationError(f"mode must be 'strong' or 'weak', got {mode!r}")
     ctx = _Scenario(mp, a, None, rho)
-    weak = _diagonal_concentrated(_before_after(ctx, "a"), ctx.tol)
+    weak = _diagonal_concentrated(_before_after(ctx, "a"), _labels(ctx, "a"), ctx.tol)
     return weak if mode == "weak" else weak and _commutes_after(ctx, "a")
 
 
@@ -204,18 +212,17 @@ def is_nondisturbing(mp: MeasuringProcess, b, rho) -> bool:
     diagonal and the pair commutes in rho x rho0: the strong is_precise
     test, for B."""
     ctx = _Scenario(mp, None, b, rho)
-    return _diagonal_concentrated(_before_after(ctx, "b"), ctx.tol) and _commutes_after(ctx, "b")
+    return (_diagonal_concentrated(_before_after(ctx, "b"), _labels(ctx, "b"), ctx.tol)
+            and _commutes_after(ctx, "b"))
 
 
-def _cluster_gap(ctx: _Scenario) -> np.ndarray:
+def _cluster_gap(ctx: _Scenario, labels: np.ndarray) -> np.ndarray:
     """The process POVM minus the spectral measure of A, summed over each
-    _cluster_labels cluster of their outcome values, as one (k, d, d)
-    stack: zero exactly when the meter reproduces A's statistics."""
+    cluster of their outcome values (labels, _labels of "a"), as one
+    (k, d, d) stack: zero exactly when the meter reproduces A's statistics."""
     da = ctx.decomposition("a")
-    m_values, m_effects = ctx.mp._povm()
-    labels = _cluster_labels(np.concatenate([da.eigenvalues, m_values]), ctx.tol)
     gap = np.zeros((labels.max() + 1,) + ctx.rho.matrix.shape, dtype=complex)
-    np.add.at(gap, labels, np.concatenate([-da.projectors, m_effects]))
+    np.add.at(gap, labels, np.concatenate([-da.projectors, ctx.mp._povm()[1]]))
     return gap
 
 
@@ -224,7 +231,7 @@ def probability_reproducible(mp: MeasuringProcess, a, rho) -> bool:
     of A in rho, matching outcome values within the slack of the largest
     |value|."""
     ctx = _Scenario(mp, a, None, rho)
-    gap = np.einsum("kab,ba->k", _cluster_gap(ctx), ctx.rho.matrix)
+    gap = np.einsum("kab,ba->k", _cluster_gap(ctx, _labels(ctx, "a")), ctx.rho.matrix)
     return bool(np.abs(gap).max() <= _slack(ctx.tol, terms=ctx.rho.dim))
 
 
@@ -269,10 +276,10 @@ def theorem2_check(mp: MeasuringProcess, a, rho) -> PrecisionReport:
 def _precision_report(ctx: _Scenario) -> PrecisionReport:
     """theorem2_check of a scenario; the strong flag reads the weak one,
     eps_zero_on_cyclic the locally uniform top eigenvalue."""
-    tol = ctx.tol
-    weak = _diagonal_concentrated(_before_after(ctx, "a"), tol)
+    tol, labels = ctx.tol, _labels(ctx, "a")
+    weak = _diagonal_concentrated(_before_after(ctx, "a"), labels, tol)
     pc = ctx.cyclic("a") @ dagger(ctx.cyclic("a"))
-    repro = float(np.abs(pc @ _cluster_gap(ctx) @ pc).max()) <= _slack(tol, terms=len(pc))
+    repro = float(np.abs(pc @ _cluster_gap(ctx, labels) @ pc).max()) <= _slack(tol, terms=len(pc))
     a_scale = float(np.abs(ctx.obs["a"].matrix).max())
     return PrecisionReport(
         strong_precise=bool(weak and _commutes_after(ctx, "a")),

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import qmeasure as qm
 from qmeasure import serialize as ser
-from qmeasure.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
+from qmeasure.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, build_parser, main
 from helpers import KET_PLUS, SX, SZ, dilated_luders
 
 
@@ -220,6 +221,60 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_ASSERTION
         assert "sum to the identity" in capsys.readouterr().err
+
+
+class TestInProcess:
+    """main(argv) called repeatedly in one process, as a batch driver does."""
+
+    def test_usage_error_returns_schema(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--trials", "x", "--seed", "1", "--out", out]) == EXIT_SCHEMA
+        assert "argument --trials: invalid int value: 'x'" in capsys.readouterr().err
+        assert main(["run", write_config(tmp_path, gaussian_config()), "--out", out]) == EXIT_OK
+
+    def test_help_returns_ok(self, capsys):
+        assert main(["run", "--help"]) == EXIT_OK
+        assert "qmeasure run" in capsys.readouterr().out
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        path = write_config(tmp_path, gaussian_config())
+        for i in range(4):
+            assert main(["run", path, "--out", str(tmp_path / f"out{i}")]) == EXIT_OK
+            if i == 0:
+                built.clear()
+        assert built == []
+        assert build_parser() is not build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path):
+        cfg = gaussian_config(model="von_neumann")
+        cfg["constants"] = {"hbar": 0.5}
+        for side in ("object", "probe"):
+            cfg["payload"][side] = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        path = write_config(tmp_path, cfg)
+        first, scaled, plain, sweep = (str(tmp_path / name)
+                                       for name in ("first", "scaled", "plain", "sweep"))
+        assert main(["run", path, "--out", first]) == EXIT_OK
+        assert main(["run", path, "--out", scaled, "--hbar", "2.0"]) == EXIT_OK
+        assert read_report(scaled)["scenario"]["constants"]["hbar"] == 2.0
+        assert main(["run", path, "--out", plain]) == EXIT_OK
+        assert main(["sweep", "--dims", "2", "--trials", "3", "--seed", "4",
+                     "--out", sweep]) == EXIT_OK
+        assert read_report(plain)["scenario"]["constants"]["hbar"] == 0.5
+        assert read_report(sweep)["scenario"]["constants"]["hbar"] == 1.0
+        assert read_report(sweep)["scenario"]["payload"] == {"dims": [2, 2], "trials": 3,
+                                                             "seed": 4}
+        assert TestDeterminism.stable_lines(plain) == TestDeterminism.stable_lines(first)
+        with open(os.path.join(first, "report.csv"), "rb") as f1, \
+                open(os.path.join(plain, "report.csv"), "rb") as f2:
+            assert f1.read() == f2.read()
 
 
 class TestSettingsPrecedence:
