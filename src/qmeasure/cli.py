@@ -9,9 +9,9 @@ sweep payload's by run_sweep. Exit codes: 0 success, 1 I/O failure, 2
 SchemaError (a missing key, a config section or payload that is not an
 object, an unknown kind, model, report or interaction, or a config number
 that is not a finite JSON number), 3 any other ValidationError
-(SchemaError subclasses it and is caught first), arithmetic overflow, or
-sweep assertion failure. Apart from the wall_time field, report.json is
-byte-identical across reruns of the same scenario.
+(SchemaError subclasses it and is caught first), numerical failure (float
+overflow, NaN, LinAlgError) or sweep assertion failure. Apart from the
+wall_time field, report.json is byte-identical across reruns of a scenario.
 
 main(argv) runs the same commands in-process and returns the exit code,
 a usage error (argparse's 2, or 0 for --help) included; the console
@@ -34,6 +34,8 @@ import os
 import sys
 import time
 from dataclasses import asdict, fields
+
+import numpy as np
 
 from .edr import edr_ledger
 from .gaussian import OZAWA_1988, VON_NEUMANN, build_model, model_edr, output_distribution
@@ -139,13 +141,14 @@ def run_scenario(cfg: dict, out_dir: str, hbar_flag=None, tol_flag=None) -> int:
     constants, tol = _effective_settings(cfg, hbar_flag, tol_flag)
 
     start = time.perf_counter()
-    if kind == "finite_process":
-        results, ok = _run_finite_process(payload, tol)
-    elif kind == "gaussian_model":
-        os.makedirs(out_dir, exist_ok=True)
-        results, ok = _run_gaussian_model(payload, constants, tol, out_dir)
-    else:
-        results, ok = _run_sweep_kind(payload, tol)
+    with np.errstate(over="raise", invalid="raise"):  # no inf or NaN reaches a report
+        if kind == "finite_process":
+            results, ok = _run_finite_process(payload, tol)
+        elif kind == "gaussian_model":
+            os.makedirs(out_dir, exist_ok=True)
+            results, ok = _run_gaussian_model(payload, constants, tol, out_dir)
+        else:
+            results, ok = _run_sweep_kind(payload, tol)
     wall = time.perf_counter() - start
 
     report = {
@@ -239,7 +242,7 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"validation failure: {err}", file=sys.stderr)
         return EXIT_ASSERTION
-    except ArithmeticError as err:
+    except (ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_ASSERTION
     except OSError as err:

@@ -203,24 +203,17 @@ class MeasuringProcess(_Immutable):
         return f"MeasuringProcess(system_dim={self.system_dim}, probe_dim={self.probe_dim})"
 
 
-def _kraus_stack(kraus_ops, dim: int) -> np.ndarray:
-    """One outcome's Kraus family, a stack or a list of matrices, as an
-    (r, dim, dim) complex array, also when empty."""
-    ks = np.asarray(kraus_ops, dtype=complex)
-    return ks.reshape(0, dim, dim) if ks.size == 0 else ks
-
-
 def apply_kraus(kraus_ops, rho) -> np.ndarray:
     """Sum_j K_j rho K_j+ for one outcome's Kraus family."""
     rm = _as_matrix(rho)
-    ks = _kraus_stack(kraus_ops, rm.shape[0])
+    ks = _as_operators(kraus_ops, rm.shape[-1])
     _check_dims(ks, rm)
     return (ks @ rm @ dagger(ks)).sum(axis=0)
 
 
 def choi_matrix(kraus_ops, dim: int) -> np.ndarray:
     """Choi matrix C[(i,m),(j,n)] = Phi(|i><j|)[m,n] of one outcome's CP map."""
-    v = _kraus_stack(kraus_ops, dim).swapaxes(1, 2).reshape(-1, dim * dim)  # v[j, (i,m)] = K_j[m,i]
+    v = _as_operators(kraus_ops, dim).swapaxes(1, 2).reshape(-1, dim * dim)  # v[j, (i,m)] = K_j[m,i]
     return v.T @ v.conj()
 
 
@@ -255,7 +248,7 @@ class CPInstrument(_Immutable):
         if not dims:
             raise ValidationError("instrument has no Kraus operators at all")
         dim = dims.pop()
-        stacks = [_kraus_stack(k, dim) for k in stacks]
+        stacks = [k if len(k) else _as_operators(k, dim) for k in stacks]
         outcomes = [float(x) for x in outcomes]
         povm = POVM(outcomes, [(dagger(k) @ k).sum(axis=0) for k in stacks], tol)
         for k in stacks:

@@ -68,17 +68,20 @@ def as_operator(matrix) -> np.ndarray:
     return arr
 
 
-def _as_operators(ops) -> np.ndarray:
+def _as_operators(ops, dim: int = None) -> np.ndarray:
     """A family of operators as one finite complex (r, d, d) copy, converted
-    and checked at once; an empty family comes back as it is, of size 0."""
+    and checked at once. An empty family comes back as (0, dim, dim), or
+    as it is, of size 0, when dim is None; any other must have d = dim."""
     try:
         arr = np.array(ops, dtype=complex)
     except ValueError:  # a ragged family
         raise ValidationError("operators of one family must share one shape") from None
     if arr.shape[:1] == (0,):
-        return arr
+        return arr if dim is None else arr.reshape(0, dim, dim)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValidationError(f"operators must be square matrices, got a stack of shape {arr.shape}")
+    if dim is not None and arr.shape[1] != dim:
+        raise ValidationError(f"dimension mismatch: a stack of shape {arr.shape} on dimension {dim}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("operator entries must be finite")
     return arr
@@ -183,11 +186,13 @@ class DensityOperator(_Immutable):
     @classmethod
     def pure(cls, vector, tol: Tolerances = DEFAULT_TOL) -> "DensityOperator":
         """Rank-one state |v><v| from a (not necessarily normalized) vector."""
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if not 0 < nrm < np.inf:
+        v = np.array(vector, dtype=complex).reshape(-1)
+        peak = float(np.abs(v).max(initial=0.0))
+        if not 0 < peak < np.inf:
             raise ValidationError("cannot normalize a zero or non-finite vector")
-        v = v / nrm
+        # an exact power-of-two scale to max|v| ~ 1: the norm cannot overflow or underflow
+        v = np.ldexp(v.view(float), -np.frexp(peak)[1]).view(complex)
+        v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()), tol=tol)
 
     @classmethod

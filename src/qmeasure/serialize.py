@@ -1,6 +1,8 @@
 """JSON and CSV encodings for the library's value types.
 
-Complex matrices serialize as row-major nested lists of [re, im] pairs.
+One encoder, _to_json, writes every value: complex matrices and stacks as
+row-major nested lists of [re, im] pairs. Every *_to_dict encoder is one
+_to_dict call, which applies it to named attributes or dataclass fields.
 Schema problems (missing keys, malformed nesting, a value of the wrong
 type, a number that is not finite) raise SchemaError, from the schema
 helpers _require, _number, _numbers, _choice and matrix_from_json;
@@ -56,9 +58,34 @@ def _number(value, what: str, integer: bool = False):
     return int(value)
 
 
+def _to_json(value):
+    """The JSON form of a value: numbers, bools and strings as they are, a
+    tuple as a list, anything else as its array (a state or observable as
+    its matrix), nested [re, im] pairs if complex, nested floats if real."""
+    if isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    value = np.asarray(value)
+    if np.iscomplexobj(value):
+        return np.stack([value.real, value.imag], -1).tolist()
+    return value.tolist()
+
+
+# dict keys that differ from the attribute names
+_REPORT_KEYS = {"sigma_a": "sigma_A", "sigma_b": "sigma_B", "model_id": "model",
+                "kennard_bound": "hbar_over_2"}
+
+
+def _to_dict(obj, names=None) -> dict:
+    """The named attributes of obj, or a dataclass's fields in order, as a
+    dict of their _to_json forms, keys renamed by _REPORT_KEYS."""
+    names = names or [f.name for f in fields(obj)]
+    return {_REPORT_KEYS.get(n, n): _to_json(getattr(obj, n)) for n in names}
+
+
 def matrix_to_json(m) -> list:
-    arr = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return _to_json(np.asarray(m, dtype=complex))
 
 
 def _numbers(values, what: str, length: int = None, integer: bool = False) -> list:
@@ -112,13 +139,7 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def process_to_dict(mp: MeasuringProcess) -> dict:
-    return {
-        "system_dim": mp.system_dim,
-        "probe_dim": mp.probe_dim,
-        "probe_state": matrix_to_json(mp.probe_state.matrix),
-        "unitary": matrix_to_json(mp.unitary),
-        "meter": matrix_to_json(mp.meter.matrix),
-    }
+    return _to_dict(mp, ("system_dim", "probe_dim", "probe_state", "unitary", "meter"))
 
 
 def process_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> MeasuringProcess:
@@ -131,10 +152,7 @@ def process_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> MeasuringPro
 
 
 def instrument_to_dict(inst: CPInstrument) -> dict:
-    return {
-        "outcomes": list(inst.outcomes),
-        "kraus": [[matrix_to_json(k) for k in ops] for ops in inst.kraus],
-    }
+    return _to_dict(inst, ("outcomes", "kraus"))
 
 
 def instrument_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> CPInstrument:
@@ -146,10 +164,7 @@ def instrument_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> CPInstrum
 
 
 def povm_to_dict(p: POVM) -> dict:
-    return {
-        "outcomes": list(p.outcomes),
-        "effects": [matrix_to_json(e) for e in p.effects],
-    }
+    return _to_dict(p, ("outcomes", "effects"))
 
 
 def povm_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> POVM:
@@ -160,10 +175,7 @@ def povm_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> POVM:
 
 
 def gaussian_state_to_dict(state: GaussianState) -> dict:
-    return {
-        "mean": [float(x) for x in state.mean],
-        "cov": [[float(x) for x in row] for row in state.cov],
-    }
+    return _to_dict(state, ("mean", "cov"))
 
 
 def gaussian_state_from_dict(data: dict, constants: PhysicalConstants = DEFAULT_CONSTANTS,
@@ -181,16 +193,6 @@ def gaussian_state_from_dict(data: dict, constants: PhysicalConstants = DEFAULT_
                          constants=constants, tol=tol)
 
 
-# report dict keys that differ from the dataclass field names
-_REPORT_KEYS = {"sigma_a": "sigma_A", "sigma_b": "sigma_B", "model_id": "model",
-                "kennard_bound": "hbar_over_2"}
-
-
-def _report_to_dict(r) -> dict:
-    """A report dataclass as a dict in field order, keys renamed by _REPORT_KEYS."""
-    return {_REPORT_KEYS.get(f.name, f.name): getattr(r, f.name) for f in fields(r)}
-
-
 def _csv_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -200,25 +202,17 @@ def _csv_cell(v):
 
 
 def edr_report_to_dict(r: EDRReport) -> dict:
-    return _report_to_dict(r)
+    return _to_dict(r)
 
 
 def model_edr_to_dict(r: ModelEDR) -> dict:
-    return _report_to_dict(r)
+    return _to_dict(r)
 
 
 def precision_report_to_dict(r: PrecisionReport) -> dict:
-    return _report_to_dict(r)
+    return _to_dict(r)
 
 
 def jpd_to_dict(jd: JointDistribution) -> dict:
     """Atoms as floats; weights as floats, or as [re, im] pairs when complex."""
-    if np.iscomplexobj(jd.weights):
-        weights = [[[float(w.real), float(w.imag)] for w in row] for row in jd.weights]
-    else:
-        weights = [[float(w) for w in row] for row in jd.weights]
-    return {
-        "x_atoms": [float(x) for x in jd.x_atoms],
-        "y_atoms": [float(y) for y in jd.y_atoms],
-        "weights": weights,
-    }
+    return _to_dict(jd)

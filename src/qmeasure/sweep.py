@@ -9,7 +9,7 @@ the Heisenberg-type product may, and the census counts how often.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .edr import EDRReport, _Scenario
 from .jpd import PrecisionReport, _precision_report
@@ -22,7 +22,7 @@ from .sampling import (
     random_pure_state,
     rng_from,
 )
-from .serialize import _choice, _number, _numbers, _report_to_dict
+from .serialize import _choice, _number, _numbers, _to_dict
 
 # largest dimension a sweep draws, so that n = d_s * d_p <= 1024
 MAX_DIM = 32
@@ -51,7 +51,7 @@ class SweepCensus:
     theorem2_disagreements: int
 
     def as_dict(self) -> dict:
-        return _report_to_dict(self)
+        return _to_dict(self)
 
     @property
     def all_universal_hold(self) -> bool:
@@ -76,8 +76,7 @@ def run_sweep(dims=(2, 4), trials: int = 100, seed: int = 0, interaction: str = 
         raise ValidationError("trials must be positive")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    tally = dict.fromkeys(("uedr_failures", "oedr_failures", "lu_oedr_failures",
-                           "heisenberg_violations", "theorem2_disagreements"), 0)
+    tally = dict.fromkeys([f.name for f in fields(SweepCensus)][1:], 0)  # the failure counts, in field order
     records = [] if collect else None
     for t in range(trials):
         rng = rng_from(seed, t)

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,6 +16,10 @@ import qmeasure as qm
 from qmeasure import serialize as ser
 from qmeasure.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, build_parser, main
 from helpers import KET_PLUS, SX, SZ, dilated_luders
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+CONFIG_NAMES = sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".json"))
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -276,6 +282,30 @@ class TestInProcess:
                 open(os.path.join(plain, "report.csv"), "rb") as f2:
             assert f1.read() == f2.read()
 
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_batch_matches_fresh_process(self, tmp_path, name):
+        # a shipped config run twice through main in this process, a usage error
+        # after each call, writes what `python -m qmeasure.cli run` writes in a new one
+        cfg = os.path.join(CONFIG_DIR, name)
+        fresh = str(tmp_path / "fresh")
+        path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(qm.__file__)),
+                                             os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "qmeasure.cli", "run", cfg, "--out", fresh],
+                       check=True, capture_output=True, env={**os.environ, "PYTHONPATH": path})
+
+        def stable(out):
+            report = read_report(out)
+            del report["wall_time"]
+            with open(os.path.join(out, "report.csv"), "rb") as fh:
+                return report, fh.read()
+
+        for i in range(2):
+            out = str(tmp_path / f"batch{i}")
+            assert main(["run", cfg, "--out", out]) == EXIT_OK
+            assert stable(out) == stable(fresh)
+            code, err = run_captured(["sweep", "--trials", "x", "--seed", "1", "--out", out])
+            assert code == EXIT_SCHEMA and "invalid int value" in err
+
 
 class TestSettingsPrecedence:
     def test_flag_beats_config_and_env(self, tmp_path):
@@ -434,6 +464,19 @@ class TestBadNumbers:
         assert code == EXIT_ASSERTION
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("report", ["edr", "precision"])
+    def test_overflowing_figures_are_assertion(self, tmp_path, report):
+        # the moments of an observable at 1e160 overflow; no NaN, inf or traceback escapes
+        with open(os.path.join(CONFIG_DIR, "finite_luders.json")) as fh:
+            cfg = json.load(fh)
+        big = 1e160 * ser.matrix_from_json(cfg["payload"]["observable_a"])
+        cfg["payload"].update(observable_a=ser.matrix_to_json(big), report=report)
+        out = str(tmp_path / "out")
+        code, err = run_captured(["run", write_config(tmp_path, cfg), "--out", out])
+        assert code == EXIT_ASSERTION
+        assert "numerical failure" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "report.json"))
+
     def test_negative_seed_is_assertion(self, tmp_path):
         path = write_config(tmp_path, sweep_config(seed=-1))
         code, err = run_captured(["run", path, "--out", str(tmp_path / "out")])
@@ -463,10 +506,6 @@ class TestBadNumbers:
         path = write_config(tmp_path, sweep_config(trials=2.0))
         assert main(["run", path, "--out", out]) == EXIT_OK
         assert read_report(out)["results"]["trials"] == 2
-
-
-CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
-CONFIG_NAMES = sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".json"))
 
 
 def load_fuzz_base(name):

@@ -183,6 +183,15 @@ class TestCPInstrument:
         with pytest.raises(qm.ValidationError):
             qm.CPInstrument(np.arange(float(len(kraus))), kraus)
 
+    @pytest.mark.parametrize("kraus", [[NAN_P0], [P0, np.eye(3)], [np.eye(3)]],
+                             ids=["nan", "ragged", "wrong-dimension"])
+    @pytest.mark.parametrize("use", [lambda ks: qm.apply_kraus(ks, EYE2 / 2),
+                                     lambda ks: qm.choi_matrix(ks, 2)],
+                             ids=["apply_kraus", "choi_matrix"])
+    def test_malformed_family_rejected_by_functions(self, use, kraus):
+        with pytest.raises(qm.ValidationError):
+            use(kraus)
+
     def test_all_empty_families_message(self):
         with pytest.raises(qm.ValidationError, match="instrument has no Kraus operators at all"):
             qm.CPInstrument([0.0, 1.0], [[], np.zeros((0, 2, 2))])

@@ -185,7 +185,7 @@ class TestRegressions:
         assert report(1e-13) == (False, True, True, False)
 
     def test_pure_normalizes_at_every_scale(self):
-        for k in range(-150, 151):
+        for k in range(-300, 301):
             rho = qm.DensityOperator.pure([10.0 ** k, 10.0 ** k])
             assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)), rtol=0.0, atol=1e-15)
 

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import qmeasure as qm
 from qmeasure import serialize as ser
-from helpers import KET_PLUS, SX, SZ, dilated_luders
+from helpers import KET_PLUS, P0, P1, SX, SZ, dilated_luders
 
 from qmeasure.serialize import SchemaError
 
@@ -154,3 +156,50 @@ class TestReportRows:
         wjd = ser.jpd_to_dict(
             qm.weak_joint_distribution(mp, SZ, qm.DensityOperator.pure(KET_PLUS)))
         assert wjd["weights"][0][0] == pytest.approx([0.5, 0.0], abs=1e-9)
+
+
+def entrywise_pairs(m) -> list:
+    """The [re, im] form of a matrix, one cell at a time."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+class TestDerivedEncoders:
+    """The encoders derived through _to_json against the entrywise forms they
+    replaced, compared as JSON text, so a float's repr and sign count."""
+
+    def test_match_entrywise_forms(self):
+        rng = qm.rng_from(611)
+        mp = qm.random_measuring_process(2, 3, rng)
+        rho = qm.random_density_operator(2, rng)
+        inst = qm.CPInstrument([0.0, 1.0, 2.0], [[P0], [], [P1]])  # an empty family
+        cp = qm.random_cp_instrument(3, 3, rng)
+        state = qm.GaussianState([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]])
+        weak = qm.weak_joint_distribution(mp, SZ, rho)
+        genuine = qm.joint_distribution(SZ, SZ, rho)
+        cases = [
+            (ser.matrix_to_json(np.eye(2) * 0.5), entrywise_pairs(np.eye(2) * 0.5)),
+            (ser.process_to_dict(mp), {
+                "system_dim": 2, "probe_dim": 3,
+                "probe_state": entrywise_pairs(mp.probe_state.matrix),
+                "unitary": entrywise_pairs(mp.unitary),
+                "meter": entrywise_pairs(mp.meter.matrix)}),
+            *((ser.instrument_to_dict(i), {
+                "outcomes": list(i.outcomes),
+                "kraus": [[entrywise_pairs(k) for k in ops] for ops in i.kraus]}) for i in (inst, cp)),
+            (ser.povm_to_dict(qm.povm_of(cp)), {
+                "outcomes": list(cp.outcomes),
+                "effects": [entrywise_pairs(e) for e in qm.povm_of(cp).effects]}),
+            (ser.gaussian_state_to_dict(state), {
+                "mean": [float(x) for x in state.mean],
+                "cov": [[float(x) for x in row] for row in state.cov]}),
+            (ser.jpd_to_dict(weak), {
+                "x_atoms": [float(x) for x in weak.x_atoms],
+                "y_atoms": [float(y) for y in weak.y_atoms],
+                "weights": entrywise_pairs(weak.weights)}),
+            (ser.jpd_to_dict(genuine), {
+                "x_atoms": [float(x) for x in genuine.x_atoms],
+                "y_atoms": [float(y) for y in genuine.y_atoms],
+                "weights": [[float(w) for w in row] for row in genuine.weights]}),
+        ]
+        for got, want in cases:
+            assert json.dumps(got) == json.dumps(want)
