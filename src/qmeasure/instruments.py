@@ -118,7 +118,10 @@ class MeasuringProcess(_Immutable):
             raise ValidationError("meter and probe state dimensions differ")
         if u.shape[0] % probe_state.dim != 0:
             raise ValidationError("unitary dimension is not a multiple of the probe dimension")
-        if operator_distance(dagger(u) @ u, np.eye(u.shape[0])) > _slack(tol, terms=u.shape[0]):
+        n = u.shape[0]
+        gram = dagger(u) @ u
+        gram[np.diag_indices(n)] -= 1.0
+        if float(np.abs(gram).max()) > _slack(tol, terms=n):
             raise ValidationError("coupling matrix is not unitary within eq_tol")
         self._init_fields(probe_state=probe_state, unitary=u, meter=meter,
                           probe_dim=probe_state.dim, system_dim=u.shape[0] // probe_state.dim,
@@ -308,7 +311,9 @@ class POVM(_Immutable):
         if float(np.linalg.eigvalsh(effs).min()) < tol.psd_tol:
             raise ValidationError("effect is not positive semidefinite")
         d = effs.shape[-1]
-        if operator_distance(effs.sum(axis=0), np.eye(d)) > _slack(tol, terms=d * len(effs)):
+        total = effs.sum(axis=0)
+        total[np.diag_indices(d)] -= 1.0
+        if float(np.abs(total).max()) > _slack(tol, terms=d * len(effs)):
             raise ValidationError("effects do not sum to the identity")
         effs.setflags(write=False)
         self._init_fields(outcomes=tuple(outcomes[i] for i in order), effects=effs, dim=d, tol=tol)
@@ -478,7 +483,7 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
     rm = _as_state(rho, tol).matrix
     _check_dims(am, rm)
     scale = float(np.abs(am).max()) * am.shape[0]
-    floor = max(_slack(tol, scale), float(np.sqrt(np.finfo(float).eps)) * scale)
+    floor = max(_slack(tol, scale), float(np.sqrt(_EPS)) * scale)
     outs, residuals, sds = [], [], []
     probs = _born(instrument.outcomes, instrument._povm.effects, rm, tol).probabilities
     for x, kraus, p in zip(instrument.outcomes, instrument.kraus, probs):

@@ -313,8 +313,9 @@ def _spectral_std_dev(am: np.ndarray, rho: DensityOperator, centre=None) -> floa
     """std_dev of a validated matrix in a state, or sqrt(Tr[(A - c) rho (A - c)])
     about a given centre c, from the spectrum of rho."""
     w, v = rho.spectrum
-    keep = w > am.shape[0] * np.finfo(float).eps
-    dev = am - (expectation(am, rho.matrix).real if centre is None else centre) * np.eye(len(am))
+    keep = w > am.shape[0] * _EPS
+    dev = am.copy()
+    dev[np.diag_indices(len(am))] -= expectation(am, rho.matrix).real if centre is None else centre
     return float(np.sqrt(np.sum(w[keep] * np.sum(np.abs(dev @ v[:, keep]) ** 2, axis=0))))
 
 

@@ -2,8 +2,8 @@
 importing the package pulls in numpy and the stdlib only, a process,
 instrument or POVM is judged under its own Tolerances, never under a tol
 passed per call, only Tolerances and _slack read eq_tol, no check
-floors the slack with max(), and no tolerance-sized float literal lives
-outside Tolerances.
+floors the slack with max(), no tolerance-sized float literal lives
+outside Tolerances, and only operators._EPS reads machine epsilon.
 
 Stdlib ast scans, so they need no linter. __init__.py is skipped by the
 import scan, since its imports are the package's re-exports, and so is the
@@ -213,3 +213,42 @@ def test_scan_finds_a_literal_tolerance(tmp_path):
                     "EPS = 1e-15\n")
     assert small_float_literals(str(path), ("Tolerances",)) == [
         ("<module>", 1e-15), ("Subspace", 1e-08), ("f", 0.00025), ("f", 1e-12j)]
+
+
+# the top-level statements allowed to call finfo, per module: the definition
+# of _EPS, the one machine epsilon every other reader imports
+FINFO_HOMES = {"operators.py": ("_EPS",)}
+
+
+def finfo_reads(path: str, allowed=()) -> list:
+    """Top-level statements outside allowed that read a finfo name or
+    attribute: a definition by its name, an assignment to one name by that
+    name, "<module>" for other module-level code."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        if isinstance(node, ast.Assign) and [type(t) for t in node.targets] == [ast.Name]:
+            name = node.targets[0].id
+        if name not in allowed and any(
+                getattr(sub, "attr", getattr(sub, "id", None)) == "finfo"
+                for sub in ast.walk(node) if isinstance(sub, (ast.Attribute, ast.Name))):
+            found.add(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_only_eps_reads_finfo(path):
+    assert finfo_reads(path, FINFO_HOMES.get(os.path.basename(path), ())) == []
+
+
+def test_scan_finds_a_finfo_read(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\nfrom numpy import finfo\n"
+                    "_EPS = float(np.finfo(float).eps)\n"
+                    "def f(w, d): return w > d * np.finfo(float).eps\n"
+                    "class C:\n    def g(self): return finfo(float).tiny\n"
+                    "def h(w, d): return w > d * _EPS\n"
+                    "EPS = TINY = np.finfo(float).eps\n")
+    assert finfo_reads(str(path), ("_EPS",)) == ["<module>", "C", "f"]

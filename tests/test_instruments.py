@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,74 @@ class TestMeasuringProcess:
         assert mp.evolved_meter() is m_dt
         with pytest.raises(ValueError):
             m_dt[0, 0] = 0.0
+
+
+def old_unitarity_residual(u):
+    """max|U+U - 1| as the unitarity check computed it with an n x n identity,
+    U+U formed as the check forms it."""
+    return qm.operator_distance(u.conj().T @ u, np.eye(len(u)))
+
+
+def boundary_couplings(n, slack, rng):
+    """U(1 + tH) for a Haar U and a Hermitian H of max-abs entry 1, at two
+    adjacent floats t from a bisection: the old residual of the first is
+    within slack, that of the second beyond it."""
+    u = qm.haar_unitary(n, rng)
+    h = qm.random_hermitian(n, rng).matrix
+    h = h / np.abs(h).max()
+
+    def perturbed(t):
+        return u @ (np.eye(n) + t * h)
+
+    lo, hi = 0.0, slack
+    assert old_unitarity_residual(perturbed(lo)) <= slack < old_unitarity_residual(perturbed(hi))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return perturbed(lo), perturbed(hi)
+        if old_unitarity_residual(perturbed(mid)) <= slack:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestUnitarityCheck:
+    """MeasuringProcess checks max|U+U - 1| on its own Gram buffer, with 1
+    subtracted on the diagonal in place: the floats compared are the ones an
+    n x n identity and difference gave, without either."""
+
+    def test_traced_peak_is_three_n_by_n_units(self):
+        n, dp = 216, 36
+        rng = qm.rng_from(216)
+        u = qm.haar_unitary(n, rng)
+        probe = qm.random_pure_state(dp, rng)
+        meter = qm.HermitianObservable(np.diag(np.arange(float(dp))))
+        unit = n * n * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mp = qm.MeasuringProcess(probe, u, meter)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the kept copy of U, U+ (conjugated) and U+U at once; no identity, no difference
+        assert peak - base <= 3.25 * unit
+        assert abs((current - base) / unit - 1.0) < 0.1
+        assert np.array_equal(mp.unitary, u)
+
+    @pytest.mark.parametrize("n", [4, 64, 216])
+    @pytest.mark.parametrize("eq_tol", [1e-9, 1e-16, 1e-300])
+    def test_verdict_at_the_slack_boundary(self, n, eq_tol):
+        tol = qm.Tolerances(eq_tol=eq_tol)
+        slack = max(eq_tol, 16 * n * np.finfo(float).eps)
+        probe = qm.DensityOperator.pure(np.eye(n // 2)[0], tol=tol)
+        meter = qm.HermitianObservable(np.diag(np.arange(n / 2)), tol=tol)
+        within, beyond = boundary_couplings(n, slack, qm.rng_from(217, n))
+        assert old_unitarity_residual(within) <= slack < old_unitarity_residual(beyond)
+        assert np.array_equal(qm.MeasuringProcess(probe, within, meter, tol=tol).unitary, within)
+        with pytest.raises(qm.ValidationError, match="not unitary"):
+            qm.MeasuringProcess(probe, beyond, meter, tol=tol)
 
 
 class TestChoiKraus:
@@ -601,7 +671,7 @@ class TestEveryInstrumentDilates:
         with pytest.raises(qm.ValidationError, match="sum to the identity"):
             qm.POVM([0.0, 1.0], [k[0].conj().T @ k[0] for k in LEAKY_KRAUS])
 
-    @pytest.mark.parametrize("eq_tol", [1e-15, 1e-16, 1e-18])
+    @pytest.mark.parametrize("eq_tol", [1e-15, 1e-16, 1e-18, 1e-300])
     def test_random_instruments_dilate_below_rounding_level(self, eq_tol):
         tol = qm.Tolerances(eq_tol=eq_tol)
         eps = np.finfo(float).eps
