@@ -72,7 +72,7 @@ class OutcomeDistribution:
         return float(sum((x - m) ** 2 * p for x, p in zip(self.outcomes, self.probabilities)))
 
 
-def _born(outcomes, effects: np.ndarray, rm: np.ndarray, tol: Tolerances) -> OutcomeDistribution:
+def _born(effects: np.ndarray, rm: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Pr{m} = Tr[E_m rho] over a stack of effects; raises on a probability below
     psd_tol (the rest are clipped at 0) or a total off 1 (_slack of d^2 #m terms)."""
     _check_dims(effects, rm)
@@ -83,13 +83,14 @@ def _born(outcomes, effects: np.ndarray, rm: np.ndarray, tol: Tolerances) -> Out
     total = float(probs.sum())
     if abs(total - 1.0) > _slack(tol, terms=effects.shape[-1] ** 2 * len(probs)):
         raise ValidationError(f"probabilities sum to {total}, expected 1")
-    return OutcomeDistribution(tuple(float(x) for x in outcomes), tuple(probs.tolist()))
+    return probs
 
 
 def born_distribution(a, rho, tol: Tolerances = DEFAULT_TOL) -> OutcomeDistribution:
     """Outcome statistics Pr{a_i} = Tr[P_i rho] of an observable in a state."""
     dec = spectral_decompose(a, tol)
-    return _born(dec.eigenvalues, dec.projectors, _as_state(rho, tol).matrix, tol)
+    probs = _born(dec.projectors, _as_state(rho, tol).matrix, tol)
+    return OutcomeDistribution(tuple(map(float, dec.eigenvalues)), tuple(probs.tolist()))
 
 
 class MeasuringProcess(_Immutable):
@@ -268,7 +269,7 @@ class CPInstrument(_Immutable):
         idx = set()
         for target in outcome_set:
             gap, i = min((abs(x - float(target)), i) for i, x in enumerate(self.outcomes))
-            if gap > slack:
+            if not gap <= slack:  # a NaN target is found nowhere
                 raise ValidationError(f"outcome {target} not found in instrument")
             idx.add(i)
         return sorted(idx)
@@ -304,8 +305,8 @@ class POVM(_Immutable):
             raise ValidationError("POVM needs at least one outcome")
         if len(outcomes) != len(effs):
             raise ValidationError("need one effect per outcome")
-        if len(set(outcomes)) != len(outcomes):
-            raise ValidationError("outcome values must be distinct")
+        if len(set(outcomes)) != len(outcomes) or not np.isfinite(outcomes).all():
+            raise ValidationError("outcome values must be finite and distinct")
         order = np.argsort(outcomes)
         effs = hermitian_part(effs[order])
         if float(np.linalg.eigvalsh(effs).min()) < tol.psd_tol:
@@ -319,7 +320,8 @@ class POVM(_Immutable):
         self._init_fields(outcomes=tuple(outcomes[i] for i in order), effects=effs, dim=d, tol=tol)
 
     def probabilities(self, rho) -> OutcomeDistribution:
-        return _born(self.outcomes, self.effects, _as_state(rho, self.tol).matrix, self.tol)
+        probs = _born(self.effects, _as_state(rho, self.tol).matrix, self.tol)
+        return OutcomeDistribution(self.outcomes, tuple(probs.tolist()))
 
     def __repr__(self):
         return f"POVM(outcomes={self.outcomes}, dim={self.dim})"
@@ -485,7 +487,7 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
     scale = float(np.abs(am).max()) * am.shape[0]
     floor = max(_slack(tol, scale), float(np.sqrt(_EPS)) * scale)
     outs, residuals, sds = [], [], []
-    probs = _born(instrument.outcomes, instrument._povm.effects, rm, tol).probabilities
+    probs = _born(instrument._povm.effects, rm, tol).tolist()
     for x, kraus, p in zip(instrument.outcomes, instrument.kraus, probs):
         if p <= _slack(tol, terms=rm.shape[0] ** 2):
             continue

@@ -104,9 +104,9 @@ def _joint(x_atoms, p: np.ndarray, y_atoms, q: np.ndarray, sigma: np.ndarray,
     total = complex(w.sum())
     if abs(total - 1.0) > slack:
         raise ValidationError(f"joint weights sum to {total}")
-    if np.abs(w.sum(axis=1) - _born(x_atoms, p, sigma, tol).probabilities).max() > slack:
+    if np.abs(w.sum(axis=1) - _born(p, sigma, tol)).max() > slack:
         raise ValidationError("x marginal does not reproduce the Born distribution")
-    if np.abs(w.sum(axis=0) - _born(y_atoms, q, sigma, tol).probabilities).max() > slack:
+    if np.abs(w.sum(axis=0) - _born(q, sigma, tol)).max() > slack:
         raise ValidationError("y marginal does not reproduce the Born distribution")
     return JointDistribution(np.array(x_atoms), np.array(y_atoms), w)
 

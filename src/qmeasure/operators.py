@@ -58,11 +58,11 @@ _EPS = float(np.finfo(float).eps)
 
 
 def as_operator(matrix) -> np.ndarray:
-    """Coerce to a finite square complex ndarray (copied, read-only)."""
+    """Coerce to a finite, nonempty square complex ndarray (copied, read-only)."""
     arr = np.array(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"operator must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise ValidationError(f"operator must be a nonempty square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValidationError("operator entries must be finite")
     arr.setflags(write=False)
     return arr
@@ -71,18 +71,18 @@ def as_operator(matrix) -> np.ndarray:
 def _as_operators(ops, dim: int = None) -> np.ndarray:
     """A family of operators as one finite complex (r, d, d) copy, converted
     and checked at once. An empty family comes back as (0, dim, dim), or
-    as it is, of size 0, when dim is None; any other must have d = dim."""
+    as it is, of size 0, when dim is None; any other must have d = dim > 0."""
     try:
         arr = np.array(ops, dtype=complex)
     except ValueError:  # a ragged family
         raise ValidationError("operators of one family must share one shape") from None
     if arr.shape[:1] == (0,):
         return arr if dim is None else arr.reshape(0, dim, dim)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValidationError(f"operators must be square matrices, got a stack of shape {arr.shape}")
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or not arr.size:
+        raise ValidationError(f"operators must be nonempty square matrices, got a stack of shape {arr.shape}")
     if dim is not None and arr.shape[1] != dim:
         raise ValidationError(f"dimension mismatch: a stack of shape {arr.shape} on dimension {dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("operator entries must be finite")
     return arr
 
@@ -101,10 +101,16 @@ def hermitian_part(op: np.ndarray) -> np.ndarray:
     return 0.5 * (op + dagger(op))
 
 
+def _adjoint_gap(op: np.ndarray) -> tuple:
+    """(max|X - X+|, X+): the one Hermiticity deviation, with the adjoint for (X + X+)/2."""
+    adj = dagger(op)
+    return float(np.abs(op - adj).max()), adj
+
+
 def is_hermitian(op, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether X - X+ is zero within the slack of max|X_ij|, at any scale of X."""
     op = np.asarray(op, dtype=complex)
-    return float(np.abs(op - dagger(op)).max()) <= _slack(tol, float(np.abs(op).max()))
+    return _adjoint_gap(op)[0] <= _slack(tol, float(np.abs(op).max()))
 
 
 def operator_distance(x, y) -> float:
@@ -151,9 +157,10 @@ class HermitianObservable(_Immutable):
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOL):
         op = as_operator(matrix)
-        if not is_hermitian(op, tol):
+        gap, adj = _adjoint_gap(op)
+        if not gap <= _slack(tol, float(np.abs(op).max())):
             raise ValidationError("observable must be Hermitian within eq_tol")
-        sym = hermitian_part(op)
+        sym = 0.5 * (op + adj)
         sym.setflags(write=False)
         self._init_fields(matrix=sym, dim=sym.shape[0])
 
@@ -171,11 +178,12 @@ class DensityOperator(_Immutable):
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOL):
         op = as_operator(matrix)
         slack = _slack(tol, terms=op.shape[0])
-        if operator_distance(op, dagger(op)) > slack:
+        gap, adj = _adjoint_gap(op)
+        if gap > slack:
             raise ValidationError("density operator must be Hermitian within eq_tol")
-        if abs(np.trace(op).real - 1.0) > slack or abs(np.trace(op).imag) > slack:
-            raise ValidationError(f"density operator must have unit trace, got {np.trace(op)}")
-        sym = hermitian_part(op)
+        if abs((trace := op.trace()).real - 1.0) > slack or abs(trace.imag) > slack:
+            raise ValidationError(f"density operator must have unit trace, got {trace}")
+        sym = 0.5 * (op + adj)
         w, v = np.linalg.eigh(sym)
         if w[0] < tol.psd_tol:
             raise ValidationError(f"density operator has negative eigenvalue {w[0]}")
@@ -257,10 +265,10 @@ def _cluster_labels(values, tol: Tolerances) -> np.ndarray:
     each within that slack of the next is one cluster however far it spans.
     """
     v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="stable")
+    order = v.argsort(kind="stable")
     s = v[order]
     labels = np.zeros(len(v), dtype=int)
-    labels[order[1:]] = np.cumsum(s[1:] - s[:-1] > _slack(tol, max(abs(s[0]), abs(s[-1]))))
+    labels[order[1:]] = (s[1:] - s[:-1] > _slack(tol, max(abs(s[0]), abs(s[-1])))).cumsum()
     return labels
 
 
@@ -277,12 +285,12 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     w, v = np.linalg.eigh(mat)
     labels = _cluster_labels(w, tol)
     counts = np.bincount(labels)
-    starts = np.cumsum(counts) - counts
+    starts = counts.cumsum() - counts
     padded = np.zeros((len(counts), len(w), counts.max()), dtype=complex)
     padded[labels, :, np.arange(len(w)) - starts[labels]] = v.T
     dec = SpectralDecomposition(np.bincount(labels, weights=w) / counts,
                                 hermitian_part(padded @ dagger(padded)),
-                                tuple(np.split(v, starts[1:], axis=1)))
+                                tuple([v[:, i:i + c] for i, c in zip(starts.tolist(), counts.tolist())]))
     if operator_distance(dec.reconstruct(), mat) > 1e3 * _slack(tol, float(np.abs(w).max())):
         raise ValidationError("spectral reconstruction failed")
     return dec
@@ -315,8 +323,8 @@ def _spectral_std_dev(am: np.ndarray, rho: DensityOperator, centre=None) -> floa
     w, v = rho.spectrum
     keep = w > am.shape[0] * _EPS
     dev = am.copy()
-    dev[np.diag_indices(len(am))] -= expectation(am, rho.matrix).real if centre is None else centre
-    return float(np.sqrt(np.sum(w[keep] * np.sum(np.abs(dev @ v[:, keep]) ** 2, axis=0))))
+    dev[np.diag_indices(len(am))] -= (am @ rho.matrix).trace().real if centre is None else centre
+    return float(np.sqrt((w[keep] * (np.abs(dev @ v[:, keep]) ** 2).sum(axis=0)).sum()))
 
 
 def robertson_bound(a, b, rho, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -327,7 +335,7 @@ def robertson_bound(a, b, rho, tol: Tolerances = DEFAULT_TOL) -> float:
 
 def _robertson(am: np.ndarray, bm: np.ndarray, rm: np.ndarray) -> float:
     """robertson_bound of validated matrices."""
-    return 0.5 * abs(expectation(commutator(am, bm), rm))
+    return 0.5 * abs(complex((commutator(am, bm) @ rm).trace()))
 
 
 def tensor(x, y) -> np.ndarray:

@@ -33,7 +33,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     with the phase convention fixed so the distribution is exact."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    d = r.diagonal()
     return q * (d / np.abs(d))
 
 

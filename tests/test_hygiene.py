@@ -3,7 +3,8 @@ importing the package pulls in numpy and the stdlib only, a process,
 instrument or POVM is judged under its own Tolerances, never under a tol
 passed per call, only Tolerances and _slack read eq_tol, no check
 floors the slack with max(), no tolerance-sized float literal lives
-outside Tolerances, and only operators._EPS reads machine epsilon.
+outside Tolerances, only operators._EPS reads machine epsilon, and a seeded
+sweep trial stays within its budget of library calls.
 
 Stdlib ast scans, so they need no linter. __init__.py is skipped by the
 import scan, since its imports are the package's re-exports, and so is the
@@ -252,3 +253,46 @@ def test_scan_finds_a_finfo_read(tmp_path):
                     "def h(w, d): return w > d * _EPS\n"
                     "EPS = TINY = np.finfo(float).eps\n")
     assert finfo_reads(str(path), ("_EPS",)) == ["<module>", "C", "f"]
+
+
+def library_calls(fn, *args, **kwargs) -> int:
+    """Number of call and c_call events that sys.setprofile sees during
+    fn(*args, **kwargs) whose calling frame runs in a qmeasure module: the library's
+    own calls, whatever numpy does inside the ones it makes."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        caller = frame.f_back if event == "call" else frame
+        if event in ("call", "c_call") and caller is not None \
+                and caller.f_globals.get("__name__", "").startswith("qmeasure"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+# library calls per dims 2..4 sweep trial, measured on CPython 3.11 with
+# numpy 2.4: a trial of about 1.3 ms is call overhead more than linear
+# algebra, so an added call shows in its time. CPython 3.12 inlines
+# comprehensions, which only removes events, so the bound holds there too.
+SWEEP_TRIAL_CALLS = 737
+
+
+def test_sweep_trial_call_budget():
+    from qmeasure.sweep import run_sweep
+    run_sweep(dims=(2, 4), trials=5, seed=7, collect=True)  # warm-up: lazy imports, first-call paths
+    calls = library_calls(run_sweep, dims=(2, 4), trials=40, seed=7, collect=True)
+    assert calls / 40 <= 1.05 * SWEEP_TRIAL_CALLS
+
+
+@pytest.mark.parametrize("body", ["return abs(abs(x))", "return one(x) + 0"])
+def test_call_counter_sees_one_added_call(body):
+    ns = {"__name__": "qmeasure.control"}
+    exec(f"def one(x):\n    return abs(x)\ndef two(x):\n    {body}\n", ns)
+    assert library_calls(ns["two"], -1) - library_calls(ns["one"], -1) == 1

@@ -458,6 +458,15 @@ class TestPOVM:
         with pytest.raises(qm.ValidationError):
             qm.POVM(np.arange(float(len(effects))), effects)
 
+    @pytest.mark.parametrize("outcomes", [[np.nan, 1.0], [np.nan, np.nan], [0.0, np.inf],
+                                          [-np.inf, 0.0]],
+                             ids=["nan", "two-nans", "inf", "minus-inf"])
+    def test_non_finite_outcomes_rejected(self, outcomes):
+        with pytest.raises(qm.ValidationError, match="outcome values must be finite"):
+            qm.POVM(outcomes, [P0, P1])
+        with pytest.raises(qm.ValidationError, match="outcome values must be finite"):
+            qm.CPInstrument(outcomes, [[P0], [P1]])
+
     @pytest.mark.parametrize("wrap", [list, tuple, np.array])
     def test_effect_containers_accepted(self, wrap):
         povm = qm.POVM((1.0, 0.0), wrap([P1, P0]))
@@ -590,6 +599,17 @@ class TestPostState:
         assert np.allclose(qm.post_state(inst, [0.0, 1e-12], rho).matrix, np.diag([0.5, 0.5, 0.0]))
         with pytest.raises(qm.ValidationError, match="not found"):
             inst.apply(rho, 0.5)
+
+    @pytest.mark.parametrize("outcome_set", [np.nan, [np.nan], [1.0, np.nan]],
+                             ids=["scalar", "list", "list-with-a-found-outcome"])
+    def test_nan_outcome_is_not_found(self, outcome_set):
+        # |outcome - NaN| is NaN, which compares False with every slack
+        inst = qm.luders_instrument(np.diag([1.0, -1.0]))
+        plus = qm.DensityOperator.pure(KET_PLUS)
+        with pytest.raises(qm.ValidationError, match="not found"):
+            qm.post_state(inst, outcome_set, plus)
+        with pytest.raises(qm.ValidationError, match="not found"):
+            inst.apply(plus.matrix, outcome_set)
 
 
 class TestDilation:

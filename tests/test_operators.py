@@ -28,6 +28,19 @@ class TestValidation:
         with pytest.raises(qm.ValidationError):
             qm.DensityOperator(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("make", [
+        qm.as_operator,
+        qm.HermitianObservable,
+        qm.DensityOperator,
+        qm.spectral_decompose,
+        lambda m: qm.DensityOperator.maximally_mixed(0),
+        lambda m: qm.POVM([0.0], [m]),
+    ], ids=["as_operator", "HermitianObservable", "DensityOperator", "spectral_decompose",
+            "maximally_mixed", "POVM"])
+    def test_rejects_dimension_zero(self, make):
+        with pytest.raises(qm.ValidationError, match="nonempty square"):
+            make(np.zeros((0, 0)))
+
     def test_pure_state_normalizes(self):
         rho = qm.DensityOperator.pure([2.0, 0.0])
         assert np.allclose(rho.matrix, P0)
