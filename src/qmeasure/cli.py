@@ -10,13 +10,14 @@ SchemaError (a missing key, a config section or payload that is not an
 object, an unknown kind, model, report or interaction, or a config number
 that is not a finite JSON number), 3 any other ValidationError
 (SchemaError subclasses it and is caught first), numerical failure (float
-overflow, NaN, LinAlgError) or sweep assertion failure. Apart from the
-wall_time field, report.json is byte-identical across reruns of a scenario.
+overflow, NaN, LinAlgError) or sweep assertion failure. report.json is
+one line of sorted-key JSON, byte-identical across reruns apart from its
+wall_time; unindented, so the stdlib's C encoder writes it (any indent
+takes the far slower Python encoder). `python -m json.tool` pretty-prints it.
 
 main(argv) runs the same commands in-process and returns the exit code,
 a usage error (argparse's 2, or 0 for --help) included; the console
-script exits with it. main parses through one parser built on its first
-call and kept for the process, so repeated calls do not rebuild it.
+script exits with it. main builds its parser once per process.
 
 Tolerance precedence: --tol flag, then the config's tolerances.eq_tol,
 then the library default. The resolved Tolerances build every process,
@@ -163,8 +164,7 @@ def run_scenario(cfg: dict, out_dir: str, hbar_flag=None, tol_flag=None) -> int:
     }
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, sort_keys=True) + "\n")
     with open(os.path.join(out_dir, "report.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(list(results))

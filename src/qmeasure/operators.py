@@ -109,7 +109,7 @@ def _adjoint_gap(op: np.ndarray) -> tuple:
 
 def is_hermitian(op, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether X - X+ is zero within the slack of max|X_ij|, at any scale of X."""
-    op = np.asarray(op, dtype=complex)
+    op = as_operator(op)
     return _adjoint_gap(op)[0] <= _slack(tol, float(np.abs(op).max()))
 
 

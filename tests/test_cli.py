@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -277,7 +278,7 @@ class TestInProcess:
         assert read_report(sweep)["scenario"]["constants"]["hbar"] == 1.0
         assert read_report(sweep)["scenario"]["payload"] == {"dims": [2, 2], "trials": 3,
                                                              "seed": 4}
-        assert TestDeterminism.stable_lines(plain) == TestDeterminism.stable_lines(first)
+        assert TestDeterminism.stable_bytes(plain) == TestDeterminism.stable_bytes(first)
         with open(os.path.join(first, "report.csv"), "rb") as f1, \
                 open(os.path.join(plain, "report.csv"), "rb") as f2:
             assert f1.read() == f2.read()
@@ -341,10 +342,16 @@ class TestReportCsv:
 
 
 class TestDeterminism:
+    # the pattern by which the benchmark's determinism check strikes out wall_time
+    WALL_TIME = re.compile(rb'"wall_time": [^,\n}]*')
+
     @staticmethod
-    def stable_lines(out_dir):
-        with open(os.path.join(out_dir, "report.json")) as fh:
-            return [ln for ln in fh.read().splitlines() if '"wall_time"' not in ln]
+    def stable_bytes(out_dir):
+        """The whole of report.json with only its wall_time value struck out."""
+        with open(os.path.join(out_dir, "report.json"), "rb") as fh:
+            stable, count = TestDeterminism.WALL_TIME.subn(b'"wall_time": ', fh.read())
+        assert count == 1
+        return stable
 
     def test_reports_byte_stable_modulo_wall_time(self, tmp_path):
         for cfg in (finite_process_config(), gaussian_config(),
@@ -355,10 +362,23 @@ class TestDeterminism:
             out2 = str(tmp_path / (cfg["kind"] + "_2"))
             assert main(["run", path, "--out", out1]) == EXIT_OK
             assert main(["run", path, "--out", out2]) == EXIT_OK
-            assert self.stable_lines(out1) == self.stable_lines(out2)
+            assert self.stable_bytes(out1) == self.stable_bytes(out2)
             with open(os.path.join(out1, "report.csv"), "rb") as f1, \
                     open(os.path.join(out2, "report.csv"), "rb") as f2:
                 assert f1.read() == f2.read()
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_report_is_one_sorted_key_line(self, tmp_path, name):
+        # the stdlib's C encoder writes the report: one line, no indent, default separators
+        cfg = os.path.join(CONFIG_DIR, name)
+        out = str(tmp_path / "out")
+        assert main(["run", cfg, "--out", out]) == EXIT_OK
+        with open(os.path.join(out, "report.json")) as fh:
+            text = fh.read()
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True) + "\n"
+        with open(cfg) as fh:
+            assert report["scenario"]["payload"] == json.load(fh)["payload"]
 
 
 def read_csv_header(out_dir):

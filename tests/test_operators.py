@@ -41,6 +41,11 @@ class TestValidation:
         with pytest.raises(qm.ValidationError, match="nonempty square"):
             make(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3)], ids=["empty", "non_square"])
+    def test_is_hermitian_validates_its_argument(self, shape):
+        with pytest.raises(qm.ValidationError, match="nonempty square"):
+            qm.is_hermitian(np.zeros(shape))
+
     def test_pure_state_normalizes(self):
         rho = qm.DensityOperator.pure([2.0, 0.0])
         assert np.allclose(rho.matrix, P0)
