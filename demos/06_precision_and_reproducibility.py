@@ -21,10 +21,10 @@ sx = np.array([[0.0, 1.0], [1.0, 0.0]])
 sz = np.diag([1.0, -1.0])
 plus = qm.DensityOperator.pure([1.0, 1.0])
 
-# a projective measurement is precise in every sense
+# a projective measurement is precise in every sense; the check reads the
+# instrument itself, and realizes it as a process only for the strong face
 inst = qm.luders_instrument(sz)
-mp = qm.dilate(inst)
-rep = qm.theorem2_check(mp, sz, plus)
+rep = qm.theorem2_check(inst, sz, plus)
 print("projective:", rep.flags(), " consistent:", rep.consistent)
 
 # independent meter: the probe carries its own copy of the statistics and

@@ -22,7 +22,7 @@ script exits with it. main builds its parser once per process.
 Tolerance precedence: --tol flag, then the config's tolerances.eq_tol,
 then the library default. The resolved Tolerances build every process,
 instrument, observable and state of the run, and each figure is judged
-under the Tolerances of the process it reads.
+under the Tolerances of the process or instrument it reads.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 
 from .edr import edr_ledger
 from .gaussian import OZAWA_1988, VON_NEUMANN, build_model, model_edr, output_distribution
-from .instruments import dilate
 from .jpd import theorem2_check
 from .operators import (
     DensityOperator,
@@ -95,9 +94,9 @@ def _effective_settings(cfg: dict, hbar_flag, tol_flag):
 
 def _run_finite_process(payload: dict, tol):
     if "process" in payload:
-        mp = process_from_dict(payload["process"], tol=tol)
+        source = process_from_dict(payload["process"], tol=tol)
     elif "instrument" in payload:
-        mp = dilate(instrument_from_dict(payload["instrument"], tol=tol))
+        source = instrument_from_dict(payload["instrument"], tol=tol)
     else:
         raise SchemaError("finite_process payload needs 'process' or 'instrument'")
     a, b, rho = (matrix_from_json(m) for m in _require(
@@ -106,8 +105,8 @@ def _run_finite_process(payload: dict, tol):
     a, b = HermitianObservable(a, tol=tol), HermitianObservable(b, tol=tol)
     rho = DensityOperator(rho, tol=tol)
     if which == "edr":
-        return edr_report_to_dict(edr_ledger(mp, a, b, rho)), True
-    return precision_report_to_dict(theorem2_check(mp, a, rho)), True
+        return edr_report_to_dict(edr_ledger(source, a, b, rho)), True
+    return precision_report_to_dict(theorem2_check(source, a, rho)), True
 
 
 def _run_gaussian_model(payload: dict, constants, tol, out_dir):

@@ -10,10 +10,13 @@ is the squared rms error epsilon(A)^2 or rms disturbance eta(B)^2.
 
 The error depends on the process only through its POVM and the
 disturbance only through its channel, so both are computed on the system
-from the Kraus operators K of MeasuringProcess: with G = M K - K A (M on
-the probe index) or G = [B, K], the mean is sum K+ G (F(M) - A, T*(B) - B)
-and the moment sum G+ G (F(M^2) - F(M)A - AF(M) + A^2 and
-T*(B^2) - T*(B)B - BT*(B) + B^2), PSD and free of cancellation.
+from a labelled Kraus stack: the operators K_j of the process's
+instrument, each with the outcome value x_j it reports. Every figure takes
+a MeasuringProcess or a CPInstrument, and reads either one's stack. With
+G_j = x_j K_j - K_j A or G_j = [B, K_j], the mean is sum K_j+ G_j
+(F(M) - A, T*(B) - B) and the moment sum G_j+ G_j
+(F(M^2) - F(M)A - AF(M) + A^2 and T*(B^2) - T*(B)B - BT*(B) + B^2), PSD
+and free of cancellation.
 
 edr_ledger evaluates, in one pass, the breakable Heisenberg-type bound
 epsilon*eta >= (1/2)|<[A,B]>| together with two universally valid
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import MeasuringProcess
+from .instruments import CPInstrument, MeasuringProcess, _KrausStack, _on_system
 from .operators import (
     DEFAULT_TOL,
     DensityOperator,
@@ -60,46 +63,49 @@ def disturbance_operator(mp: MeasuringProcess, b) -> np.ndarray:
     return mp._evolve(b0) - b0
 
 
-def rms_error(mp: MeasuringProcess, a, rho) -> float:
+def rms_error(source: MeasuringProcess | CPInstrument, a, rho) -> float:
     """epsilon(A, rho) = sqrt(Tr[N(A)^2 (rho x rho0)])."""
-    return _Scenario(mp, a, None, rho).figures("a")[0]
+    return _Scenario(source, a, None, rho).figures("a")[0]
 
 
-def rms_disturbance(mp: MeasuringProcess, b, rho) -> float:
+def rms_disturbance(source: MeasuringProcess | CPInstrument, b, rho) -> float:
     """eta(B, rho) = sqrt(Tr[D(B)^2 (rho x rho0)])."""
-    return _Scenario(mp, None, b, rho).figures("b")[0]
+    return _Scenario(source, None, b, rho).figures("b")[0]
 
 
-def _moments(mp: MeasuringProcess, x: str, s: np.ndarray):
-    """(mean, moment) of N(A) (x = "a", s = A) or D(B) (x = "b", s = B)."""
-    k = mp._kraus()
-    first = mp._apply(mp.meter.matrix, probe=True) if x == "a" else mp._apply(s)
+def _moments(stack: _KrausStack, x: str, s):
+    """(mean, moment) of N(A) (x = "a", s = A) or D(B) (x = "b", s = B):
+    sum K_j+ G_j and sum G_j+ G_j, G_j = x_j K_j - K_j A or B K_j - K_j B."""
+    s = _on_system(s, HermitianObservable, stack).matrix
+    k = stack.kraus
+    first = (np.repeat(stack.values, stack.sizes)[:, None, None, None] * k if x == "a"
+             else stack.left(s))
     gf = (first - (k.reshape(-1, len(s)) @ s).reshape(k.shape)).reshape(-1, len(s))
-    return mp._dual(gf.reshape(k.shape)), hermitian_part(dagger(gf) @ gf)
+    return stack.dual(gf), hermitian_part(dagger(gf) @ gf)
 
 
-def mean_noise_operator(mp: MeasuringProcess, a) -> np.ndarray:
+def mean_noise_operator(source: MeasuringProcess | CPInstrument, a) -> np.ndarray:
     """n(A) = Tr_probe[N(A) (1 x rho0)] = F(M) - A, a system observable."""
-    return _moments(mp, "a", mp._on_system(a, HermitianObservable).matrix)[0]
+    return _moments(source._kraus_stack, "a", a)[0]
 
 
-def mean_disturbance_operator(mp: MeasuringProcess, b) -> np.ndarray:
+def mean_disturbance_operator(source: MeasuringProcess | CPInstrument, b) -> np.ndarray:
     """d(B) = Tr_probe[D(B) (1 x rho0)] = T*(B) - B, a system observable."""
-    return _moments(mp, "b", mp._on_system(b, HermitianObservable).matrix)[0]
+    return _moments(source._kraus_stack, "b", b)[0]
 
 
-def noise_moment_operator(mp: MeasuringProcess, a) -> np.ndarray:
+def noise_moment_operator(source: MeasuringProcess | CPInstrument, a) -> np.ndarray:
     """Second-moment operator Tr_probe[N(A)^2 (1 x rho0)].
 
     Positive semidefinite; its expectation in a vector state phi is
     epsilon(A, phi)^2.
     """
-    return _moments(mp, "a", mp._on_system(a, HermitianObservable).matrix)[1]
+    return _moments(source._kraus_stack, "a", a)[1]
 
 
-def disturbance_moment_operator(mp: MeasuringProcess, b) -> np.ndarray:
+def disturbance_moment_operator(source: MeasuringProcess | CPInstrument, b) -> np.ndarray:
     """Second-moment operator Tr_probe[D(B)^2 (1 x rho0)]."""
-    return _moments(mp, "b", mp._on_system(b, HermitianObservable).matrix)[1]
+    return _moments(source._kraus_stack, "b", b)[1]
 
 
 @dataclass(frozen=True)
@@ -126,14 +132,14 @@ class EDRReport:
     oedr_holds: bool
 
 
-def edr_ledger(mp: MeasuringProcess, a, b, rho) -> EDRReport:
+def edr_ledger(source: MeasuringProcess | CPInstrument, a, b, rho) -> EDRReport:
     """Evaluate the three error-disturbance relations for one scenario.
 
     One _moments pass per observable gives the figures of rms_error,
     rms_disturbance and the mean operators; every float field is a Python
     float.
     """
-    return _Scenario(mp, a, b, rho).ledger()
+    return _Scenario(source, a, b, rho).ledger()
 
 
 def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -166,21 +172,22 @@ def _cyclic_subspace(dec, rho: DensityOperator, tol: Tolerances) -> np.ndarray:
     return u[:, :rank]
 
 
-def locally_uniform_rms_error(mp: MeasuringProcess, a, rho) -> float:
+def locally_uniform_rms_error(source: MeasuringProcess | CPInstrument, a, rho) -> float:
     """sup of epsilon(A, phi) over unit vectors phi in the cyclic subspace
     of (A, rho): the largest eigenvalue of the compressed noise second
     moment, square-rooted."""
-    return _Scenario(mp, a, None, rho).locally_uniform("a")
+    return _Scenario(source, a, None, rho).locally_uniform("a")
 
 
-def locally_uniform_rms_disturbance(mp: MeasuringProcess, b, rho) -> float:
+def locally_uniform_rms_disturbance(source: MeasuringProcess | CPInstrument, b, rho) -> float:
     """sup of eta(B, phi) over the cyclic subspace of (B, rho)."""
-    return _Scenario(mp, None, b, rho).locally_uniform("b")
+    return _Scenario(source, None, b, rho).locally_uniform("b")
 
 
 class _Scenario:
-    """One validated (process, A, B, rho) under the process's Tolerances,
-    with every intermediate shared by its figures computed once.
+    """One validated (source, A, B, rho) under the Tolerances of the source, a
+    MeasuringProcess or CPInstrument read as its labelled Kraus stack, with
+    every intermediate shared by its figures computed once.
 
     A and B (either may be None when only the other is read) are kept as
     HermitianObservable and rho as DensityOperator, with its spectrum,
@@ -191,12 +198,13 @@ class _Scenario:
     reads these entries, so the figures may be read in any order.
     """
 
-    def __init__(self, mp: MeasuringProcess, a, b, rho):
-        self.mp = mp
-        self.tol = mp.tol
-        self.obs = {x: mp._on_system(op, HermitianObservable)
+    def __init__(self, source: MeasuringProcess | CPInstrument, a, b, rho):
+        self.source = source
+        self.stack = source._kraus_stack
+        self.tol = self.stack.tol
+        self.obs = {x: _on_system(op, HermitianObservable, self.stack)
                     for x, op in (("a", a), ("b", b)) if op is not None}
-        self.rho = mp._on_system(rho, DensityOperator)
+        self.rho = _on_system(rho, DensityOperator, self.stack)
         self._memo = {}
 
     def _once(self, key, make):
@@ -216,7 +224,7 @@ class _Scenario:
         x = "a", of X = D(B) for x = "b", from one _moments pass, with
         rms^2 = Tr[rho Tr_probe[X^2 (1 x rho0)]]."""
         def make():
-            mean, moment = _moments(self.mp, x, self.obs[x].matrix)
+            mean, moment = _moments(self.stack, x, self.obs[x])
             trace = float(np.einsum("ab,ba->", moment, self.rho.matrix).real)
             return float(np.sqrt(max(trace, 0.0))), mean, moment
         return self._once(("figures", x), make)

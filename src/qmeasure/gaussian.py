@@ -75,7 +75,7 @@ class GaussianState(_Immutable):
 
     def __init__(self, mean, cov, constants: PhysicalConstants = DEFAULT_CONSTANTS,
                  tol: Tolerances = DEFAULT_TOL):
-        mean = np.asarray(mean, dtype=float).reshape(-1)
+        mean = np.array(mean, dtype=float).reshape(-1)
         cov = np.asarray(cov, dtype=float)
         if mean.shape != (2,):
             raise ValidationError("mean must be a pair (q, p)")

@@ -17,6 +17,7 @@ unique).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,19 +94,73 @@ def born_distribution(a, rho, tol: Tolerances = DEFAULT_TOL) -> OutcomeDistribut
     return OutcomeDistribution(tuple(map(float, dec.eigenvalues)), tuple(probs.tolist()))
 
 
+def _on_system(x, kind, owner):
+    """x as a validated kind (HermitianObservable or DensityOperator) on the
+    system of owner, a process or Kraus stack, under its Tolerances."""
+    x = x if isinstance(x, kind) else kind(x, owner.tol)
+    if x.dim != owner.system_dim:
+        raise ValidationError(f"dimension mismatch: {x.matrix.shape} vs system {owner.system_dim}")
+    return x
+
+
+@dataclass(frozen=True, eq=False)
+class _KrausStack:
+    """The labelled Kraus stack of a process or instrument, which every figure
+    but the strong precision face reads: kraus[j, :, l, :] is the operator
+    K_jl, read-only, and the rows j run outcome by outcome, sizes[m] of them
+    (0 for an outcome without operators) reporting values[m], distinct and
+    ascending. An instrument's families have l = 0 alone. tol is the
+    Tolerances of the process or instrument."""
+
+    values: np.ndarray
+    sizes: np.ndarray
+    kraus: np.ndarray
+    tol: Tolerances
+
+    def __post_init__(self):
+        self.kraus.setflags(write=False)
+
+    @property
+    def system_dim(self) -> int:
+        return self.kraus.shape[-1]
+
+    def left(self, ops: np.ndarray) -> np.ndarray:
+        """X K_jl for an operator X or a stack of them, shaped like kraus."""
+        k = self.kraus
+        return (ops[..., None, :, :] @ k.reshape(len(k), self.system_dim, -1)).reshape(
+            ops.shape[:-2] + k.shape)
+
+    def dual(self, g: np.ndarray) -> np.ndarray:
+        """sum K_jl+ G_jl, Hermitian part, for g shaped like kraus or a stack of
+        such: the channel T*(X) = sum K_jl+ X K_jl for g = left(X)."""
+        d = self.system_dim
+        return hermitian_part(dagger(self.kraus.reshape(-1, d)) @ g.reshape(g.shape[:-4] + (-1, d)))
+
+    @cached_property
+    def effects(self) -> np.ndarray:
+        """The POVM E_m = sum_{j in m} K_j+ K_j as one read-only (m, d, d)
+        stack in values order: each row's sum_l K_jl+ K_jl, summed over the
+        outcome's rows by one product with the row-to-outcome indicator."""
+        d = self.system_dim
+        k = self.kraus.reshape(len(self.kraus), -1, d)
+        rows = np.eye(len(self.sizes)).repeat(self.sizes, axis=1)
+        effects = hermitian_part((rows @ (dagger(k) @ k).reshape(len(k), -1)).reshape(-1, d, d))
+        effects.setflags(write=False)
+        return effects
+
+
 class MeasuringProcess(_Immutable):
     """Probe state, coupling unitary, and meter observable.
 
     The system dimension is inferred from the unitary, which acts on
     system x probe. The meter acts on the probe alone. A process is
     immutable: what depends on it alone (the meter's spectral measure, the
-    Kraus tensor, the POVM, and M(dt) when asked for) is computed on first
+    labelled Kraus stack, and M(dt) when asked for) is computed on first
     use, kept, and judged under its Tolerances. Figures read it through its
-    Kraus operators K_bl = sqrt(lam_l) (1 x <e_b|) U (1 x |phi_l>), with
-    rho0 = sum lam_l |phi_l><phi_l|, as d_s x d_s products:
-    H(X, Y) = Tr_p[U+ (X x Y) U (1 x rho0)] = sum K_bl+ X Y[b, b'] K_b'l
-    gives the channel T*(X) = H(X, 1) and the POVM effect F(Q_m) = H(1, Q_m)
-    of each meter projector Q_m.
+    labelled Kraus stack, the instrument of reading the meter:
+    K_il = sum_b conj(q[b, i]) sqrt(lam_l) (1 x <e_b|) U (1 x |phi_l>),
+    with rho0 = sum lam_l |phi_l><phi_l| and q the meter's eigenvectors,
+    K_il reporting the eigenvalue of column i.
     """
 
     def __init__(self, probe_state: DensityOperator, unitary, meter: HermitianObservable,
@@ -141,21 +196,13 @@ class MeasuringProcess(_Immutable):
         """U+ X U for a composite operator X, Hermitian part."""
         return hermitian_part(dagger(self.unitary) @ big @ self.unitary)
 
-    def _on_system(self, x, kind):
-        """x as a validated kind (HermitianObservable or DensityOperator) on the system."""
-        x = x if isinstance(x, kind) else kind(x, self.tol)
-        if x.dim != self.system_dim:
-            raise ValidationError(
-                f"dimension mismatch: {x.matrix.shape} vs system {self.system_dim}")
-        return x
-
     def composite_state(self, rho) -> np.ndarray:
         """rho x rho0 on system x probe."""
-        return tensor(self._on_system(rho, DensityOperator), self.probe_state.matrix)
+        return tensor(_on_system(rho, DensityOperator, self), self.probe_state.matrix)
 
     def embedded_system(self, a) -> np.ndarray:
         """A(0) = A x 1, the system observable before the interaction."""
-        return tensor(self._on_system(a, HermitianObservable), np.eye(self.probe_dim))
+        return tensor(_on_system(a, HermitianObservable, self), np.eye(self.probe_dim))
 
     def evolved_meter(self) -> np.ndarray:
         """M(dt) = U+ (1 x M) U, the meter after the interaction.
@@ -173,35 +220,25 @@ class MeasuringProcess(_Immutable):
         """The meter's spectral measure, behind every reading of the meter."""
         return self._cached("meter_measure", lambda: spectral_decompose(self.meter, self.tol))
 
-    def _kraus(self) -> np.ndarray:
-        """k[b, a, l, c] = K_bl[a, c], l over the probe eigenvalues above
-        d_p * machine eps, the rounding level of a unit-trace matrix."""
+    @property
+    def _kraus_stack(self) -> _KrausStack:
+        """The labelled Kraus stack, rows i over the meter's eigenvector
+        blocks q and l over the probe eigenvalues above d_p * machine eps,
+        the rounding level of a unit-trace matrix."""
         def make():
             ds, dp = self.system_dim, self.probe_dim
             lam, phi = self.probe_state.spectrum
             keep = lam > dp * _EPS
-            # t[a, b, c, l] = sum_e U[(a, b), (c, e)] sqrt(lam_l) phi_l[e]
-            t = self.unitary.reshape(ds, dp, ds, dp) @ (phi[:, keep] * np.sqrt(lam[keep]))
-            return np.ascontiguousarray(t.transpose(1, 0, 3, 2))
-        return self._cached("kraus", make)
-
-    def _apply(self, op: np.ndarray, probe: bool = False) -> np.ndarray:
-        """X K_bl, or sum_b' Y[b, b'] K_b'l for op = Y on the probe, shaped
-        like _kraus(); op may be a stack."""
-        k = self._kraus()
-        flat = k.reshape((1, len(k), -1) if probe else k.shape[:2] + (-1,))
-        return (op[..., None, :, :] @ flat).reshape(op.shape[:-2] + k.shape)
-
-    def _dual(self, g: np.ndarray) -> np.ndarray:
-        """sum K_bl+ G_bl, Hermitian part, for g like _kraus() or a stack."""
-        kf, d = self._kraus().reshape(-1, self.system_dim), self.system_dim
-        return hermitian_part(dagger(kf) @ g.reshape(g.shape[:-4] + (-1, d)))
-
-    def _povm(self):
-        """Meter outcome values with their POVM effects E_m, stacked."""
-        dm = self._meter_measure()
-        return dm.eigenvalues, self._cached("povm", lambda: self._dual(
-            self._apply(dm.projectors, probe=True)))
+            # t[a, b, c, l] = sum_e U[(a, b), (c, e)] sqrt(lam_l) phi_l[e], one 2-D product
+            t = (self.unitary.reshape(-1, dp) @ (phi[:, keep] * np.sqrt(lam[keep]))).reshape(
+                ds, dp, ds, -1)
+            dm = self._meter_measure()
+            # k[i, a, l, c] = sum_b conj(q[b, i]) t[a, b, c, l], i over the concatenated blocks
+            q = np.concatenate(dm.blocks, axis=1)
+            k = (dagger(q) @ t.transpose(1, 0, 3, 2).reshape(dp, -1)).reshape(dp, ds, -1, ds)
+            sizes = np.array([block.shape[1] for block in dm.blocks])
+            return _KrausStack(dm.eigenvalues, sizes, k, self.tol)
+        return self._cached("kraus_stack", make)
 
     def __repr__(self):
         return f"MeasuringProcess(system_dim={self.system_dim}, probe_dim={self.probe_dim})"
@@ -240,8 +277,9 @@ class CPInstrument(_Immutable):
     outcomes are distinct reals sorted ascending; kraus[m] is a read-only
     (r_m, d, d) stack, (0, d, d) for an outcome without Kraus operators.
     Each family (a list, tuple or stack) is converted and checked as one
-    array. It keeps the POVM of its effects sum_j K+K, which validates the
-    family.
+    array. It keeps its labelled Kraus stack _kraus_stack, the families
+    concatenated in outcome order, and the POVM of the stack's effects,
+    which validates the families.
     """
 
     def __init__(self, outcomes, kraus, tol: Tolerances = DEFAULT_TOL):
@@ -254,11 +292,16 @@ class CPInstrument(_Immutable):
         dim = dims.pop()
         stacks = [k if len(k) else _as_operators(k, dim) for k in stacks]
         outcomes = [float(x) for x in outcomes]
-        povm = POVM(outcomes, [(dagger(k) @ k).sum(axis=0) for k in stacks], tol)
+        if len(outcomes) != len(stacks):
+            raise ValidationError("need one Kraus family per outcome")
         for k in stacks:
             k.setflags(write=False)
         kraus = tuple(stacks[i] for i in np.argsort(outcomes))
-        self._init_fields(outcomes=povm.outcomes, kraus=kraus, dim=dim, tol=tol, _povm=povm)
+        stack = _KrausStack(np.sort(outcomes), np.array([len(k) for k in kraus]),
+                            np.concatenate(kraus)[:, :, None], tol)
+        povm = POVM(stack.values, stack.effects, tol)
+        self._init_fields(outcomes=povm.outcomes, kraus=kraus, dim=dim, tol=tol, _povm=povm,
+                          _kraus_stack=stack)
 
     def _select(self, outcome_set) -> list:
         """Indices of the outcomes nearest to a value or to each of an
@@ -330,37 +373,34 @@ class POVM(_Immutable):
 def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
     """The CP instrument induced by reading the meter of a process.
 
-    For each spectral value m of the meter, with orthonormal eigenvector
-    columns q_m (its block, Q_m = q_m q_m+),
-    I(m)rho = Tr_probe[(1 x Q_m) U (rho x rho0) U+ (1 x Q_m)] has the Kraus
-    family G_il = sum_b conj(q_m[b, i]) K_bl over the process's K_bl: r_m L
-    operators, r_m the multiplicity of m and L the number of probe
-    eigenvalues kept (one matmul with the concatenated blocks forms all of
-    them). The family is reduced to minimal rank by an SVD of its stacked
-    columns vec(G): the outcome's Choi matrix is V V+ (the same as from
-    the projector's d_p L operators, since q_m+ q_m = 1), so its
-    eigenvectors are the left singular vectors and its eigenvalues s^2.
+    For each spectral value m of the meter,
+    I(m)rho = Tr_probe[(1 x Q_m) U (rho x rho0) U+ (1 x Q_m)] has as Kraus
+    family the rows of m in the process's labelled Kraus stack: r_m L
+    operators K_il, r_m the multiplicity of m and L the number of probe
+    eigenvalues kept. The family is reduced to minimal rank by an SVD of
+    its stacked columns vec(K_il): the outcome's Choi matrix is V V+ (the
+    same as from the projector's d_p L operators, since q_m+ q_m = 1 for
+    the eigenvector columns q_m of m), so its eigenvectors are the left
+    singular vectors and its eigenvalues s^2.
     All outcomes go through one stacked SVD, each family zero-padded to the
     largest block; zero columns add only zero singular values. Operators
     go at s <= 16 * max(d_s^2, d_p L) * eps, the rounding of a unit-scale
     family (sum K+K = 1) whatever eq_tol is, the rest ordered by descending
     Choi eigenvalue. The instrument carries the process's Tolerances.
     """
-    dm, k = mp._meter_measure(), mp._kraus()
-    dp, d, nl = k.shape[:3]
-    sizes = [q.shape[1] for q in dm.blocks]
-    # g[i, a, l, c] = G_il[a, c], i over the concatenated blocks
-    g = (dagger(np.concatenate(dm.blocks, axis=1)) @ k.reshape(dp, -1)).reshape(k.shape)
-    padded = np.zeros((len(sizes), max(sizes)) + k.shape[1:], dtype=complex)
+    stack = mp._kraus_stack
+    g, sizes = stack.kraus, stack.sizes
+    dp, d, nl = g.shape[:3]
+    padded = np.zeros((len(sizes), max(sizes)) + g.shape[1:], dtype=complex)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     padded[labels, np.arange(dp) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = g
-    # column (i, l) of outcome m is vec(G_il), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
+    # column (i, l) of outcome m is vec(K_il), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
     v = padded.transpose(0, 4, 2, 1, 3).reshape(len(sizes), d * d, -1)
     w, s, _ = np.linalg.svd(v, full_matrices=False)
     ranks = np.sum(s > 16 * max(d * d, dp * nl) * _EPS, axis=1)
     # K_j[a, c] = s_j w[(c, a), j]
     kraus = s[..., None, None] * w.swapaxes(1, 2).reshape(s.shape + (d, d)).swapaxes(2, 3)
-    return CPInstrument(dm.eigenvalues, [ops[:r] for ops, r in zip(kraus, ranks)], tol=mp.tol)
+    return CPInstrument(stack.values, [ops[:r] for ops, r in zip(kraus, ranks)], tol=mp.tol)
 
 
 def povm_of(instrument: CPInstrument) -> POVM:
@@ -410,21 +450,19 @@ def dilate(instrument: CPInstrument) -> MeasuringProcess:
     process reproduces the instrument (per-outcome Choi agreement), and
     the process carries the instrument's Tolerances.
     """
-    tol = instrument.tol
-    d = instrument.dim
-    counts = [len(ops) for ops in instrument.kraus]
-    probe_dim = sum(counts)
+    tol, stack = instrument.tol, instrument._kraus_stack
+    d, probe_dim = stack.system_dim, len(stack.kraus)
     n = d * probe_dim
 
     # iso[(s, b), i] = K_b[s, i], the row of component (s, b) being s*probe_dim + b
-    iso = np.concatenate(instrument.kraus).swapaxes(0, 1).reshape(n, d)
+    iso = stack.kraus.swapaxes(0, 1).reshape(n, d)
     u = np.empty((n, n), dtype=complex)
     # column (i, b) of u is i*probe_dim + b: psi_i x e0 at b = 0, the complement after
     cols = u.reshape(n, d, probe_dim)
     cols[:, :, 0] = iso
     cols[:, :, 1:] = np.linalg.qr(iso, mode="complete")[0][:, d:].reshape(n, d, probe_dim - 1)
 
-    meter = HermitianObservable(np.diag(np.repeat(instrument.outcomes, counts)), tol=tol)
+    meter = HermitianObservable(np.diag(np.repeat(stack.values, stack.sizes)), tol=tol)
     e0 = np.zeros(probe_dim)
     e0[0] = 1.0
     probe = DensityOperator.pure(e0, tol=tol)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edr import _Scenario
-from .instruments import MeasuringProcess, _born
+from .instruments import CPInstrument, MeasuringProcess, _born, dilate
 from .operators import (
     DEFAULT_TOL,
     Tolerances,
@@ -145,30 +145,32 @@ def gauss_rms(jd: JointDistribution) -> float:
 def _before_after(ctx: _Scenario, x: str):
     """The weak joint distribution in rho x rho0 of X(0) = X x 1 and its
     partner after the interaction, M(dt) for x = "a" and B(dt) for x = "b",
-    from system operators alone: Tr[P_i E_j rho] with E_j the process POVM
+    from the labelled Kraus stack alone: Tr[P_i E_j rho] with E_j its POVM
     for "a" and T*(P_j) for "b"."""
-    mp, dx = ctx.mp, ctx.decomposition(x)
-    values, effects = (mp._povm() if x == "a"
-                       else (dx.eigenvalues, mp._dual(mp._apply(dx.projectors))))
+    stack, dx = ctx.stack, ctx.decomposition(x)
+    values, effects = ((stack.values, stack.effects) if x == "a"
+                       else (dx.eigenvalues, stack.dual(stack.left(dx.projectors))))
     return _joint(dx.eigenvalues, dx.projectors, values, effects, ctx.rho.matrix, ctx.tol)
 
 
-def weak_joint_distribution(mp: MeasuringProcess, a, rho) -> JointDistribution:
+def weak_joint_distribution(source: MeasuringProcess | CPInstrument, a, rho) -> JointDistribution:
     """Weak joint distribution of A(0) and M(dt) in rho x rho0.
 
     Always defined, with complex weights; real nonnegative exactly when
     the pair commutes in the state. Marginals are the real Born statistics
-    over A's spectral values and over the instrument's outcome values.
+    over A's spectral values and over the instrument's outcome values: a
+    CPInstrument's own outcomes (one without Kraus operators included), a
+    process's meter spectral values.
     """
-    return _before_after(_Scenario(mp, a, None, rho), "a")
+    return _before_after(_Scenario(source, a, None, rho), "a")
 
 
 def _labels(ctx: _Scenario, x: str) -> np.ndarray:
     """_cluster_labels over X's eigenvalues followed by the outcome values
-    of its _before_after partner (the meter's for "a", X's own for "b"):
+    of its _before_after partner (the stack's for "a", X's own for "b"):
     the labels _diagonal_concentrated and _cluster_gap read."""
     dx = ctx.decomposition(x)
-    values = ctx.mp._povm()[0] if x == "a" else dx.eigenvalues
+    values = ctx.stack.values if x == "a" else dx.eigenvalues
     return _cluster_labels(np.concatenate([dx.eigenvalues, values]), ctx.tol)
 
 
@@ -182,8 +184,9 @@ def _diagonal_concentrated(jd: JointDistribution, labels: np.ndarray, tol: Toler
 def _commutes_after(ctx: _Scenario, x: str) -> bool:
     """Whether the pair of _before_after commutes in rho x rho0, the
     after-projectors taken as thin factors V V+ (U+ (e_s x q_j) over a meter
-    block q, U+ (u_j x e_k) over a block u of B)."""
-    mp = ctx.mp
+    block q, U+ (u_j x e_k) over a block u of B) of the scenario's process,
+    for an instrument its dilate, the one figure step that needs a unitary."""
+    mp = ctx.source if isinstance(ctx.source, MeasuringProcess) else dilate(ctx.source)
     ud = dagger(mp.unitary).reshape(-1, mp.system_dim, mp.probe_dim)  # columns (s, k)
     blocks = (mp._meter_measure() if x == "a" else ctx.decomposition("b")).blocks
     factors = ((ud @ v if x == "a" else ud.swapaxes(1, 2) @ v).reshape(len(ud), -1) for v in blocks)
@@ -191,46 +194,47 @@ def _commutes_after(ctx: _Scenario, x: str) -> bool:
     return _commute(ctx.decomposition(x).projectors, factors, sigma, ctx.tol)
 
 
-def is_precise(mp: MeasuringProcess, a, rho, mode: str = "strong") -> bool:
-    """Whether the process reproduces A exactly in the state rho.
+def is_precise(source: MeasuringProcess | CPInstrument, a, rho, mode: str = "strong") -> bool:
+    """Whether the process or instrument reproduces A exactly in the state rho.
 
     mode "weak": the weak joint distribution of A(0) and M(dt) in
     rho x rho0 sits on the diagonal in modulus. mode "strong": that, and
     the pair commutes in rho x rho0, so that the weak distribution is the
-    genuine one; the commutation test runs only if the weak face holds.
+    genuine one; the commutation test, the one step that dilates an
+    instrument, runs only if the weak face holds.
     For measurement precision the two agree (theorem2_check).
     """
     if mode not in ("strong", "weak"):
         raise ValidationError(f"mode must be 'strong' or 'weak', got {mode!r}")
-    ctx = _Scenario(mp, a, None, rho)
+    ctx = _Scenario(source, a, None, rho)
     weak = _diagonal_concentrated(_before_after(ctx, "a"), _labels(ctx, "a"), ctx.tol)
     return weak if mode == "weak" else weak and _commutes_after(ctx, "a")
 
 
-def is_nondisturbing(mp: MeasuringProcess, b, rho) -> bool:
+def is_nondisturbing(source: MeasuringProcess | CPInstrument, b, rho) -> bool:
     """Whether the weak joint distribution of B(0) and B(dt) sits on the
     diagonal and the pair commutes in rho x rho0: the strong is_precise
     test, for B."""
-    ctx = _Scenario(mp, None, b, rho)
+    ctx = _Scenario(source, None, b, rho)
     return (_diagonal_concentrated(_before_after(ctx, "b"), _labels(ctx, "b"), ctx.tol)
             and _commutes_after(ctx, "b"))
 
 
 def _cluster_gap(ctx: _Scenario, labels: np.ndarray) -> np.ndarray:
-    """The process POVM minus the spectral measure of A, summed over each
+    """The stack's POVM minus the spectral measure of A, summed over each
     cluster of their outcome values (labels, _labels of "a"), as one
     (k, d, d) stack: zero exactly when the meter reproduces A's statistics."""
     da = ctx.decomposition("a")
     gap = np.zeros((labels.max() + 1,) + ctx.rho.matrix.shape, dtype=complex)
-    np.add.at(gap, labels, np.concatenate([-da.projectors, ctx.mp._povm()[1]]))
+    np.add.at(gap, labels, np.concatenate([-da.projectors, ctx.stack.effects]))
     return gap
 
 
-def probability_reproducible(mp: MeasuringProcess, a, rho) -> bool:
+def probability_reproducible(source: MeasuringProcess | CPInstrument, a, rho) -> bool:
     """Whether the meter statistics in rho reproduce the Born statistics
     of A in rho, matching outcome values within the slack of the largest
     |value|."""
-    ctx = _Scenario(mp, a, None, rho)
+    ctx = _Scenario(source, a, None, rho)
     gap = np.einsum("kab,ba->k", _cluster_gap(ctx, _labels(ctx, "a")), ctx.rho.matrix)
     return bool(np.abs(gap).max() <= _slack(ctx.tol, terms=ctx.rho.dim))
 
@@ -258,7 +262,7 @@ class PrecisionReport:
         return len(set(self.flags())) == 1
 
 
-def theorem2_check(mp: MeasuringProcess, a, rho) -> PrecisionReport:
+def theorem2_check(source: MeasuringProcess | CPInstrument, a, rho) -> PrecisionReport:
     """Evaluate the four equivalent precision conditions.
 
     weak: the weak joint distribution of A(0) and M(dt) in rho x rho0 sits
@@ -266,11 +270,11 @@ def theorem2_check(mp: MeasuringProcess, a, rho) -> PrecisionReport:
     (tested only if weak holds). eps_zero_on_cyclic: the noise second
     moment compressed to the cyclic subspace of (A, rho) has top
     eigenvalue within the slack of ||A||^2 (max-abs norm).
-    prob_repro_on_cyclic: the process POVM and the spectral measure of A
+    prob_repro_on_cyclic: the source's POVM and the spectral measure of A
     agree as quadratic forms on that subspace, cluster by cluster of
     their outcome values. Values match by _cluster_labels throughout.
     """
-    return _precision_report(_Scenario(mp, a, None, rho))
+    return _precision_report(_Scenario(source, a, None, rho))
 
 
 def _precision_report(ctx: _Scenario) -> PrecisionReport:

@@ -9,6 +9,7 @@ and Y on the probe combine as kron(X, Y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -233,24 +234,34 @@ def _as_state(rho, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (ascending) with orthogonal spectral projectors,
-    stacked in one read-only (k, n, n) array, and blocks[i], the read-only
-    orthonormal (n, r_i) eigenvector columns with blocks[i] blocks[i]+ = P_i.
+    """Distinct eigenvalues (ascending) with blocks[i], the read-only
+    orthonormal (n, r_i) eigenvector columns of each, and their orthogonal
+    spectral projectors P_i = blocks[i] blocks[i]+, stacked in one read-only
+    (k, n, n) array made on first use.
 
     sum(projectors) = identity and sum(a_i * P_i) reconstructs the operator.
     """
 
     eigenvalues: np.ndarray
-    projectors: np.ndarray
     blocks: tuple
 
     def __post_init__(self):
-        for arr in (self.eigenvalues, self.projectors, *self.blocks):
+        for arr in (self.eigenvalues, *self.blocks):
             arr.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.projectors.shape[-1]
+        return len(self.blocks[0])
+
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        padded = np.zeros((len(self.blocks), self.dim, max(b.shape[1] for b in self.blocks)),
+                          dtype=complex)
+        for p, b in zip(padded, self.blocks):
+            p[:, :b.shape[1]] = b
+        projectors = hermitian_part(padded @ dagger(padded))
+        projectors.setflags(write=False)
+        return projectors
 
     def reconstruct(self) -> np.ndarray:
         return np.einsum("i,iab->ab", self.eigenvalues, self.projectors)
@@ -286,12 +297,10 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     labels = _cluster_labels(w, tol)
     counts = np.bincount(labels)
     starts = counts.cumsum() - counts
-    padded = np.zeros((len(counts), len(w), counts.max()), dtype=complex)
-    padded[labels, :, np.arange(len(w)) - starts[labels]] = v.T
     dec = SpectralDecomposition(np.bincount(labels, weights=w) / counts,
-                                hermitian_part(padded @ dagger(padded)),
                                 tuple([v[:, i:i + c] for i, c in zip(starts.tolist(), counts.tolist())]))
-    if operator_distance(dec.reconstruct(), mat) > 1e3 * _slack(tol, float(np.abs(w).max())):
+    rebuilt = (v * dec.eigenvalues[labels]) @ dagger(v)  # sum a_i P_i, without the projectors
+    if operator_distance(rebuilt, mat) > 1e3 * _slack(tol, float(np.abs(w).max())):
         raise ValidationError("spectral reconstruction failed")
     return dec
 

@@ -81,7 +81,7 @@ class TestFiniteProcess:
             "heisenberg_holds", "uedr_holds", "oedr_holds",
         ]
 
-    def test_instrument_payload_dilated(self, tmp_path):
+    def test_instrument_payload(self, tmp_path):
         inst = qm.luders_instrument(SZ)
         cfg = finite_process_config()
         del cfg["payload"]["process"]
@@ -104,6 +104,57 @@ class TestFiniteProcess:
     def test_unknown_report_kind(self, tmp_path):
         cfg = write_config(tmp_path, finite_process_config(report="everything"))
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+
+
+def instrument_config(inst, a, report):
+    """finite_process_config with inst in place of the process and a as observable_a."""
+    cfg = finite_process_config(report)
+    del cfg["payload"]["process"]
+    cfg["payload"]["instrument"] = ser.instrument_to_dict(inst)
+    cfg["payload"]["observable_a"] = ser.matrix_to_json(a)
+    return cfg
+
+
+class TestInstrumentPayloadNeedsNoDilation:
+    """An instrument config is read from its Kraus operators: an edr report
+    never dilates it, and a precision report dilates it once, for the
+    strong face, and only when the weak face holds."""
+
+    def test_shipped_instrument_config(self, tmp_path, monkeypatch):
+        def refuse(inst):
+            raise AssertionError("an edr report dilated its instrument")
+
+        monkeypatch.setattr(qm.jpd, "dilate", refuse)
+        monkeypatch.setattr(qm.instruments, "dilate", refuse)
+        path = os.path.join(CONFIG_DIR, "finite_instrument.json")
+        out = str(tmp_path / "out")
+        assert main(["run", path, "--out", out]) == EXIT_OK
+        monkeypatch.undo()
+        # the same report, to the bit, as the dilate-first route
+        with open(path) as fh:
+            payload = json.load(fh)["payload"]
+        inst = ser.instrument_from_dict(payload["instrument"])
+        a, b, rho = (ser.matrix_from_json(payload[key])
+                     for key in ("observable_a", "observable_b", "state"))
+        want = ser.edr_report_to_dict(qm.edr_ledger(qm.dilate(inst), a, b, rho))
+        assert read_report(out)["results"] == want
+
+    @pytest.mark.parametrize("inst, precise", [(qm.luders_instrument(SZ), True),
+                                               (qm.luders_instrument(SX), False)],
+                             ids=["luders-precise", "not-precise"])
+    def test_precision_report(self, tmp_path, monkeypatch, inst, precise):
+        calls = []
+
+        def counting(instrument):
+            calls.append(instrument)
+            return qm.dilate(instrument)
+
+        monkeypatch.setattr(qm.jpd, "dilate", counting)
+        path = write_config(tmp_path, instrument_config(inst, SZ, "precision"))
+        out = str(tmp_path / "out")
+        assert main(["run", path, "--out", out]) == EXIT_OK
+        assert set(read_report(out)["results"].values()) == {precise}
+        assert len(calls) == int(precise)
 
 
 class TestGaussianModel:

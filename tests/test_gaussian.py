@@ -35,6 +35,13 @@ class TestGaussianState:
         with pytest.raises(AttributeError):
             delattr(st, name)
 
+    def test_state_does_not_alias_its_inputs(self):
+        mean, cov = np.array([0.5, -0.25]), np.array([[1.0, 0.2], [0.2, 1.0]])
+        st = qm.GaussianState(mean, cov)
+        mean[0], cov[0, 0] = 99.0, 7.0
+        assert (st.mean_q, st.mean_p, st.cov[0, 0]) == (0.5, -0.25, 1.0)
+        assert not np.shares_memory(st.mean, mean) and not np.shares_memory(st.cov, cov)
+
     def test_rejects_asymmetric_cov(self):
         with pytest.raises(qm.ValidationError):
             qm.GaussianState((0, 0), [[1.0, 0.3], [0.1, 1.0]])

@@ -66,15 +66,16 @@ JUDGED = ("MeasuringProcess", "CPInstrument")
 
 def tol_overrides(path: str) -> list:
     """Public functions whose first parameter is annotated MeasuringProcess
-    or CPInstrument, and public methods of those classes and of POVM, that
-    take a tol parameter."""
+    or CPInstrument (alone or in a union), and public methods of those
+    classes and of POVM, that take a tol parameter."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
     candidates = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.args.args:
             first = node.args.args[0].annotation
-            if isinstance(first, ast.Name) and first.id in JUDGED:
+            names = {sub.id for sub in ast.walk(first or ast.Pass()) if isinstance(sub, ast.Name)}
+            if names & set(JUDGED):
                 candidates.append((node.name, node))
         elif isinstance(node, ast.ClassDef) and node.name in JUDGED + ("POVM",):
             candidates.extend((f"{node.name}.{f.name}", f) for f in node.body
@@ -93,12 +94,13 @@ def test_scan_finds_a_tol_override(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("def f(mp: MeasuringProcess, a, tol=None): pass\n"
                     "def g(inst: CPInstrument, *, tol=None): pass\n"
+                    "def u(src: MeasuringProcess | CPInstrument, tol=None): pass\n"
                     "def h(a, tol=None): pass\n"
                     "def _k(mp: MeasuringProcess, tol=None): pass\n"
                     "class POVM:\n"
                     "    def __init__(self, effects, tol=None): pass\n"
                     "    def probabilities(self, rho, tol=None): pass\n")
-    assert tol_overrides(str(path)) == ["POVM.probabilities", "f", "g"]
+    assert tol_overrides(str(path)) == ["POVM.probabilities", "f", "g", "u"]
 
 
 # the top-level definitions allowed to read eq_tol, per module: every other
@@ -281,7 +283,7 @@ def library_calls(fn, *args, **kwargs) -> int:
 # numpy 2.4: a trial of about 1.3 ms is call overhead more than linear
 # algebra, so an added call shows in its time. CPython 3.12 inlines
 # comprehensions, which only removes events, so the bound holds there too.
-SWEEP_TRIAL_CALLS = 737
+SWEEP_TRIAL_CALLS = 714
 
 
 def test_sweep_trial_call_budget():

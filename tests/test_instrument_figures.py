@@ -1,0 +1,150 @@
+"""Every public figure function reads a CPInstrument straight from its
+Kraus operators, and agrees with the same function on dilate(inst), the
+measuring process that realizes it: flags equal, floats within 1e-12 of
+the operator scale. Only the strong precision face needs a unitary, so
+only it dilates an instrument, once, and only when the weak face holds."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import qmeasure as qm
+from qmeasure import jpd
+from helpers import P0, P1
+
+TOL = 1e-12
+GAP = 1e-10  # below the slack 1e-9 of max|outcome| = 1, so the two outcomes cluster
+
+
+def random_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for d in (2, 3, 4, 5):
+        a, b = qm.random_hermitian(d, rng), qm.random_hermitian(d, rng)
+        rho = qm.random_density_operator(d, rng)
+        cases.append((f"random-{d}", qm.random_cp_instrument(d, 3, rng, max_kraus_per_outcome=3),
+                      a, b, rho))
+        many = qm.random_cp_instrument(d, 2, rng, max_kraus_per_outcome=d * d)
+        cases.append((f"many-kraus-{d}", many, a, b, rho))
+        # a mixed probe of rank d gives each outcome d * (its multiplicity) operators
+        mp = qm.random_measuring_process(d, d, rng, pure_probe=False)
+        cases.append((f"full-rank-{d}", qm.instrument_from_process(mp), a, b, rho))
+        cases.append((f"luders-{d}", qm.luders_instrument(a), a, b, rho))
+    return cases
+
+
+A01 = np.diag([0.0, 1.0]).astype(complex)
+A02 = np.diag([0.0, 2.0]).astype(complex)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PLUS = qm.DensityOperator.pure([1.0, 1.0])
+MIXED = qm.DensityOperator(np.array([[0.7, 0.2], [0.2, 0.3]]))
+
+# an outcome without Kraus operators: dilate gives it no meter value
+EMPTY = qm.CPInstrument([0.0, 1.0, 2.0], [[P0], [], [P1]])
+# two outcomes closer than the slack of max|outcome|: dilate's meter merges them
+NEAR = qm.CPInstrument([0.0, 1.0, 1.0 + GAP], [[P0], [P1 / np.sqrt(2)], [P1 / np.sqrt(2)]])
+
+CASES = random_cases() + [
+    ("empty-outcome-precise", EMPTY, A02, SX, MIXED),
+    ("empty-outcome", EMPTY, SX, A02, PLUS),
+    ("near-outcomes-precise", NEAR, A01, SX, MIXED),
+    ("near-outcomes", NEAR, SX, A01, PLUS),
+]
+
+# each public figure function as (source, A, B, rho) -> its result
+FIGURES = {
+    "edr_ledger": lambda src, a, b, rho: qm.edr_ledger(src, a, b, rho),
+    "rms_error": lambda src, a, b, rho: qm.rms_error(src, a, rho),
+    "rms_disturbance": lambda src, a, b, rho: qm.rms_disturbance(src, b, rho),
+    "mean_noise_operator": lambda src, a, b, rho: qm.mean_noise_operator(src, a),
+    "mean_disturbance_operator": lambda src, a, b, rho: qm.mean_disturbance_operator(src, b),
+    "noise_moment_operator": lambda src, a, b, rho: qm.noise_moment_operator(src, a),
+    "disturbance_moment_operator": lambda src, a, b, rho: qm.disturbance_moment_operator(src, b),
+    "locally_uniform_rms_error": lambda src, a, b, rho: qm.locally_uniform_rms_error(src, a, rho),
+    "locally_uniform_rms_disturbance":
+        lambda src, a, b, rho: qm.locally_uniform_rms_disturbance(src, b, rho),
+    "weak_joint_distribution": lambda src, a, b, rho: qm.weak_joint_distribution(src, a, rho),
+    "is_precise_weak": lambda src, a, b, rho: qm.is_precise(src, a, rho, mode="weak"),
+    "is_precise_strong": lambda src, a, b, rho: qm.is_precise(src, a, rho),
+    "is_nondisturbing": lambda src, a, b, rho: qm.is_nondisturbing(src, b, rho),
+    "probability_reproducible": lambda src, a, b, rho: qm.probability_reproducible(src, a, rho),
+    "theorem2_check": lambda src, a, b, rho: qm.theorem2_check(src, a, rho),
+}
+
+
+def merged_weights(jd: qm.JointDistribution, atoms: np.ndarray, tol) -> np.ndarray:
+    """jd's weights summed into the given y atoms, each of jd's y atoms going
+    to the atom it clusters with; a y atom that clusters with none must
+    carry zero weight."""
+    labels = qm.operators._cluster_labels(np.concatenate([atoms, jd.y_atoms]), tol)
+    out = np.zeros((len(jd.x_atoms), len(atoms)), dtype=complex)
+    for col, label in zip(jd.weights.T, labels[len(atoms):]):
+        hit = np.flatnonzero(labels[:len(atoms)] == label)
+        if len(hit):
+            out[:, hit[0]] += col
+        else:
+            assert np.abs(col).max() <= TOL
+    return out
+
+
+def flat(result) -> list:
+    """The fields of a report, or the one result, as a list."""
+    return list(dataclasses.astuple(result)) if dataclasses.is_dataclass(result) else [result]
+
+
+@pytest.mark.parametrize("name", FIGURES)
+@pytest.mark.parametrize("inst, a, b, rho", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_instrument_figure_matches_its_dilation(name, inst, a, b, rho):
+    got = FIGURES[name](inst, a, b, rho)
+    want = FIGURES[name](qm.dilate(inst), a, b, rho)
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max())) ** 2
+    # the dilated meter reports a merged outcome at the mean of the two it
+    # merges, so a noise figure can move by about the gap between them
+    slack = TOL * scale + (GAP * scale if inst is NEAR else 0.0)
+    if isinstance(got, qm.JointDistribution):
+        assert np.array_equal(got.x_atoms, want.x_atoms)
+        assert np.abs(merged_weights(got, want.y_atoms, inst.tol) - want.weights).max() <= slack
+        return
+    for g, w in zip(flat(got), flat(want)):
+        if isinstance(g, bool):
+            assert g == w
+        else:
+            assert np.abs(np.asarray(g) - w).max() <= slack
+
+
+def test_instrument_atoms_are_its_own_outcomes():
+    # the instrument reports every outcome it has, one without operators
+    # (at zero weight) and both of a near pair included; its dilation
+    # reports the values its meter has: 0 and 2 for EMPTY, 0 and the mean
+    # 1 + GAP/2 of the merged pair for NEAR
+    for inst, a, rho, dilated in ((EMPTY, A02, MIXED, [0.0, 2.0]),
+                                  (NEAR, A01, MIXED, [0.0, 1.0 + GAP / 2])):
+        jd = qm.weak_joint_distribution(inst, a, rho)
+        assert tuple(jd.y_atoms.tolist()) == inst.outcomes
+        atoms = qm.weak_joint_distribution(qm.dilate(inst), a, rho).y_atoms
+        assert np.abs(atoms - dilated).max() <= 1e-15
+    assert np.abs(qm.weak_joint_distribution(EMPTY, A02, MIXED).weights[:, 1]).max() == 0.0
+
+
+@pytest.mark.parametrize("inst, a, rho, dilations", [
+    (qm.luders_instrument(A01), A01, MIXED, 1),  # weakly precise: the strong face dilates
+    (qm.luders_instrument(SX), A01, MIXED, 0),  # not weakly precise: nothing to dilate
+    (NEAR, A01, MIXED, 1),
+])
+def test_strong_face_dilates_once_and_only_when_weak_holds(monkeypatch, inst, a, rho, dilations):
+    calls = []
+
+    def counting(instrument):
+        calls.append(instrument)
+        return qm.dilate(instrument)
+
+    monkeypatch.setattr(jpd, "dilate", counting)
+    report = qm.theorem2_check(inst, a, rho)
+    assert report.consistent and report.strong_precise == bool(dilations)
+    assert calls == [inst] * dilations
+    del calls[:]
+    qm.edr_ledger(inst, a, SX, rho)
+    qm.weak_joint_distribution(inst, a, rho)
+    qm.locally_uniform_rms_error(inst, a, rho)
+    assert calls == []

@@ -234,6 +234,11 @@ class TestCPInstrument:
         with pytest.raises(qm.ValidationError):
             qm.CPInstrument([1.0, 1.0], [[P0], [P1]])
 
+    @pytest.mark.parametrize("outcomes", [[0.0], [0.0, 1.0, 2.0]], ids=["fewer", "more"])
+    def test_outcome_and_family_counts_must_match(self, outcomes):
+        with pytest.raises(qm.ValidationError, match="one Kraus family per outcome"):
+            qm.CPInstrument(outcomes, [[P0], [P1]])
+
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(qm.ValidationError):
             qm.CPInstrument([0.0, 1.0], [[P0], [0.5 * P1]])
@@ -532,7 +537,7 @@ class TestStackedFamilyReferences:
         for keep in ("first", "second"):
             ref = reference_partial_trace(stack, dims, keep)
             assert np.abs(qm.partial_trace(stack, dims, keep) - ref).max() <= 1e-12
-        effects = mp._povm()[1]
+        effects = mp._kraus_stack.effects
         ref = qm.hermitian_part(reference_partial_trace(stack, dims))
         assert np.abs(effects - ref).max() <= 1e-12
 

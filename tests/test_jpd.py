@@ -507,7 +507,8 @@ class TestInstrumentSideMatchesComposite:
         dims = (mp.system_dim, mp.probe_dim)
         lift = np.kron(np.eye(mp.system_dim), mp.probe_state.matrix)
         _, before, _, dm, sigma = composite_pairs(mp, a, rho)
-        values, effects = mp._povm()
+        stack = mp._kraus_stack
+        values, effects = stack.values, stack.effects
         assert np.abs(values - dm.eigenvalues).max() <= 1e-12 * np.abs(values).max()
         want = qm.hermitian_part(reference_partial_trace(dm.projectors @ lift, dims))
         assert np.abs(effects - want).max() <= 1e-12
