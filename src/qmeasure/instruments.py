@@ -306,7 +306,7 @@ class CPInstrument(_Immutable):
     def _select(self, outcome_set) -> list:
         """Indices of the outcomes nearest to a value or to each of an
         iterable of values, each within the slack of the largest |outcome|."""
-        if np.isscalar(outcome_set):
+        if np.ndim(outcome_set) == 0:
             outcome_set = [outcome_set]
         slack = _slack(self.tol, float(np.abs(self.outcomes).max()))
         idx = set()
@@ -443,12 +443,20 @@ def dilate(instrument: CPInstrument) -> MeasuringProcess:
     sum_{m,j} (K_{m,j} psi) x |m,j>: its columns at the probe index
     e0 = 0 are the stacked Kraus columns, an isometry V because
     sum K+K = 1. The remaining n - d columns, in index order, are the
-    orthonormal complement Q[:, d:] from the complete QR factorization
-    V = QR, so the construction is deterministic. The probe starts in the
-    pure state |e0> (the first block vector) and the meter takes the
-    value outcomes[m] on block m. Reading the meter of the resulting
-    process reproduces the instrument (per-outcome Choi agreement), and
-    the process carries the instrument's Tolerances.
+    orthonormal complement Q[:, d:] of the QR factorization V = QR, so the
+    construction is deterministic. Q = H_1 ... H_d is never formed: with
+    the thin QR's Householder reflectors as the columns of the unit lower
+    trapezoidal W (n x d) and tau = diag(D) their scalings, the compact WY
+    form Q = 1 - W T W+, T = (1 + D striu(W+ W))^-1 D (Schreiber and Van
+    Loan 1989), gives Q[:, d:] = E[:, d:] - W T W[d:]+ from one d x d
+    triangular solve and one n x d by d x n product, which writes the whole
+    coupling (zero at the Kraus columns, then overwritten). A tau_k = 0 (a
+    column already on e_k, as in Lüders instruments of diagonal observables)
+    zeroes row and column k of T, as LAPACK's zlarft does. The probe
+    starts in the pure state |e0> (the first block vector) and the meter
+    takes the value outcomes[m] on block m. Reading the meter of the
+    resulting process reproduces the instrument (per-outcome Choi
+    agreement), and the process carries the instrument's Tolerances.
     """
     tol, stack = instrument.tol, instrument._kraus_stack
     d, probe_dim = stack.system_dim, len(stack.kraus)
@@ -456,11 +464,26 @@ def dilate(instrument: CPInstrument) -> MeasuringProcess:
 
     # iso[(s, b), i] = K_b[s, i], the row of component (s, b) being s*probe_dim + b
     iso = stack.kraus.swapaxes(0, 1).reshape(n, d)
-    u = np.empty((n, n), dtype=complex)
-    # column (i, b) of u is i*probe_dim + b: psi_i x e0 at b = 0, the complement after
+    # h.T holds R on and above the diagonal and the reflectors below it; W keeps
+    # the reflectors, with their unit leading entries on the diagonal
+    h, tau = np.linalg.qr(iso, mode="raw")
+    below = np.arange(n)[:, None] > np.arange(d)
+    w = h.T * below
+    np.fill_diagonal(w, 1.0)
+    wh = dagger(w)
+    # 1 + D striu(W+ W), unit upper triangular, so the solve pivots nowhere
+    m = wh @ w * below[:d].T * tau[:, None]
+    np.fill_diagonal(m, 1.0)
+    # column (i, b) of u is i*probe_dim + b: psi_i x e0 at b = 0, the complement after;
+    # -D W[d:]+ goes to the complement's columns, so one product writes all of u
+    rhs = np.zeros((d, d, probe_dim), dtype=complex)
+    rhs[:, :, 1:] = (wh[:, d:] * -tau[:, None]).reshape(d, d, probe_dim - 1)
+    u = w @ np.linalg.solve(m, rhs.reshape(d, n))
     cols = u.reshape(n, d, probe_dim)
     cols[:, :, 0] = iso
-    cols[:, :, 1:] = np.linalg.qr(iso, mode="complete")[0][:, d:].reshape(n, d, probe_dim - 1)
+    # E[:, d:]: complement column (i, b) has its 1 in row d + (i, b - 1)
+    ones = np.einsum("ibib->ib", u[d:].reshape(d, probe_dim - 1, d, probe_dim)[..., 1:])
+    ones += 1.0
 
     meter = HermitianObservable(np.diag(np.repeat(stack.values, stack.sizes)), tol=tol)
     e0 = np.zeros(probe_dim)

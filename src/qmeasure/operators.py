@@ -206,6 +206,9 @@ class DensityOperator(_Immutable):
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
+        """The state 1 / dim on a space of dim dimensions, dim a positive integer."""
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValidationError(f"dimension {dim!r} does not give a nonempty square matrix")
         return cls(np.eye(dim) / dim)
 
     def __array__(self, dtype=None, copy=None):

@@ -605,6 +605,12 @@ class TestPostState:
         with pytest.raises(qm.ValidationError, match="not found"):
             inst.apply(rho, 0.5)
 
+    def test_zero_dimensional_array_is_one_value(self):
+        inst = qm.luders_instrument(np.diag([1.0, -1.0]))
+        plus = qm.DensityOperator.pure(KET_PLUS)
+        assert np.array_equal(qm.post_state(inst, np.array(1.0), plus).matrix, P0)
+        assert np.array_equal(inst.apply(plus.matrix, np.array(-1.0)), inst.apply(plus.matrix, -1.0))
+
     @pytest.mark.parametrize("outcome_set", [np.nan, [np.nan], [1.0, np.nan]],
                              ids=["scalar", "list", "list-with-a-found-outcome"])
     def test_nan_outcome_is_not_found(self, outcome_set):
@@ -660,10 +666,50 @@ class TestDilation:
             for b, k in enumerate(kraus):
                 for i in range(d):
                     assert np.array_equal(u[b::r, i * r], k[:, i])
-            # the other columns, in index order, are the complement of the complete QR
-            complement = np.linalg.qr(u[:, ::r], mode="complete")[0][:, d:]
-            assert np.array_equal(np.delete(u, np.s_[::r], axis=1), complement)
+            # the other columns, in index order, are an orthonormal complement of
+            # the Kraus columns, the same on every call and, to rounding, the
+            # complement of the complete QR
+            n = d * r
+            complement = np.delete(u, np.s_[::r], axis=1)
+            slack = 16 * n * np.finfo(float).eps
+            gram = complement.conj().T @ complement - np.eye(n - d)
+            assert np.abs(gram).max(initial=0.0) <= slack
+            assert np.abs(u[:, ::r].conj().T @ complement).max(initial=0.0) <= slack
+            assert np.array_equal(np.delete(qm.dilate(inst).unitary, np.s_[::r], axis=1), complement)
+            reference = np.linalg.qr(u[:, ::r], mode="complete")[0][:, d:]
+            assert np.abs(complement - reference).max(initial=0.0) <= 1e-13
             assert qm.operator_distance(u.conj().T @ u, np.eye(d * r)) <= 1e-12
+
+    def test_qr_called_once_raw_on_the_isometry(self, monkeypatch):
+        # the complement comes from the thin QR's reflectors, not from a complete QR
+        inst = qm.random_cp_instrument(3, 2, qm.rng_from(216), max_kraus_per_outcome=3)
+        r = sum(len(ops) for ops in inst.kraus)
+        calls, qr = [], np.linalg.qr
+
+        def recording_qr(a, mode="reduced"):
+            calls.append((np.array(a), mode))
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        u = qm.dilate(inst).unitary
+        assert [(a.shape, mode) for a, mode in calls] == [((3 * r, 3), "raw")]
+        assert np.array_equal(calls[0][0], u[:, ::r])
+
+    def test_figures_of_dilation_equal_those_of_instrument(self):
+        # every figure reads the labelled Kraus stack, the dilation's Kraus
+        # columns; theorem2_check(inst) dilates inst for its strong face, so
+        # both sides read the same complement there
+        for seed in range(120):
+            rng = qm.rng_from(217, seed)
+            d = int(rng.integers(2, 6))
+            a, b = qm.random_hermitian(d, rng), qm.random_hermitian(d, rng)
+            rho = qm.random_density_operator(d, rng)
+            for inst in (qm.random_cp_instrument(d, int(rng.integers(1, 5)), rng,
+                                                 max_kraus_per_outcome=3),
+                         qm.luders_instrument(a)):
+                mp = qm.dilate(inst)
+                assert qm.edr_ledger(mp, a, b, rho) == qm.edr_ledger(inst, a, b, rho)
+                assert qm.theorem2_check(mp, a, rho) == qm.theorem2_check(inst, a, rho)
 
     def test_round_trip_choi_d6_with_36_kraus(self):
         # the first 6 columns of a Haar unitary on C^216 split into 36 Kraus
@@ -707,6 +753,34 @@ class TestEveryInstrumentDilates:
             miss = qm.operator_distance(qm.povm_of(inst).effects.sum(axis=0), np.eye(d))
             assert miss <= 16 * d * m * eps
             qm.dilate(inst)
+
+    @pytest.mark.parametrize("kraus", [
+        [[P0], [P1]],
+        [[P0, np.array([[0.0, 1.0], [0.0, 0.0]])]],
+        [[EYE2], [], [np.zeros((2, 2))]],
+        [[qm.haar_unitary(3, qm.rng_from(218))]],
+    ], ids=["diagonal-luders", "reset", "zero-operator-and-empty-outcome", "unitary"])
+    def test_edge_instruments_dilate_at_the_slack_floor(self, kraus):
+        # at eq_tol 1e-300 the unitarity and read-back slack is 16 n eps
+        tol = qm.Tolerances(eq_tol=1e-300)
+        inst = qm.CPInstrument(range(len(kraus)), kraus, tol=tol)
+        mp = qm.dilate(inst)
+        n = mp.unitary.shape[0]
+        back = qm.instrument_from_process(mp)
+        assert qm.instrument_choi_distance(inst, back) <= 16 * n * np.finfo(float).eps
+
+    def test_trivial_reflectors_give_exact_complements(self):
+        # a Lüders instrument of a diagonal observable has a signed permutation
+        # for its coupling; the reset instrument's Kraus columns are e_0 and e_1,
+        # so every tau is 0 and the complement is the identity's other columns
+        for a in (np.diag([-1.0, 0.5, 2.0]), np.diag([2.0, -1.0, 0.5, 0.5])):
+            u = qm.dilate(qm.luders_instrument(a)).unitary
+            assert np.array_equal(np.abs(u) ** 2, np.abs(u))
+            assert np.array_equal(u.conj().T @ u, np.eye(len(u)))
+        reset = qm.CPInstrument([0.0], [[P0, np.array([[0.0, 1.0], [0.0, 0.0]])]])
+        u = qm.dilate(reset).unitary
+        assert not np.linalg.qr(u[:, ::2], mode="raw")[1].any()
+        assert np.array_equal(u[:, 1::2], np.eye(4)[:, 2:])
 
     @pytest.mark.parametrize("eq_tol", [1e-2, 3e-2, 1e-1])
     def test_perturbed_dilations_read_back_at_loose_tolerance(self, eq_tol):

@@ -58,6 +58,11 @@ class TestValidation:
         rho = qm.DensityOperator.maximally_mixed(4)
         assert np.allclose(rho.matrix, np.eye(4) / 4)
 
+    @pytest.mark.parametrize("dim", [-2, 2.5, True], ids=["negative", "fractional", "bool"])
+    def test_maximally_mixed_rejects_non_dimension(self, dim):
+        with pytest.raises(qm.ValidationError, match="nonempty square"):
+            qm.DensityOperator.maximally_mixed(dim)
+
     def test_tolerances_frozen_defaults(self):
         assert qm.DEFAULT_TOL.eq_tol == 1e-9
         assert qm.DEFAULT_TOL.psd_tol == -1e-10

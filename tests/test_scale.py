@@ -167,6 +167,18 @@ class TestRegressions:
             assert qm.theorem2_check(mp, a, rho).flags() == (True,) * 4
             assert qm.is_nondisturbing(mp, a, rho)
 
+    def test_full_rank_dilation_at_n_512_below_rounding_level(self):
+        # a d = 8 process with a mixed probe reads back 64 Kraus operators, so
+        # the dilation has n = 512; at eq_tol 1e-300 every slack is 16 n eps
+        tol = qm.Tolerances(eq_tol=1e-300)
+        mp = qm.random_measuring_process(8, 8, qm.rng_from(512), pure_probe=False, tol=tol)
+        inst = qm.instrument_from_process(mp)
+        assert sum(len(ops) for ops in inst.kraus) == 64
+        dil = qm.dilate(inst)
+        assert dil.unitary.shape == (512, 512)
+        back = qm.instrument_from_process(dil)
+        assert qm.instrument_choi_distance(inst, back) <= 16 * 512 * np.finfo(float).eps
+
     def test_tol_reaches_reproducibility_face(self):
         # a Lüders dilation of diag(0, 1) perturbed by exp(-itG), t = 1e-11:
         # precise at the default eq_tol, neither strong precise nor
