@@ -52,14 +52,12 @@ from .edr import (
     EDRReport,
     cyclic_subspace,
     disturbance_moment_operator,
-    disturbance_operator,
     edr_ledger,
     locally_uniform_rms_disturbance,
     locally_uniform_rms_error,
     mean_disturbance_operator,
     mean_noise_operator,
     noise_moment_operator,
-    noise_operator,
     rms_disturbance,
     rms_error,
 )

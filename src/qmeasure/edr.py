@@ -52,17 +52,6 @@ from .operators import (
     spectral_decompose,
 )
 
-def noise_operator(mp: MeasuringProcess, a) -> np.ndarray:
-    """N(A) = M(dt) - A(0) on the composite space."""
-    return mp.evolved_meter() - mp.embedded_system(a)
-
-
-def disturbance_operator(mp: MeasuringProcess, b) -> np.ndarray:
-    """D(B) = B(dt) - B(0) on the composite space."""
-    b0 = mp.embedded_system(b)
-    return mp._evolve(b0) - b0
-
-
 def rms_error(source: MeasuringProcess | CPInstrument, a, rho) -> float:
     """epsilon(A, rho) = sqrt(Tr[N(A)^2 (rho x rho0)])."""
     return _Scenario(source, a, None, rho).figures("a")[0]
@@ -77,10 +66,10 @@ def _moments(stack: _KrausStack, x: str, s):
     """(mean, moment) of N(A) (x = "a", s = A) or D(B) (x = "b", s = B):
     sum K_j+ G_j and sum G_j+ G_j, G_j = x_j K_j - K_j A or B K_j - K_j B."""
     s = _on_system(s, HermitianObservable, stack).matrix
-    k = stack.kraus
-    first = (np.repeat(stack.values, stack.sizes)[:, None, None, None] * k if x == "a"
+    d, k = len(s), stack.kraus
+    first = (np.repeat(stack.values, stack.sizes)[:, None, None] * k if x == "a"
              else stack.left(s))
-    gf = (first - (k.reshape(-1, len(s)) @ s).reshape(k.shape)).reshape(-1, len(s))
+    gf = first.reshape(-1, d) - k.reshape(-1, d) @ s
     return stack.dual(gf), hermitian_part(dagger(gf) @ gf)
 
 

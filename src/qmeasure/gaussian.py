@@ -246,8 +246,8 @@ def _gaussian_density(grid: np.ndarray, mean: float, var: float) -> np.ndarray:
 
 def _check_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float).reshape(-1)
-    if g.size == 0:
-        raise ValidationError("grid must be non-empty")
+    if g.size == 0 or not np.isfinite(g).all():
+        raise ValidationError("grid must be non-empty and finite")
     if g.size > 1 and not np.all(np.diff(g) > 0):
         raise ValidationError("grid must be strictly increasing")
     return g

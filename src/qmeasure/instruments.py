@@ -106,11 +106,10 @@ def _on_system(x, kind, owner):
 @dataclass(frozen=True, eq=False)
 class _KrausStack:
     """The labelled Kraus stack of a process or instrument, which every figure
-    but the strong precision face reads: kraus[j, :, l, :] is the operator
-    K_jl, read-only, and the rows j run outcome by outcome, sizes[m] of them
-    (0 for an outcome without operators) reporting values[m], distinct and
-    ascending. An instrument's families have l = 0 alone. tol is the
-    Tolerances of the process or instrument."""
+    but the strong precision face reads: kraus is one read-only (R, d, d)
+    stack of operators K_j, its rows running outcome by outcome, sizes[m] of
+    them (0 for an outcome without operators) reporting values[m], distinct
+    and ascending. tol is the Tolerances of the process or instrument."""
 
     values: np.ndarray
     sizes: np.ndarray
@@ -125,24 +124,22 @@ class _KrausStack:
         return self.kraus.shape[-1]
 
     def left(self, ops: np.ndarray) -> np.ndarray:
-        """X K_jl for an operator X or a stack of them, shaped like kraus."""
-        k = self.kraus
-        return (ops[..., None, :, :] @ k.reshape(len(k), self.system_dim, -1)).reshape(
-            ops.shape[:-2] + k.shape)
+        """X K_j for an operator X or a stack of them, one row per K_j."""
+        return ops[..., None, :, :] @ self.kraus
 
     def dual(self, g: np.ndarray) -> np.ndarray:
-        """sum K_jl+ G_jl, Hermitian part, for g shaped like kraus or a stack of
-        such: the channel T*(X) = sum K_jl+ X K_jl for g = left(X)."""
+        """sum K_j+ G_j, Hermitian part, for g shaped like kraus, flattened to
+        (R d, d) rows, or a stack of kraus-shaped arrays: the channel
+        T*(X) = sum K_j+ X K_j for g = left(X)."""
         d = self.system_dim
-        return hermitian_part(dagger(self.kraus.reshape(-1, d)) @ g.reshape(g.shape[:-4] + (-1, d)))
+        return hermitian_part(dagger(self.kraus.reshape(-1, d)) @ g.reshape(g.shape[:-3] + (-1, d)))
 
     @cached_property
     def effects(self) -> np.ndarray:
         """The POVM E_m = sum_{j in m} K_j+ K_j as one read-only (m, d, d)
-        stack in values order: each row's sum_l K_jl+ K_jl, summed over the
-        outcome's rows by one product with the row-to-outcome indicator."""
-        d = self.system_dim
-        k = self.kraus.reshape(len(self.kraus), -1, d)
+        stack in values order: the rows' K_j+ K_j, summed over each outcome's
+        rows by one product with the row-to-outcome indicator."""
+        d, k = self.system_dim, self.kraus
         rows = np.eye(len(self.sizes)).repeat(self.sizes, axis=1)
         effects = hermitian_part((rows @ (dagger(k) @ k).reshape(len(k), -1)).reshape(-1, d, d))
         effects.setflags(write=False)
@@ -155,12 +152,13 @@ class MeasuringProcess(_Immutable):
     The system dimension is inferred from the unitary, which acts on
     system x probe. The meter acts on the probe alone. A process is
     immutable: what depends on it alone (the meter's spectral measure, the
-    labelled Kraus stack, and M(dt) when asked for) is computed on first
-    use, kept, and judged under its Tolerances. Figures read it through its
-    labelled Kraus stack, the instrument of reading the meter:
-    K_il = sum_b conj(q[b, i]) sqrt(lam_l) (1 x <e_b|) U (1 x |phi_l>),
+    labelled Kraus stack, and M(dt) when asked for) is a cached_property,
+    computed on first use, kept, and judged under its Tolerances. Figures
+    read it through its labelled Kraus stack, the instrument of reading the
+    meter: row (i, l) is
+    K = sum_b conj(q[b, i]) sqrt(lam_l) (1 x <e_b|) U (1 x |phi_l>),
     with rho0 = sum lam_l |phi_l><phi_l| and q the meter's eigenvectors,
-    K_il reporting the eigenvalue of column i.
+    and reports the eigenvalue of column i.
     """
 
     def __init__(self, probe_state: DensityOperator, unitary, meter: HermitianObservable,
@@ -181,16 +179,7 @@ class MeasuringProcess(_Immutable):
             raise ValidationError("coupling matrix is not unitary within eq_tol")
         self._init_fields(probe_state=probe_state, unitary=u, meter=meter,
                           probe_dim=probe_state.dim, system_dim=u.shape[0] // probe_state.dim,
-                          tol=tol, _cache={})
-
-    def _cached(self, key, make):
-        """The cache entry under key, made (and frozen, for arrays) on first use."""
-        if key not in self._cache:
-            value = make()
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            self._cache[key] = value
-        return self._cache[key]
+                          tol=tol)
 
     def _evolve(self, big: np.ndarray) -> np.ndarray:
         """U+ X U for a composite operator X, Hermitian part."""
@@ -209,36 +198,41 @@ class MeasuringProcess(_Immutable):
 
         Computed once; every call returns the same read-only array.
         """
-        return self._cached("evolved_meter", lambda: self._evolve(
-            tensor(np.eye(self.system_dim), self.meter.matrix)))
+        return self._evolved_meter
+
+    @cached_property
+    def _evolved_meter(self) -> np.ndarray:
+        m_dt = self._evolve(tensor(np.eye(self.system_dim), self.meter.matrix))
+        m_dt.setflags(write=False)
+        return m_dt
 
     def evolved_system(self, b) -> np.ndarray:
         """B(dt) = U+ (B x 1) U, the system observable after the interaction."""
         return self._evolve(self.embedded_system(b))
 
+    @cached_property
     def _meter_measure(self) -> SpectralDecomposition:
         """The meter's spectral measure, behind every reading of the meter."""
-        return self._cached("meter_measure", lambda: spectral_decompose(self.meter, self.tol))
+        return spectral_decompose(self.meter, self.tol)
 
-    @property
+    @cached_property
     def _kraus_stack(self) -> _KrausStack:
-        """The labelled Kraus stack, rows i over the meter's eigenvector
-        blocks q and l over the probe eigenvalues above d_p * machine eps,
-        the rounding level of a unit-trace matrix."""
-        def make():
-            ds, dp = self.system_dim, self.probe_dim
-            lam, phi = self.probe_state.spectrum
-            keep = lam > dp * _EPS
-            # t[a, b, c, l] = sum_e U[(a, b), (c, e)] sqrt(lam_l) phi_l[e], one 2-D product
-            t = (self.unitary.reshape(-1, dp) @ (phi[:, keep] * np.sqrt(lam[keep]))).reshape(
-                ds, dp, ds, -1)
-            dm = self._meter_measure()
-            # k[i, a, l, c] = sum_b conj(q[b, i]) t[a, b, c, l], i over the concatenated blocks
-            q = np.concatenate(dm.blocks, axis=1)
-            k = (dagger(q) @ t.transpose(1, 0, 3, 2).reshape(dp, -1)).reshape(dp, ds, -1, ds)
-            sizes = np.array([block.shape[1] for block in dm.blocks])
-            return _KrausStack(dm.eigenvalues, sizes, k, self.tol)
-        return self._cached("kraus_stack", make)
+        """The labelled Kraus stack, row (i, l) for column i of the meter's
+        eigenvector blocks q and probe eigenvalue l, l running fastest, over
+        the probe eigenvalues above d_p * machine eps, the rounding level of a
+        unit-trace matrix."""
+        ds, dp = self.system_dim, self.probe_dim
+        lam, phi = self.probe_state.spectrum
+        keep = lam > dp * _EPS
+        # t[a, b, c, l] = sum_e U[(a, b), (c, e)] sqrt(lam_l) phi_l[e], one 2-D product
+        t = (self.unitary.reshape(-1, dp) @ (phi[:, keep] * np.sqrt(lam[keep]))).reshape(
+            ds, dp, ds, -1)
+        dm = self._meter_measure
+        # k[(i, l), a, c] = sum_b conj(q[b, i]) t[a, b, c, l], i over the concatenated blocks
+        q = np.concatenate(dm.blocks, axis=1)
+        k = (dagger(q) @ t.transpose(1, 3, 0, 2).reshape(dp, -1)).reshape(-1, ds, ds)
+        sizes = np.array([block.shape[1] for block in dm.blocks]) * t.shape[-1]
+        return _KrausStack(dm.eigenvalues, sizes, k, self.tol)
 
     def __repr__(self):
         return f"MeasuringProcess(system_dim={self.system_dim}, probe_dim={self.probe_dim})"
@@ -261,10 +255,14 @@ def choi_matrix(kraus_ops, dim: int) -> np.ndarray:
 def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
     """Kraus operators of a CP map from its Choi eigendecomposition.
 
-    Eigenvalues at or below cutoff are discarded. Operators come out
-    ordered by descending Choi eigenvalue.
+    Eigenvalues at or below cutoff, which must not be negative, are
+    discarded. Operators come out ordered by descending Choi eigenvalue.
     """
-    w, v = np.linalg.eigh(hermitian_part(np.asarray(choi, dtype=complex)))
+    choi = np.asarray(choi, dtype=complex)
+    if choi.shape != (dim * dim,) * 2 or not cutoff >= 0:
+        raise ValidationError(f"need a (dim^2, dim^2) Choi matrix for dim {dim} and a cutoff "
+                              f">= 0, got shape {choi.shape} and cutoff {cutoff}")
+    w, v = np.linalg.eigh(hermitian_part(choi))
     w, v = w[::-1], v[:, ::-1]
     r = int(np.sum(w > cutoff))
     # column j of v is vec(K_j), with vec(K)[(i, m)] = K[m, i] as in choi_matrix
@@ -275,11 +273,11 @@ class CPInstrument(_Immutable):
     """Outcome-indexed family of CP maps summing to a channel, immutable.
 
     outcomes are distinct reals sorted ascending; kraus[m] is a read-only
-    (r_m, d, d) stack, (0, d, d) for an outcome without Kraus operators.
-    Each family (a list, tuple or stack) is converted and checked as one
-    array. It keeps its labelled Kraus stack _kraus_stack, the families
-    concatenated in outcome order, and the POVM of the stack's effects,
-    which validates the families.
+    (r_m, d, d) view of the labelled Kraus stack _kraus_stack, the families
+    concatenated in outcome order, (0, d, d) for an outcome without Kraus
+    operators. Each family (a list, tuple or stack) is converted and
+    checked as one array. The POVM of the stack's effects is kept, and
+    validates the families.
     """
 
     def __init__(self, outcomes, kraus, tol: Tolerances = DEFAULT_TOL):
@@ -294,12 +292,11 @@ class CPInstrument(_Immutable):
         outcomes = [float(x) for x in outcomes]
         if len(outcomes) != len(stacks):
             raise ValidationError("need one Kraus family per outcome")
-        for k in stacks:
-            k.setflags(write=False)
-        kraus = tuple(stacks[i] for i in np.argsort(outcomes))
-        stack = _KrausStack(np.sort(outcomes), np.array([len(k) for k in kraus]),
-                            np.concatenate(kraus)[:, :, None], tol)
+        order = np.argsort(outcomes)
+        stack = _KrausStack(np.sort(outcomes), np.array([len(stacks[i]) for i in order]),
+                            np.concatenate([stacks[i] for i in order]), tol)
         povm = POVM(stack.values, stack.effects, tol)
+        kraus = tuple(np.split(stack.kraus, np.cumsum(stack.sizes)[:-1]))
         self._init_fields(outcomes=povm.outcomes, kraus=kraus, dim=dim, tol=tol, _povm=povm,
                           _kraus_stack=stack)
 
@@ -376,28 +373,28 @@ def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
     For each spectral value m of the meter,
     I(m)rho = Tr_probe[(1 x Q_m) U (rho x rho0) U+ (1 x Q_m)] has as Kraus
     family the rows of m in the process's labelled Kraus stack: r_m L
-    operators K_il, r_m the multiplicity of m and L the number of probe
-    eigenvalues kept. The family is reduced to minimal rank by an SVD of
-    its stacked columns vec(K_il): the outcome's Choi matrix is V V+ (the
-    same as from the projector's d_p L operators, since q_m+ q_m = 1 for
-    the eigenvector columns q_m of m), so its eigenvectors are the left
-    singular vectors and its eigenvalues s^2.
+    rows, r_m the multiplicity of m and L the number of probe eigenvalues
+    kept. The family is reduced to minimal rank by an SVD of its stacked
+    columns vec(K_j): the outcome's Choi matrix is V V+ (the same as from
+    the projector's d_p L operators, since q_m+ q_m = 1 for the eigenvector
+    columns q_m of m), so its eigenvectors are the left singular vectors
+    and its eigenvalues s^2.
     All outcomes go through one stacked SVD, each family zero-padded to the
-    largest block; zero columns add only zero singular values. Operators
-    go at s <= 16 * max(d_s^2, d_p L) * eps, the rounding of a unit-scale
-    family (sum K+K = 1) whatever eq_tol is, the rest ordered by descending
-    Choi eigenvalue. The instrument carries the process's Tolerances.
+    most rows; zero columns add only zero singular values. Operators go at
+    s <= 16 * max(d_s^2, R) * eps, R = d_p L the rows of the stack, the
+    rounding of a unit-scale family (sum K+K = 1) whatever eq_tol is, the
+    rest ordered by descending Choi eigenvalue. The instrument carries the
+    process's Tolerances.
     """
     stack = mp._kraus_stack
-    g, sizes = stack.kraus, stack.sizes
-    dp, d, nl = g.shape[:3]
-    padded = np.zeros((len(sizes), max(sizes)) + g.shape[1:], dtype=complex)
+    g, sizes, d = stack.kraus, stack.sizes, stack.system_dim
+    padded = np.zeros((len(sizes), max(sizes), d, d), dtype=complex)
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    padded[labels, np.arange(dp) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = g
-    # column (i, l) of outcome m is vec(K_il), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
-    v = padded.transpose(0, 4, 2, 1, 3).reshape(len(sizes), d * d, -1)
+    padded[labels, np.arange(len(g)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = g
+    # column j of outcome m is vec(K_j), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
+    v = padded.transpose(0, 3, 2, 1).reshape(len(sizes), d * d, -1)
     w, s, _ = np.linalg.svd(v, full_matrices=False)
-    ranks = np.sum(s > 16 * max(d * d, dp * nl) * _EPS, axis=1)
+    ranks = np.sum(s > 16 * max(d * d, len(g)) * _EPS, axis=1)
     # K_j[a, c] = s_j w[(c, a), j]
     kraus = s[..., None, None] * w.swapaxes(1, 2).reshape(s.shape + (d, d)).swapaxes(2, 3)
     return CPInstrument(stack.values, [ops[:r] for ops, r in zip(kraus, ranks)], tol=mp.tol)

@@ -188,7 +188,7 @@ def _commutes_after(ctx: _Scenario, x: str) -> bool:
     for an instrument its dilate, the one figure step that needs a unitary."""
     mp = ctx.source if isinstance(ctx.source, MeasuringProcess) else dilate(ctx.source)
     ud = dagger(mp.unitary).reshape(-1, mp.system_dim, mp.probe_dim)  # columns (s, k)
-    blocks = (mp._meter_measure() if x == "a" else ctx.decomposition("b")).blocks
+    blocks = (mp._meter_measure if x == "a" else ctx.decomposition("b")).blocks
     factors = ((ud @ v if x == "a" else ud.swapaxes(1, 2) @ v).reshape(len(ud), -1) for v in blocks)
     sigma = tensor(ctx.rho, mp.probe_state)
     return _commute(ctx.decomposition(x).projectors, factors, sigma, ctx.tol)

@@ -32,10 +32,10 @@ class Tolerances:
     psd_tol: float = -1e-10
 
     def __post_init__(self):
-        if not self.eq_tol > 0:
-            raise ValidationError("eq_tol must be positive")
-        if not self.psd_tol <= 0:
-            raise ValidationError("psd_tol must be <= 0")
+        if not 0 < self.eq_tol < np.inf:
+            raise ValidationError("eq_tol must be positive and finite")
+        if not -np.inf < self.psd_tol <= 0:
+            raise ValidationError("psd_tol must be finite and <= 0")
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class PhysicalConstants:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValidationError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise ValidationError("hbar must be positive and finite")
 
     @property
     def h(self) -> float:

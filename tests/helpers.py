@@ -65,6 +65,17 @@ def shifted_meter(mp: qm.MeasuringProcess, c: float) -> qm.MeasuringProcess:
     return qm.MeasuringProcess(mp.probe_state, mp.unitary, meter)
 
 
+def noise_operator(mp: qm.MeasuringProcess, a) -> np.ndarray:
+    """N(A) = M(dt) - A(0) on the composite space, the definition that the
+    library's mean and moment operators are checked against."""
+    return mp.evolved_meter() - mp.embedded_system(a)
+
+
+def disturbance_operator(mp: qm.MeasuringProcess, b) -> np.ndarray:
+    """D(B) = B(dt) - B(0) on the composite space."""
+    return mp.evolved_system(b) - mp.embedded_system(b)
+
+
 def reference_instrument_from_process(mp: qm.MeasuringProcess) -> qm.CPInstrument:
     """The instrument of a process by channel evaluation, the reference for
     the closed form of qm.instrument_from_process.

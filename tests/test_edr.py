@@ -16,7 +16,9 @@ from helpers import (
     cnot_process,
     composite_cases,
     dilated_luders,
+    disturbance_operator,
     identity_coupling_process,
+    noise_operator,
     reference_cases,
     reference_cyclic_basis,
     reference_partial_trace,
@@ -35,15 +37,15 @@ class TestNoiseAndDisturbanceOperators:
     def test_noise_operator_form(self):
         mp = uncoupled_z_meter()
         expected = np.kron(EYE2, SZ) - np.kron(SX, EYE2)
-        assert np.allclose(qm.noise_operator(mp, SX), expected)
+        assert np.allclose(noise_operator(mp, SX), expected)
 
     def test_disturbance_vanishes_without_coupling(self):
         mp = uncoupled_z_meter()
-        assert np.allclose(qm.disturbance_operator(mp, SY), np.zeros((4, 4)))
+        assert np.allclose(disturbance_operator(mp, SY), np.zeros((4, 4)))
 
     def test_cnot_leaves_control_undisturbed(self):
         mp = cnot_process()
-        assert np.allclose(qm.disturbance_operator(mp, SZ), np.zeros((4, 4)))
+        assert np.allclose(disturbance_operator(mp, SZ), np.zeros((4, 4)))
         for rho in (KET0, KET_PLUS, KET_YPLUS):
             assert qm.rms_disturbance(mp, SZ, qm.DensityOperator.pure(rho)) < 1e-12
 
@@ -56,8 +58,8 @@ class TestNoiseAndDisturbanceOperators:
             mp = qm.random_measuring_process(d, dk, rng)
             a = qm.random_hermitian(d, rng).matrix
             b = qm.random_hermitian(d, rng).matrix
-            n = qm.noise_operator(mp, a)
-            dd = qm.disturbance_operator(mp, b)
+            n = noise_operator(mp, a)
+            dd = disturbance_operator(mp, b)
             b0 = np.kron(b, np.eye(dk))
             a0 = np.kron(a, np.eye(dk))
             lhs = qm.commutator(n, dd) + qm.commutator(n, b0) + qm.commutator(a0, dd)
@@ -81,7 +83,7 @@ class TestMomentOperators:
             a = qm.random_hermitian(d, rng).matrix
             rho = qm.random_density_operator(d, rng)
             lhs = qm.expectation(qm.mean_noise_operator(mp, a), rho).real
-            rhs = np.trace(qm.noise_operator(mp, a) @ mp.composite_state(rho)).real
+            rhs = np.trace(noise_operator(mp, a) @ mp.composite_state(rho)).real
             assert abs(lhs - rhs) < 1e-10
 
     def test_noise_moment_gives_pure_state_error(self):
@@ -141,7 +143,7 @@ class TestProbeAverage:
         # and their squares by block sums, within 1e-12 of the scale of X
         ds, dp = mp.system_dim, mp.probe_dim
         lift = np.kron(np.eye(ds), mp.probe_state.matrix)
-        noise, dist = qm.noise_operator(mp, a), qm.disturbance_operator(mp, b)
+        noise, dist = noise_operator(mp, a), disturbance_operator(mp, b)
         for got, op in ((qm.mean_noise_operator(mp, a), noise),
                         (qm.noise_moment_operator(mp, a), noise @ noise),
                         (qm.mean_disturbance_operator(mp, b), dist),

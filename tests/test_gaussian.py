@@ -267,6 +267,10 @@ class TestDensities:
             qm.output_distribution(model, obj, probe, [])
         with pytest.raises(qm.ValidationError):
             qm.output_distribution(model, obj, probe, [0.0, 0.0, 1.0])
+        # a NaN or infinite grid point is rejected as such, alone or not
+        for grid in ([np.nan], [np.inf], [0.0, np.nan], [0.0, 1.0, np.inf]):
+            with pytest.raises(qm.ValidationError, match="finite"):
+                qm.position_density(obj, grid)
 
     def test_output_mass_is_one(self):
         model = qm.build_model(qm.VON_NEUMANN)

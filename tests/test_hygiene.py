@@ -283,7 +283,7 @@ def library_calls(fn, *args, **kwargs) -> int:
 # numpy 2.4: a trial of about 1.3 ms is call overhead more than linear
 # algebra, so an added call shows in its time. CPython 3.12 inlines
 # comprehensions, which only removes events, so the bound holds there too.
-SWEEP_TRIAL_CALLS = 714
+SWEEP_TRIAL_CALLS = 698
 
 
 def test_sweep_trial_call_budget():

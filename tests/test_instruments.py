@@ -211,6 +211,12 @@ class TestChoiKraus:
             c = qm.choi_matrix(ks, d)
             back = qm.choi_matrix(qm.kraus_from_choi(c, d, cutoff=1e-12), d)
             assert qm.operator_distance(c, back) < 1e-8
+        # a negative cutoff would keep negative Choi eigenvalues as NaN
+        # operators; a Choi matrix must be (d^2, d^2)
+        c = qm.choi_matrix([np.eye(2)], 2)
+        for choi, cutoff in ((c, -1.0), (c, np.nan), (c[:3, :3], 0.0), (c[:2], 0.0)):
+            with pytest.raises(qm.ValidationError):
+                qm.kraus_from_choi(choi, 2, cutoff)
 
     def test_apply_kraus_matches_sum(self):
         rho = qm.DensityOperator.pure(KET_PLUS).matrix
@@ -331,6 +337,10 @@ class TestCPInstrument:
     def test_kraus_stacks_and_effects_read_only(self):
         inst = qm.CPInstrument([0, 1, 2], [[P0], [], [P1]])
         assert [k.shape for k in inst.kraus] == [(1, 2, 2), (0, 2, 2), (1, 2, 2)]
+        # each family is a view of the one labelled stack, not a second copy
+        assert inst._kraus_stack.kraus.shape == (2, 2, 2)
+        for m in (0, 2):
+            assert np.shares_memory(inst.kraus[m], inst._kraus_stack.kraus)
         with pytest.raises(ValueError):
             inst.kraus[0][0, 0, 0] = 2.0
         with pytest.raises(ValueError):

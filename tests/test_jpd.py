@@ -508,6 +508,9 @@ class TestInstrumentSideMatchesComposite:
         lift = np.kron(np.eye(mp.system_dim), mp.probe_state.matrix)
         _, before, _, dm, sigma = composite_pairs(mp, a, rho)
         stack = mp._kraus_stack
+        # one flat read-only stack: a row per meter eigenvector column and kept probe eigenvalue
+        assert stack.kraus.shape == (sum(stack.sizes), mp.system_dim, mp.system_dim)
+        assert not stack.kraus.flags.writeable
         values, effects = stack.values, stack.effects
         assert np.abs(values - dm.eigenvalues).max() <= 1e-12 * np.abs(values).max()
         want = qm.hermitian_part(reference_partial_trace(dm.projectors @ lift, dims))

@@ -68,14 +68,18 @@ class TestValidation:
         assert qm.DEFAULT_TOL.psd_tol == -1e-10
         with pytest.raises(qm.ValidationError):
             qm.Tolerances(eq_tol=-1.0)
-        with pytest.raises(qm.ValidationError):
-            qm.Tolerances(psd_tol=1e-3)
+        # a non-finite tolerance makes every slack infinite or removes the floor
+        for bad in ({"psd_tol": 1e-3}, {"eq_tol": np.inf}, {"eq_tol": np.nan},
+                    {"psd_tol": -np.inf}, {"psd_tol": np.nan}):
+            with pytest.raises(qm.ValidationError):
+                qm.Tolerances(**bad)
 
     def test_constants(self):
         c = qm.PhysicalConstants(hbar=2.0)
         assert c.h == pytest.approx(4 * np.pi)
-        with pytest.raises(qm.ValidationError):
-            qm.PhysicalConstants(hbar=0.0)
+        for hbar in (0.0, np.inf, np.nan):
+            with pytest.raises(qm.ValidationError):
+                qm.PhysicalConstants(hbar=hbar)
 
 
 # Hermitian with unit trace, but not positive: a raw array passed as a
