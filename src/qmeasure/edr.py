@@ -33,19 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import CPInstrument, MeasuringProcess, _KrausStack, _on_system
+from .instruments import CPInstrument, MeasuringProcess, _KrausStack
 from .operators import (
     DEFAULT_TOL,
     DensityOperator,
     HermitianObservable,
     Tolerances,
     ValidationError,
-    _as_observable_matrix,
-    _as_state,
-    _check_dims,
     _robertson,
     _slack,
     _spectral_std_dev,
+    _validated,
     commutator,
     dagger,
     hermitian_part,
@@ -65,7 +63,7 @@ def rms_disturbance(source: MeasuringProcess | CPInstrument, b, rho) -> float:
 def _moments(stack: _KrausStack, x: str, s):
     """(mean, moment) of N(A) (x = "a", s = A) or D(B) (x = "b", s = B):
     sum K_j+ G_j and sum G_j+ G_j, G_j = x_j K_j - K_j A or B K_j - K_j B."""
-    s = _on_system(s, HermitianObservable, stack).matrix
+    s = _validated(s, HermitianObservable, stack.tol, stack.system_dim).matrix
     d, k = len(s), stack.kraus
     first = (np.repeat(stack.values, stack.sizes)[:, None, None] * k if x == "a"
              else stack.left(s))
@@ -139,10 +137,9 @@ def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     This is the set of states the process explores around rho when A is
     the target; locally uniform error/disturbance are suprema over it.
     """
-    am = _as_observable_matrix(a, tol)
-    rho = _as_state(rho, tol)
-    _check_dims(am, rho.matrix)
-    return _cyclic_subspace(spectral_decompose(am, tol), rho, tol)
+    a = _validated(a, HermitianObservable, tol)
+    return _cyclic_subspace(spectral_decompose(a, tol), _validated(rho, DensityOperator, tol, a.dim),
+                            tol)
 
 
 def _cyclic_subspace(dec, rho: DensityOperator, tol: Tolerances) -> np.ndarray:
@@ -191,9 +188,9 @@ class _Scenario:
         self.source = source
         self.stack = source._kraus_stack
         self.tol = self.stack.tol
-        self.obs = {x: _on_system(op, HermitianObservable, self.stack)
+        self.obs = {x: _validated(op, HermitianObservable, self.tol, self.stack.system_dim)
                     for x, op in (("a", a), ("b", b)) if op is not None}
-        self.rho = _on_system(rho, DensityOperator, self.stack)
+        self.rho = _validated(rho, DensityOperator, self.tol, self.stack.system_dim)
         self._memo = {}
 
     def _once(self, key, make):

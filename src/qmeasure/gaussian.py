@@ -132,21 +132,23 @@ def min_uncertainty_packet(q_center: float, p_center: float, q1: float,
 
 @dataclass(frozen=True)
 class LinearModel:
-    """A measurement interaction as a 4x4 symplectic matrix on
-    (x, p_x, y, p_y). The form S J S^T = J must hold within the default
-    slack of max|S_ij|^2, the scale of S J S^T."""
+    """A measurement interaction as a finite real 4x4 symplectic matrix on
+    (x, p_x, y, p_y), kept as a read-only float copy. The form S J S^T = J
+    must hold within the default slack of max|S_ij|^2, the scale of S J S^T."""
 
     model_id: str
     symplectic: np.ndarray
 
     def __post_init__(self):
-        s = self.symplectic
-        if s.shape != (4, 4):
-            raise ValidationError("symplectic matrix must be 4x4")
+        s = np.asarray(self.symplectic)
+        if s.shape != (4, 4) or s.dtype.kind not in "iuf" or not np.isfinite(s).all():
+            raise ValidationError("symplectic matrix must be a finite real 4x4 matrix")
+        s = s.astype(float)
         scale = float(np.abs(s).max()) ** 2
         if not operator_distance(s @ _J @ s.T, _J) <= _slack(DEFAULT_TOL, scale):
             raise ValidationError("matrix does not preserve the symplectic form")
         s.setflags(write=False)
+        object.__setattr__(self, "symplectic", s)
 
 
 def build_model(model_id: str) -> LinearModel:
@@ -154,7 +156,7 @@ def build_model(model_id: str) -> LinearModel:
     if model_id not in _MODEL_MATRICES:
         raise ValidationError(f"unknown model id {model_id!r}; "
                               f"expected one of {sorted(_MODEL_MATRICES)}")
-    return LinearModel(model_id, _MODEL_MATRICES[model_id].copy())
+    return LinearModel(model_id, _MODEL_MATRICES[model_id])
 
 
 def joint_moments(obj: GaussianState, probe: GaussianState):
@@ -174,6 +176,8 @@ def propagate(model: LinearModel, joint_mean, joint_cov, tol: Tolerances = DEFAU
         raise ValidationError("joint mean must have 4 components")
     if v.shape != (4, 4):
         raise ValidationError("joint covariance must be 4x4")
+    if not (np.isfinite(m).all() and np.isfinite(v).all()):
+        raise ValidationError("joint moments must be finite")
     slack = _slack(tol, float(np.abs(v).max()))
     if float(np.abs(v - v.T).max()) > slack:
         raise ValidationError("joint covariance must be symmetric")

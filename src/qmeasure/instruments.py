@@ -16,6 +16,7 @@ unique).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,12 +33,11 @@ from .operators import (
     _Immutable,
     _as_matrix,
     _as_operators,
-    _as_observable_matrix,
-    _as_state,
     _check_dims,
     _cluster_labels,
     _slack,
     _spectral_std_dev,
+    _validated,
     as_operator,
     dagger,
     hermitian_part,
@@ -74,9 +74,9 @@ class OutcomeDistribution:
 
 
 def _born(effects: np.ndarray, rm: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Pr{m} = Tr[E_m rho] over a stack of effects; raises on a probability below
-    psd_tol (the rest are clipped at 0) or a total off 1 (_slack of d^2 #m terms)."""
-    _check_dims(effects, rm)
+    """Pr{m} = Tr[E_m rho] over a stack of effects and a state of their dimension,
+    checked where the state entered; raises on a probability below psd_tol
+    (the rest are clipped at 0) or a total off 1 (_slack of d^2 #m terms)."""
     probs = np.einsum("iab,ba->i", effects, rm).real
     if probs.min() < tol.psd_tol:
         raise ValidationError(f"negative probability {probs.min()}")
@@ -90,17 +90,8 @@ def _born(effects: np.ndarray, rm: np.ndarray, tol: Tolerances) -> np.ndarray:
 def born_distribution(a, rho, tol: Tolerances = DEFAULT_TOL) -> OutcomeDistribution:
     """Outcome statistics Pr{a_i} = Tr[P_i rho] of an observable in a state."""
     dec = spectral_decompose(a, tol)
-    probs = _born(dec.projectors, _as_state(rho, tol).matrix, tol)
+    probs = _born(dec.projectors, _validated(rho, DensityOperator, tol, dec.dim).matrix, tol)
     return OutcomeDistribution(tuple(map(float, dec.eigenvalues)), tuple(probs.tolist()))
-
-
-def _on_system(x, kind, owner):
-    """x as a validated kind (HermitianObservable or DensityOperator) on the
-    system of owner, a process or Kraus stack, under its Tolerances."""
-    x = x if isinstance(x, kind) else kind(x, owner.tol)
-    if x.dim != owner.system_dim:
-        raise ValidationError(f"dimension mismatch: {x.matrix.shape} vs system {owner.system_dim}")
-    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,27 +140,23 @@ class _KrausStack:
 class MeasuringProcess(_Immutable):
     """Probe state, coupling unitary, and meter observable.
 
-    The system dimension is inferred from the unitary, which acts on
-    system x probe. The meter acts on the probe alone. A process is
-    immutable: what depends on it alone (the meter's spectral measure, the
-    labelled Kraus stack, and M(dt) when asked for) is a cached_property,
-    computed on first use, kept, and judged under its Tolerances. Figures
-    read it through its labelled Kraus stack, the instrument of reading the
-    meter: row (i, l) is
-    K = sum_b conj(q[b, i]) sqrt(lam_l) (1 x <e_b|) U (1 x |phi_l>),
+    The system dimension is inferred from the unitary, which acts on system x
+    probe. The probe state, the meter (on the probe's dimension) and the
+    composite methods' arguments (on the system's) enter through _validated.
+    Immutable: what depends on the process alone (the meter's spectral measure,
+    the labelled Kraus stack, and M(dt) when asked for) is a cached_property,
+    computed on first use, kept, and judged under its Tolerances. Figures read
+    it through its labelled Kraus stack, the instrument of reading the meter:
+    row (i, l) is K = sum_b conj(q[b, i]) sqrt(lam_l) (1 x <e_b|) U (1 x |phi_l>),
     with rho0 = sum lam_l |phi_l><phi_l| and q the meter's eigenvectors,
     and reports the eigenvalue of column i.
     """
 
     def __init__(self, probe_state: DensityOperator, unitary, meter: HermitianObservable,
                  tol: Tolerances = DEFAULT_TOL):
-        if not isinstance(probe_state, DensityOperator):
-            probe_state = DensityOperator(probe_state, tol=tol)
-        if not isinstance(meter, HermitianObservable):
-            meter = HermitianObservable(meter, tol=tol)
+        probe_state = _validated(probe_state, DensityOperator, tol)
+        meter = _validated(meter, HermitianObservable, tol, probe_state.dim)
         u = as_operator(unitary)
-        if meter.dim != probe_state.dim:
-            raise ValidationError("meter and probe state dimensions differ")
         if u.shape[0] % probe_state.dim != 0:
             raise ValidationError("unitary dimension is not a multiple of the probe dimension")
         n = u.shape[0]
@@ -187,11 +174,12 @@ class MeasuringProcess(_Immutable):
 
     def composite_state(self, rho) -> np.ndarray:
         """rho x rho0 on system x probe."""
-        return tensor(_on_system(rho, DensityOperator, self), self.probe_state.matrix)
+        return tensor(_validated(rho, DensityOperator, self.tol, self.system_dim), self.probe_state)
 
     def embedded_system(self, a) -> np.ndarray:
         """A(0) = A x 1, the system observable before the interaction."""
-        return tensor(_on_system(a, HermitianObservable, self), np.eye(self.probe_dim))
+        return tensor(_validated(a, HermitianObservable, self.tol, self.system_dim),
+                      np.eye(self.probe_dim))
 
     def evolved_meter(self) -> np.ndarray:
         """M(dt) = U+ (1 x M) U, the meter after the interaction.
@@ -360,7 +348,8 @@ class POVM(_Immutable):
         self._init_fields(outcomes=tuple(outcomes[i] for i in order), effects=effs, dim=d, tol=tol)
 
     def probabilities(self, rho) -> OutcomeDistribution:
-        probs = _born(self.effects, _as_state(rho, self.tol).matrix, self.tol)
+        probs = _born(self.effects, _validated(rho, DensityOperator, self.tol, self.dim).matrix,
+                      self.tol)
         return OutcomeDistribution(self.outcomes, tuple(probs.tolist()))
 
     def __repr__(self):
@@ -417,7 +406,7 @@ def post_state(instrument: CPInstrument, outcome_set, rho) -> DensityOperator:
     below the _slack of d^2 terms (zero-probability condition).
     """
     tol = instrument.tol
-    rm = _as_state(rho, tol).matrix
+    rm = _validated(rho, DensityOperator, tol, instrument.dim).matrix
     unnorm = instrument.apply(rm, outcome_set)
     p = float(np.trace(unnorm).real)
     if p <= _slack(tol, terms=rm.shape[0] ** 2):
@@ -538,10 +527,11 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
     noise floor of sqrt(machine eps) times dim * max|A_ij|, or the slack
     of that scale if larger.
     """
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real) or not epsilon >= 0:
+        raise ValidationError(f"epsilon must be a number >= 0, got {epsilon!r}")
     tol = instrument.tol
-    am = _as_observable_matrix(a, tol)
-    rm = _as_state(rho, tol).matrix
-    _check_dims(am, rm)
+    am = _validated(a, HermitianObservable, tol, instrument.dim).matrix
+    rm = _validated(rho, DensityOperator, tol, instrument.dim).matrix
     scale = float(np.abs(am).max()) * am.shape[0]
     floor = max(_slack(tol, scale), float(np.sqrt(_EPS)) * scale)
     outs, residuals, sds = [], [], []

@@ -27,12 +27,13 @@ from .edr import _Scenario
 from .instruments import CPInstrument, MeasuringProcess, _born, dilate
 from .operators import (
     DEFAULT_TOL,
+    DensityOperator,
+    HermitianObservable,
     Tolerances,
     ValidationError,
-    _as_state,
-    _check_dims,
     _cluster_labels,
     _slack,
+    _validated,
     dagger,
     spectral_decompose,
     tensor,
@@ -58,10 +59,10 @@ def commute_in_state(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> bool:
     Commutation in a state is weaker than operator commutation: it only
     constrains the support of rho.
     """
-    px, dy = spectral_decompose(x, tol).projectors, spectral_decompose(y, tol)
-    sigma = _as_state(rho, tol).matrix
-    _check_dims(px, dy.projectors, sigma)
-    return _commute(px, dy.blocks, sigma, tol)
+    dx = spectral_decompose(x, tol)
+    dy = spectral_decompose(_validated(y, HermitianObservable, tol, dx.dim), tol)
+    sigma = _validated(rho, DensityOperator, tol, dx.dim).matrix
+    return _commute(dx.projectors, dy.blocks, sigma, tol)
 
 
 @dataclass(frozen=True)
@@ -118,9 +119,9 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     imaginary residue above the _slack of n * #atoms terms, if a weight falls
     below the psd_tol floor, or if a marginal strays from the Born distribution.
     """
-    dx, dy = spectral_decompose(x, tol), spectral_decompose(y, tol)
-    sigma = _as_state(rho, tol).matrix
-    _check_dims(dx.projectors, dy.projectors, sigma)
+    dx = spectral_decompose(x, tol)
+    dy = spectral_decompose(_validated(y, HermitianObservable, tol, dx.dim), tol)
+    sigma = _validated(rho, DensityOperator, tol, dx.dim).matrix
     if not _commute(dx.projectors, dy.blocks, sigma, tol):
         raise ValidationError("observables do not commute in the state")
     w = _joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors, sigma, tol).weights

@@ -126,6 +126,11 @@ def _slack(tol: Tolerances, scale: float = 1.0, terms: int = 1) -> float:
     return max(tol.eq_tol, 16 * terms * _EPS) * scale
 
 
+def _is_dim(n) -> bool:
+    """Whether n is a positive integer, a numpy one included, a bool not."""
+    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
+
+
 def _check_dims(*ops):
     """Raise ValidationError unless the operators (or stacks of operators)
     act on one space."""
@@ -207,7 +212,7 @@ class DensityOperator(_Immutable):
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         """The state 1 / dim on a space of dim dimensions, dim a positive integer."""
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        if not _is_dim(dim):
             raise ValidationError(f"dimension {dim!r} does not give a nonempty square matrix")
         return cls(np.eye(dim) / dim)
 
@@ -224,15 +229,13 @@ def _as_matrix(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-def _as_observable_matrix(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Matrix of an observable argument, a raw array validated as
-    HermitianObservable validates it."""
-    return (a if isinstance(a, HermitianObservable) else HermitianObservable(a, tol)).matrix
-
-
-def _as_state(rho, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
-    """A state argument, a raw array validated as a DensityOperator."""
-    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho, tol)
+def _validated(x, kind, tol: Tolerances, dim: int = None):
+    """The one way an observable or state argument x enters: as kind(x, tol) unless
+    it is a kind already, "dimension mismatch" if dim is given and differs."""
+    x = x if isinstance(x, kind) else kind(x, tol)
+    if dim is not None and x.dim != dim:
+        raise ValidationError(f"dimension mismatch: {x.matrix.shape} on dimension {dim}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,7 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     weighted mean of the cluster. Raises unless the decomposition
     reconstructs the operator.
     """
-    mat = _as_observable_matrix(a, tol)
+    mat = _validated(a, HermitianObservable, tol).matrix
     w, v = np.linalg.eigh(mat)
     labels = _cluster_labels(w, tol)
     counts = np.bincount(labels)
@@ -326,7 +329,8 @@ def std_dev(a, rho, tol: Tolerances = DEFAULT_TOL) -> float:
     rounding and returns about sqrt(machine eps) times the operator
     scale on an eigenstate.
     """
-    return _spectral_std_dev(_as_observable_matrix(a, tol), _as_state(rho, tol))
+    am = _validated(a, HermitianObservable, tol).matrix
+    return _spectral_std_dev(am, _validated(rho, DensityOperator, tol, len(am)))
 
 
 def _spectral_std_dev(am: np.ndarray, rho: DensityOperator, centre=None) -> float:
@@ -341,8 +345,9 @@ def _spectral_std_dev(am: np.ndarray, rho: DensityOperator, centre=None) -> floa
 
 def robertson_bound(a, b, rho, tol: Tolerances = DEFAULT_TOL) -> float:
     """Lower bound (1/2)|Tr[[A,B] rho]| appearing in the uncertainty relations."""
-    return _robertson(_as_observable_matrix(a, tol), _as_observable_matrix(b, tol),
-                      _as_state(rho, tol).matrix)
+    am = _validated(a, HermitianObservable, tol).matrix
+    return _robertson(am, _validated(b, HermitianObservable, tol, len(am)).matrix,
+                      _validated(rho, DensityOperator, tol, len(am)).matrix)
 
 
 def _robertson(am: np.ndarray, bm: np.ndarray, rm: np.ndarray) -> float:
@@ -368,10 +373,12 @@ def partial_trace(z, dims, keep: str = "first") -> np.ndarray:
     Parameters
     ----------
     z : array_like, shape (..., d1*d2, d1*d2), one operator or a stack
-    dims : (d1, d2) factor dimensions, system first
+    dims : (d1, d2) factor dimensions, positive integers, system first
     keep : "first" traces out the second factor, "second" the first
     """
-    d1, d2 = int(dims[0]), int(dims[1])
+    if np.shape(dims) != (2,) or not all(map(_is_dim, dims)):
+        raise ValidationError(f"dims must be two positive integers, got {dims}")
+    d1, d2 = dims
     zm = _as_matrix(z)
     if zm.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValidationError(f"operator shape {zm.shape} does not match dims {dims}")

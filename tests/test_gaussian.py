@@ -104,16 +104,26 @@ class TestModels:
             assert np.array_equal(s @ J4 @ s.T, J4)
 
     def test_rejects_non_symplectic(self):
-        for s in (np.eye(4) * 2.0, np.diag([2.0, 1.0, 1.0, 1.0]), np.full((4, 4), np.nan)):
+        for s in (np.eye(4) * 2.0, np.diag([2.0, 1.0, 1.0, 1.0]), np.full((4, 4), np.nan),
+                  np.eye(3), np.eye(4) * 1j, np.eye(4) + 0j, np.diag([1.0, 1.0, 1.0, np.inf]),
+                  [["a"] * 4] * 4):
             with pytest.raises(qm.ValidationError):
                 qm.LinearModel("broken", s)
+        # a list is taken as its array, an integer matrix as its float copy
+        for s in (np.eye(4).tolist(), np.eye(4, dtype=int)):
+            model = qm.LinearModel("identity", s)
+            assert model.symplectic.dtype == float and not model.symplectic.flags.writeable
+            assert np.array_equal(model.symplectic, np.eye(4))
 
     def test_accepts_symplectic_with_rounding_residual(self):
         # a beam splitter: S J S^T misses J by rounding, about 1e-16
         c, s = np.cos(0.3), np.sin(0.3)
         bs = np.array([[c, 0.0, s, 0.0], [0.0, c, 0.0, s], [-s, 0.0, c, 0.0], [0.0, -s, 0.0, c]])
         assert not np.array_equal(bs @ J4 @ bs.T, J4)
-        assert qm.LinearModel("beam_splitter", bs).symplectic is bs
+        model = qm.LinearModel("beam_splitter", bs)
+        # a read-only copy: the caller's array stays writable
+        assert np.array_equal(model.symplectic, bs) and model.symplectic is not bs
+        assert bs.flags.writeable and not model.symplectic.flags.writeable
 
     def test_von_neumann_action(self):
         s = qm.build_model(qm.VON_NEUMANN).symplectic
@@ -148,6 +158,11 @@ class TestPropagate:
         bad[0, 1] = 0.5
         with pytest.raises(qm.ValidationError):
             qm.propagate(model, np.zeros(4), bad)
+        # the joint moments must be finite, the mean as well as the covariance
+        for mean, cov in (([np.nan] * 4, np.eye(4)), (np.zeros(4), np.full((4, 4), np.nan)),
+                          (np.zeros(4), np.diag([1.0, 1.0, 1.0, np.inf]))):
+            with pytest.raises(qm.ValidationError, match="finite"):
+                qm.propagate(model, mean, cov)
 
     def test_preserves_uncertainty_admissibility(self):
         # S(V + i hbar/2 J)S^T is a congruence, so positivity survives

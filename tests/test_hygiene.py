@@ -3,8 +3,9 @@ importing the package pulls in numpy and the stdlib only, a process,
 instrument or POVM is judged under its own Tolerances, never under a tol
 passed per call, only Tolerances and _slack read eq_tol, no check
 floors the slack with max(), no tolerance-sized float literal lives
-outside Tolerances, only operators._EPS reads machine epsilon, and a seeded
-sweep trial stays within its budget of library calls.
+outside Tolerances, only operators._EPS reads machine epsilon, only
+operators._validated and _as_matrix test for an observable or state type,
+and a seeded sweep trial stays within its budget of library calls.
 
 Stdlib ast scans, so they need no linter. __init__.py is skipped by the
 import scan, since its imports are the package's re-exports, and so is the
@@ -257,6 +258,47 @@ def test_scan_finds_a_finfo_read(tmp_path):
     assert finfo_reads(str(path), ("_EPS",)) == ["<module>", "C", "f"]
 
 
+# the top-level definitions allowed to test an argument for an observable or
+# state type, per module: _validated, the one way such an argument enters
+# (through its kind parameter), and _as_matrix, which unwraps one to its matrix
+TYPE_TESTS = {"operators.py": ("_validated", "_as_matrix")}
+OPERATOR_TYPES = {"HermitianObservable", "DensityOperator"}
+
+
+def operator_type_tests(path: str, allowed=()) -> list:
+    """Top-level definitions outside allowed with an isinstance call whose
+    class argument names HermitianObservable or DensityOperator, "<module>"
+    for module-level code."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        if name not in allowed and any(
+                getattr(sub, "id", getattr(sub, "attr", None)) in OPERATOR_TYPES
+                for call in _calls(node, "isinstance") for arg in call.args[1:]
+                for sub in ast.walk(arg)):
+            found.add(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_only_validated_tests_operator_types(path):
+    assert operator_type_tests(path, TYPE_TESTS.get(os.path.basename(path), ())) == []
+
+
+def test_scan_finds_an_operator_type_test(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def _validated(x, kind, tol): return x if isinstance(x, kind) else kind(x, tol)\n"
+                    "def _as_matrix(x):\n"
+                    "    return x.matrix if isinstance(x, (HermitianObservable, DensityOperator)) else x\n"
+                    "def f(rho): return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)\n"
+                    "class C:\n    def g(self, a): return isinstance(a, qm.HermitianObservable)\n"
+                    "def h(mp): return isinstance(mp, MeasuringProcess) and DensityOperator(mp)\n"
+                    "ok = isinstance(1, int) or isinstance(2, (int, HermitianObservable))\n")
+    assert operator_type_tests(str(path), ("_validated", "_as_matrix")) == ["<module>", "C", "f"]
+
+
 def library_calls(fn, *args, **kwargs) -> int:
     """Number of call and c_call events that sys.setprofile sees during
     fn(*args, **kwargs) whose calling frame runs in a qmeasure module: the library's
@@ -283,7 +325,7 @@ def library_calls(fn, *args, **kwargs) -> int:
 # numpy 2.4: a trial of about 1.3 ms is call overhead more than linear
 # algebra, so an added call shows in its time. CPython 3.12 inlines
 # comprehensions, which only removes events, so the bound holds there too.
-SWEEP_TRIAL_CALLS = 698
+SWEEP_TRIAL_CALLS = 694
 
 
 def test_sweep_trial_call_budget():

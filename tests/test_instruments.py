@@ -554,8 +554,19 @@ class TestStackedFamilyReferences:
 
 MISMATCHED_STATE = np.eye(3, dtype=complex) / 3
 DIMENSION_MISMATCHES = {
+    "std_dev": lambda: qm.std_dev(SZ, MISMATCHED_STATE),
+    "robertson_bound": lambda: qm.robertson_bound(SZ, SX, MISMATCHED_STATE),
+    "robertson_bound-b": lambda: qm.robertson_bound(SZ, np.diag([1.0, 2.0, 3.0]), np.eye(2) / 2),
+    "MeasuringProcess-meter": lambda: qm.MeasuringProcess(
+        qm.DensityOperator.pure([1.0, 0.0]), np.eye(4), np.diag([1.0, 2.0, 3.0])),
     "cyclic_subspace": lambda: qm.cyclic_subspace(SZ, MISMATCHED_STATE),
+    "cyclic_subspace-observable": lambda: qm.cyclic_subspace(np.diag([1.0, 2.0, 3.0]),
+                                                             np.eye(2) / 2),
     "born_distribution": lambda: qm.born_distribution(SZ, MISMATCHED_STATE),
+    "born_distribution-observable": lambda: qm.born_distribution(np.diag([1.0, 2.0, 3.0]),
+                                                                 np.eye(2) / 2),
+    "commute_in_state-y": lambda: qm.commute_in_state(SZ, np.diag([1.0, 2.0, 3.0]),
+                                                      np.eye(2) / 2),
     "POVM.probabilities": lambda: qm.POVM([0, 1], [P0, P1]).probabilities(MISMATCHED_STATE),
     "outcome_probabilities": lambda: qm.outcome_probabilities(qm.luders_instrument(SZ),
                                                               MISMATCHED_STATE),
@@ -578,7 +589,7 @@ DIMENSION_MISMATCHES = {
 
 @pytest.mark.parametrize("name", list(DIMENSION_MISMATCHES))
 def test_dimension_mismatch_is_validation_error(name):
-    # a 2 x 2 observable, instrument or process against a 3 x 3 state or observable
+    # a 2 x 2 argument, instrument or process against a 3 x 3 state or observable, or the reverse
     with pytest.raises(qm.ValidationError, match="dimension mismatch"):
         DIMENSION_MISMATCHES[name]()
 
@@ -900,6 +911,11 @@ class TestRepeatability:
         rho = qm.DensityOperator.pure(KET_PLUS)
         rep = qm.check_repeatability(inst, SZ, rho, epsilon=1.0)
         assert rep.repeatable
+        assert qm.check_repeatability(inst, SZ, rho, epsilon=np.float64(1.0)) == rep
+        # epsilon is a number >= 0, numpy's included and a bool or NaN not
+        for bad in (np.nan, -1.0, "1.0", None, True):
+            with pytest.raises(qm.ValidationError, match="epsilon"):
+                qm.check_repeatability(inst, SZ, rho, epsilon=bad)
 
     def test_nearby_outcomes_are_conditioned_on_separately(self):
         # outcomes 0 and 1e-12 lie within the outcome-match slack of each other,

@@ -299,6 +299,11 @@ class TestTensorAndPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(qm.ValidationError):
             qm.partial_trace(np.eye(6), (2, 2))
+        # dims are two positive integers, numpy's included, never truncated
+        for dims in ((-2, -2), (2.5, 2), (0, 4), (True, 4), (4,), (2, 2, 1)):
+            with pytest.raises(qm.ValidationError, match="positive integers"):
+                qm.partial_trace(np.eye(4), dims)
+        assert np.array_equal(qm.partial_trace(np.eye(4), np.array([2, 2])), 2 * np.eye(2))
 
     def test_round_trip_random(self):
         # Tr_2[X (x) Y] = Tr[Y] X and the mirrored identity, 1000 draws
