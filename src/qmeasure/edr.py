@@ -138,8 +138,8 @@ def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     the target; locally uniform error/disturbance are suprema over it.
     """
     a = _validated(a, HermitianObservable, tol)
-    return _cyclic_subspace(spectral_decompose(a, tol), _validated(rho, DensityOperator, tol, a.dim),
-                            tol)
+    rho = _validated(rho, DensityOperator, tol, a.dim)
+    return _cyclic_subspace(spectral_decompose(a, tol), rho, tol)
 
 
 def _cyclic_subspace(dec, rho: DensityOperator, tol: Tolerances) -> np.ndarray:

@@ -348,8 +348,8 @@ class POVM(_Immutable):
         self._init_fields(outcomes=tuple(outcomes[i] for i in order), effects=effs, dim=d, tol=tol)
 
     def probabilities(self, rho) -> OutcomeDistribution:
-        probs = _born(self.effects, _validated(rho, DensityOperator, self.tol, self.dim).matrix,
-                      self.tol)
+        rm = _validated(rho, DensityOperator, self.tol, self.dim).matrix
+        probs = _born(self.effects, rm, self.tol)
         return OutcomeDistribution(self.outcomes, tuple(probs.tolist()))
 
     def __repr__(self):
