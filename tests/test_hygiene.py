@@ -289,11 +289,14 @@ def test_only_validated_tests_operator_types(path):
 
 def test_scan_finds_an_operator_type_test(tmp_path):
     path = tmp_path / "mod.py"
-    path.write_text("def _validated(x, kind, tol): return x if isinstance(x, kind) else kind(x, tol)\n"
+    path.write_text("def _validated(x, kind, tol):\n"
+                    "    return x if isinstance(x, kind) else kind(x, tol)\n"
                     "def _as_matrix(x):\n"
                     "    return x.matrix if isinstance(x, (HermitianObservable, DensityOperator)) else x\n"
-                    "def f(rho): return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)\n"
-                    "class C:\n    def g(self, a): return isinstance(a, qm.HermitianObservable)\n"
+                    "def f(rho):\n"
+                    "    return rho if isinstance(rho, DensityOperator) else rho.matrix\n"
+                    "class C:\n"
+                    "    def g(self, a): return isinstance(a, qm.HermitianObservable)\n"
                     "def h(mp): return isinstance(mp, MeasuringProcess) and DensityOperator(mp)\n"
                     "ok = isinstance(1, int) or isinstance(2, (int, HermitianObservable))\n")
     assert operator_type_tests(str(path), ("_validated", "_as_matrix")) == ["<module>", "C", "f"]

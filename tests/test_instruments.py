@@ -553,20 +553,19 @@ class TestStackedFamilyReferences:
 
 
 MISMATCHED_STATE = np.eye(3, dtype=complex) / 3
+MISMATCHED_OBSERVABLE = np.diag([1.0, 2.0, 3.0])
 DIMENSION_MISMATCHES = {
     "std_dev": lambda: qm.std_dev(SZ, MISMATCHED_STATE),
     "robertson_bound": lambda: qm.robertson_bound(SZ, SX, MISMATCHED_STATE),
-    "robertson_bound-b": lambda: qm.robertson_bound(SZ, np.diag([1.0, 2.0, 3.0]), np.eye(2) / 2),
+    "robertson_bound-b": lambda: qm.robertson_bound(SZ, MISMATCHED_OBSERVABLE, np.eye(2) / 2),
     "MeasuringProcess-meter": lambda: qm.MeasuringProcess(
-        qm.DensityOperator.pure([1.0, 0.0]), np.eye(4), np.diag([1.0, 2.0, 3.0])),
+        qm.DensityOperator.pure([1.0, 0.0]), np.eye(4), MISMATCHED_OBSERVABLE),
     "cyclic_subspace": lambda: qm.cyclic_subspace(SZ, MISMATCHED_STATE),
-    "cyclic_subspace-observable": lambda: qm.cyclic_subspace(np.diag([1.0, 2.0, 3.0]),
-                                                             np.eye(2) / 2),
+    "cyclic_subspace-observable": lambda: qm.cyclic_subspace(MISMATCHED_OBSERVABLE, np.eye(2) / 2),
     "born_distribution": lambda: qm.born_distribution(SZ, MISMATCHED_STATE),
-    "born_distribution-observable": lambda: qm.born_distribution(np.diag([1.0, 2.0, 3.0]),
+    "born_distribution-observable": lambda: qm.born_distribution(MISMATCHED_OBSERVABLE,
                                                                  np.eye(2) / 2),
-    "commute_in_state-y": lambda: qm.commute_in_state(SZ, np.diag([1.0, 2.0, 3.0]),
-                                                      np.eye(2) / 2),
+    "commute_in_state-y": lambda: qm.commute_in_state(SZ, MISMATCHED_OBSERVABLE, np.eye(2) / 2),
     "POVM.probabilities": lambda: qm.POVM([0, 1], [P0, P1]).probabilities(MISMATCHED_STATE),
     "outcome_probabilities": lambda: qm.outcome_probabilities(qm.luders_instrument(SZ),
                                                               MISMATCHED_STATE),
@@ -575,7 +574,7 @@ DIMENSION_MISMATCHES = {
     "check_repeatability": lambda: qm.check_repeatability(qm.luders_instrument(SZ), SZ,
                                                           MISMATCHED_STATE, 0.0),
     "check_repeatability-instrument": lambda: qm.check_repeatability(
-        qm.luders_instrument(SZ), np.diag([1.0, 2.0, 3.0]), MISMATCHED_STATE, 0.0),
+        qm.luders_instrument(SZ), MISMATCHED_OBSERVABLE, MISMATCHED_STATE, 0.0),
     "apply_kraus": lambda: qm.apply_kraus(qm.luders_instrument(SZ).kraus[0], MISMATCHED_STATE),
     "CPInstrument.apply": lambda: qm.luders_instrument(SZ).apply(MISMATCHED_STATE),
     "post_state": lambda: qm.post_state(qm.luders_instrument(SZ), 1.0, MISMATCHED_STATE),
@@ -583,7 +582,7 @@ DIMENSION_MISMATCHES = {
     "MeasuringProcess.composite_state": lambda: dilated_luders(SZ).composite_state(
         MISMATCHED_STATE),
     "MeasuringProcess.embedded_system": lambda: dilated_luders(SZ).embedded_system(
-        np.diag([1.0, 2.0, 3.0])),
+        MISMATCHED_OBSERVABLE),
 }
 
 
