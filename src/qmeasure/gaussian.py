@@ -32,6 +32,7 @@ from .operators import (
     Tolerances,
     ValidationError,
     _Immutable,
+    _as_array,
     _slack,
     operator_distance,
 )
@@ -65,6 +66,16 @@ _MODEL_MATRICES = {
 _X, _PX, _Y, _PY = 0, 1, 2, 3
 
 
+def _covariance(cov, n: int, tol: Tolerances) -> tuple:
+    """The one covariance check: an (n, n) real _as_array, symmetric within the
+    slack of max|cov_ij|, as (its symmetric part, that slack)."""
+    v = _as_array(cov, 2, real=True, dim=n)
+    slack = _slack(tol, float(np.abs(v).max()))
+    if float(np.abs(v - v.T).max()) > slack:
+        raise ValidationError("covariance must be symmetric")
+    return 0.5 * (v + v.T), slack
+
+
 class GaussianState(_Immutable):
     """Mean (q, p) and 2x2 covariance of one canonical pair, immutable,
     with read-only arrays.
@@ -75,17 +86,8 @@ class GaussianState(_Immutable):
 
     def __init__(self, mean, cov, constants: PhysicalConstants = DEFAULT_CONSTANTS,
                  tol: Tolerances = DEFAULT_TOL):
-        mean = np.array(mean, dtype=float).reshape(-1)
-        cov = np.asarray(cov, dtype=float)
-        if mean.shape != (2,):
-            raise ValidationError("mean must be a pair (q, p)")
-        if cov.shape != (2, 2):
-            raise ValidationError("cov must be 2x2")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ValidationError("Gaussian moments must be finite")
-        if abs(cov[0, 1] - cov[1, 0]) > _slack(tol, float(np.abs(cov).max())):
-            raise ValidationError("cov must be symmetric")
-        cov = 0.5 * (cov + cov.T)
+        mean = _as_array(mean, 1, real=True, dim=2)
+        cov, _ = _covariance(cov, 2, tol)
         bound = (constants.hbar / 2.0) ** 2
         if float(np.linalg.det(cov)) < bound - _slack(tol, bound):
             raise ValidationError(
@@ -140,10 +142,7 @@ class LinearModel:
     symplectic: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.symplectic)
-        if s.shape != (4, 4) or s.dtype.kind not in "iuf" or not np.isfinite(s).all():
-            raise ValidationError("symplectic matrix must be a finite real 4x4 matrix")
-        s = s.astype(float)
+        s = _as_array(self.symplectic, 2, real=True, dim=4)
         scale = float(np.abs(s).max()) ** 2
         if not operator_distance(s @ _J @ s.T, _J) <= _slack(DEFAULT_TOL, scale):
             raise ValidationError("matrix does not preserve the symplectic form")
@@ -170,18 +169,9 @@ def joint_moments(obj: GaussianState, probe: GaussianState):
 
 def propagate(model: LinearModel, joint_mean, joint_cov, tol: Tolerances = DEFAULT_TOL):
     """Push joint moments through the interaction: (S m, S V S^T)."""
-    m = np.asarray(joint_mean, dtype=float).reshape(-1)
-    v = np.asarray(joint_cov, dtype=float)
-    if m.shape != (4,):
-        raise ValidationError("joint mean must have 4 components")
-    if v.shape != (4, 4):
-        raise ValidationError("joint covariance must be 4x4")
-    if not (np.isfinite(m).all() and np.isfinite(v).all()):
-        raise ValidationError("joint moments must be finite")
-    slack = _slack(tol, float(np.abs(v).max()))
-    if float(np.abs(v - v.T).max()) > slack:
-        raise ValidationError("joint covariance must be symmetric")
-    if float(np.linalg.eigvalsh(0.5 * (v + v.T)).min()) < -slack:
+    m = _as_array(joint_mean, 1, real=True, dim=4)
+    v, slack = _covariance(joint_cov, 4, tol)
+    if float(np.linalg.eigvalsh(v).min()) < -slack:
         raise ValidationError("joint covariance must be positive semidefinite")
     s = model.symplectic
     out_cov = s @ v @ s.T
@@ -249,10 +239,8 @@ def _gaussian_density(grid: np.ndarray, mean: float, var: float) -> np.ndarray:
 
 
 def _check_grid(grid) -> np.ndarray:
-    g = np.asarray(grid, dtype=float).reshape(-1)
-    if g.size == 0 or not np.isfinite(g).all():
-        raise ValidationError("grid must be non-empty and finite")
-    if g.size > 1 and not np.all(np.diff(g) > 0):
+    g = _as_array(grid, 1, real=True)
+    if not np.all(np.diff(g) > 0):
         raise ValidationError("grid must be strictly increasing")
     return g
 

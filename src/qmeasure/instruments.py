@@ -31,9 +31,8 @@ from .operators import (
     ValidationError,
     _EPS,
     _Immutable,
-    _as_matrix,
+    _as_array,
     _as_operators,
-    _check_dims,
     _cluster_labels,
     _slack,
     _spectral_std_dev,
@@ -228,9 +227,8 @@ class MeasuringProcess(_Immutable):
 
 def apply_kraus(kraus_ops, rho) -> np.ndarray:
     """Sum_j K_j rho K_j+ for one outcome's Kraus family."""
-    rm = _as_matrix(rho)
-    ks = _as_operators(kraus_ops, rm.shape[-1])
-    _check_dims(ks, rm)
+    rm = _as_array(rho, 2)
+    ks = _as_operators(kraus_ops, len(rm))
     return (ks @ rm @ dagger(ks)).sum(axis=0)
 
 
@@ -246,10 +244,9 @@ def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
     Eigenvalues at or below cutoff, which must not be negative, are
     discarded. Operators come out ordered by descending Choi eigenvalue.
     """
-    choi = np.asarray(choi, dtype=complex)
-    if choi.shape != (dim * dim,) * 2 or not cutoff >= 0:
-        raise ValidationError(f"need a (dim^2, dim^2) Choi matrix for dim {dim} and a cutoff "
-                              f">= 0, got shape {choi.shape} and cutoff {cutoff}")
+    choi = _as_array(choi, 2, dim=dim * dim)
+    if not cutoff >= 0:
+        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     w, v = np.linalg.eigh(hermitian_part(choi))
     w, v = w[::-1], v[:, ::-1]
     r = int(np.sum(w > cutoff))

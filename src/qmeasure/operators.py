@@ -58,34 +58,43 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 _EPS = float(np.finfo(float).eps)
 
 
-def as_operator(matrix) -> np.ndarray:
-    """Coerce to a finite, nonempty square complex ndarray (copied, read-only)."""
-    arr = np.array(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
-        raise ValidationError(f"operator must be a nonempty square matrix, got shape {arr.shape}")
+def _as_array(x, ndim: int, real: bool = False, dim: int = None) -> np.ndarray:
+    """The one way a raw array enters: a finite, nonempty copy of x with ndim
+    axes (None: two or more), complex, or with real a float copy of int or
+    float entries only. With two or more axes the last two are square; the
+    last has length dim when dim is given."""
+    try:
+        arr = np.asarray(x) if real else np.array(x, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError(f"cannot read a {type(x).__name__} as a numeric array: "
+                              "ragged nesting or a non-numeric entry") from None
+    if real and arr.dtype.kind not in "iuf":
+        raise ValidationError(f"need real numbers, got {arr.dtype} entries")
+    square = arr.ndim < 2 or arr.shape[-1] == arr.shape[-2]
+    if not (arr.ndim >= 2 if ndim is None else arr.ndim == ndim) or not arr.size or not square:
+        kind = {1: "vector", 2: "square matrix"}.get(ndim, "square matrix stack")
+        raise ValidationError(f"need a nonempty {kind}, got shape {arr.shape}")
+    if dim is not None and arr.shape[-1] != dim:
+        raise ValidationError(f"dimension mismatch: {arr.shape} on dimension {dim}")
     if not np.isfinite(arr).all():
-        raise ValidationError("operator entries must be finite")
+        raise ValidationError("entries must be finite")
+    return arr.astype(float) if real else arr
+
+
+def as_operator(matrix) -> np.ndarray:
+    """A matrix as a finite, nonempty square complex copy (_as_array), read-only."""
+    arr = _as_array(matrix, 2)
     arr.setflags(write=False)
     return arr
 
 
 def _as_operators(ops, dim: int = None) -> np.ndarray:
-    """A family of operators as one finite complex (r, d, d) copy, converted
-    and checked at once. An empty family comes back as (0, dim, dim), or
-    as it is, of size 0, when dim is None; any other must have d = dim > 0."""
-    try:
-        arr = np.array(ops, dtype=complex)
-    except ValueError:  # a ragged family
-        raise ValidationError("operators of one family must share one shape") from None
-    if arr.shape[:1] == (0,):
-        return arr if dim is None else arr.reshape(0, dim, dim)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or not arr.size:
-        raise ValidationError(f"operators must be nonempty square matrices, got a stack of shape {arr.shape}")
-    if dim is not None and arr.shape[1] != dim:
-        raise ValidationError(f"dimension mismatch: a stack of shape {arr.shape} on dimension {dim}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("operator entries must be finite")
-    return arr
+    """A family of operators as one (r, d, d) _as_array, d = dim if given; an
+    empty list, tuple or stack comes back as (0, dim, dim), (0, 0, 0) without dim."""
+    if isinstance(ops, (list, tuple)) and not ops \
+            or isinstance(ops, np.ndarray) and ops.shape[:1] == (0,):
+        return np.zeros((0, dim or 0, dim or 0), dtype=complex)
+    return _as_array(ops, 3, dim=dim)
 
 
 def dagger(op: np.ndarray) -> np.ndarray:
@@ -115,8 +124,11 @@ def is_hermitian(op, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def operator_distance(x, y) -> float:
-    """Max-abs entrywise distance, the norm used for operator equality checks."""
-    return float(np.abs(np.asarray(x) - np.asarray(y)).max())
+    """Max-abs entrywise distance of two same-shape arrays, the operator equality norm."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape != y.shape:
+        raise ValidationError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return float(np.abs(x - y).max())
 
 
 def _slack(tol: Tolerances, scale: float = 1.0, terms: int = 1) -> float:
@@ -129,13 +141,6 @@ def _slack(tol: Tolerances, scale: float = 1.0, terms: int = 1) -> float:
 def _is_dim(n) -> bool:
     """Whether n is a positive integer, a numpy one included, a bool not."""
     return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
-
-
-def _check_dims(*ops):
-    """Raise ValidationError unless the operators (or stacks of operators)
-    act on one space."""
-    if len({op.shape[-2:] for op in ops}) > 1:
-        raise ValidationError("dimension mismatch: " + " vs ".join(str(op.shape) for op in ops))
 
 
 class _Immutable:
@@ -171,7 +176,7 @@ class HermitianObservable(_Immutable):
         self._init_fields(matrix=sym, dim=sym.shape[0])
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"HermitianObservable(dim={self.dim})"
@@ -200,10 +205,10 @@ class DensityOperator(_Immutable):
     @classmethod
     def pure(cls, vector, tol: Tolerances = DEFAULT_TOL) -> "DensityOperator":
         """Rank-one state |v><v| from a (not necessarily normalized) vector."""
-        v = np.array(vector, dtype=complex).reshape(-1)
-        peak = float(np.abs(v).max(initial=0.0))
-        if not 0 < peak < np.inf:
-            raise ValidationError("cannot normalize a zero or non-finite vector")
+        v = _as_array(vector, 1)
+        peak = float(np.abs(v).max())
+        if not peak:
+            raise ValidationError("cannot normalize a zero vector")
         # an exact power-of-two scale to max|v| ~ 1: the norm cannot overflow or underflow
         v = np.ldexp(v.view(float), -np.frexp(peak)[1]).view(complex)
         v = v / np.linalg.norm(v)
@@ -217,16 +222,10 @@ class DensityOperator(_Immutable):
         return cls(np.eye(dim) / dim)
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim})"
-
-
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, (HermitianObservable, DensityOperator)):
-        return x.matrix
-    return np.asarray(x, dtype=complex)
 
 
 def _validated(x, kind, tol: Tolerances, dim: int = None):
@@ -313,10 +312,8 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
 
 def expectation(x, rho) -> complex:
     """Tr[X rho]. Complex in general; real within eq_tol for Hermitian X."""
-    xm = _as_matrix(x)
-    rm = _as_matrix(rho)
-    _check_dims(xm, rm)
-    return complex(np.trace(xm @ rm))
+    xm = _as_array(x, 2)
+    return complex(np.trace(xm @ _as_array(rho, 2, dim=len(xm))))
 
 
 def std_dev(a, rho, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -362,7 +359,7 @@ def tensor(x, y) -> np.ndarray:
     broadcasting, the same products as np.kron at a fraction of its call
     overhead.
     """
-    xm, ym = _as_matrix(x), _as_matrix(y)
+    xm, ym = _as_array(x, None), _as_array(y, 2)
     (m, n), (p, q) = xm.shape[-2:], ym.shape
     return (xm[..., :, None, :, None] * ym[:, None, :]).reshape(xm.shape[:-2] + (m * p, n * q))
 
@@ -379,9 +376,7 @@ def partial_trace(z, dims, keep: str = "first") -> np.ndarray:
     if np.shape(dims) != (2,) or not all(map(_is_dim, dims)):
         raise ValidationError(f"dims must be two positive integers, got {dims}")
     d1, d2 = dims
-    zm = _as_matrix(z)
-    if zm.shape[-2:] != (d1 * d2, d1 * d2):
-        raise ValidationError(f"operator shape {zm.shape} does not match dims {dims}")
+    zm = _as_array(z, None, dim=d1 * d2)
     t = zm.reshape(zm.shape[:-2] + (d1, d2, d1, d2))
     if keep == "first":
         return np.einsum("...ijkj->...ik", t)

@@ -4,7 +4,8 @@ instrument or POVM is judged under its own Tolerances, never under a tol
 passed per call, only Tolerances and _slack read eq_tol, no check
 floors the slack with max(), no tolerance-sized float literal lives
 outside Tolerances, only operators._EPS reads machine epsilon, only
-operators._validated and _as_matrix test for an observable or state type,
+operators._validated tests for an observable or state type, only
+operators._as_array converts a raw value to an array of a given dtype,
 and a seeded sweep trial stays within its budget of library calls.
 
 Stdlib ast scans, so they need no linter. __init__.py is skipped by the
@@ -260,8 +261,8 @@ def test_scan_finds_a_finfo_read(tmp_path):
 
 # the top-level definitions allowed to test an argument for an observable or
 # state type, per module: _validated, the one way such an argument enters
-# (through its kind parameter), and _as_matrix, which unwraps one to its matrix
-TYPE_TESTS = {"operators.py": ("_validated", "_as_matrix")}
+# (through its kind parameter)
+TYPE_TESTS = {"operators.py": ("_validated",)}
 OPERATOR_TYPES = {"HermitianObservable", "DensityOperator"}
 
 
@@ -300,6 +301,56 @@ def test_scan_finds_an_operator_type_test(tmp_path):
                     "def h(mp): return isinstance(mp, MeasuringProcess) and DensityOperator(mp)\n"
                     "ok = isinstance(1, int) or isinstance(2, (int, HermitianObservable))\n")
     assert operator_type_tests(str(path), ("_validated", "_as_matrix")) == ["<module>", "C", "f"]
+
+
+# the top-level definitions allowed to convert a value to an array of a given
+# dtype, per module: _as_array, the one way a raw array enters, and the
+# codecs that read JSON values (raising SchemaError) or sort numbers
+CONVERTERS = {"operators.py": ("_as_array", "_cluster_labels"),
+              "serialize.py": ("matrix_to_json", "matrix_from_json")}
+
+
+def _converts_a_name(node) -> bool:
+    """Whether node is an np.array or np.asarray call given a dtype, or an
+    .astype call, applied to a name."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return False
+    if node.func.attr == "astype":
+        return isinstance(node.func.value, ast.Name)
+    return node.func.attr in ("array", "asarray") and bool(node.args) \
+        and isinstance(node.args[0], ast.Name) \
+        and (len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords))
+
+
+def dtype_conversions(path: str, allowed=()) -> list:
+    """Top-level definitions outside allowed that convert a name (an argument,
+    or a local holding one) to an array of a given dtype, "<module>" for
+    module-level code."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    return sorted({getattr(node, "name", "<module>") for node in tree.body
+                   if getattr(node, "name", "<module>") not in allowed
+                   and any(map(_converts_a_name, ast.walk(node)))})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_only_as_array_converts_raw_values(path):
+    assert dtype_conversions(path, CONVERTERS.get(os.path.basename(path), ())) == []
+
+
+def test_scan_finds_a_dtype_conversion(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\n"
+                    "def _as_array(x): return np.array(x, dtype=complex)\n"
+                    "def f(mean): return np.array(mean, dtype=float)\n"
+                    "def g(cov): return np.asarray(cov, float)\n"
+                    "class C:\n"
+                    "    def h(self, s):\n        s = np.asarray(s)\n        return s.astype(float)\n"
+                    "class D:\n"
+                    "    def __array__(self, dtype=None): return np.asarray(self.m, dtype=dtype)\n"
+                    "def k(x): return np.array(x), np.asarray([1, 2], dtype=float), np.zeros(2, dtype=int)\n"
+                    "y = np.asarray(X, dtype=complex)\n")
+    assert dtype_conversions(str(path), ("_as_array",)) == ["<module>", "C", "f", "g"]
 
 
 def library_calls(fn, *args, **kwargs) -> int:

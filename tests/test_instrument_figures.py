@@ -2,7 +2,9 @@
 Kraus operators, and agrees with the same function on dilate(inst), the
 measuring process that realizes it: flags equal, floats within 1e-12 of
 the operator scale. Only the strong precision face needs a unitary, so
-only it dilates an instrument, once, and only when the weak face holds."""
+only it dilates an instrument, once, and only when the weak face holds.
+The figures and flags do not change with the representation: a Kraus
+gauge or a system unitary leaves them equal within the same bound."""
 
 import dataclasses
 
@@ -148,3 +150,54 @@ def test_strong_face_dilates_once_and_only_when_weak_holds(monkeypatch, inst, a,
     qm.weak_joint_distribution(inst, a, rho)
     qm.locally_uniform_rms_error(inst, a, rho)
     assert calls == []
+
+
+def kraus_gauge(inst: qm.CPInstrument, rng) -> qm.CPInstrument:
+    """The same instrument from other Kraus families: each outcome's family
+    padded with a zero operator and mixed by a Haar unitary."""
+    families = []
+    for fam in inst.kraus:
+        padded = np.concatenate([fam, np.zeros((1,) + fam.shape[1:])])
+        families.append(np.einsum("ij,jab->iab", qm.haar_unitary(len(padded), rng), padded))
+    return qm.CPInstrument(inst.outcomes, families, tol=inst.tol)
+
+
+def system_unitary(inst: qm.CPInstrument, a, b, rho, rng) -> tuple:
+    """The scenario in another basis: V X V+ for A, B, rho and every K_j."""
+    v = qm.haar_unitary(inst.dim, rng)
+    vd = qm.dagger(v)
+    return (qm.CPInstrument(inst.outcomes, [v @ fam @ vd for fam in inst.kraus], tol=inst.tol),
+            *(v @ x.matrix @ vd for x in (a, b, rho)))
+
+
+CHANGES = {
+    "kraus_gauge": lambda inst, a, b, rho, rng: (kraus_gauge(inst, rng), a, b, rho),
+    "system_unitary": system_unitary,
+}
+
+
+def invariant_figures(inst, a, b, rho) -> tuple:
+    """(epsilon, eta, sigma_A, sigma_B, Robertson, correlation term), and
+    every EDR and precision flag."""
+    rep = qm.edr_ledger(inst, a, b, rho)
+    floats = (rep.epsilon, rep.eta, rep.sigma_a, rep.sigma_b, rep.robertson, rep.correlation_term)
+    flags = (rep.heisenberg_holds, rep.uedr_holds, rep.oedr_holds) + qm.theorem2_check(inst, a, rho).flags()
+    return np.array(floats), flags
+
+
+@pytest.mark.parametrize("change", CHANGES)
+def test_figures_do_not_depend_on_the_representation(change):
+    # 150 random instruments (d 2..5, 2-3 outcomes, up to 3 Kraus operators
+    # each) and the Lüders instrument of A, whose precision flags hold
+    rng = np.random.default_rng(28)
+    for draw in range(150):
+        d = int(rng.integers(2, 6))
+        a, b = qm.random_hermitian(d, rng), qm.random_hermitian(d, rng)
+        rho = qm.random_density_operator(d, rng)
+        inst = (qm.luders_instrument(a) if draw % 4 == 0 else
+                qm.random_cp_instrument(d, int(rng.integers(2, 4)), rng, max_kraus_per_outcome=3))
+        floats, flags = invariant_figures(inst, a, b, rho)
+        got_floats, got_flags = invariant_figures(*CHANGES[change](inst, a, b, rho, rng))
+        scale = max(1.0, float(np.abs(a.matrix).max()), float(np.abs(b.matrix).max())) ** 2
+        assert np.abs(got_floats - floats).max() <= TOL * scale
+        assert got_flags == flags

@@ -321,3 +321,33 @@ class TestTensorAndPartialTrace:
         m = qm.tensor(SZ, np.eye(3))
         assert m.shape == (6, 6)
         assert np.allclose(np.diag(m), [1, 1, 1, -1, -1, -1])
+
+
+PACKET = qm.min_uncertainty_packet(0.0, 0.0, 1.0)
+RAW_INPUTS = {
+    "tensor-vector": lambda: qm.tensor(np.eye(2), np.ones(3)),
+    "tensor-nan": lambda: qm.tensor(np.eye(2), np.full((2, 2), np.nan)),
+    "partial_trace-ragged": lambda: qm.partial_trace([[1, 2], [3]], (1, 2)),
+    "partial_trace-nan": lambda: qm.partial_trace(np.full((4, 4), np.nan), (2, 2)),
+    "expectation-nan": lambda: qm.expectation(np.nan * np.eye(2), np.eye(2) / 2),
+    "apply_kraus-nan": lambda: qm.apply_kraus([np.eye(2)], np.full((2, 2), np.nan)),
+    "kraus_from_choi-nan": lambda: qm.kraus_from_choi(np.full((4, 4), np.nan), 2, 0.0),
+    "kraus_from_choi-string": lambda: qm.kraus_from_choi("x", 2, 0.0),
+    "pure-strings": lambda: qm.DensityOperator.pure(["a", "b"]),
+    "GaussianState-complex": lambda: qm.GaussianState([1 + 1j, 0], np.eye(2)),
+    "GaussianState-string": lambda: qm.GaussianState(["a", 0], np.eye(2)),
+    "propagate-complex": lambda: qm.propagate(qm.build_model("von_neumann"), [1j, 0, 0, 0], np.eye(4)),
+    "position_density-complex": lambda: qm.position_density(PACKET, [1j, 2]),
+    "position_density-string": lambda: qm.position_density(PACKET, ["a"]),
+    "operator_distance-row": lambda: qm.operator_distance(np.eye(2), np.ones((1, 2))),
+    "operator_distance-scalar": lambda: qm.operator_distance(np.eye(2), 0),
+    "operator_distance-3x3": lambda: qm.operator_distance(np.eye(2), np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(RAW_INPUTS))
+def test_raw_input_is_validation_error(name):
+    # a ragged, non-numeric, complex-for-real, non-finite or misshapen array,
+    # where numpy's own error or a NaN result would otherwise come back
+    with pytest.raises(qm.ValidationError):
+        RAW_INPUTS[name]()
