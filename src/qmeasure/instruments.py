@@ -136,12 +136,23 @@ class _KrausStack:
         return effects
 
 
+# Rows per panel of the unitarity check: n <= 64 is one panel, the whole
+# product in one call; above, each panel's conjugated columns, product and
+# abs are at most 64 x n, so the check needs O(64 n) memory beside U, and a
+# 64-row product still runs near the flop rate of a square one.
+_PANEL = 64
+
+
 class MeasuringProcess(_Immutable):
     """Probe state, coupling unitary, and meter observable.
 
     The system dimension is inferred from the unitary, which acts on system x
-    probe. The probe state, the meter (on the probe's dimension) and the
-    composite methods' arguments (on the system's) enter through _validated.
+    probe. The unitary is checked as max|U+U - 1| within the slack of its n
+    terms, over the upper triangle of U+U (Hermitian for any U, so every
+    deviation shows there) in panels of _PANEL rows: besides the kept copy
+    of U, no n x n array is built. The probe state, the meter (on the probe's
+    dimension) and the composite methods' arguments (on the system's) enter
+    through _validated.
     Immutable: what depends on the process alone (the meter's spectral measure,
     the labelled Kraus stack, and M(dt) when asked for) is a cached_property,
     computed on first use, kept, and judged under its Tolerances. Figures read
@@ -159,9 +170,12 @@ class MeasuringProcess(_Immutable):
         if u.shape[0] % probe_state.dim != 0:
             raise ValidationError("unitary dimension is not a multiple of the probe dimension")
         n = u.shape[0]
-        gram = dagger(u) @ u
-        gram[np.diag_indices(n)] -= 1.0
-        if float(np.abs(gram).max()) > _slack(tol, terms=n):
+        dev = 0.0
+        for i in range(0, n, _PANEL):
+            g = dagger(u[:, i:i + _PANEL]) @ u[:, i:]
+            g[np.diag_indices(len(g))] -= 1.0
+            dev = max(dev, float(np.abs(g).max()))
+        if dev > _slack(tol, terms=n):
             raise ValidationError("coupling matrix is not unitary within eq_tol")
         self._init_fields(probe_state=probe_state, unitary=u, meter=meter,
                           probe_dim=probe_state.dim, system_dim=u.shape[0] // probe_state.dim,
@@ -274,7 +288,7 @@ class CPInstrument(_Immutable):
             raise ValidationError("instrument has no Kraus operators at all")
         dim = dims.pop()
         stacks = [k if len(k) else _as_operators(k, dim) for k in stacks]
-        outcomes = [float(x) for x in outcomes]
+        outcomes = _as_array(outcomes, 1, real=True)
         if len(outcomes) != len(stacks):
             raise ValidationError("need one Kraus family per outcome")
         order = np.argsort(outcomes)
@@ -318,20 +332,20 @@ class CPInstrument(_Immutable):
 
 class POVM(_Immutable):
     """Positive effects, one per outcome, summing to the identity within the
-    _slack of d * m terms; immutable, with distinct float outcomes sorted
-    ascending and the effects as one read-only (m, d, d) stack in that order,
-    converted and checked as one array. The one validator of an outcome
-    family, an instrument's effects included."""
+    _slack of d * m terms; immutable, with distinct real outcomes (read by
+    _as_array) sorted ascending and the effects as one read-only (m, d, d)
+    stack in that order, converted and checked as one array. The one
+    validator of an outcome family, an instrument's effects included."""
 
     def __init__(self, outcomes, effects, tol: Tolerances = DEFAULT_TOL):
-        outcomes = [float(x) for x in outcomes]
         effs = _as_operators(effects)
         if not len(effs):
             raise ValidationError("POVM needs at least one outcome")
+        outcomes = _as_array(outcomes, 1, real=True)
         if len(outcomes) != len(effs):
             raise ValidationError("need one effect per outcome")
-        if len(set(outcomes)) != len(outcomes) or not np.isfinite(outcomes).all():
-            raise ValidationError("outcome values must be finite and distinct")
+        if len(set(outcomes.tolist())) != len(outcomes):
+            raise ValidationError("outcome values must be distinct")
         order = np.argsort(outcomes)
         effs = hermitian_part(effs[order])
         if float(np.linalg.eigvalsh(effs).min()) < tol.psd_tol:
@@ -342,7 +356,7 @@ class POVM(_Immutable):
         if float(np.abs(total).max()) > _slack(tol, terms=d * len(effs)):
             raise ValidationError("effects do not sum to the identity")
         effs.setflags(write=False)
-        self._init_fields(outcomes=tuple(outcomes[i] for i in order), effects=effs, dim=d, tol=tol)
+        self._init_fields(outcomes=tuple(outcomes[order].tolist()), effects=effs, dim=d, tol=tol)
 
     def probabilities(self, rho) -> OutcomeDistribution:
         rm = _validated(rho, DensityOperator, self.tol, self.dim).matrix

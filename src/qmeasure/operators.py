@@ -60,16 +60,17 @@ _EPS = float(np.finfo(float).eps)
 
 def _as_array(x, ndim: int, real: bool = False, dim: int = None) -> np.ndarray:
     """The one way a raw array enters: a finite, nonempty copy of x with ndim
-    axes (None: two or more), complex, or with real a float copy of int or
-    float entries only. With two or more axes the last two are square; the
-    last has length dim when dim is given."""
+    axes (None: two or more), a complex copy of int, float or complex
+    entries, or with real a float copy of int or float entries only (a bool
+    or string entry raises in either). With two or more axes the last two
+    are square; the last has length dim when dim is given."""
     try:
-        arr = np.asarray(x) if real else np.array(x, dtype=complex)
+        arr = np.asarray(x)
     except (TypeError, ValueError):
         raise ValidationError(f"cannot read a {type(x).__name__} as a numeric array: "
                               "ragged nesting or a non-numeric entry") from None
-    if real and arr.dtype.kind not in "iuf":
-        raise ValidationError(f"need real numbers, got {arr.dtype} entries")
+    if arr.dtype.kind not in ("iuf" if real else "iufc"):
+        raise ValidationError(f"need {'real ' if real else ''}numbers, got {arr.dtype} entries")
     square = arr.ndim < 2 or arr.shape[-1] == arr.shape[-2]
     if not (arr.ndim >= 2 if ndim is None else arr.ndim == ndim) or not arr.size or not square:
         kind = {1: "vector", 2: "square matrix"}.get(ndim, "square matrix stack")
@@ -78,7 +79,7 @@ def _as_array(x, ndim: int, real: bool = False, dim: int = None) -> np.ndarray:
         raise ValidationError(f"dimension mismatch: {arr.shape} on dimension {dim}")
     if not np.isfinite(arr).all():
         raise ValidationError("entries must be finite")
-    return arr.astype(float) if real else arr
+    return arr.astype(float if real else complex)
 
 
 def as_operator(matrix) -> np.ndarray:

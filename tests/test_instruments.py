@@ -158,12 +158,13 @@ def boundary_couplings(n, slack, rng):
 
 
 class TestUnitarityCheck:
-    """MeasuringProcess checks max|U+U - 1| on its own Gram buffer, with 1
-    subtracted on the diagonal in place: the floats compared are the ones an
-    n x n identity and difference gave, without either."""
+    """MeasuringProcess checks max|U+U - 1| over the upper triangle of U+U in
+    64-row panels, with 1 subtracted on each panel's leading diagonal in
+    place: no n x n identity, difference or Gram is built, and the verdict
+    is the one the whole n x n Gram gave."""
 
-    def test_traced_peak_is_three_n_by_n_units(self):
-        n, dp = 216, 36
+    @pytest.mark.parametrize("n, dp", [(216, 36), (512, 32)])
+    def test_traced_peak_is_the_kept_copy_plus_64_n_panels(self, n, dp):
         rng = qm.rng_from(216)
         u = qm.haar_unitary(n, rng)
         probe = qm.random_pure_state(dp, rng)
@@ -177,20 +178,40 @@ class TestUnitarityCheck:
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the kept copy of U, U+ (conjugated) and U+U at once; no identity, no difference
-        assert peak - base <= 3.25 * unit
+        # the kept copy of U, then per panel a 64 x n conjugated slice of U, its
+        # product with U's columns and the product's abs, at most three
+        # 64 x n complex arrays; the probe and meter are a small fraction
+        assert peak - base <= unit * (1 + 1 / 16) + 3 * 64 * n * 16
         assert abs((current - base) / unit - 1.0) < 0.1
         assert np.array_equal(mp.unitary, u)
 
-    @pytest.mark.parametrize("n", [4, 64, 216])
+    @pytest.mark.parametrize("n", [4, 64, 65, 129, 200, 216])
     @pytest.mark.parametrize("eq_tol", [1e-9, 1e-16, 1e-300])
     def test_verdict_at_the_slack_boundary(self, n, eq_tol):
+        # 65, 129 and 200 take 2, 3 and 4 panels; the probe takes the
+        # largest proper divisor of n, n // 2 for even n
         tol = qm.Tolerances(eq_tol=eq_tol)
         slack = max(eq_tol, 16 * n * np.finfo(float).eps)
-        probe = qm.DensityOperator.pure(np.eye(n // 2)[0], tol=tol)
-        meter = qm.HermitianObservable(np.diag(np.arange(n / 2)), tol=tol)
+        dp = n // next(p for p in range(2, n + 1) if n % p == 0)
+        probe = qm.DensityOperator.pure(np.eye(dp)[0], tol=tol)
+        meter = qm.HermitianObservable(np.diag(np.arange(float(dp))), tol=tol)
         within, beyond = boundary_couplings(n, slack, qm.rng_from(217, n))
         assert old_unitarity_residual(within) <= slack < old_unitarity_residual(beyond)
+        assert np.array_equal(qm.MeasuringProcess(probe, within, meter, tol=tol).unitary, within)
+        with pytest.raises(qm.ValidationError, match="not unitary"):
+            qm.MeasuringProcess(probe, beyond, meter, tol=tol)
+
+    @pytest.mark.parametrize("eq_tol", [1e-9, 1e-16, 1e-300])
+    def test_defect_in_the_last_panel_diagonal(self, eq_tol):
+        # n = 130 is three panels; scaling U's last column by 1 + c moves only
+        # (U+U)[129, 129], by about 2c, on the diagonal of the 2-row last panel
+        n, dp = 130, 65
+        tol = qm.Tolerances(eq_tol=eq_tol)
+        slack = max(eq_tol, 16 * n * np.finfo(float).eps)
+        probe = qm.DensityOperator.pure(np.eye(dp)[0], tol=tol)
+        meter = qm.HermitianObservable(np.diag(np.arange(float(dp))), tol=tol)
+        u = qm.haar_unitary(n, qm.rng_from(218, n))
+        within, beyond = (u * np.append(np.ones(n - 1), 1 + c * slack) for c in (0.1, 10))
         assert np.array_equal(qm.MeasuringProcess(probe, within, meter, tol=tol).unitary, within)
         with pytest.raises(qm.ValidationError, match="not unitary"):
             qm.MeasuringProcess(probe, beyond, meter, tol=tol)
@@ -477,9 +498,18 @@ class TestPOVM:
                                           [-np.inf, 0.0]],
                              ids=["nan", "two-nans", "inf", "minus-inf"])
     def test_non_finite_outcomes_rejected(self, outcomes):
-        with pytest.raises(qm.ValidationError, match="outcome values must be finite"):
+        with pytest.raises(qm.ValidationError, match="entries must be finite"):
             qm.POVM(outcomes, [P0, P1])
-        with pytest.raises(qm.ValidationError, match="outcome values must be finite"):
+        with pytest.raises(qm.ValidationError, match="entries must be finite"):
+            qm.CPInstrument(outcomes, [[P0], [P1]])
+
+    @pytest.mark.parametrize("outcomes", [["0", "1"], [False, True], ["0", True], [0.0, 1j]],
+                             ids=["strings", "bools", "string-and-bool", "complex"])
+    def test_non_real_outcomes_rejected(self, outcomes):
+        # float() would read "0" as 0.0 and True as 1.0
+        with pytest.raises(qm.ValidationError, match="need real numbers"):
+            qm.POVM(outcomes, [P0, P1])
+        with pytest.raises(qm.ValidationError, match="need real numbers"):
             qm.CPInstrument(outcomes, [[P0], [P1]])
 
     @pytest.mark.parametrize("wrap", [list, tuple, np.array])

@@ -342,6 +342,10 @@ RAW_INPUTS = {
     "operator_distance-row": lambda: qm.operator_distance(np.eye(2), np.ones((1, 2))),
     "operator_distance-scalar": lambda: qm.operator_distance(np.eye(2), 0),
     "operator_distance-3x3": lambda: qm.operator_distance(np.eye(2), np.eye(3)),
+    "as_operator-numeric-strings": lambda: qm.as_operator([["1", "0"], ["0", "1"]]),
+    "as_operator-bools": lambda: qm.as_operator(np.eye(2, dtype=bool)),
+    "as_operator-objects": lambda: qm.as_operator(np.eye(2, dtype=object)),
+    "POVM-bool-effects": lambda: qm.POVM([0.0], np.eye(2, dtype=bool)[None]),
 }
 
 
