@@ -3,17 +3,17 @@
     qmeasure run <config.json> --out <dir> [--hbar X] [--tol X]
     qmeasure sweep --dims 2..4 --trials N --seed S --out <dir> [--hbar X] [--tol X]
 
-Scenario kinds and their payloads are documented in the README. Every
-config value is read through the schema helpers of qmeasure.serialize, a
-sweep payload's by run_sweep. Exit codes: 0 success, 1 I/O failure, 2
-SchemaError (a missing key, a config section or payload that is not an
-object, an unknown kind, model, report or interaction, or a config number
-that is not a finite JSON number), 3 any other ValidationError
+Scenario kinds and their payloads are documented in the README. Every config
+value is read through the readers of qmeasure.operators and
+qmeasure.serialize, a sweep payload's by run_sweep. Exit codes: 0 success, 1
+I/O failure, 2 SchemaError (a missing key, a config section or payload that
+is not an object, an unknown kind, model, report or interaction, or a config
+number that is not a finite JSON number), 3 any other ValidationError
 (SchemaError subclasses it and is caught first), numerical failure (float
-overflow, NaN, LinAlgError) or sweep assertion failure. report.json is
-one line of sorted-key JSON, byte-identical across reruns apart from its
-wall_time; unindented, so the stdlib's C encoder writes it (any indent
-takes the far slower Python encoder). `python -m json.tool` pretty-prints it.
+overflow, NaN, LinAlgError) or sweep assertion failure. report.json is one
+line of sorted-key JSON, byte-identical across reruns apart from its
+wall_time; unindented, so the stdlib's C encoder writes it (any indent takes
+the far slower Python encoder). `python -m json.tool` pretty-prints it.
 
 main(argv) runs the same commands in-process and returns the exit code,
 a usage error (argparse's 2, or 0 for --help) included; the console
@@ -39,21 +39,21 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .edr import edr_ledger
-from .gaussian import OZAWA_1988, VON_NEUMANN, build_model, model_edr, output_distribution
+from .gaussian import build_model, model_edr, output_distribution
 from .jpd import theorem2_check
 from .operators import (
     DensityOperator,
     HermitianObservable,
     PhysicalConstants,
+    SchemaError,
     Tolerances,
     ValidationError,
-)
-from .serialize import (
-    SchemaError,
     _choice,
-    _csv_cell,
     _number,
     _numbers,
+)
+from .serialize import (
+    _csv_cell,
     _require,
     edr_report_to_dict,
     gaussian_state_from_dict,
@@ -112,7 +112,7 @@ def _run_finite_process(payload: dict, tol):
 def _run_gaussian_model(payload: dict, constants, tol, out_dir):
     model, obj, probe = _require(payload, "model", "object", "probe",
                                  what="gaussian_model payload")
-    model = build_model(_choice(model, (VON_NEUMANN, OZAWA_1988), "model"))
+    model = build_model(model)
     obj = gaussian_state_from_dict(obj, constants=constants, tol=tol)
     probe = gaussian_state_from_dict(probe, constants=constants, tol=tol)
     report = model_edr(model, obj, probe, tol=tol)

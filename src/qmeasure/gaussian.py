@@ -33,6 +33,8 @@ from .operators import (
     ValidationError,
     _Immutable,
     _as_array,
+    _choice,
+    _numbers,
     _slack,
     operator_distance,
 )
@@ -81,17 +83,18 @@ class GaussianState(_Immutable):
     with read-only arrays.
 
     Admissible: cov symmetric within the slack of max|cov_ij|, cov_qq > 0,
-    and det(cov) >= (hbar/2)^2, the uncertainty bound, within its slack.
+    and det(cov) >= (hbar/2)^2, the uncertainty bound, within its slack,
+    judged as det(cov / (hbar/2)) >= 1 so that no side over- or underflows.
     """
 
     def __init__(self, mean, cov, constants: PhysicalConstants = DEFAULT_CONSTANTS,
                  tol: Tolerances = DEFAULT_TOL):
         mean = _as_array(mean, 1, real=True, dim=2)
         cov, _ = _covariance(cov, 2, tol)
-        bound = (constants.hbar / 2.0) ** 2
-        if float(np.linalg.det(cov)) < bound - _slack(tol, bound):
+        det = float(np.linalg.det(cov / (constants.hbar / 2.0)))
+        if not det >= 1.0 - _slack(tol):
             raise ValidationError(
-                f"cov violates the uncertainty bound: det {np.linalg.det(cov)} < {bound}")
+                f"cov violates the uncertainty bound: det(cov) is {det} (hbar/2)^2 < (hbar/2)^2")
         if not cov[0, 0] > 0:  # with det > 0, the 2x2 criterion for cov > 0
             raise ValidationError("cov must be positive semidefinite")
         mean.setflags(write=False)
@@ -123,12 +126,14 @@ def min_uncertainty_packet(q_center: float, p_center: float, q1: float,
     """The Gaussian packet of width parameter q1 centered at (q', p').
 
     Position variance q1^2/2, momentum variance hbar^2/(2 q1^2), no
-    correlation, so sigma(q) sigma(p) = hbar/2 exactly.
+    correlation, so sigma(q) sigma(p) = hbar/2 exactly; hbar^2 is never formed,
+    and a packet whose variances are not floats fails GaussianState's check.
     """
+    q_center, p_center, q1 = _numbers((q_center, p_center, q1), "packet")
     if not q1 > 0:
         raise ValidationError("width parameter q1 must be positive")
     vqq = q1 * q1 / 2.0
-    vpp = constants.hbar ** 2 / (2.0 * q1 * q1)
+    vpp = constants.hbar * (constants.hbar / (2.0 * q1 * q1))
     return GaussianState((q_center, p_center), [[vqq, 0.0], [0.0, vpp]], constants=constants)
 
 
@@ -152,9 +157,7 @@ class LinearModel:
 
 def build_model(model_id: str) -> LinearModel:
     """One of the built-in models by id: 'von_neumann' or 'ozawa_1988'."""
-    if model_id not in _MODEL_MATRICES:
-        raise ValidationError(f"unknown model id {model_id!r}; "
-                              f"expected one of {sorted(_MODEL_MATRICES)}")
+    model_id = _choice(model_id, tuple(_MODEL_MATRICES), "model")
     return LinearModel(model_id, _MODEL_MATRICES[model_id])
 
 

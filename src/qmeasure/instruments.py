@@ -16,7 +16,6 @@ unique).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +33,8 @@ from .operators import (
     _as_array,
     _as_operators,
     _cluster_labels,
+    _number,
+    _numbers,
     _slack,
     _spectral_std_dev,
     _validated,
@@ -259,7 +260,7 @@ def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
     discarded. Operators come out ordered by descending Choi eigenvalue.
     """
     choi = _as_array(choi, 2, dim=dim * dim)
-    if not cutoff >= 0:
+    if not _number(cutoff, "cutoff") >= 0:
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     w, v = np.linalg.eigh(hermitian_part(choi))
     w, v = w[::-1], v[:, ::-1]
@@ -300,15 +301,14 @@ class CPInstrument(_Immutable):
                           _kraus_stack=stack)
 
     def _select(self, outcome_set) -> list:
-        """Indices of the outcomes nearest to a value or to each of an
-        iterable of values, each within the slack of the largest |outcome|."""
-        if np.ndim(outcome_set) == 0:
-            outcome_set = [outcome_set]
+        """Indices of the outcomes nearest to a value or to each of a list, tuple or
+        array of values, read by _numbers, each within the slack of the largest |outcome|."""
+        targets = outcome_set.tolist() if isinstance(outcome_set, np.ndarray) else outcome_set
         slack = _slack(self.tol, float(np.abs(self.outcomes).max()))
         idx = set()
-        for target in outcome_set:
-            gap, i = min((abs(x - float(target)), i) for i, x in enumerate(self.outcomes))
-            if not gap <= slack:  # a NaN target is found nowhere
+        for target in _numbers(targets if isinstance(targets, (list, tuple)) else [targets], "outcome"):
+            gap, i = min((abs(x - target), i) for i, x in enumerate(self.outcomes))
+            if not gap <= slack:
                 raise ValidationError(f"outcome {target} not found in instrument")
             idx.add(i)
         return sorted(idx)
@@ -538,7 +538,7 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
     noise floor of sqrt(machine eps) times dim * max|A_ij|, or the slack
     of that scale if larger.
     """
-    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real) or not epsilon >= 0:
+    if not _number(epsilon, "epsilon") >= 0:
         raise ValidationError(f"epsilon must be a number >= 0, got {epsilon!r}")
     tol = instrument.tol
     am = _validated(a, HermitianObservable, tol, instrument.dim).matrix

@@ -31,6 +31,7 @@ from .operators import (
     HermitianObservable,
     Tolerances,
     ValidationError,
+    _choice,
     _cluster_labels,
     _slack,
     _validated,
@@ -205,8 +206,7 @@ def is_precise(source: MeasuringProcess | CPInstrument, a, rho, mode: str = "str
     instrument, runs only if the weak face holds.
     For measurement precision the two agree (theorem2_check).
     """
-    if mode not in ("strong", "weak"):
-        raise ValidationError(f"mode must be 'strong' or 'weak', got {mode!r}")
+    _choice(mode, ("strong", "weak"), "mode")
     ctx = _Scenario(source, a, None, rho)
     weak = _diagonal_concentrated(_before_after(ctx, "a"), _labels(ctx, "a"), ctx.tol)
     return weak if mode == "weak" else weak and _commutes_after(ctx, "a")

@@ -8,6 +8,8 @@ and Y on the probe combine as kron(X, Y).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +18,47 @@ import numpy as np
 
 class ValidationError(ValueError):
     """An operator, state, or parameter violates a structural invariant."""
+
+
+class SchemaError(ValidationError):
+    """An input does not match the documented schema."""
+
+
+def _number(value, what: str, integer: bool = False):
+    """The one way a scalar argument enters: a finite real number (numpy
+    scalars too) as a float, or as an int when integer is set.
+
+    Strings, bools, NaN, infinities, integers beyond the float range and,
+    when integer is set, fractional values raise SchemaError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(f"{what} must be a finite number, got {value!r}")
+    if not integer:
+        return x
+    if not x.is_integer():
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(values, what: str, length: int = None, integer: bool = False) -> list:
+    """A list of _number values from a list, tuple or array, of length when set."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(values, (list, tuple)) or (length is not None and len(values) != length):
+        raise SchemaError(f"{what} must be a list of " + (f"{length} " if length else "") + "numbers")
+    return [_number(x, what, integer) for x in values]
+
+
+def _choice(value, options: tuple, what: str) -> str:
+    """The one way an option argument enters: value, a string among options."""
+    if not isinstance(value, str) or value not in options:
+        raise SchemaError(f"{what} must be one of {options}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -32,9 +75,9 @@ class Tolerances:
     psd_tol: float = -1e-10
 
     def __post_init__(self):
-        if not 0 < self.eq_tol < np.inf:
+        if not _number(self.eq_tol, "eq_tol") > 0:
             raise ValidationError("eq_tol must be positive and finite")
-        if not -np.inf < self.psd_tol <= 0:
+        if not _number(self.psd_tol, "psd_tol") <= 0:
             raise ValidationError("psd_tol must be finite and <= 0")
 
 
@@ -45,7 +88,7 @@ class PhysicalConstants:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.hbar < np.inf:
+        if not _number(self.hbar, "hbar") > 0:
             raise ValidationError("hbar must be positive and finite")
 
     @property
@@ -62,15 +105,19 @@ def _as_array(x, ndim: int, real: bool = False, dim: int = None) -> np.ndarray:
     """The one way a raw array enters: a finite, nonempty copy of x with ndim
     axes (None: two or more), a complex copy of int, float or complex
     entries, or with real a float copy of int or float entries only (a bool
-    or string entry raises in either). With two or more axes the last two
+    or string entry raises in either, a bool among numbers in a list or
+    tuple too, though numpy promotes it). With two or more axes the last two
     are square; the last has length dim when dim is given."""
     try:
         arr = np.asarray(x)
+        bools = isinstance(x, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
+            map(type, np.asarray(x, dtype=object).flat))
     except (TypeError, ValueError):
         raise ValidationError(f"cannot read a {type(x).__name__} as a numeric array: "
                               "ragged nesting or a non-numeric entry") from None
-    if arr.dtype.kind not in ("iuf" if real else "iufc"):
-        raise ValidationError(f"need {'real ' if real else ''}numbers, got {arr.dtype} entries")
+    if bools or arr.dtype.kind not in ("iuf" if real else "iufc"):
+        raise ValidationError(f"need {'real ' if real else ''}numbers, "
+                              f"got {'bool' if bools else arr.dtype} entries")
     square = arr.ndim < 2 or arr.shape[-1] == arr.shape[-2]
     if not (arr.ndim >= 2 if ndim is None else arr.ndim == ndim) or not arr.size or not square:
         kind = {1: "vector", 2: "square matrix"}.get(ndim, "square matrix stack")
@@ -137,11 +184,6 @@ def _slack(tol: Tolerances, scale: float = 1.0, terms: int = 1) -> float:
     (1 if dimensionless), eq_tol counting as at least 16 * terms machine eps,
     the rounding level of a sum of that many terms."""
     return max(tol.eq_tol, 16 * terms * _EPS) * scale
-
-
-def _is_dim(n) -> bool:
-    """Whether n is a positive integer, a numpy one included, a bool not."""
-    return not isinstance(n, bool) and isinstance(n, (int, np.integer)) and n >= 1
 
 
 class _Immutable:
@@ -218,7 +260,7 @@ class DensityOperator(_Immutable):
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         """The state 1 / dim on a space of dim dimensions, dim a positive integer."""
-        if not _is_dim(dim):
+        if (dim := _number(dim, "dimension", integer=True)) < 1:
             raise ValidationError(f"dimension {dim!r} does not give a nonempty square matrix")
         return cls(np.eye(dim) / dim)
 
@@ -374,13 +416,10 @@ def partial_trace(z, dims, keep: str = "first") -> np.ndarray:
     dims : (d1, d2) factor dimensions, positive integers, system first
     keep : "first" traces out the second factor, "second" the first
     """
-    if np.shape(dims) != (2,) or not all(map(_is_dim, dims)):
+    d1, d2 = _numbers(dims, "dims", 2, integer=True)
+    if min(d1, d2) < 1:
         raise ValidationError(f"dims must be two positive integers, got {dims}")
-    d1, d2 = dims
+    first = _choice(keep, ("first", "second"), "keep") == "first"
     zm = _as_array(z, None, dim=d1 * d2)
     t = zm.reshape(zm.shape[:-2] + (d1, d2, d1, d2))
-    if keep == "first":
-        return np.einsum("...ijkj->...ik", t)
-    if keep == "second":
-        return np.einsum("...ijil->...jl", t)
-    raise ValidationError(f"keep must be 'first' or 'second', got {keep!r}")
+    return np.einsum("...ijkj->...ik" if first else "...ijil->...jl", t)

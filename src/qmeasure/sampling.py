@@ -16,6 +16,8 @@ from .operators import (
     HermitianObservable,
     Tolerances,
     ValidationError,
+    _choice,
+    _numbers,
     dagger,
     hermitian_part,
 )
@@ -68,12 +70,8 @@ def random_measuring_process(system_dim: int, probe_dim: int, rng: np.random.Gen
              else random_density_operator(probe_dim, rng, tol))
     meter = random_hermitian(probe_dim, rng, tol=tol)
     n = system_dim * probe_dim
-    if interaction == "haar":
-        u = haar_unitary(n, rng)
-    elif interaction == "identity":
-        u = np.eye(n, dtype=complex)
-    else:
-        raise ValidationError(f"interaction must be one of {_INTERACTIONS}, got {interaction!r}")
+    haar = _choice(interaction, _INTERACTIONS, "interaction") == "haar"
+    u = haar_unitary(n, rng) if haar else np.eye(n, dtype=complex)
     return MeasuringProcess(probe, u, meter, tol=tol)
 
 
@@ -82,9 +80,12 @@ def random_cp_instrument(dim: int, n_outcomes: int, rng: np.random.Generator,
                          tol: Tolerances = DEFAULT_TOL) -> CPInstrument:
     """Random instrument: Gaussian Kraus seeds, stacked into one column V = W S Zh
     (SVD), normalized into a channel by its polar factor W Zh = V (V+V)^(-1/2)."""
+    n_outcomes, max_kraus = _numbers((n_outcomes, max_kraus_per_outcome), "counts", integer=True)
+    if min(n_outcomes, max_kraus) < 1:
+        raise ValidationError("n_outcomes and max_kraus_per_outcome must be positive")
     raw, counts = [], []
     for _ in range(n_outcomes):
-        counts.append(int(rng.integers(1, max_kraus_per_outcome + 1)))
+        counts.append(int(rng.integers(1, max_kraus + 1)))
         raw.extend(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
                    for _ in range(counts[-1]))
     w, _, zh = np.linalg.svd(np.concatenate(raw), full_matrices=False)

@@ -4,17 +4,15 @@ One encoder, _to_json, writes every value: complex matrices and stacks as
 row-major nested lists of [re, im] pairs. Every *_to_dict encoder is one
 _to_dict call, which applies it to named attributes or dataclass fields.
 Schema problems (missing keys, malformed nesting, a value of the wrong
-type, a number that is not finite) raise SchemaError, from the schema
-helpers _require, _number, _numbers, _choice and matrix_from_json;
-values that parse but violate physics invariants raise ValidationError
-from the constructors instead. SchemaError subclasses ValidationError, so
-catching ValidationError catches both; run_sweep checks through _number too.
+type, a number that is not finite) raise SchemaError, from _require and
+matrix_from_json here and from the readers _number, _numbers and _choice
+of qmeasure.operators; values that parse but violate physics invariants
+raise ValidationError from the constructors instead. SchemaError
+subclasses ValidationError, so catching ValidationError catches both.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import fields
 
 import numpy as np
@@ -27,35 +25,11 @@ from .operators import (
     DEFAULT_CONSTANTS,
     DEFAULT_TOL,
     PhysicalConstants,
+    SchemaError,
     Tolerances,
-    ValidationError,
+    _number,
+    _numbers,
 )
-
-
-class SchemaError(ValidationError):
-    """An input does not match the documented schema."""
-
-
-def _number(value, what: str, integer: bool = False):
-    """A finite real number (numpy scalars too) as a float, or as an int
-    when integer is set.
-
-    Strings, bools, NaN, infinities, integers beyond the float range and,
-    when integer is set, fractional values raise SchemaError.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise SchemaError(f"{what} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise SchemaError(f"{what} must be a finite number, got {value!r}")
-    if not integer:
-        return x
-    if not x.is_integer():
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _to_json(value):
@@ -88,14 +62,6 @@ def matrix_to_json(m) -> list:
     return _to_json(np.asarray(m, dtype=complex))
 
 
-def _numbers(values, what: str, length: int = None, integer: bool = False) -> list:
-    """A list of _number values from a list, tuple or array, of length when set."""
-    values = values.tolist() if isinstance(values, np.ndarray) else values
-    if not isinstance(values, (list, tuple)) or (length is not None and len(values) != length):
-        raise SchemaError(f"{what} must be a list of " + (f"{length} " if length else "") + "numbers")
-    return [_number(x, what, integer) for x in values]
-
-
 def _require(data, *keys, what: str) -> list:
     """The values under keys of an object; raises SchemaError if data is
     not an object or lacks one of the keys."""
@@ -105,13 +71,6 @@ def _require(data, *keys, what: str) -> list:
         if key not in data:
             raise SchemaError(f"{what} is missing {key!r}")
     return [data[key] for key in keys]
-
-
-def _choice(value, options: tuple, what: str):
-    """value, checked to be one of the option strings."""
-    if value not in options:
-        raise SchemaError(f"{what} must be one of {options}, got {value!r}")
-    return value
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -184,8 +143,8 @@ def gaussian_state_from_dict(data: dict, constants: PhysicalConstants = DEFAULT_
     minimum-uncertainty packet of {"packet": {"q", "p", "q1"}}."""
     _require(data, what="Gaussian state")
     if "packet" in data:
-        q, p, q1 = _numbers(_require(data["packet"], "q", "p", "q1", what="packet"), "packet")
-        return min_uncertainty_packet(q, p, q1, constants=constants)
+        return min_uncertainty_packet(*_require(data["packet"], "q", "p", "q1", what="packet"),
+                                      constants=constants)
     mean, cov = _require(data, "mean", "cov", what="Gaussian state")
     if not isinstance(cov, list) or len(cov) != 2:
         raise SchemaError("cov must be a 2x2 array")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from .edr import EDRReport, _Scenario
 from .jpd import PrecisionReport, _precision_report
-from .operators import DEFAULT_TOL, Tolerances, ValidationError
+from .operators import DEFAULT_TOL, Tolerances, ValidationError, _choice, _number, _numbers
 from .sampling import (
     _INTERACTIONS,
     random_density_operator,
@@ -22,7 +22,7 @@ from .sampling import (
     random_pure_state,
     rng_from,
 )
-from .serialize import _choice, _number, _numbers, _to_dict
+from .serialize import _to_dict
 
 # largest dimension a sweep draws, so that n = d_s * d_p <= 1024
 MAX_DIM = 32

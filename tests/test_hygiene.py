@@ -6,7 +6,9 @@ floors the slack with max(), no tolerance-sized float literal lives
 outside Tolerances, only operators._EPS reads machine epsilon, only
 operators._validated tests for an observable or state type, only
 operators._as_array converts a raw value to an array of a given dtype,
-and a seeded sweep trial stays within its budget of library calls.
+only the readers operators._number and _choice test a scalar for a bool
+or an option for membership in a literal list of strings, and a seeded
+sweep trial stays within its budget of library calls.
 
 Stdlib ast scans, so they need no linter. __init__.py is skipped by the
 import scan, since its imports are the package's re-exports, and so is the
@@ -351,6 +353,76 @@ def test_scan_finds_a_dtype_conversion(tmp_path):
                     "def k(x): return np.array(x), np.asarray([1, 2], dtype=float), np.zeros(2, dtype=int)\n"
                     "y = np.asarray(X, dtype=complex)\n")
     assert dtype_conversions(str(path), ("_as_array",)) == ["<module>", "C", "f", "g"]
+
+
+# where scalar and option arguments are read, per module: only operators.py
+# imports numbers or math (for _number); only _number tests for a bool, and
+# _csv_cell, which writes one; only _choice tests membership in a literal
+# tuple or list of strings, and _as_array, in its dtype kinds
+SCALAR_READERS = {"operators.py": {"import": True, "bool": ("_number",),
+                                   "choice": ("_choice", "_as_array")},
+                  "serialize.py": {"bool": ("_csv_cell",)}}
+
+
+def _tests_for_bool(node) -> bool:
+    return any(isinstance(sub, ast.Name) and sub.id == "bool"
+               for call in _calls(node, "isinstance") for arg in call.args[1:]
+               for sub in ast.walk(arg))
+
+
+def _tests_string_membership(node) -> bool:
+    return any(isinstance(sub, ast.Compare) and any(
+        isinstance(op, (ast.In, ast.NotIn)) and isinstance(right, (ast.Tuple, ast.List, ast.Set))
+        and right.elts and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                               for e in right.elts)
+        for op, right in zip(sub.ops, sub.comparators)) for sub in ast.walk(node))
+
+
+def scalar_reads(path: str, allowed=None) -> list:
+    """("import", module) for each import of numbers or math unless
+    allowed["import"], and ("bool", definition) or ("choice", definition)
+    for each top-level definition outside allowed["bool"] or
+    allowed["choice"] with an isinstance test against bool, or with an in
+    or not in test against a literal tuple, list or set of strings;
+    "<module>" for module-level code."""
+    allowed = allowed or {}
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    if not allowed.get("import"):
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            found.update(("import", n) for n in names if n.split(".")[0] in ("numbers", "math"))
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        for kind, test in (("bool", _tests_for_bool), ("choice", _tests_string_membership)):
+            if name not in allowed.get(kind, ()) and test(node):
+                found.add((kind, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_only_readers_read_scalars(path):
+    assert scalar_reads(path, SCALAR_READERS.get(os.path.basename(path))) == []
+
+
+def test_scan_finds_a_scalar_read(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import math\nimport numbers\nfrom math import isfinite\nimport numpy as np\n"
+                    "def _number(x):\n"
+                    "    if isinstance(x, bool) or not isinstance(x, numbers.Real): raise TypeError\n"
+                    "def _choice(x, options):\n    return x if x in options else None\n"
+                    "def f(eps): return isinstance(eps, (int, bool))\n"
+                    "def g(mode): return mode not in ('strong', 'weak')\n"
+                    "def h(keep): return keep in ['first', 2] or keep == 'first' or keep in 'ab'\n"
+                    "def k(x): return isinstance(x, (int, np.integer)) and x in (1, 2)\n"
+                    "class C:\n    def m(self, kind): return kind in {'edr', 'precision'}\n"
+                    "ok = isinstance(1, bool)\n"
+                    "for key in ('a', 'b'): pass\n")
+    assert scalar_reads(str(path), {"bool": ("_number",)}) == [
+        ("bool", "<module>"), ("bool", "f"), ("choice", "C"), ("choice", "g"),
+        ("import", "math"), ("import", "numbers")]
 
 
 def library_calls(fn, *args, **kwargs) -> int:

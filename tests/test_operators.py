@@ -60,7 +60,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("dim", [-2, 2.5, True], ids=["negative", "fractional", "bool"])
     def test_maximally_mixed_rejects_non_dimension(self, dim):
-        with pytest.raises(qm.ValidationError, match="nonempty square"):
+        with pytest.raises(qm.ValidationError, match="nonempty square|dimension must be"):
             qm.DensityOperator.maximally_mixed(dim)
 
     def test_tolerances_frozen_defaults(self):
@@ -301,7 +301,7 @@ class TestTensorAndPartialTrace:
             qm.partial_trace(np.eye(6), (2, 2))
         # dims are two positive integers, numpy's included, never truncated
         for dims in ((-2, -2), (2.5, 2), (0, 4), (True, 4), (4,), (2, 2, 1)):
-            with pytest.raises(qm.ValidationError, match="positive integers"):
+            with pytest.raises(qm.ValidationError, match="dims must be"):
                 qm.partial_trace(np.eye(4), dims)
         assert np.array_equal(qm.partial_trace(np.eye(4), np.array([2, 2])), 2 * np.eye(2))
 
@@ -346,6 +346,13 @@ RAW_INPUTS = {
     "as_operator-bools": lambda: qm.as_operator(np.eye(2, dtype=bool)),
     "as_operator-objects": lambda: qm.as_operator(np.eye(2, dtype=object)),
     "POVM-bool-effects": lambda: qm.POVM([0.0], np.eye(2, dtype=bool)[None]),
+    "as_operator-bool-among-numbers": lambda: qm.as_operator([[1, 0], [0, True]]),
+    "as_operator-bool-among-complex": lambda: qm.as_operator(((1j, 0), (0, False))),
+    "as_operator-numpy-bool-among-numbers": lambda: qm.as_operator([[1.0, 0], [0, np.True_]]),
+    "POVM-bool-outcome": lambda: qm.POVM([0.0, True], [np.diag([1.0, 0]), np.diag([0, 1.0])]),
+    "POVM-bool-effect-among-floats": lambda: qm.POVM([0.0, 1.0], [np.diag([1.0, 0]),
+                                                                  np.diag([False, True])]),
+    "GaussianState-bool-mean": lambda: qm.GaussianState([0.0, True], np.eye(2)),
 }
 
 
@@ -355,3 +362,57 @@ def test_raw_input_is_validation_error(name):
     # where numpy's own error or a NaN result would otherwise come back
     with pytest.raises(qm.ValidationError):
         RAW_INPUTS[name]()
+
+
+INST = qm.luders_instrument(SZ)
+PLUS = qm.DensityOperator.pure(KET_PLUS)
+NAN = float("nan")
+# every scalar or option parameter, with each kind of value it does not take:
+# a string (for a number), a bool, NaN and a nested list, and a few values of
+# the right type out of range; (name, call of one value)
+MISUSE_PARAMETERS = [
+    ("Tolerances-eq_tol", lambda v: qm.Tolerances(eq_tol=v), ("1e-9", True, NAN, [[1e-9]])),
+    ("Tolerances-psd_tol", lambda v: qm.Tolerances(psd_tol=v), ("0", False, NAN, [[0.0]])),
+    ("PhysicalConstants-hbar", lambda v: qm.PhysicalConstants(hbar=v), ("1", True, NAN, [[1.0]])),
+    ("maximally_mixed-dim", qm.DensityOperator.maximally_mixed, ("2", True, NAN, [[2]], 0, 2.5)),
+    ("partial_trace-dims", lambda v: qm.partial_trace(np.eye(4), v),
+     ("22", (True, 2), (NAN, 2), [[2, 2]], (2, 0))),
+    ("partial_trace-keep", lambda v: qm.partial_trace(np.eye(4), (2, 2), keep=v),
+     (True, NAN, [["first"]], np.array(["first"]), "third")),
+    ("kraus_from_choi-cutoff", lambda v: qm.kraus_from_choi(np.eye(4) / 2, 2, v),
+     ("0", True, NAN, [[0.0]], -1.0)),
+    ("check_repeatability-epsilon", lambda v: qm.check_repeatability(INST, SZ, PLUS, v),
+     ("0", True, NAN, [[0.0]], -1.0, float("inf"))),
+    ("post_state-outcome_set", lambda v: qm.post_state(INST, v, PLUS),
+     ("1", True, NAN, [[1.0]], 1j, [[1.0], 2.0])),
+    ("apply-outcome_set", lambda v: INST.apply(PLUS.matrix, v), ("1", True, NAN, [[1.0]])),
+    ("is_precise-mode", lambda v: qm.is_precise(INST, SZ, PLUS, mode=v),
+     (True, NAN, [["weak"]], "neither")),
+    ("build_model-id", qm.build_model, (True, NAN, [["von_neumann"]], "other")),
+    ("min_uncertainty_packet-q", lambda v: qm.min_uncertainty_packet(v, 0.0, 1.0),
+     ("1", True, NAN, [[1.0]])),
+    ("min_uncertainty_packet-p", lambda v: qm.min_uncertainty_packet(0.0, v, 1.0),
+     ("1", True, NAN, [[1.0]])),
+    ("min_uncertainty_packet-q1", lambda v: qm.min_uncertainty_packet(0.0, 0.0, v),
+     ("1", True, NAN, [[1.0]], 0.0)),
+    ("random_measuring_process-interaction",
+     lambda v: qm.random_measuring_process(2, 2, qm.rng_from(1), interaction=v),
+     (True, NAN, [["haar"]], "other")),
+    ("random_cp_instrument-n_outcomes", lambda v: qm.random_cp_instrument(2, v, qm.rng_from(1)),
+     ("2", True, NAN, [[2]], 0)),
+    ("random_cp_instrument-max_kraus_per_outcome",
+     lambda v: qm.random_cp_instrument(2, 2, qm.rng_from(1), max_kraus_per_outcome=v),
+     ("2", True, NAN, [[2]], 0)),
+]
+MISUSE = {f"{name}-{value!r}": (call, value)
+          for name, call, values in MISUSE_PARAMETERS for value in values}
+
+
+@pytest.mark.parametrize("case", list(MISUSE))
+def test_misused_parameter_is_validation_error(case):
+    # each value enters through _number, _numbers or _choice: a value of the
+    # wrong type is a SchemaError, one out of range a ValidationError, never
+    # numpy's or Python's TypeError, ValueError or AttributeError
+    call, value = MISUSE[case]
+    with pytest.raises(qm.ValidationError):
+        call(value)

@@ -240,6 +240,49 @@ class TestRegressions:
             packet = qm.min_uncertainty_packet(0.0, 0.0, q1, constants=constants)
             assert packet.sigma_q * packet.sigma_p == pytest.approx(5e14)
 
+    @pytest.mark.parametrize("hbar", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_gaussian_admissible_exactly_on_the_bound_at_every_hbar(self, hbar, k):
+        # cov = k (hbar/2) 1 meets det(cov) >= (hbar/2)^2 exactly when k >= 1;
+        # (hbar/2)^2 underflows at 1e-200 and overflows at 1e200
+        constants = qm.PhysicalConstants(hbar=hbar)
+        cov = k * hbar / 2.0 * np.eye(2)
+        if k >= 1.0:
+            assert qm.GaussianState([0.0, 0.0], cov, constants=constants).cov[0, 0] == cov[0, 0]
+        else:
+            with pytest.raises(qm.ValidationError, match="uncertainty bound"):
+                qm.GaussianState([0.0, 0.0], cov, constants=constants)
+
+    @pytest.mark.parametrize("hbar", [1e-200, 1.0, 1e200])
+    def test_von_neumann_saturates_at_every_hbar(self, hbar):
+        # packets of width q1 = sqrt(hbar): eps eta = hbar/2 with hbar^2 out of range
+        constants = qm.PhysicalConstants(hbar=hbar)
+        obj, probe = (qm.min_uncertainty_packet(0.0, 0.0, np.sqrt(hbar), constants=constants)
+                      for _ in range(2))
+        r = qm.model_edr(qm.build_model(qm.VON_NEUMANN), obj, probe)
+        assert abs(r.product / (hbar / 2.0) - 1.0) <= 1e-12
+        assert not r.heisenberg_violated
+
+    def test_unrepresentable_packet_rejected(self):
+        # momentum variance hbar^2 / (2 q1^2) = 3.5e-401 is not a float
+        with pytest.raises(qm.ValidationError, match="uncertainty bound"):
+            qm.min_uncertainty_packet(0.0, 0.0, 1.2, constants=qm.PhysicalConstants(hbar=1e-200))
+
+    @pytest.mark.parametrize("q1, hbar", [(1e-100, 1e-200), (1e100, 1e200)])
+    def test_cli_von_neumann_saturates_at_extreme_hbar(self, tmp_path, q1, hbar):
+        with open(os.path.join(CONFIG_DIR, "gaussian_vn.json")) as fh:
+            cfg = json.load(fh)
+        for part in ("object", "probe"):
+            cfg["payload"][part]["packet"]["q1"] = q1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "out")
+        assert main(["run", str(path), "--out", out, "--hbar", repr(hbar)]) == EXIT_OK
+        with open(os.path.join(out, "report.json")) as fh:
+            results = json.load(fh)["results"]
+        assert results["heisenberg_violated"] is False
+        assert abs(results["product"] / results["hbar_over_2"] - 1.0) <= 1e-12
+
     def test_cli_ozawa_violates_at_small_hbar(self, tmp_path):
         out = str(tmp_path / "out")
         rc = main(["run", os.path.join(CONFIG_DIR, "gaussian_1988.json"), "--out", out,
