@@ -33,7 +33,7 @@ rho0 = qm.DensityOperator.pure([1.0, 1.0])
 indep = qm.MeasuringProcess(probe_state=rho0, unitary=np.eye(4), meter=sz)
 print("reproduces Born statistics:",
       qm.probability_reproducible(indep, sz, plus))
-print("strongly precise:", qm.is_precise(indep, sz, plus, mode="strong"))
+print("strongly precise:", qm.is_precise(indep, sz, plus))
 
 rep = qm.theorem2_check(indep, sz, plus)
 print("independent meter:", rep.flags(), " consistent:", rep.consistent)

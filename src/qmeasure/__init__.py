@@ -35,10 +35,8 @@ from .instruments import (
     POVM,
     RepeatabilityReport,
     ZeroProbabilityError,
-    apply_kraus,
     born_distribution,
     check_repeatability,
-    choi_matrix,
     dilate,
     instrument_choi_distance,
     instrument_from_process,
@@ -81,7 +79,6 @@ from .gaussian import (
     VON_NEUMANN,
     build_model,
     conditional_position_spread,
-    joint_moments,
     min_uncertainty_packet,
     model_edr,
     output_distribution,

@@ -49,7 +49,6 @@ from .operators import (
     Tolerances,
     ValidationError,
     _choice,
-    _number,
     _numbers,
 )
 from .serialize import (
@@ -78,16 +77,16 @@ _SETTINGS = (("constants", PhysicalConstants), ("tolerances", Tolerances))
 
 def _effective_settings(cfg: dict, hbar_flag, tol_flag):
     """PhysicalConstants and Tolerances of a run: each value from its flag,
-    then its config section, then the dataclass default."""
+    then its config section, then the dataclass default; each dataclass
+    reads its values."""
     values = {}
     for section, cls in _SETTINGS:
         data = cfg.get(section, {})
         _require(data, what=section)
-        values.update((f.name, _number(data[f.name], f.name))
-                      for f in fields(cls) if f.name in data)
-    for name, flag, what in (("hbar", hbar_flag, "--hbar"), ("eq_tol", tol_flag, "--tol")):
+        values.update((f.name, data[f.name]) for f in fields(cls) if f.name in data)
+    for name, flag in (("hbar", hbar_flag), ("eq_tol", tol_flag)):
         if flag is not None:
-            values[name] = _number(flag, what)
+            values[name] = flag
     return tuple(cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
                  for _, cls in _SETTINGS)
 

@@ -84,18 +84,24 @@ class GaussianState(_Immutable):
 
     Admissible: cov symmetric within the slack of max|cov_ij|, cov_qq > 0,
     and det(cov) >= (hbar/2)^2, the uncertainty bound, within its slack,
-    judged as det(cov / (hbar/2)) >= 1 so that no side over- or underflows.
+    judged as k = det(cov) / (hbar/2)^2 >= 1. k is the product
+    (vqq/h)(vpp/h)(1 - (c/vqq)(c/vpp)), h = hbar/2, in Python floats, which
+    round a factor or product beyond the float range to inf or 0 without a
+    warning, so a state far above or below the bound is decided at any hbar.
     """
 
     def __init__(self, mean, cov, constants: PhysicalConstants = DEFAULT_CONSTANTS,
                  tol: Tolerances = DEFAULT_TOL):
         mean = _as_array(mean, 1, real=True, dim=2)
         cov, _ = _covariance(cov, 2, tol)
-        det = float(np.linalg.det(cov / (constants.hbar / 2.0)))
-        if not det >= 1.0 - _slack(tol):
-            raise ValidationError(
-                f"cov violates the uncertainty bound: det(cov) is {det} (hbar/2)^2 < (hbar/2)^2")
-        if not cov[0, 0] > 0:  # with det > 0, the 2x2 criterion for cov > 0
+        vqq, vpp, c, h = float(cov[0, 0]), float(cov[1, 1]), float(cov[0, 1]), constants.hbar / 2.0
+        # det(cov) <= 0 unless vqq and vpp share a strict sign
+        k = ((vqq / h) * (vpp / h) * (1.0 - (c / vqq) * (c / vpp))
+             if min(vqq, vpp) > 0 or max(vqq, vpp) < 0 else 0.0)
+        if not k >= 1.0 - _slack(tol):
+            raise ValidationError("cov violates the uncertainty bound: det(cov) is "
+                                  + (f"{k} (hbar/2)^2 < (hbar/2)^2" if k > 0 else "not positive"))
+        if not vqq > 0:  # with det > 0, the 2x2 criterion for cov > 0
             raise ValidationError("cov must be positive semidefinite")
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -104,10 +110,6 @@ class GaussianState(_Immutable):
     @property
     def mean_q(self) -> float:
         return float(self.mean[0])
-
-    @property
-    def mean_p(self) -> float:
-        return float(self.mean[1])
 
     @property
     def sigma_q(self) -> float:
@@ -126,13 +128,16 @@ def min_uncertainty_packet(q_center: float, p_center: float, q1: float,
     """The Gaussian packet of width parameter q1 centered at (q', p').
 
     Position variance q1^2/2, momentum variance hbar^2/(2 q1^2), no
-    correlation, so sigma(q) sigma(p) = hbar/2 exactly; hbar^2 is never formed,
-    and a packet whose variances are not floats fails GaussianState's check.
+    correlation, so sigma(q) sigma(p) = hbar/2 exactly; hbar^2 is never formed.
+    A position variance that underflows to 0 raises ValidationError, and a
+    momentum variance beyond the float range fails GaussianState's check.
     """
     q_center, p_center, q1 = _numbers((q_center, p_center, q1), "packet")
     if not q1 > 0:
         raise ValidationError("width parameter q1 must be positive")
     vqq = q1 * q1 / 2.0
+    if not vqq > 0:
+        raise ValidationError(f"position variance q1^2/2 of width q1 = {q1} underflows to 0")
     vpp = constants.hbar * (constants.hbar / (2.0 * q1 * q1))
     return GaussianState((q_center, p_center), [[vqq, 0.0], [0.0, vpp]], constants=constants)
 
@@ -161,7 +166,7 @@ def build_model(model_id: str) -> LinearModel:
     return LinearModel(model_id, _MODEL_MATRICES[model_id])
 
 
-def joint_moments(obj: GaussianState, probe: GaussianState):
+def _joint_moments(obj: GaussianState, probe: GaussianState):
     """Mean vector and covariance of the product state on (x, p_x, y, p_y)."""
     mean = np.concatenate([obj.mean, probe.mean])
     cov = np.zeros((4, 4))
@@ -182,7 +187,7 @@ def propagate(model: LinearModel, joint_mean, joint_cov, tol: Tolerances = DEFAU
 
 
 def _second_moment_matrix(obj: GaussianState, probe: GaussianState) -> np.ndarray:
-    mean, cov = joint_moments(obj, probe)
+    mean, cov = _joint_moments(obj, probe)
     return cov + np.outer(mean, mean)
 
 
@@ -250,7 +255,7 @@ def _check_grid(grid) -> np.ndarray:
 
 def _meter_moments(model: LinearModel, obj: GaussianState, probe: GaussianState):
     """(mean, cov) after the interaction and the meter variance cov[y, y] > 0."""
-    mean, cov = propagate(model, *joint_moments(obj, probe))
+    mean, cov = propagate(model, *_joint_moments(obj, probe))
     var = float(cov[_Y, _Y])
     if var <= 0:
         raise ValidationError("meter variance is not positive")

@@ -240,14 +240,14 @@ class MeasuringProcess(_Immutable):
         return f"MeasuringProcess(system_dim={self.system_dim}, probe_dim={self.probe_dim})"
 
 
-def apply_kraus(kraus_ops, rho) -> np.ndarray:
+def _apply_kraus(kraus_ops, rho) -> np.ndarray:
     """Sum_j K_j rho K_j+ for one outcome's Kraus family."""
     rm = _as_array(rho, 2)
     ks = _as_operators(kraus_ops, len(rm))
     return (ks @ rm @ dagger(ks)).sum(axis=0)
 
 
-def choi_matrix(kraus_ops, dim: int) -> np.ndarray:
+def _choi_matrix(kraus_ops, dim: int) -> np.ndarray:
     """Choi matrix C[(i,m),(j,n)] = Phi(|i><j|)[m,n] of one outcome's CP map."""
     v = _as_operators(kraus_ops, dim).swapaxes(1, 2).reshape(-1, dim * dim)  # v[j, (i,m)] = K_j[m,i]
     return v.T @ v.conj()
@@ -265,7 +265,7 @@ def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
     w, v = np.linalg.eigh(hermitian_part(choi))
     w, v = w[::-1], v[:, ::-1]
     r = int(np.sum(w > cutoff))
-    # column j of v is vec(K_j), with vec(K)[(i, m)] = K[m, i] as in choi_matrix
+    # column j of v is vec(K_j), with vec(K)[(i, m)] = K[m, i] as in _choi_matrix
     return list(np.sqrt(w[:r])[:, None, None] * v[:, :r].T.reshape(r, dim, dim).swapaxes(1, 2))
 
 
@@ -317,14 +317,14 @@ class CPInstrument(_Immutable):
         """Unnormalized state change I(D)rho, D defaulting to all outcomes."""
         idx = range(len(self.outcomes)) if outcome_set is None else self._select(outcome_set)
         ops = [self.kraus[i] for i in idx]
-        return apply_kraus(np.concatenate(ops) if ops else [], rho)
+        return _apply_kraus(np.concatenate(ops) if ops else [], rho)
 
     def effect(self, i: int) -> np.ndarray:
         """POVM effect sum_j K+K of the i-th outcome, read-only."""
         return self._povm.effects[i]
 
     def choi(self, i: int) -> np.ndarray:
-        return choi_matrix(self.kraus[i], self.dim)
+        return _choi_matrix(self.kraus[i], self.dim)
 
     def __repr__(self):
         return f"CPInstrument(outcomes={self.outcomes}, dim={self.dim})"
@@ -391,7 +391,7 @@ def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
     padded = np.zeros((len(sizes), max(sizes), d, d), dtype=complex)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     padded[labels, np.arange(len(g)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = g
-    # column j of outcome m is vec(K_j), with vec(K)[(c, a)] = K[a, c] as in choi_matrix
+    # column j of outcome m is vec(K_j), with vec(K)[(c, a)] = K[a, c] as in _choi_matrix
     v = padded.transpose(0, 3, 2, 1).reshape(len(sizes), d * d, -1)
     w, s, _ = np.linalg.svd(v, full_matrices=False)
     ranks = np.sum(s > 16 * max(d * d, len(g)) * _EPS, axis=1)
@@ -550,7 +550,7 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
     for x, kraus, p in zip(instrument.outcomes, instrument.kraus, probs):
         if p <= _slack(tol, terms=rm.shape[0] ** 2):
             continue
-        rho_a = DensityOperator(hermitian_part(apply_kraus(kraus, rm)) / p, tol=tol)
+        rho_a = DensityOperator(hermitian_part(_apply_kraus(kraus, rm)) / p, tol=tol)
         outs.append(float(x))
         residuals.append(_spectral_std_dev(am, rho_a, centre=x))
         sds.append(_spectral_std_dev(am, rho_a))

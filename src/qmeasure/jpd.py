@@ -31,7 +31,6 @@ from .operators import (
     HermitianObservable,
     Tolerances,
     ValidationError,
-    _choice,
     _cluster_labels,
     _slack,
     _validated,
@@ -85,12 +84,6 @@ class JointDistribution:
         self.x_atoms.setflags(write=False)
         self.y_atoms.setflags(write=False)
         self.weights.setflags(write=False)
-
-    def x_marginal(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
-
-    def y_marginal(self) -> np.ndarray:
-        return self.weights.sum(axis=0)
 
 
 def _joint(x_atoms, p: np.ndarray, y_atoms, q: np.ndarray, sigma: np.ndarray,
@@ -196,20 +189,17 @@ def _commutes_after(ctx: _Scenario, x: str) -> bool:
     return _commute(ctx.decomposition(x).projectors, factors, sigma, ctx.tol)
 
 
-def is_precise(source: MeasuringProcess | CPInstrument, a, rho, mode: str = "strong") -> bool:
-    """Whether the process or instrument reproduces A exactly in the state rho.
-
-    mode "weak": the weak joint distribution of A(0) and M(dt) in
-    rho x rho0 sits on the diagonal in modulus. mode "strong": that, and
-    the pair commutes in rho x rho0, so that the weak distribution is the
-    genuine one; the commutation test, the one step that dilates an
-    instrument, runs only if the weak face holds.
-    For measurement precision the two agree (theorem2_check).
+def is_precise(source: MeasuringProcess | CPInstrument, a, rho) -> bool:
+    """Whether the process or instrument reproduces A exactly in the state rho:
+    the weak joint distribution of A(0) and M(dt) in rho x rho0 sits on the
+    diagonal in modulus, and the pair commutes in rho x rho0, so that the
+    weak distribution is the genuine one; the commutation test, the one
+    step that dilates an instrument, runs only if the diagonal test holds.
+    The diagonal test alone is theorem2_check's weak_precise, which agrees.
     """
-    _choice(mode, ("strong", "weak"), "mode")
     ctx = _Scenario(source, a, None, rho)
-    weak = _diagonal_concentrated(_before_after(ctx, "a"), _labels(ctx, "a"), ctx.tol)
-    return weak if mode == "weak" else weak and _commutes_after(ctx, "a")
+    return (_diagonal_concentrated(_before_after(ctx, "a"), _labels(ctx, "a"), ctx.tol)
+            and _commutes_after(ctx, "a"))
 
 
 def is_nondisturbing(source: MeasuringProcess | CPInstrument, b, rho) -> bool:

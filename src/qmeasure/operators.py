@@ -75,9 +75,11 @@ class Tolerances:
     psd_tol: float = -1e-10
 
     def __post_init__(self):
-        if not _number(self.eq_tol, "eq_tol") > 0:
+        for name in ("eq_tol", "psd_tol"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        if not self.eq_tol > 0:
             raise ValidationError("eq_tol must be positive and finite")
-        if not _number(self.psd_tol, "psd_tol") <= 0:
+        if not self.psd_tol <= 0:
             raise ValidationError("psd_tol must be finite and <= 0")
 
 
@@ -88,7 +90,8 @@ class PhysicalConstants:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not _number(self.hbar, "hbar") > 0:
+        object.__setattr__(self, "hbar", _number(self.hbar, "hbar"))
+        if not self.hbar > 0:
             raise ValidationError("hbar must be positive and finite")
 
     @property
@@ -310,9 +313,6 @@ class SpectralDecomposition:
         projectors = hermitian_part(padded @ dagger(padded))
         projectors.setflags(write=False)
         return projectors
-
-    def reconstruct(self) -> np.ndarray:
-        return np.einsum("i,iab->ab", self.eigenvalues, self.projectors)
 
 
 def _cluster_labels(values, tol: Tolerances) -> np.ndarray:

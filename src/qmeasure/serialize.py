@@ -19,8 +19,8 @@ import numpy as np
 
 from .edr import EDRReport
 from .gaussian import GaussianState, ModelEDR, min_uncertainty_packet
-from .instruments import CPInstrument, MeasuringProcess, POVM
-from .jpd import JointDistribution, PrecisionReport
+from .instruments import CPInstrument, MeasuringProcess
+from .jpd import PrecisionReport
 from .operators import (
     DEFAULT_CONSTANTS,
     DEFAULT_TOL,
@@ -122,21 +122,6 @@ def instrument_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> CPInstrum
                         [[matrix_from_json(k) for k in ops] for ops in kraus], tol=tol)
 
 
-def povm_to_dict(p: POVM) -> dict:
-    return _to_dict(p, ("outcomes", "effects"))
-
-
-def povm_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL) -> POVM:
-    outcomes, effects = _require(data, "outcomes", "effects", what="POVM")
-    if not isinstance(effects, list):
-        raise SchemaError("effects must be a list")
-    return POVM(_numbers(outcomes, "outcomes"), [matrix_from_json(e) for e in effects], tol=tol)
-
-
-def gaussian_state_to_dict(state: GaussianState) -> dict:
-    return _to_dict(state, ("mean", "cov"))
-
-
 def gaussian_state_from_dict(data: dict, constants: PhysicalConstants = DEFAULT_CONSTANTS,
                              tol: Tolerances = DEFAULT_TOL) -> GaussianState:
     """A Gaussian state from {"mean": [q, p], "cov": [[..], [..]]}, or the
@@ -170,8 +155,3 @@ def model_edr_to_dict(r: ModelEDR) -> dict:
 
 def precision_report_to_dict(r: PrecisionReport) -> dict:
     return _to_dict(r)
-
-
-def jpd_to_dict(jd: JointDistribution) -> dict:
-    """Atoms as floats; weights as floats, or as [re, im] pairs when complex."""
-    return _to_dict(jd)

@@ -100,8 +100,8 @@ def test_criterion_06_reproducible_but_imprecise_counterexample():
     rho = qm.DensityOperator.pure(KET_PLUS)
     mp = independent_meter_process(SZ, rho)
     ok = bool(qm.probability_reproducible(mp, SZ, rho))
-    ok = ok and not qm.is_precise(mp, SZ, rho, mode="strong")
-    ok = ok and not qm.is_precise(mp, SZ, rho, mode="weak")
+    ok = ok and not qm.is_precise(mp, SZ, rho)
+    ok = ok and not qm.theorem2_check(mp, SZ, rho).weak_precise
     a0 = qm.tensor(SZ, np.eye(mp.probe_dim))
     jd = qm.joint_distribution(a0, mp.evolved_meter(), mp.composite_state(rho))
     target = np.sqrt(2.0) * qm.std_dev(SZ, rho)

@@ -222,6 +222,27 @@ class TestLedgerFrozenExamples:
         assert r.uedr_holds and r.oedr_holds
 
 
+class TestNeutronSpinFamily:
+    """Erhart et al., Nature Phys. 8, 185 (2012): A = sigma_x, B = sigma_y,
+    psi = |+z>, a Lueders measurement of O_phi = cos(phi) sigma_x +
+    sin(phi) sigma_y. Closed forms: epsilon = 2 sin(phi/2), eta =
+    sqrt(2) |cos(phi)|, and Robertson's bound 1."""
+
+    def test_closed_forms_and_flags(self):
+        rho = qm.DensityOperator.pure(KET0)
+        heisenberg_fails = 0
+        for phi in np.linspace(0.0, np.pi, 181):
+            r = qm.edr_ledger(qm.luders_instrument(np.cos(phi) * SX + np.sin(phi) * SY), SX, SY, rho)
+            eps, eta = 2.0 * np.sin(phi / 2.0), SQRT2 * abs(np.cos(phi))
+            assert abs(r.epsilon - eps) <= 1e-13 and abs(r.eta - eta) <= 1e-13
+            assert abs(r.robertson - 1.0) <= 1e-13
+            # the closed-form product is never within 8e-3 of the bound 1 on this grid
+            assert r.heisenberg_holds == (eps * eta >= 1.0)
+            assert r.uedr_holds and r.oedr_holds
+            heisenberg_fails += not r.heisenberg_holds
+        assert heisenberg_fails == 115
+
+
 class TestCyclicSubspace:
     def test_full_space_when_projections_spread(self):
         v = qm.cyclic_subspace(SZ, qm.DensityOperator.pure(KET_PLUS))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qmeasure as qm
+from qmeasure.gaussian import _joint_moments
 
 HBAR2 = qm.PhysicalConstants(hbar=2.0)
 
@@ -39,7 +40,7 @@ class TestGaussianState:
         mean, cov = np.array([0.5, -0.25]), np.array([[1.0, 0.2], [0.2, 1.0]])
         st = qm.GaussianState(mean, cov)
         mean[0], cov[0, 0] = 99.0, 7.0
-        assert (st.mean_q, st.mean_p, st.cov[0, 0]) == (0.5, -0.25, 1.0)
+        assert (st.mean_q, st.mean[1], st.cov[0, 0]) == (0.5, -0.25, 1.0)
         assert not np.shares_memory(st.mean, mean) and not np.shares_memory(st.cov, cov)
 
     def test_rejects_asymmetric_cov(self):
@@ -62,7 +63,7 @@ class TestGaussianState:
     def test_properties(self):
         st = qm.GaussianState((1.0, -2.0), [[4.0, 0.0], [0.0, 9.0]])
         assert st.mean_q == 1.0
-        assert st.mean_p == -2.0
+        assert st.mean[1] == -2.0
         assert st.sigma_q == pytest.approx(2.0)
         assert st.sigma_p == pytest.approx(3.0)
 
@@ -73,7 +74,7 @@ class TestMinUncertaintyPacket:
         assert st.cov[0, 0] == pytest.approx(2.0)       # q1^2 / 2
         assert st.cov[1, 1] == pytest.approx(0.125)     # hbar^2 / (2 q1^2)
         assert st.cov[0, 1] == 0.0
-        assert st.mean_q == 0.5 and st.mean_p == -1.5
+        assert st.mean_q == 0.5 and st.mean[1] == -1.5
 
     def test_kennard_saturation(self):
         rng = qm.rng_from(501)
@@ -89,6 +90,12 @@ class TestMinUncertaintyPacket:
     def test_rejects_bad_width(self):
         with pytest.raises(qm.ValidationError):
             qm.min_uncertainty_packet(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("q1", [1e-170, 1e-200])
+    def test_rejects_width_whose_square_underflows(self, q1):
+        # q1 * q1 rounds to 0, a packet of zero position variance
+        with pytest.raises(qm.ValidationError, match="position variance"):
+            qm.min_uncertainty_packet(0.0, 0.0, q1)
 
 
 class TestModels:
@@ -142,7 +149,7 @@ class TestPropagate:
     def test_joint_moments_block_structure(self):
         obj = qm.min_uncertainty_packet(1.0, 2.0, 1.0)
         probe = qm.min_uncertainty_packet(-1.0, 0.5, 2.0)
-        mean, cov = qm.joint_moments(obj, probe)
+        mean, cov = _joint_moments(obj, probe)
         assert np.array_equal(mean, [1.0, 2.0, -1.0, 0.5])
         assert np.array_equal(cov[:2, :2], obj.cov)
         assert np.array_equal(cov[2:, 2:], probe.cov)
@@ -172,7 +179,7 @@ class TestPropagate:
             for _ in range(50):
                 obj = random_admissible_state(rng)
                 probe = random_admissible_state(rng)
-                mean, cov = qm.joint_moments(obj, probe)
+                mean, cov = _joint_moments(obj, probe)
                 _, out = qm.propagate(model, mean, cov)
                 form = out + 0.5j * J4
                 assert float(np.linalg.eigvalsh(form).min()) > -1e-10

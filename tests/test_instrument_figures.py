@@ -4,7 +4,8 @@ measuring process that realizes it: flags equal, floats within 1e-12 of
 the operator scale. Only the strong precision face needs a unitary, so
 only it dilates an instrument, once, and only when the weak face holds.
 The figures and flags do not change with the representation: a Kraus
-gauge or a system unitary leaves them equal within the same bound."""
+gauge or a system unitary leaves them equal within the same bound, and an
+affine relabelling of the outcomes and A scales those with the units of A."""
 
 import dataclasses
 
@@ -67,7 +68,7 @@ FIGURES = {
     "locally_uniform_rms_disturbance":
         lambda src, a, b, rho: qm.locally_uniform_rms_disturbance(src, b, rho),
     "weak_joint_distribution": lambda src, a, b, rho: qm.weak_joint_distribution(src, a, rho),
-    "is_precise_weak": lambda src, a, b, rho: qm.is_precise(src, a, rho, mode="weak"),
+    "is_precise_weak": lambda src, a, b, rho: qm.theorem2_check(src, a, rho).weak_precise,
     "is_precise_strong": lambda src, a, b, rho: qm.is_precise(src, a, rho),
     "is_nondisturbing": lambda src, a, b, rho: qm.is_nondisturbing(src, b, rho),
     "probability_reproducible": lambda src, a, b, rho: qm.probability_reproducible(src, a, rho),
@@ -170,17 +171,32 @@ def system_unitary(inst: qm.CPInstrument, a, b, rho, rng) -> tuple:
             *(v @ x.matrix @ vd for x in (a, b, rho)))
 
 
+def affine_relabelling(alpha: float, beta: float = 0.5):
+    """The change of scenario x -> alpha x + beta of the outcomes, with A -> alpha A + beta."""
+    def change(inst, a, b, rho, rng):
+        return (qm.CPInstrument([alpha * x + beta for x in inst.outcomes], inst.kraus, tol=inst.tol),
+                alpha * a.matrix + beta * np.eye(inst.dim), b, rho)
+    return change
+
+
+# each change of scenario, and the factor by which it scales the figures of
+# invariant_figures: all 1 but for an affine relabelling, which scales all
+# but eta and sigma_B by |alpha|
 CHANGES = {
-    "kraus_gauge": lambda inst, a, b, rho, rng: (kraus_gauge(inst, rng), a, b, rho),
-    "system_unitary": system_unitary,
+    "kraus_gauge": (lambda inst, a, b, rho, rng: (kraus_gauge(inst, rng), a, b, rho), 1.0),
+    "system_unitary": (system_unitary, 1.0),
+    **{f"affine_{alpha}": (affine_relabelling(alpha),
+                           np.array([abs(alpha), 1.0, abs(alpha), 1.0] + [abs(alpha)] * 5))
+       for alpha in (-2.5, 0.3)},
 }
 
 
 def invariant_figures(inst, a, b, rho) -> tuple:
-    """(epsilon, eta, sigma_A, sigma_B, Robertson, correlation term), and
-    every EDR and precision flag."""
+    """(epsilon, eta, sigma_A, sigma_B, Robertson, correlation term, and the
+    three left-hand sides), and every EDR and precision flag."""
     rep = qm.edr_ledger(inst, a, b, rho)
-    floats = (rep.epsilon, rep.eta, rep.sigma_a, rep.sigma_b, rep.robertson, rep.correlation_term)
+    floats = (rep.epsilon, rep.eta, rep.sigma_a, rep.sigma_b, rep.robertson, rep.correlation_term,
+              rep.heisenberg_product, rep.uedr_lhs, rep.oedr_lhs)
     flags = (rep.heisenberg_holds, rep.uedr_holds, rep.oedr_holds) + qm.theorem2_check(inst, a, rho).flags()
     return np.array(floats), flags
 
@@ -190,6 +206,7 @@ def test_figures_do_not_depend_on_the_representation(change):
     # 150 random instruments (d 2..5, 2-3 outcomes, up to 3 Kraus operators
     # each) and the Lüders instrument of A, whose precision flags hold
     rng = np.random.default_rng(28)
+    make, factor = CHANGES[change]
     for draw in range(150):
         d = int(rng.integers(2, 6))
         a, b = qm.random_hermitian(d, rng), qm.random_hermitian(d, rng)
@@ -197,7 +214,7 @@ def test_figures_do_not_depend_on_the_representation(change):
         inst = (qm.luders_instrument(a) if draw % 4 == 0 else
                 qm.random_cp_instrument(d, int(rng.integers(2, 4)), rng, max_kraus_per_outcome=3))
         floats, flags = invariant_figures(inst, a, b, rho)
-        got_floats, got_flags = invariant_figures(*CHANGES[change](inst, a, b, rho, rng))
+        got_floats, got_flags = invariant_figures(*make(inst, a, b, rho, rng))
         scale = max(1.0, float(np.abs(a.matrix).max()), float(np.abs(b.matrix).max())) ** 2
-        assert np.abs(got_floats - floats).max() <= TOL * scale
+        assert np.abs(got_floats - factor * floats).max() <= TOL * scale
         assert got_flags == flags

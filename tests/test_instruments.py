@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qmeasure as qm
+from qmeasure.instruments import _apply_kraus, _choi_matrix
 from helpers import (
     CNOT,
     EYE2,
@@ -219,7 +220,7 @@ class TestUnitarityCheck:
 
 class TestChoiKraus:
     def test_choi_of_identity_channel(self):
-        c = qm.choi_matrix([np.eye(2, dtype=complex)], 2)
+        c = _choi_matrix([np.eye(2, dtype=complex)], 2)
         vec = np.array([1, 0, 0, 1], dtype=complex)
         assert np.allclose(c, np.outer(vec, vec.conj()))
 
@@ -229,19 +230,19 @@ class TestChoiKraus:
             d = int(rng.integers(2, 5))
             ks = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                   for _ in range(int(rng.integers(1, 4)))]
-            c = qm.choi_matrix(ks, d)
-            back = qm.choi_matrix(qm.kraus_from_choi(c, d, cutoff=1e-12), d)
+            c = _choi_matrix(ks, d)
+            back = _choi_matrix(qm.kraus_from_choi(c, d, cutoff=1e-12), d)
             assert qm.operator_distance(c, back) < 1e-8
         # a negative cutoff would keep negative Choi eigenvalues as NaN
         # operators; a Choi matrix must be (d^2, d^2)
-        c = qm.choi_matrix([np.eye(2)], 2)
+        c = _choi_matrix([np.eye(2)], 2)
         for choi, cutoff in ((c, -1.0), (c, np.nan), (c[:3, :3], 0.0), (c[:2], 0.0)):
             with pytest.raises(qm.ValidationError):
                 qm.kraus_from_choi(choi, 2, cutoff)
 
     def test_apply_kraus_matches_sum(self):
         rho = qm.DensityOperator.pure(KET_PLUS).matrix
-        out = qm.apply_kraus([P0, P1], rho)
+        out = _apply_kraus([P0, P1], rho)
         assert np.allclose(out, P0 @ rho @ P0 + P1 @ rho @ P1)
 
 
@@ -287,8 +288,8 @@ class TestCPInstrument:
 
     @pytest.mark.parametrize("kraus", [[NAN_P0], [P0, np.eye(3)], [np.eye(3)]],
                              ids=["nan", "ragged", "wrong-dimension"])
-    @pytest.mark.parametrize("use", [lambda ks: qm.apply_kraus(ks, EYE2 / 2),
-                                     lambda ks: qm.choi_matrix(ks, 2)],
+    @pytest.mark.parametrize("use", [lambda ks: _apply_kraus(ks, EYE2 / 2),
+                                     lambda ks: _choi_matrix(ks, 2)],
                              ids=["apply_kraus", "choi_matrix"])
     def test_malformed_family_rejected_by_functions(self, use, kraus):
         with pytest.raises(qm.ValidationError):
@@ -389,7 +390,7 @@ class TestInstrumentFromProcess:
     def test_trivial_process_gives_identity_instrument(self):
         inst = qm.instrument_from_process(trivial_process())
         assert inst.outcomes == (1.0,)
-        ident = qm.choi_matrix([np.eye(2, dtype=complex)], 2)
+        ident = _choi_matrix([np.eye(2, dtype=complex)], 2)
         assert qm.operator_distance(inst.choi(0), ident) < 1e-10
 
     def test_probability_agreement_random(self):
@@ -605,7 +606,7 @@ DIMENSION_MISMATCHES = {
                                                           MISMATCHED_STATE, 0.0),
     "check_repeatability-instrument": lambda: qm.check_repeatability(
         qm.luders_instrument(SZ), MISMATCHED_OBSERVABLE, MISMATCHED_STATE, 0.0),
-    "apply_kraus": lambda: qm.apply_kraus(qm.luders_instrument(SZ).kraus[0], MISMATCHED_STATE),
+    "apply_kraus": lambda: _apply_kraus(qm.luders_instrument(SZ).kraus[0], MISMATCHED_STATE),
     "CPInstrument.apply": lambda: qm.luders_instrument(SZ).apply(MISMATCHED_STATE),
     "post_state": lambda: qm.post_state(qm.luders_instrument(SZ), 1.0, MISMATCHED_STATE),
     "edr_ledger": lambda: qm.edr_ledger(dilated_luders(SZ), SZ, SX, MISMATCHED_STATE),

@@ -79,7 +79,7 @@ class TestJointDistribution:
             rho = qm.random_density_operator(da * db, rng)
             jd = qm.joint_distribution(qm.tensor(a, np.eye(db)), qm.tensor(np.eye(da), b), rho)
             bx = qm.born_distribution(qm.tensor(a, np.eye(db)), rho)
-            assert np.allclose(jd.x_marginal(), bx.probabilities, atol=1e-9)
+            assert np.allclose(jd.weights.sum(axis=1), bx.probabilities, atol=1e-9)
 
     def test_moment_identity_up_to_degree_two(self):
         # Tr[X^a Y^b rho] = sum_ij w_ij x_i^a y_j^b for commuting pairs
@@ -143,25 +143,21 @@ class TestWeakJointDistribution:
             wjd = qm.weak_joint_distribution(mp, a, rho)
             assert complex(wjd.weights.sum()) == pytest.approx(1.0, abs=1e-9)
             ba = qm.born_distribution(a, rho)
-            assert np.allclose(wjd.x_marginal().real, ba.probabilities, atol=1e-9)
+            assert np.allclose(wjd.weights.sum(axis=1).real, ba.probabilities, atol=1e-9)
 
 
 class TestPrecision:
     def test_projective_measurement_is_precise(self):
         mp = dilated_luders(SZ)
         rho = qm.DensityOperator.pure(KET_PLUS)
-        assert qm.is_precise(mp, SZ, rho, mode="strong")
-        assert qm.is_precise(mp, SZ, rho, mode="weak")
+        assert qm.is_precise(mp, SZ, rho)
+        assert qm.theorem2_check(mp, SZ, rho).weak_precise
 
     def test_uncoupled_meter_is_not(self):
         mp = uncoupled_z_meter()
         rho = qm.DensityOperator.pure(KET0)
-        assert not qm.is_precise(mp, SX, rho, mode="strong")
-        assert not qm.is_precise(mp, SX, rho, mode="weak")
-
-    def test_mode_validated(self):
-        with pytest.raises(qm.ValidationError):
-            qm.is_precise(uncoupled_z_meter(), SX, qm.DensityOperator.pure(KET0), mode="other")
+        assert not qm.is_precise(mp, SX, rho)
+        assert not qm.theorem2_check(mp, SX, rho).weak_precise
 
     def test_cnot_does_not_disturb_control(self):
         mp = cnot_process()
@@ -241,7 +237,7 @@ class TestTheorem2:
             mp = qm.MeasuringProcess(mp.probe_state, u, mp.meter)
             rho = qm.random_density_operator(d, rng)
             report = qm.theorem2_check(mp, a, rho)
-            assert qm.is_precise(mp, a, rho, mode="strong") == report.strong_precise
+            assert qm.is_precise(mp, a, rho) == report.strong_precise
             assert report.weak_precise or not report.strong_precise
             qm.is_nondisturbing(mp, a, rho)
 
@@ -261,7 +257,7 @@ class TestIndependentMeterCounterexample:
         rho = qm.DensityOperator.pure(KET_PLUS)
         mp = independent_meter_process(SZ, rho)
         assert qm.probability_reproducible(mp, SZ, rho)
-        assert not qm.is_precise(mp, SZ, rho, mode="strong")
+        assert not qm.is_precise(mp, SZ, rho)
 
     def test_gauss_rms_is_sqrt_two_sigma(self):
         rng = qm.rng_from(407)
@@ -401,8 +397,7 @@ class TestClosedFormMeasures:
                        qm.dilate(qm.luders_instrument(a))):
                 sizes.clear()
                 qm.theorem2_check(fresh(mp), a, rho)
-                qm.is_precise(fresh(mp), a, rho, mode="strong")
-                qm.is_precise(fresh(mp), a, rho, mode="weak")
+                qm.is_precise(fresh(mp), a, rho)
                 qm.is_nondisturbing(fresh(mp), b, rho)
                 qm.is_nondisturbing(fresh(mp), a, rho)
                 qm.weak_joint_distribution(fresh(mp), a, rho)
@@ -433,7 +428,7 @@ class TestClosedFormMeasures:
         wjd = qm.weak_joint_distribution(mp, a, rho)
         probs = qm.outcome_probabilities(qm.instrument_from_process(mp), rho)
         assert tuple(wjd.y_atoms.tolist()) == probs.outcomes
-        assert np.abs(wjd.y_marginal() - probs.probabilities).max() <= 1e-12
+        assert np.abs(wjd.weights.sum(axis=0) - probs.probabilities).max() <= 1e-12
 
 
 class TestClusterChain:
@@ -477,8 +472,8 @@ class TestClusterChain:
                                        qm.DensityOperator.maximally_mixed(2))
         rho = qm.DensityOperator.maximally_mixed(2)
         assert qm.theorem2_check(mp, a, rho).flags() == (True, True, True, True)
-        assert qm.is_precise(mp, a, rho, mode="strong")
-        assert qm.is_precise(mp, a, rho, mode="weak")
+        assert qm.is_precise(mp, a, rho)
+        assert qm.theorem2_check(mp, a, rho).weak_precise
 
 
 COMPOSITE_CASES = composite_cases()
@@ -526,7 +521,7 @@ class TestInstrumentSideMatchesComposite:
                              ids=[c[0] for c in COMPOSITE_CASES])
     def test_strong_faces(self, mp, a, b, rho):
         dx, before, _, dm, sigma = composite_pairs(mp, a, rho)
-        assert qm.is_precise(mp, a, rho, mode="strong") == reference_strong_face(
+        assert qm.is_precise(mp, a, rho) == reference_strong_face(
             before, dx.eigenvalues, dm.projectors, dm.eigenvalues, sigma)
         for x in (a, b):
             dx, before, after, _, sigma = composite_pairs(mp, x, rho)
@@ -536,7 +531,7 @@ class TestInstrumentSideMatchesComposite:
     def test_strong_faces_decide_both_ways(self):
         # the cases above hold precise and imprecise, disturbing and
         # nondisturbing processes, so a face stuck at one value shows
-        flags = {(name, qm.is_precise(mp, a, rho, mode="strong"), qm.is_nondisturbing(mp, b, rho))
+        flags = {(name, qm.is_precise(mp, a, rho), qm.is_nondisturbing(mp, b, rho))
                  for name, mp, a, b, rho in COMPOSITE_CASES}
         assert {p for _, p, _ in flags} == {True, False}
         assert {d for _, _, d in flags} == {True, False}

@@ -240,6 +240,14 @@ class TestRegressions:
             packet = qm.min_uncertainty_packet(0.0, 0.0, q1, constants=constants)
             assert packet.sigma_q * packet.sigma_p == pytest.approx(5e14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_gaussian_far_above_the_bound_accepted(self, scale):
+        # det(cov) / (hbar/2)^2 = 4 scale^2 is beyond the float range
+        cov = scale * np.eye(2)
+        assert qm.GaussianState([0.0, 0.0], cov).cov[1, 1] == scale
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("hbar", [1e-200, 1.0, 1e200])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_gaussian_admissible_exactly_on_the_bound_at_every_hbar(self, hbar, k):
