@@ -42,5 +42,5 @@ print("commutator bound    =", bound)
 
 # composite systems: tensor products and partial traces
 bell = qm.DensityOperator.pure([1.0, 0.0, 0.0, 1.0])
-reduced = qm.partial_trace(bell.matrix, (2, 2), keep="first")
+reduced = qm.partial_trace(bell.matrix, (2, 2))
 print("reduced Bell state (maximally mixed):\n", np.real(reduced))

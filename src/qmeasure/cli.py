@@ -184,8 +184,11 @@ def _parse_dims(text: str):
         raise SchemaError(f"cannot parse dims {text!r}; expected forms '3' or '2..4'")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the qmeasure command line on each call."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads with, built on first use and kept for the
+    process: parse_args keeps no state between calls, each returns a new
+    Namespace."""
     parser = argparse.ArgumentParser(prog="qmeasure",
                                      description="Measurement statistics batch runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -202,14 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, required=True)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main reads with, built on first use and kept for the
-    process: parse_args keeps no state between calls, each returns a new
-    Namespace."""
-    return build_parser()
 
 
 def main(argv=None) -> int:
@@ -248,9 +243,5 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-def entry():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

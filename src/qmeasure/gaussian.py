@@ -107,20 +107,9 @@ class GaussianState(_Immutable):
         cov.setflags(write=False)
         self._init_fields(mean=mean, cov=cov, constants=constants)
 
-    @property
-    def mean_q(self) -> float:
-        return float(self.mean[0])
-
-    @property
-    def sigma_q(self) -> float:
-        return float(np.sqrt(self.cov[0, 0]))
-
-    @property
-    def sigma_p(self) -> float:
-        return float(np.sqrt(self.cov[1, 1]))
-
     def __repr__(self):
-        return f"GaussianState(mean={tuple(self.mean)}, sigma_q={self.sigma_q:.4g}, sigma_p={self.sigma_p:.4g})"
+        sigma_q, sigma_p = np.sqrt(self.cov.diagonal())
+        return f"GaussianState(mean={tuple(self.mean.tolist())}, sigma_q={sigma_q:.4g}, sigma_p={sigma_p:.4g})"
 
 
 def min_uncertainty_packet(q_center: float, p_center: float, q1: float,
@@ -129,8 +118,8 @@ def min_uncertainty_packet(q_center: float, p_center: float, q1: float,
 
     Position variance q1^2/2, momentum variance hbar^2/(2 q1^2), no
     correlation, so sigma(q) sigma(p) = hbar/2 exactly; hbar^2 is never formed.
-    A position variance that underflows to 0 raises ValidationError, and a
-    momentum variance beyond the float range fails GaussianState's check.
+    A position variance that underflows to 0 raises ValidationError, and so
+    does a momentum variance beyond the float range.
     """
     q_center, p_center, q1 = _numbers((q_center, p_center, q1), "packet")
     if not q1 > 0:
@@ -139,6 +128,9 @@ def min_uncertainty_packet(q_center: float, p_center: float, q1: float,
     if not vqq > 0:
         raise ValidationError(f"position variance q1^2/2 of width q1 = {q1} underflows to 0")
     vpp = constants.hbar * (constants.hbar / (2.0 * q1 * q1))
+    if not np.isfinite(vpp):
+        raise ValidationError(f"momentum variance hbar (hbar / (2 q1^2)) of width q1 = {q1} "
+                              f"at hbar = {constants.hbar} overflows the float range")
     return GaussianState((q_center, p_center), [[vqq, 0.0], [0.0, vpp]], constants=constants)
 
 
@@ -278,7 +270,7 @@ def output_distribution(model: LinearModel, obj: GaussianState, probe: GaussianS
 def position_density(state: GaussianState, grid) -> np.ndarray:
     """Born density of position for a Gaussian state, on a grid."""
     g = _check_grid(grid)
-    return _gaussian_density(g, state.mean_q, float(state.cov[0, 0]))
+    return _gaussian_density(g, float(state.mean[0]), float(state.cov[0, 0]))
 
 
 def conditional_position_spread(model: LinearModel, obj: GaussianState,

@@ -62,9 +62,6 @@ class OutcomeDistribution:
         if len(self.outcomes) != len(self.probabilities):
             raise ValidationError("outcomes and probabilities must have equal length")
 
-    def as_dict(self) -> dict:
-        return {"outcomes": list(self.outcomes), "probabilities": list(self.probabilities)}
-
     def mean(self) -> float:
         return float(sum(x * p for x, p in zip(self.outcomes, self.probabilities)))
 
@@ -154,8 +151,8 @@ class MeasuringProcess(_Immutable):
     of U, no n x n array is built. The probe state, the meter (on the probe's
     dimension) and the composite methods' arguments (on the system's) enter
     through _validated.
-    Immutable: what depends on the process alone (the meter's spectral measure,
-    the labelled Kraus stack, and M(dt) when asked for) is a cached_property,
+    Immutable: what depends on the process alone (the meter's spectral measure
+    and the labelled Kraus stack) is a cached_property,
     computed on first use, kept, and judged under its Tolerances. Figures read
     it through its labelled Kraus stack, the instrument of reading the meter:
     row (i, l) is K = sum_b conj(q[b, i]) sqrt(lam_l) (1 x <e_b|) U (1 x |phi_l>),
@@ -182,10 +179,6 @@ class MeasuringProcess(_Immutable):
                           probe_dim=probe_state.dim, system_dim=u.shape[0] // probe_state.dim,
                           tol=tol)
 
-    def _evolve(self, big: np.ndarray) -> np.ndarray:
-        """U+ X U for a composite operator X, Hermitian part."""
-        return hermitian_part(dagger(self.unitary) @ big @ self.unitary)
-
     def composite_state(self, rho) -> np.ndarray:
         """rho x rho0 on system x probe."""
         return tensor(_validated(rho, DensityOperator, self.tol, self.system_dim), self.probe_state)
@@ -196,21 +189,13 @@ class MeasuringProcess(_Immutable):
                       np.eye(self.probe_dim))
 
     def evolved_meter(self) -> np.ndarray:
-        """M(dt) = U+ (1 x M) U, the meter after the interaction.
-
-        Computed once; every call returns the same read-only array.
-        """
-        return self._evolved_meter
-
-    @cached_property
-    def _evolved_meter(self) -> np.ndarray:
-        m_dt = self._evolve(tensor(np.eye(self.system_dim), self.meter.matrix))
-        m_dt.setflags(write=False)
-        return m_dt
+        """M(dt) = U+ (1 x M) U, the meter after the interaction, Hermitian part."""
+        u = self.unitary
+        return hermitian_part(dagger(u) @ tensor(np.eye(self.system_dim), self.meter.matrix) @ u)
 
     def evolved_system(self, b) -> np.ndarray:
-        """B(dt) = U+ (B x 1) U, the system observable after the interaction."""
-        return self._evolve(self.embedded_system(b))
+        """B(dt) = U+ (B x 1) U, the system observable after the interaction, Hermitian part."""
+        return hermitian_part(dagger(self.unitary) @ self.embedded_system(b) @ self.unitary)
 
     @cached_property
     def _meter_measure(self) -> SpectralDecomposition:
@@ -318,10 +303,6 @@ class CPInstrument(_Immutable):
         idx = range(len(self.outcomes)) if outcome_set is None else self._select(outcome_set)
         ops = [self.kraus[i] for i in idx]
         return _apply_kraus(np.concatenate(ops) if ops else [], rho)
-
-    def effect(self, i: int) -> np.ndarray:
-        """POVM effect sum_j K+K of the i-th outcome, read-only."""
-        return self._povm.effects[i]
 
     def choi(self, i: int) -> np.ndarray:
         return _choi_matrix(self.kraus[i], self.dim)

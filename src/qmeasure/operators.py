@@ -94,10 +94,6 @@ class PhysicalConstants:
         if not self.hbar > 0:
             raise ValidationError("hbar must be positive and finite")
 
-    @property
-    def h(self) -> float:
-        return 2.0 * np.pi * self.hbar
-
 
 DEFAULT_TOL = Tolerances()
 DEFAULT_CONSTANTS = PhysicalConstants()
@@ -260,13 +256,6 @@ class DensityOperator(_Immutable):
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()), tol=tol)
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        """The state 1 / dim on a space of dim dimensions, dim a positive integer."""
-        if (dim := _number(dim, "dimension", integer=True)) < 1:
-            raise ValidationError(f"dimension {dim!r} does not give a nonempty square matrix")
-        return cls(np.eye(dim) / dim)
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
@@ -407,19 +396,16 @@ def tensor(x, y) -> np.ndarray:
     return (xm[..., :, None, :, None] * ym[:, None, :]).reshape(xm.shape[:-2] + (m * p, n * q))
 
 
-def partial_trace(z, dims, keep: str = "first") -> np.ndarray:
-    """Partial trace of an operator on a bipartite space.
+def partial_trace(z, dims) -> np.ndarray:
+    """Partial trace over the second factor of an operator on a bipartite space.
 
     Parameters
     ----------
     z : array_like, shape (..., d1*d2, d1*d2), one operator or a stack
     dims : (d1, d2) factor dimensions, positive integers, system first
-    keep : "first" traces out the second factor, "second" the first
     """
     d1, d2 = _numbers(dims, "dims", 2, integer=True)
     if min(d1, d2) < 1:
         raise ValidationError(f"dims must be two positive integers, got {dims}")
-    first = _choice(keep, ("first", "second"), "keep") == "first"
     zm = _as_array(z, None, dim=d1 * d2)
-    t = zm.reshape(zm.shape[:-2] + (d1, d2, d1, d2))
-    return np.einsum("...ijkj->...ik" if first else "...ijil->...jl", t)
+    return np.einsum("...ijkj->...ik", zm.reshape(zm.shape[:-2] + (d1, d2, d1, d2)))

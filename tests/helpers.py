@@ -28,7 +28,7 @@ def cnot_process() -> qm.MeasuringProcess:
 def trivial_process(system_dim=2, probe_dim=2) -> qm.MeasuringProcess:
     """No interaction, identity meter: the single-outcome identity instrument."""
     return qm.MeasuringProcess(
-        qm.DensityOperator.maximally_mixed(probe_dim),
+        qm.DensityOperator(np.eye(probe_dim) / probe_dim),
         np.eye(system_dim * probe_dim, dtype=complex),
         qm.HermitianObservable(np.eye(probe_dim)),
     )
@@ -101,7 +101,7 @@ def reference_instrument_from_process(mp: qm.MeasuringProcess) -> qm.CPInstrumen
                 unit[i, j] = 1.0
                 big = sandwich @ u @ np.kron(unit, rho0) @ qm.dagger(u) @ sandwich
                 unit[i, j] = 0.0
-                choi[i * d:(i + 1) * d, j * d:(j + 1) * d] = qm.partial_trace(big, (d, dp), keep="first")
+                choi[i * d:(i + 1) * d, j * d:(j + 1) * d] = qm.partial_trace(big, (d, dp))
         outcomes.append(float(m_val))
         families.append(qm.kraus_from_choi(choi, d, cutoff=tol.eq_tol))
     return qm.CPInstrument(outcomes, families, tol=tol)
@@ -157,15 +157,12 @@ def reference_cyclic_basis(projectors, rho, eq_tol: float = 1e-9) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def reference_partial_trace(stack, dims, keep: str = "first") -> np.ndarray:
-    """Partial trace of each operator of a stack by block sums: Tr_2 adds
-    the sub-blocks z[j::d2, j::d2], Tr_1 the diagonal d2 x d2 blocks. The
-    reference for qm.partial_trace on a stack."""
-    d1, d2 = dims
-    if keep == "first":
-        return np.stack([sum(z[j::d2, j::d2] for j in range(d2)) for z in stack])
-    return np.stack([sum(z[i * d2:(i + 1) * d2, i * d2:(i + 1) * d2] for i in range(d1))
-                     for z in stack])
+def reference_partial_trace(stack, dims) -> np.ndarray:
+    """Partial trace over the second factor of each operator of a stack by
+    block sums: Tr_2 adds the sub-blocks z[j::d2, j::d2]. The reference for
+    qm.partial_trace on a stack."""
+    d2 = dims[1]
+    return np.stack([sum(z[j::d2, j::d2] for j in range(d2)) for z in stack])
 
 
 def composite_cases():
@@ -205,8 +202,8 @@ def reference_strong_face(x_projectors, x_values, y_projectors, y_values, sigma,
     """The strong face on composite projector stacks by a double loop over
     pairs: [P_i, Q_j] sigma = 0 within eq_tol for every pair, and no weight
     Tr[P_i Q_j sigma] of an atom off the diagonal (beyond the slack of the
-    largest |value|) above eq_tol. The reference for qm.is_precise in
-    strong mode and qm.is_nondisturbing."""
+    largest |value|) above eq_tol. The reference for qm.is_precise, the
+    strong face, and qm.is_nondisturbing."""
     for p in x_projectors:
         for q in y_projectors:
             if float(np.abs((p @ q - q @ p) @ sigma).max()) > tol.eq_tol:

@@ -32,7 +32,7 @@ def test_criterion_01_kennard_saturation():
     for _ in range(100):
         q1 = float(np.exp(rng.uniform(-1.5, 1.5)))
         st = qm.min_uncertainty_packet(float(rng.normal()), float(rng.normal()), q1)
-        ok = ok and abs(st.sigma_q * st.sigma_p - 0.5) <= 1e-12
+        ok = ok and abs(np.sqrt(st.cov[0, 0]) * np.sqrt(st.cov[1, 1]) - 0.5) <= 1e-12
     _verdict(1, ok)
 
 
@@ -63,7 +63,7 @@ def test_criterion_03_zero_error_model_breaks_product_bound():
         ok = ok and r.epsilon == 0.0 and r.product == 0.0 and r.product < 0.5
         ok = ok and r.heisenberg_violated
         # the disturbance-only bound still holds
-        ok = ok and obj.sigma_q * r.eta >= 0.5 - 1e-10
+        ok = ok and np.sqrt(obj.cov[0, 0]) * r.eta >= 0.5 - 1e-10
     _verdict(3, ok)
 
 

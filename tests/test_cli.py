@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import qmeasure as qm
 from qmeasure import serialize as ser
-from qmeasure.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, build_parser, main
+from qmeasure.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from helpers import KET_PLUS, SX, SZ, dilated_luders
 
 
@@ -309,7 +309,6 @@ class TestInProcess:
             if i == 0:
                 built.clear()
         assert built == []
-        assert build_parser() is not build_parser()
 
     def test_no_state_leaks_between_calls(self, tmp_path):
         cfg = gaussian_config(model="von_neumann")

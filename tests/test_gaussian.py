@@ -40,7 +40,7 @@ class TestGaussianState:
         mean, cov = np.array([0.5, -0.25]), np.array([[1.0, 0.2], [0.2, 1.0]])
         st = qm.GaussianState(mean, cov)
         mean[0], cov[0, 0] = 99.0, 7.0
-        assert (st.mean_q, st.mean[1], st.cov[0, 0]) == (0.5, -0.25, 1.0)
+        assert (st.mean[0], st.mean[1], st.cov[0, 0]) == (0.5, -0.25, 1.0)
         assert not np.shares_memory(st.mean, mean) and not np.shares_memory(st.cov, cov)
 
     def test_rejects_asymmetric_cov(self):
@@ -62,10 +62,10 @@ class TestGaussianState:
 
     def test_properties(self):
         st = qm.GaussianState((1.0, -2.0), [[4.0, 0.0], [0.0, 9.0]])
-        assert st.mean_q == 1.0
+        assert st.mean[0] == 1.0
         assert st.mean[1] == -2.0
-        assert st.sigma_q == pytest.approx(2.0)
-        assert st.sigma_p == pytest.approx(3.0)
+        assert np.sqrt(st.cov[0, 0]) == pytest.approx(2.0)
+        assert np.sqrt(st.cov[1, 1]) == pytest.approx(3.0)
 
 
 class TestMinUncertaintyPacket:
@@ -74,18 +74,18 @@ class TestMinUncertaintyPacket:
         assert st.cov[0, 0] == pytest.approx(2.0)       # q1^2 / 2
         assert st.cov[1, 1] == pytest.approx(0.125)     # hbar^2 / (2 q1^2)
         assert st.cov[0, 1] == 0.0
-        assert st.mean_q == 0.5 and st.mean[1] == -1.5
+        assert st.mean[0] == 0.5 and st.mean[1] == -1.5
 
     def test_kennard_saturation(self):
         rng = qm.rng_from(501)
         for _ in range(100):
             q1 = float(np.exp(rng.uniform(-2, 2)))
             st = qm.min_uncertainty_packet(rng.normal(), rng.normal(), q1)
-            assert st.sigma_q * st.sigma_p == pytest.approx(0.5, abs=1e-12)
+            assert np.sqrt(st.cov[0, 0]) * np.sqrt(st.cov[1, 1]) == pytest.approx(0.5, abs=1e-12)
 
     def test_saturation_with_other_hbar(self):
         st = qm.min_uncertainty_packet(0.0, 0.0, 1.3, constants=HBAR2)
-        assert st.sigma_q * st.sigma_p == pytest.approx(1.0, abs=1e-12)
+        assert np.sqrt(st.cov[0, 0]) * np.sqrt(st.cov[1, 1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_width(self):
         with pytest.raises(qm.ValidationError):
@@ -96,6 +96,12 @@ class TestMinUncertaintyPacket:
         # q1 * q1 rounds to 0, a packet of zero position variance
         with pytest.raises(qm.ValidationError, match="position variance"):
             qm.min_uncertainty_packet(0.0, 0.0, q1)
+
+    @pytest.mark.parametrize("q1, hbar", [(3e-162, 1.0), (1e-10, 1e300)], ids=["narrow", "large-hbar"])
+    def test_rejects_width_whose_momentum_variance_overflows(self, q1, hbar):
+        # hbar (hbar / (2 q1^2)) rounds to inf; the message names the width
+        with pytest.raises(qm.ValidationError, match=f"momentum variance .* width q1 = {q1}"):
+            qm.min_uncertainty_packet(0.0, 0.0, q1, constants=qm.PhysicalConstants(hbar=hbar))
 
 
 class TestModels:
@@ -250,7 +256,7 @@ class TestModelEDR:
             obj = random_admissible_state(rng)
             probe = random_admissible_state(rng)
             r = qm.model_edr(model, obj, probe)
-            assert obj.sigma_q * r.eta >= 0.5 - 1e-10
+            assert np.sqrt(obj.cov[0, 0]) * r.eta >= 0.5 - 1e-10
 
     def test_hbar_rescales_bound(self):
         obj = qm.min_uncertainty_packet(0.0, 0.0, 1.0, constants=HBAR2)
@@ -299,7 +305,7 @@ class TestDensities:
         obj = qm.min_uncertainty_packet(0.7, 0.0, 1.4)
         probe = qm.min_uncertainty_packet(-0.2, 0.0, 0.8)
         spread = np.sqrt(obj.cov[0, 0] + probe.cov[0, 0])
-        center = obj.mean_q + probe.mean_q
+        center = obj.mean[0] + probe.mean[0]
         grid = np.linspace(center - 10 * spread, center + 10 * spread, 4001)
         dens = qm.output_distribution(model, obj, probe, grid)
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)

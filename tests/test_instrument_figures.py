@@ -4,8 +4,9 @@ measuring process that realizes it: flags equal, floats within 1e-12 of
 the operator scale. Only the strong precision face needs a unitary, so
 only it dilates an instrument, once, and only when the weak face holds.
 The figures and flags do not change with the representation: a Kraus
-gauge or a system unitary leaves them equal within the same bound, and an
-affine relabelling of the outcomes and A scales those with the units of A."""
+gauge, a system unitary or a probe unitary on the dilation leaves them
+equal within the same bound, and an affine relabelling of the outcomes
+and A scales those with the units of A."""
 
 import dataclasses
 
@@ -171,6 +172,15 @@ def system_unitary(inst: qm.CPInstrument, a, b, rho, rng) -> tuple:
             *(v @ x.matrix @ vd for x in (a, b, rho)))
 
 
+def probe_unitary(inst: qm.CPInstrument, a, b, rho, rng) -> tuple:
+    """The scenario read through dilate(inst) in another probe basis: U -> (1 x W) U
+    and M -> W M W+ for a Haar W on the probe, the probe state unchanged."""
+    mp = qm.dilate(inst)
+    w = qm.haar_unitary(mp.probe_dim, rng)
+    return (qm.MeasuringProcess(mp.probe_state, qm.tensor(np.eye(inst.dim), w) @ mp.unitary,
+                                w @ mp.meter.matrix @ qm.dagger(w), tol=inst.tol), a, b, rho)
+
+
 def affine_relabelling(alpha: float, beta: float = 0.5):
     """The change of scenario x -> alpha x + beta of the outcomes, with A -> alpha A + beta."""
     def change(inst, a, b, rho, rng):
@@ -185,6 +195,7 @@ def affine_relabelling(alpha: float, beta: float = 0.5):
 CHANGES = {
     "kraus_gauge": (lambda inst, a, b, rho, rng: (kraus_gauge(inst, rng), a, b, rho), 1.0),
     "system_unitary": (system_unitary, 1.0),
+    "probe_unitary": (probe_unitary, 1.0),
     **{f"affine_{alpha}": (affine_relabelling(alpha),
                            np.array([abs(alpha), 1.0, abs(alpha), 1.0] + [abs(alpha)] * 5))
        for alpha in (-2.5, 0.3)},

@@ -116,7 +116,7 @@ class TestWeakJointDistribution:
         assert np.allclose(wjd.weights, [[0.0, 0.5], [0.0, 0.5]], atol=1e-12)
 
     def test_mixed_probe_splits_evenly(self):
-        mp = identity_coupling_process(SZ, qm.DensityOperator.maximally_mixed(2))
+        mp = identity_coupling_process(SZ, qm.DensityOperator(np.eye(2) / 2))
         wjd = qm.weak_joint_distribution(mp, SZ, qm.DensityOperator.pure(KET_PLUS))
         assert np.allclose(wjd.weights, [[0.25, 0.25], [0.25, 0.25]], atol=1e-12)
 
@@ -469,8 +469,8 @@ class TestClusterChain:
         # four faces hold; pairwise matching put 1 against 1 + 2.4e-9.
         a = np.diag(self.SHIFTED[0::2])
         mp = identity_coupling_process(np.diag(self.SHIFTED[1::2]),
-                                       qm.DensityOperator.maximally_mixed(2))
-        rho = qm.DensityOperator.maximally_mixed(2)
+                                       qm.DensityOperator(np.eye(2) / 2))
+        rho = qm.DensityOperator(np.eye(2) / 2)
         assert qm.theorem2_check(mp, a, rho).flags() == (True, True, True, True)
         assert qm.is_precise(mp, a, rho)
         assert qm.theorem2_check(mp, a, rho).weak_precise

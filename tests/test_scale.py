@@ -224,7 +224,7 @@ class TestRegressions:
             qm.GaussianState([0.0, 0.0], cov, constants=constants)
 
     def test_gaussian_negative_covariance_rejected_at_small_hbar(self):
-        # det(-1e-12 I) meets the bound (hbar/2)^2; the state has sigma_q = NaN
+        # det(-1e-12 I) meets the bound (hbar/2)^2; the state has sqrt(cov_qq) = NaN
         with pytest.raises(qm.ValidationError, match="positive"):
             qm.GaussianState([0.0, 0.0], -1e-12 * np.eye(2),
                              constants=qm.PhysicalConstants(hbar=1e-12))
@@ -238,7 +238,7 @@ class TestRegressions:
         constants = qm.PhysicalConstants(hbar=1e15)
         for q1 in (0.3, 1.0, 7.0, 1e8):
             packet = qm.min_uncertainty_packet(0.0, 0.0, q1, constants=constants)
-            assert packet.sigma_q * packet.sigma_p == pytest.approx(5e14)
+            assert np.sqrt(packet.cov[0, 0]) * np.sqrt(packet.cov[1, 1]) == pytest.approx(5e14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e160, 1e300])
