@@ -97,6 +97,12 @@ class TestMinUncertaintyPacket:
         with pytest.raises(qm.ValidationError, match="position variance"):
             qm.min_uncertainty_packet(0.0, 0.0, q1)
 
+    def test_narrow_width_with_finite_momentum_variance_builds(self):
+        # just wide enough: hbar (hbar / (2 q1^2)) stays finite, bit for bit
+        q1 = 1e-154
+        st = qm.min_uncertainty_packet(0.0, 0.0, q1)
+        assert st.cov[1, 1] == 1.0 * (1.0 / (2.0 * q1 * q1)) and np.isfinite(st.cov[1, 1])
+
     @pytest.mark.parametrize("q1, hbar", [(3e-162, 1.0), (1e-10, 1e300)], ids=["narrow", "large-hbar"])
     def test_rejects_width_whose_momentum_variance_overflows(self, q1, hbar):
         # hbar (hbar / (2 q1^2)) rounds to inf; the message names the width

@@ -102,6 +102,18 @@ class TestMeasuringProcess:
         expected = CNOT.conj().T @ np.kron(EYE2, SZ) @ CNOT
         assert np.allclose(mp.evolved_meter(), expected)
 
+    def test_evolved_meter_is_a_fresh_array(self):
+        # nothing is cached: writing into one M(dt) leaves the next untouched
+        mp = cnot_process()
+        m_dt = mp.evolved_meter()
+        m_dt[...] = 0.0
+        assert np.allclose(mp.evolved_meter(), CNOT.conj().T @ np.kron(EYE2, SZ) @ CNOT)
+
+    def test_evolved_system_heisenberg(self):
+        # CNOT+ (X x 1) CNOT = X x X
+        mp = cnot_process()
+        assert np.allclose(mp.evolved_system(SX), np.kron(SX, SX))
+
     def test_evolved_system_identity_when_uncoupled(self):
         mp = trivial_process()
         assert np.allclose(mp.evolved_system(SX), np.kron(SX, EYE2))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import qmeasure as qm
 from qmeasure.instruments import _apply_kraus
-from helpers import EYE2, KET0, KET_PLUS, P0, SX, SY, SZ, dilated_luders
+from helpers import EYE2, KET0, KET_PLUS, P0, SX, SY, SZ, dilated_luders, reference_partial_trace
 
 
 class TestValidation:
@@ -129,12 +129,19 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             rho.spectrum = (np.ones(2), np.eye(2))
 
-    def test_reprs_print_plain_python_numbers(self):
+    @pytest.mark.parametrize("make", [
+        lambda: qm.HermitianObservable(SZ),
+        lambda: qm.DensityOperator(P0),
+        lambda: dilated_luders(SZ),
+        lambda: qm.luders_instrument(SZ),
+        lambda: qm.povm_of(qm.luders_instrument(SZ)),
+        lambda: qm.GaussianState([0.5, -1.0], np.eye(2)),
+    ], ids=["HermitianObservable", "DensityOperator", "MeasuringProcess", "CPInstrument", "POVM",
+            "GaussianState"])
+    def test_reprs_print_plain_python_numbers(self, make):
         # numpy 2 writes a numpy scalar as np.float64(...)
-        inst = qm.luders_instrument(SZ)
-        for obj in (qm.HermitianObservable(SZ), qm.DensityOperator(P0), dilated_luders(SZ), inst,
-                    qm.povm_of(inst), qm.GaussianState([0.5, -1.0], np.eye(2))):
-            assert "np." not in repr(obj), repr(obj)
+        obj = make()
+        assert "np." not in repr(obj), repr(obj)
 
 
 class TestAlgebra:
@@ -288,6 +295,16 @@ class TestTensorAndPartialTrace:
         assert np.array_equal(qm.dagger(stack), np.stack([z.conj().T for z in stack]))
         assert np.array_equal(qm.hermitian_part(stack), np.stack([qm.hermitian_part(z) for z in stack]))
 
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (2, 3), (3, 2)])
+    def test_traces_out_the_second_factor(self, dims):
+        # block sums over the second factor, on a stack of non-Hermitian operators
+        rng = qm.rng_from(105)
+        n = dims[0] * dims[1]
+        stack = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+        out = qm.partial_trace(stack, dims)
+        assert out.shape == (4, dims[0], dims[0])
+        assert np.abs(out - reference_partial_trace(stack, dims)).max() <= 1e-12
+
     def test_dimension_mismatch(self):
         with pytest.raises(qm.ValidationError):
             qm.partial_trace(np.eye(6), (2, 2))
@@ -373,14 +390,15 @@ MISUSE_PARAMETERS = [
      ("0", True, NAN, [[0.0]], -1.0, float("inf"))),
     ("post_state-outcome_set", lambda v: qm.post_state(INST, v, PLUS),
      ("1", True, NAN, [[1.0]], 1j, [[1.0], 2.0])),
-    ("apply-outcome_set", lambda v: INST.apply(PLUS.matrix, v), ("1", True, NAN, [[1.0]])),
+    ("apply-outcome_set", lambda v: INST.apply(PLUS.matrix, v),
+     ("1", True, NAN, [[1.0]], 1j, [[1.0], 2.0])),
     ("build_model-id", qm.build_model, (True, NAN, [["von_neumann"]], "other")),
     ("min_uncertainty_packet-q", lambda v: qm.min_uncertainty_packet(v, 0.0, 1.0),
      ("1", True, NAN, [[1.0]])),
     ("min_uncertainty_packet-p", lambda v: qm.min_uncertainty_packet(0.0, v, 1.0),
      ("1", True, NAN, [[1.0]])),
     ("min_uncertainty_packet-q1", lambda v: qm.min_uncertainty_packet(0.0, 0.0, v),
-     ("1", True, NAN, [[1.0]], 0.0)),
+     ("1", True, NAN, [[1.0]], 0.0, -1.0, 3e-162)),
     ("random_measuring_process-interaction",
      lambda v: qm.random_measuring_process(2, 2, qm.rng_from(1), interaction=v),
      (True, NAN, [["haar"]], "other")),
