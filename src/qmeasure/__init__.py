@@ -20,7 +20,6 @@ from .operators import (
     dagger,
     expectation,
     hermitian_part,
-    is_hermitian,
     operator_distance,
     partial_trace,
     robertson_bound,

@@ -118,19 +118,18 @@ def min_uncertainty_packet(q_center: float, p_center: float, q1: float,
 
     Position variance q1^2/2, momentum variance hbar^2/(2 q1^2), no
     correlation, so sigma(q) sigma(p) = hbar/2 exactly; hbar^2 is never formed.
-    A position variance that underflows to 0 raises ValidationError, and so
-    does a momentum variance beyond the float range.
+    Either variance outside (0, inf) raises ValidationError naming the width;
+    the momentum one is formed only when the position one is positive.
     """
     q_center, p_center, q1 = _numbers((q_center, p_center, q1), "packet")
     if not q1 > 0:
         raise ValidationError("width parameter q1 must be positive")
     vqq = q1 * q1 / 2.0
-    if not vqq > 0:
-        raise ValidationError(f"position variance q1^2/2 of width q1 = {q1} underflows to 0")
-    vpp = constants.hbar * (constants.hbar / (2.0 * q1 * q1))
-    if not np.isfinite(vpp):
-        raise ValidationError(f"momentum variance hbar (hbar / (2 q1^2)) of width q1 = {q1} "
-                              f"at hbar = {constants.hbar} overflows the float range")
+    vpp = constants.hbar * (constants.hbar / (2.0 * q1 * q1)) if vqq > 0 else 0.0
+    if not (0 < vqq < np.inf and 0 < vpp < np.inf):
+        raise ValidationError(f"position variance q1^2/2 = {vqq} or momentum variance hbar (hbar / "
+                              f"(2 q1^2)) = {vpp} of width q1 = {q1} at hbar = {constants.hbar} "
+                              "is outside (0, inf): no float packet meets the uncertainty bound")
     return GaussianState((q_center, p_center), [[vqq, 0.0], [0.0, vpp]], constants=constants)
 
 
@@ -178,11 +177,6 @@ def propagate(model: LinearModel, joint_mean, joint_cov, tol: Tolerances = DEFAU
     return s @ m, 0.5 * (out_cov + out_cov.T)
 
 
-def _second_moment_matrix(obj: GaussianState, probe: GaussianState) -> np.ndarray:
-    mean, cov = _joint_moments(obj, probe)
-    return cov + np.outer(mean, mean)
-
-
 @dataclass(frozen=True)
 class ModelEDR:
     """Error-disturbance figures of one Gaussian model run.
@@ -215,7 +209,8 @@ def model_edr(model: LinearModel, obj: GaussianState, probe: GaussianState,
     if probe.constants.hbar != hbar:
         raise ValidationError(f"object and probe hbar differ: {hbar} vs {probe.constants.hbar}")
     s = model.symplectic
-    m2 = _second_moment_matrix(obj, probe)
+    mean, cov = _joint_moments(obj, probe)
+    m2 = cov + np.outer(mean, mean)
     v_noise = s[_Y, :].copy()
     v_noise[_X] -= 1.0
     v_dist = s[_PX, :].copy()

@@ -225,19 +225,6 @@ class MeasuringProcess(_Immutable):
         return f"MeasuringProcess(system_dim={self.system_dim}, probe_dim={self.probe_dim})"
 
 
-def _apply_kraus(kraus_ops, rho) -> np.ndarray:
-    """Sum_j K_j rho K_j+ for one outcome's Kraus family."""
-    rm = _as_array(rho, 2)
-    ks = _as_operators(kraus_ops, len(rm))
-    return (ks @ rm @ dagger(ks)).sum(axis=0)
-
-
-def _choi_matrix(kraus_ops, dim: int) -> np.ndarray:
-    """Choi matrix C[(i,m),(j,n)] = Phi(|i><j|)[m,n] of one outcome's CP map."""
-    v = _as_operators(kraus_ops, dim).swapaxes(1, 2).reshape(-1, dim * dim)  # v[j, (i,m)] = K_j[m,i]
-    return v.T @ v.conj()
-
-
 def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
     """Kraus operators of a CP map from its Choi eigendecomposition.
 
@@ -250,7 +237,7 @@ def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
     w, v = np.linalg.eigh(hermitian_part(choi))
     w, v = w[::-1], v[:, ::-1]
     r = int(np.sum(w > cutoff))
-    # column j of v is vec(K_j), with vec(K)[(i, m)] = K[m, i] as in _choi_matrix
+    # column j of v is vec(K_j), with vec(K)[(i, m)] = K[m, i] as in CPInstrument.choi
     return list(np.sqrt(w[:r])[:, None, None] * v[:, :r].T.reshape(r, dim, dim).swapaxes(1, 2))
 
 
@@ -299,13 +286,17 @@ class CPInstrument(_Immutable):
         return sorted(idx)
 
     def apply(self, rho, outcome_set=None) -> np.ndarray:
-        """Unnormalized state change I(D)rho, D defaulting to all outcomes."""
+        """Unnormalized state change I(D)rho = sum K rho K+ over the families of the
+        outcomes in D, D defaulting to all, for any d x d matrix rho (_as_array)."""
         idx = range(len(self.outcomes)) if outcome_set is None else self._select(outcome_set)
-        ops = [self.kraus[i] for i in idx]
-        return _apply_kraus(np.concatenate(ops) if ops else [], rho)
+        rm = _as_array(rho, 2, dim=self.dim)
+        ks = np.concatenate([self.kraus[i] for i in idx] or [np.zeros((0, self.dim, self.dim))])
+        return (ks @ rm @ dagger(ks)).sum(axis=0)
 
     def choi(self, i: int) -> np.ndarray:
-        return _choi_matrix(self.kraus[i], self.dim)
+        """Choi matrix C[(i,m),(j,n)] = Phi(|i><j|)[m,n] of outcome i's CP map."""
+        v = self.kraus[i].swapaxes(1, 2).reshape(-1, self.dim ** 2)  # v[j, (i,m)] = K_j[m,i]
+        return v.T @ v.conj()
 
     def __repr__(self):
         return f"CPInstrument(outcomes={self.outcomes}, dim={self.dim})"
@@ -372,7 +363,7 @@ def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
     padded = np.zeros((len(sizes), max(sizes), d, d), dtype=complex)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     padded[labels, np.arange(len(g)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = g
-    # column j of outcome m is vec(K_j), with vec(K)[(c, a)] = K[a, c] as in _choi_matrix
+    # column j of outcome m is vec(K_j), with vec(K)[(c, a)] = K[a, c] as in CPInstrument.choi
     v = padded.transpose(0, 3, 2, 1).reshape(len(sizes), d * d, -1)
     w, s, _ = np.linalg.svd(v, full_matrices=False)
     ranks = np.sum(s > 16 * max(d * d, len(g)) * _EPS, axis=1)
@@ -511,7 +502,7 @@ class RepeatabilityReport:
 def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> RepeatabilityReport:
     """Check epsilon-repeatability outcome by outcome.
 
-    Each outcome m is conditioned on by its own Kraus family, with the
+    Each outcome m is conditioned on through apply, by its own Kraus family, with the
     post-measurement state I(m)rho / Pr{m}; outcomes with probability within
     the _slack of d^2 terms are skipped. The residual about the raw outcome
     label (an eigenvalue of A or not) is summed over the spectrum of rho_a, as
@@ -528,10 +519,10 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
     floor = max(_slack(tol, scale), float(np.sqrt(_EPS)) * scale)
     outs, residuals, sds = [], [], []
     probs = _born(instrument._povm.effects, rm, tol).tolist()
-    for x, kraus, p in zip(instrument.outcomes, instrument.kraus, probs):
+    for x, p in zip(instrument.outcomes, probs):
         if p <= _slack(tol, terms=rm.shape[0] ** 2):
             continue
-        rho_a = DensityOperator(hermitian_part(_apply_kraus(kraus, rm)) / p, tol=tol)
+        rho_a = DensityOperator(hermitian_part(instrument.apply(rm, x)) / p, tol=tol)
         outs.append(float(x))
         residuals.append(_spectral_std_dev(am, rho_a, centre=x))
         sds.append(_spectral_std_dev(am, rho_a))

@@ -164,12 +164,6 @@ def _adjoint_gap(op: np.ndarray) -> tuple:
     return float(np.abs(op - adj).max()), adj
 
 
-def is_hermitian(op, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether X - X+ is zero within the slack of max|X_ij|, at any scale of X."""
-    op = as_operator(op)
-    return _adjoint_gap(op)[0] <= _slack(tol, float(np.abs(op).max()))
-
-
 def operator_distance(x, y) -> float:
     """Max-abs entrywise distance of two same-shape arrays, the operator equality norm."""
     x, y = np.asarray(x), np.asarray(y)
@@ -204,8 +198,8 @@ class HermitianObservable(_Immutable):
     """A self-adjoint operator, immutable.
 
     The stored matrix is the exact Hermitian part of the input, read-only.
-    Construction fails unless the input is_hermitian: its deviation from
-    Hermiticity, in max-abs norm, is within the slack of max|X_ij|.
+    Construction fails unless the input's deviation from Hermiticity, in
+    max-abs norm, is within the slack of max|X_ij|, at any scale of X.
     """
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOL):

@@ -105,6 +105,17 @@ class TestFiniteProcess:
         cfg = write_config(tmp_path, finite_process_config(report="everything"))
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
 
+    def test_shipped_neutron_spin_experiment(self, tmp_path):
+        # Erhart et al. (2012) at phi = pi/8: Heisenberg's product fails, and
+        # both universally valid relations hold
+        out = str(tmp_path / "out")
+        path = os.path.join(CONFIG_DIR, "experiment_neutron_spin.json")
+        assert main(["run", path, "--out", out]) == EXIT_OK
+        res = read_report(out)["results"]
+        assert abs(res["epsilon"] - 2.0 * np.sin(np.pi / 16)) <= 1e-13
+        assert abs(res["eta"] - np.sqrt(2.0) * np.cos(np.pi / 8)) <= 1e-13
+        assert (res["heisenberg_holds"], res["uedr_holds"], res["oedr_holds"]) == (False, True, True)
+
 
 def instrument_config(inst, a, report):
     """finite_process_config with inst in place of the process and a as observable_a."""
@@ -155,6 +166,20 @@ class TestInstrumentPayloadNeedsNoDilation:
         assert main(["run", path, "--out", out]) == EXIT_OK
         assert set(read_report(out)["results"].values()) == {precise}
         assert len(calls) == int(precise)
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-16"]], ids=["default-tol", "tol-1e-16"])
+    @pytest.mark.parametrize("a", [None, np.diag([-1.0, 1.0])], ids=["shipped-a", "diagonal"])
+    def test_luders_precision_report_every_flag_true(self, tmp_path, a, tol):
+        # the Lüders instrument of the shipped config's A, or of diag(-1, 1), whose
+        # first Kraus column is e0 already: the dilation's QR has a tau = 0 reflector
+        with open(os.path.join(CONFIG_DIR, "finite_instrument.json")) as fh:
+            cfg = json.load(fh)
+        a = ser.matrix_from_json(cfg["payload"]["observable_a"]) if a is None else a
+        cfg["payload"].update(observable_a=ser.matrix_to_json(a), report="precision",
+                              instrument=ser.instrument_to_dict(qm.luders_instrument(a)))
+        out = str(tmp_path / "out")
+        assert main(["run", write_config(tmp_path, cfg), "--out", out] + tol) == EXIT_OK
+        assert set(read_report(out)["results"].values()) == {True}
 
 
 class TestGaussianModel:
@@ -279,6 +304,26 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_ASSERTION
         assert "sum to the identity" in capsys.readouterr().err
+
+    def test_coupling_checked_in_every_panel(self, tmp_path, capsys):
+        # a Haar coupling on d_s = 2, d_p = 65 (n = 130, three 64-row panels of the
+        # unitarity check), then the same with its last column scaled by 1 + 1e-6,
+        # a defect only the last panel sees
+        dp = 65
+        u = qm.haar_unitary(2 * dp, qm.rng_from(130))
+        with open(os.path.join(CONFIG_DIR, "finite_luders.json")) as fh:
+            cfg = json.load(fh)
+        for factor, code in ((1.0, EXIT_OK), (1 + 1e-6, EXIT_ASSERTION)):
+            scaled = u.copy()
+            scaled[:, -1] *= factor
+            cfg["payload"]["process"] = {
+                "probe_state": ser.matrix_to_json(np.diag(np.eye(dp)[0])),
+                "unitary": ser.matrix_to_json(scaled),
+                "meter": ser.matrix_to_json(np.diag(np.arange(float(dp)))),
+            }
+            path = write_config(tmp_path, cfg)
+            assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+        assert "not unitary" in capsys.readouterr().err
 
 
 class TestInProcess:

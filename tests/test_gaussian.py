@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,13 @@ class TestMinUncertaintyPacket:
     def test_rejects_width_whose_momentum_variance_overflows(self, q1, hbar):
         # hbar (hbar / (2 q1^2)) rounds to inf; the message names the width
         with pytest.raises(qm.ValidationError, match=f"momentum variance .* width q1 = {q1}"):
+            qm.min_uncertainty_packet(0.0, 0.0, q1, constants=qm.PhysicalConstants(hbar=hbar))
+
+    @pytest.mark.parametrize("q1, hbar", [(1e200, 1.0), (1e100, 1e-300)],
+                             ids=["position-overflows", "momentum-underflows"])
+    def test_rejects_wide_packet_beyond_the_float_range(self, q1, hbar):
+        # q1^2 / 2 rounds to inf, or hbar (hbar / (2 q1^2)) to 0; the message names the width
+        with pytest.raises(qm.ValidationError, match=re.escape(f"width q1 = {q1} at hbar = {hbar}")):
             qm.min_uncertainty_packet(0.0, 0.0, q1, constants=qm.PhysicalConstants(hbar=hbar))
 
 

@@ -4,9 +4,10 @@ measuring process that realizes it: flags equal, floats within 1e-12 of
 the operator scale. Only the strong precision face needs a unitary, so
 only it dilates an instrument, once, and only when the weak face holds.
 The figures and flags do not change with the representation: a Kraus
-gauge, a system unitary or a probe unitary on the dilation leaves them
-equal within the same bound, and an affine relabelling of the outcomes
-and A scales those with the units of A."""
+gauge, a system unitary, a probe unitary on the dilation or a round trip
+through the induced instrument of the dilation leaves them equal within
+the same bound, and an affine relabelling of the outcomes and A scales
+those with the units of A."""
 
 import dataclasses
 
@@ -196,6 +197,8 @@ CHANGES = {
     "kraus_gauge": (lambda inst, a, b, rho, rng: (kraus_gauge(inst, rng), a, b, rho), 1.0),
     "system_unitary": (system_unitary, 1.0),
     "probe_unitary": (probe_unitary, 1.0),
+    "round_trip": (lambda inst, a, b, rho, rng: (
+        qm.dilate(qm.instrument_from_process(qm.dilate(inst))), a, b, rho), 1.0),
     **{f"affine_{alpha}": (affine_relabelling(alpha),
                            np.array([abs(alpha), 1.0, abs(alpha), 1.0] + [abs(alpha)] * 5))
        for alpha in (-2.5, 0.3)},
