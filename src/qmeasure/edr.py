@@ -143,10 +143,10 @@ def cyclic_subspace(a, rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def _cyclic_subspace(dec, rho: DensityOperator, tol: Tolerances) -> np.ndarray:
-    """cyclic_subspace from the decomposition of A and the spectrum of rho: the
-    left singular vectors of the span, whose column k * #P + i is P_i phi_k."""
-    w, v = rho.spectrum
-    phi = v[:, w > _slack(tol, terms=len(w))]
+    """cyclic_subspace from the decomposition of A and the support of rho cut at its
+    slack: the left singular vectors of the span, whose column k * #P + i is P_i phi_k."""
+    w, v = rho.support
+    phi = v[:, w > _slack(tol, terms=rho.dim)]
     if phi.shape[1] == 0:
         raise ValidationError("state has no eigenvalue above eq_tol")
     m = (dec.projectors @ phi).transpose(1, 2, 0).reshape(dec.dim, -1)
@@ -176,7 +176,7 @@ class _Scenario:
     every intermediate shared by its figures computed once.
 
     A and B (either may be None when only the other is read) are kept as
-    HermitianObservable and rho as DensityOperator, with its spectrum,
+    HermitianObservable and rho as DensityOperator, with its support,
     validated on construction. The rest is computed on first use and kept,
     per observable x ("a" or "b"): its spectral decomposition, its cyclic
     subspace, one figure pass (_moments of N(A) for "a", of D(B) for "b")

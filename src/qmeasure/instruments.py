@@ -206,14 +206,11 @@ class MeasuringProcess(_Immutable):
     def _kraus_stack(self) -> _KrausStack:
         """The labelled Kraus stack, row (i, l) for column i of the meter's
         eigenvector blocks q and probe eigenvalue l, l running fastest, over
-        the probe eigenvalues above d_p * machine eps, the rounding level of a
-        unit-trace matrix."""
+        the probe state's support."""
         ds, dp = self.system_dim, self.probe_dim
-        lam, phi = self.probe_state.spectrum
-        keep = lam > dp * _EPS
+        lam, phi = self.probe_state.support
         # t[a, b, c, l] = sum_e U[(a, b), (c, e)] sqrt(lam_l) phi_l[e], one 2-D product
-        t = (self.unitary.reshape(-1, dp) @ (phi[:, keep] * np.sqrt(lam[keep]))).reshape(
-            ds, dp, ds, -1)
+        t = (self.unitary.reshape(-1, dp) @ (phi * np.sqrt(lam))).reshape(ds, dp, ds, -1)
         dm = self._meter_measure
         # k[(i, l), a, c] = sum_b conj(q[b, i]) t[a, b, c, l], i over the concatenated blocks
         q = np.concatenate(dm.blocks, axis=1)
@@ -294,7 +291,11 @@ class CPInstrument(_Immutable):
         return (ks @ rm @ dagger(ks)).sum(axis=0)
 
     def choi(self, i: int) -> np.ndarray:
-        """Choi matrix C[(i,m),(j,n)] = Phi(|i><j|)[m,n] of outcome i's CP map."""
+        """Choi matrix C[(i,m),(j,n)] = Phi(|i><j|)[m,n] of outcome i's CP map, i an
+        integer (_number) in [0, len(outcomes))."""
+        i = _number(i, "outcome index", integer=True)
+        if not 0 <= i < len(self.outcomes):
+            raise ValidationError(f"outcome index {i} out of range for {len(self.outcomes)} outcomes")
         v = self.kraus[i].swapaxes(1, 2).reshape(-1, self.dim ** 2)  # v[j, (i,m)] = K_j[m,i]
         return v.T @ v.conj()
 
@@ -505,7 +506,7 @@ def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> Rep
     Each outcome m is conditioned on through apply, by its own Kraus family, with the
     post-measurement state I(m)rho / Pr{m}; outcomes with probability within
     the _slack of d^2 terms are skipped. The residual about the raw outcome
-    label (an eigenvalue of A or not) is summed over the spectrum of rho_a, as
+    label (an eigenvalue of A or not) is summed over the support of rho_a, as
     sigma(A, rho_a) is. The repeatable flag and the AR comparison allow a
     noise floor of sqrt(machine eps) times dim * max|A_ij|, or the slack
     of that scale if larger.

@@ -19,6 +19,7 @@ subspace. They are equivalent, so the four flags must agree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +37,19 @@ from .operators import (
     _validated,
     dagger,
     spectral_decompose,
-    tensor,
 )
 
 
-def _commute(p: np.ndarray, factors, sigma: np.ndarray, tol: Tolerances) -> bool:
-    """Whether [P_i x 1, V V+] sigma = 0 within the _slack of len(sigma) terms
-    for a stack of P_i, acting on the leading index of V's rows, and every thin
-    factor V (V V+ a projector); one pass per V, stopping at the first failure."""
-    d, slack = p.shape[-1], _slack(tol, terms=len(sigma))
+def _commute(p: np.ndarray, factors, states, tol: Tolerances) -> bool:
+    """Whether [P_i x 1, V V+] sigma = 0, sigma the kron of the states, for a stack of
+    P_i acting on the leading index of V's rows and every thin factor V (V V+ a
+    projector): tested on L, the kron of v * w over each state's support (sigma =
+    L (v x v0)+), within the _slack of len(L) terms; one pass per V, to the first failure."""
+    lf = functools.reduce(np.kron, [v * w for w, v in (s.support for s in states)])
+    d, slack = p.shape[-1], _slack(tol, terms=len(lf))
     for v in factors:
         pv = (p @ v.reshape(d, -1)).reshape((len(p),) + v.shape)
-        comm = pv @ (dagger(v) @ sigma) - v @ (dagger(pv) @ sigma)
+        comm = pv @ (dagger(v) @ lf) - v @ (dagger(pv) @ lf)
         if float(np.abs(comm).max()) > slack:
             return False
     return True
@@ -61,8 +63,7 @@ def commute_in_state(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     dx = spectral_decompose(x, tol)
     dy = spectral_decompose(_validated(y, HermitianObservable, tol, dx.dim), tol)
-    sigma = _validated(rho, DensityOperator, tol, dx.dim).matrix
-    return _commute(dx.projectors, dy.blocks, sigma, tol)
+    return _commute(dx.projectors, dy.blocks, [_validated(rho, DensityOperator, tol, dx.dim)], tol)
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,11 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     """
     dx = spectral_decompose(x, tol)
     dy = spectral_decompose(_validated(y, HermitianObservable, tol, dx.dim), tol)
-    sigma = _validated(rho, DensityOperator, tol, dx.dim).matrix
-    if not _commute(dx.projectors, dy.blocks, sigma, tol):
+    rho = _validated(rho, DensityOperator, tol, dx.dim)
+    if not _commute(dx.projectors, dy.blocks, [rho], tol):
         raise ValidationError("observables do not commute in the state")
-    w = _joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors, sigma, tol).weights
-    if np.abs(w.imag).max() > _slack(tol, terms=len(sigma) * w.size):
+    w = _joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors, rho.matrix, tol).weights
+    if np.abs(w.imag).max() > _slack(tol, terms=rho.dim * w.size):
         raise ValidationError(f"joint weight has imaginary residue {np.abs(w.imag).max()}")
     if w.real.min() < tol.psd_tol:
         raise ValidationError(f"negative joint weight {w.real.min()}")
@@ -185,8 +186,7 @@ def _commutes_after(ctx: _Scenario, x: str) -> bool:
     ud = dagger(mp.unitary).reshape(-1, mp.system_dim, mp.probe_dim)  # columns (s, k)
     blocks = (mp._meter_measure if x == "a" else ctx.decomposition("b")).blocks
     factors = ((ud @ v if x == "a" else ud.swapaxes(1, 2) @ v).reshape(len(ud), -1) for v in blocks)
-    sigma = tensor(ctx.rho, mp.probe_state)
-    return _commute(ctx.decomposition(x).projectors, factors, sigma, ctx.tol)
+    return _commute(ctx.decomposition(x).projectors, factors, [ctx.rho, mp.probe_state], ctx.tol)
 
 
 def is_precise(source: MeasuringProcess | CPInstrument, a, rho) -> bool:

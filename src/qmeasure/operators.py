@@ -219,8 +219,9 @@ class HermitianObservable(_Immutable):
 
 
 class DensityOperator(_Immutable):
-    """A quantum state: Hermitian, unit trace, eigenvalues >= psd_tol.
-    Immutable; the matrix and its eigh pair spectrum = (w, v) are read-only."""
+    """A quantum state: Hermitian, unit trace, eigenvalues >= psd_tol. Immutable; the
+    matrix and its support = (w, v), the eigh pairs with w above dim * machine eps
+    (the rounding level of a unit-trace matrix), are read-only."""
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOL):
         op = as_operator(matrix)
@@ -234,9 +235,11 @@ class DensityOperator(_Immutable):
         w, v = np.linalg.eigh(sym)
         if w[0] < tol.psd_tol:
             raise ValidationError(f"density operator has negative eigenvalue {w[0]}")
+        keep = w > len(w) * _EPS
+        w, v = w[keep], v[:, keep]
         for arr in (sym, w, v):
             arr.setflags(write=False)
-        self._init_fields(matrix=sym, dim=sym.shape[0], spectrum=(w, v))
+        self._init_fields(matrix=sym, dim=sym.shape[0], support=(w, v))
 
     @classmethod
     def pure(cls, vector, tol: Tolerances = DEFAULT_TOL) -> "DensityOperator":
@@ -345,12 +348,11 @@ def expectation(x, rho) -> complex:
 def std_dev(a, rho, tol: Tolerances = DEFAULT_TOL) -> float:
     """Standard deviation sqrt(Tr[(A - <A>)^2 rho]) of an observable in a state.
 
-    The centered moment is summed over the spectrum the state keeps,
-    sum_j w_j |(A - <A>) phi_j|^2, dropping weights w_j at or below
-    dim * machine eps, the rounding level of a unit-trace matrix. Taken
-    entrywise, as <A^2> - <A>^2 or Tr[(A - <A>)^2 rho], it keeps that
-    rounding and returns about sqrt(machine eps) times the operator
-    scale on an eigenstate.
+    The centered moment is summed over the support of the state, sum_j w_j
+    |(A - <A>) phi_j|^2, which leaves out the weights at the rounding level
+    of a unit-trace matrix. Taken entrywise, as <A^2> - <A>^2 or
+    Tr[(A - <A>)^2 rho], it keeps that rounding and returns about
+    sqrt(machine eps) times the operator scale on an eigenstate.
     """
     am = _validated(a, HermitianObservable, tol).matrix
     return _spectral_std_dev(am, _validated(rho, DensityOperator, tol, len(am)))
@@ -358,12 +360,11 @@ def std_dev(a, rho, tol: Tolerances = DEFAULT_TOL) -> float:
 
 def _spectral_std_dev(am: np.ndarray, rho: DensityOperator, centre=None) -> float:
     """std_dev of a validated matrix in a state, or sqrt(Tr[(A - c) rho (A - c)])
-    about a given centre c, from the spectrum of rho."""
-    w, v = rho.spectrum
-    keep = w > am.shape[0] * _EPS
+    about a given centre c, from the support of rho."""
+    w, v = rho.support
     dev = am.copy()
     dev[np.diag_indices(len(am))] -= (am @ rho.matrix).trace().real if centre is None else centre
-    return float(np.sqrt((w[keep] * (np.abs(dev @ v[:, keep]) ** 2).sum(axis=0)).sum()))
+    return float(np.sqrt((w * (np.abs(dev @ v) ** 2).sum(axis=0)).sum()))
 
 
 def robertson_bound(a, b, rho, tol: Tolerances = DEFAULT_TOL) -> float:

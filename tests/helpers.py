@@ -165,6 +165,55 @@ def reference_partial_trace(stack, dims) -> np.ndarray:
     return np.stack([sum(z[j::d2, j::d2] for j in range(d2)) for z in stack])
 
 
+def three_state_error_squared(mp: qm.MeasuringProcess, a, rho) -> float:
+    """epsilon(A, rho)^2 from outcome statistics alone, by the three-state method
+    (Ozawa, Ann. Phys. 311, 350 (2004); Erhart et al., Nature Phys. 8, 185 (2012)):
+    <F(M^2)>_rho + <A^2>_rho - (<F(M)>_{(1+A)rho(1+A)} - <F(M)>_{A rho A} - <F(M)>_rho),
+    with unnormalized states, <F(M^k)>_s = sum_m x_m^k Tr[E_m s] over the meter's
+    eigenpairs (x_m, q_m) with effects E_m = Tr_probe[(1 x rho0) U+ (1 x q_m q_m+) U],
+    and <A^2>_rho = sum_i a_i^2 <v_i|rho|v_i> over A's eigenpairs. The reference
+    for qm.rms_error."""
+    am, rm = np.asarray(a, dtype=complex), np.asarray(rho, dtype=complex)
+    d, u = mp.system_dim, mp.unitary
+    x, q = np.linalg.eigh(mp.meter.matrix)
+    lift = np.kron(np.eye(d), mp.probe_state.matrix)
+    effects = reference_partial_trace(
+        [qm.dagger(u) @ np.kron(np.eye(d), np.outer(c, c.conj())) @ u @ lift for c in q.T],
+        (d, mp.probe_dim))
+
+    def mean_meter(state, power=1):
+        return float(np.einsum("m,mab,ba->", x ** power, effects, state).real)
+
+    ai, v = np.linalg.eigh(am)
+    a_squared = float(np.einsum("i,ki,kl,li->", ai ** 2, v.conj(), rm, v).real)
+    one_a = np.eye(d) + am
+    return (mean_meter(rm, 2) + a_squared
+            - (mean_meter(one_a @ rm @ one_a) - mean_meter(am @ rm @ am) - mean_meter(rm)))
+
+
+def sweep_draw(seed: int, trial: int, dims=(2, 4)):
+    """(process, A, B, rho) of trial `trial` of qm.run_sweep(dims, seed=seed)
+    under the haar interaction, drawn in the sweep's order."""
+    rng = qm.rng_from(seed, trial)
+    ds, dp = int(rng.integers(dims[0], dims[1] + 1)), int(rng.integers(dims[0], dims[1] + 1))
+    a, b = qm.random_hermitian(ds, rng), qm.random_hermitian(ds, rng)
+    rho = qm.random_pure_state(ds, rng) if rng.integers(0, 2) else qm.random_density_operator(ds, rng)
+    return qm.random_measuring_process(ds, dp, rng), a, b, rho
+
+
+def precise_channel_instrument(d: int, rng) -> tuple:
+    """(instrument, A): a Lüders measurement of a random Hermitian A followed
+    by a random-unitary channel, K_{m,j} = sqrt(p_j) V_j P_m with d Haar
+    unitaries V_j and random weights p_j. It is precise for A in every state,
+    and its Kraus rank d^2 gives its dilation n = d^3."""
+    a = qm.random_hermitian(d, rng)
+    dec = qm.spectral_decompose(a)
+    weights = rng.dirichlet(np.ones(d))
+    unitaries = [qm.haar_unitary(d, rng) for _ in range(d)]
+    return qm.CPInstrument(dec.eigenvalues, [[np.sqrt(p) * v @ pm for p, v in zip(weights, unitaries)]
+                                             for pm in dec.projectors]), a
+
+
 def composite_cases():
     """(name, process, A, B, rho) for checking the instrument-side figures
     against their composite definitions: Haar couplings up to dimension

@@ -116,6 +116,17 @@ class TestFiniteProcess:
         assert abs(res["eta"] - np.sqrt(2.0) * np.cos(np.pi / 8)) <= 1e-13
         assert (res["heisenberg_holds"], res["uedr_holds"], res["oedr_holds"]) == (False, True, True)
 
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-16"]], ids=["default-tol", "tol-1e-16"])
+    def test_shipped_precise_channel(self, tmp_path, tol):
+        # a Lüders sigma_z measurement followed by a bit flip with p = 1/2 is
+        # precise for sigma_z in |+>: every face, the strong one included, reads True
+        out = str(tmp_path / "out")
+        path = os.path.join(CONFIG_DIR, "finite_precise_channel.json")
+        assert main(["run", path, "--out", out] + tol) == EXIT_OK
+        assert read_report(out)["results"] == {"strong_precise": True, "weak_precise": True,
+                                               "eps_zero_on_cyclic": True,
+                                               "prob_repro_on_cyclic": True}
+
 
 def instrument_config(inst, a, report):
     """finite_process_config with inst in place of the process and a as observable_a."""

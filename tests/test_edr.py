@@ -23,6 +23,8 @@ from helpers import (
     reference_cyclic_basis,
     reference_partial_trace,
     shifted_meter,
+    sweep_draw,
+    three_state_error_squared,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -151,6 +153,21 @@ class TestProbeAverage:
             want = qm.hermitian_part(reference_partial_trace([op @ lift], (ds, dp))[0])
             assert got.shape == (ds, ds)
             assert np.abs(got - want).max() <= 1e-12 * max(np.abs(op).max(), 1.0)
+
+
+THREE_STATE_CASES = ([(mp, a, rho) for _, mp, a, _, rho in composite_cases()]
+                     + [(mp, a, rho) for mp, a, _, rho in (sweep_draw(21, t) for t in range(300))])
+
+
+class TestThreeStateMethod:
+    def test_error_from_outcome_statistics_alone(self):
+        # epsilon^2 from the meter statistics in three unnormalized states and
+        # the Born statistics of A, against qm.rms_error; gated on the scale of
+        # A^2, since the expanded form cancels on precise processes
+        for mp, a, rho in THREE_STATE_CASES:
+            scale = max(1.0, float(np.abs(np.asarray(a)).max())) ** 2
+            assert abs(three_state_error_squared(mp, a, rho) - qm.rms_error(mp, a, rho) ** 2) \
+                <= 1e-12 * scale
 
 
 class TestScenarioReadOrder:

@@ -447,10 +447,11 @@ def library_calls(fn, *args, **kwargs) -> int:
     return count
 
 
-# library calls per dims 2..4 sweep trial, measured on CPython 3.11 with
-# numpy 2.4: a trial of about 1.3 ms is call overhead more than linear
-# algebra, so an added call shows in its time. CPython 3.12 inlines
-# comprehensions, which only removes events, so the bound holds there too.
+# library calls per dims 2..4 sweep trial: a trial of about 1.3 ms is call
+# overhead more than linear algebra, so an added call shows in its time. The
+# count is 719.95 calls per trial on CPython 3.11.7 with numpy 2.4.6, 8.7
+# calls under the bound of 1.05 * 694. CPython 3.12 inlines comprehensions,
+# which only removes events, so the bound holds there too.
 SWEEP_TRIAL_CALLS = 694
 
 

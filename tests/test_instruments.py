@@ -880,7 +880,7 @@ class TestChoiDistance:
 
 class TestRepeatability:
     def test_luders_is_repeatable(self):
-        # r(a) = 0 exactly; summed over the spectrum of rho_a it reads zero to
+        # r(a) = 0 exactly; summed over the support of rho_a it reads zero to
         # rounding at every scale of A, not sqrt(machine eps) times the scale
         rng = qm.rng_from(208)
         for _ in range(20):

@@ -15,6 +15,7 @@ from helpers import (
     dilated_luders,
     identity_coupling_process,
     independent_meter_process,
+    precise_channel_instrument,
     reference_cases,
     reference_joint_weights,
     reference_partial_trace,
@@ -47,6 +48,17 @@ class TestCommuteInState:
         rho = qm.DensityOperator(np.diag([1.0, 0.0, 0.0]).astype(complex))
         assert qm.operator_distance(qm.commutator(x, y), np.zeros((3, 3))) > 0.5
         assert qm.commute_in_state(x, y, rho)
+
+    @pytest.mark.parametrize("w, commute", [(1e-6, False), (1e-9, True), (1e-12, True),
+                                            (1e-15, True)])
+    def test_weight_off_the_commuting_support(self, w, commute):
+        # weight w on e1 breaks commutation by about w: the test reads the state
+        # factor v * w, with rho's own scale, so w at or below the slack commutes
+        x = np.diag([1.0, 2.0, 3.0])
+        y = np.zeros((3, 3))
+        y[0, 0] = 1.0
+        y[1, 2] = y[2, 1] = 1.0
+        assert qm.commute_in_state(x, y, np.diag([1.0 - w, w, 0.0])) == commute
 
 
 class TestJointDistribution:
@@ -242,7 +254,7 @@ class TestTheorem2:
             qm.is_nondisturbing(mp, a, rho)
 
     def test_commutation_tested_only_behind_the_weak_face(self, monkeypatch):
-        # no Haar trial is weakly precise, so none builds rho x rho0
+        # no Haar trial is weakly precise, so none runs the commutation test
         calls = []
         commute = qm.jpd._commute
         monkeypatch.setattr(qm.jpd, "_commute", lambda *args: calls.append(1) or commute(*args))
@@ -528,6 +540,25 @@ class TestInstrumentSideMatchesComposite:
             assert qm.is_nondisturbing(mp, x, rho) == reference_strong_face(
                 before, dx.eigenvalues, after, dx.eigenvalues, sigma)
 
+    @pytest.mark.parametrize("mp, a, b, rho", [c[1:] for c in COMPOSITE_CASES],
+                             ids=[c[0] for c in COMPOSITE_CASES])
+    def test_commutation_on_the_state_factor(self, mp, a, b, rho):
+        # _commute reads the supports of rho and rho0, never rho x rho0; with
+        # every value 0 no atom lies off the diagonal, so the reference tests
+        # commutation alone
+        def reference(before, after, sigma):
+            return reference_strong_face(before, np.zeros(len(before)),
+                                         after, np.zeros(len(after)), sigma)
+
+        ctx = qm.edr._Scenario(mp, a, b, rho)
+        _, before, _, dm, sigma = composite_pairs(mp, a, rho)
+        assert qm.jpd._commutes_after(ctx, "a") == reference(before, dm.projectors, sigma)
+        a0 = np.kron(a.matrix, np.eye(mp.probe_dim))
+        assert qm.commute_in_state(a0, mp.evolved_meter(), sigma) == reference(
+            before, dm.projectors, sigma)
+        _, before, after, _, sigma = composite_pairs(mp, b, rho)
+        assert qm.jpd._commutes_after(ctx, "b") == reference(before, after, sigma)
+
     def test_strong_faces_decide_both_ways(self):
         # the cases above hold precise and imprecise, disturbing and
         # nondisturbing processes, so a face stuck at one value shows
@@ -536,6 +567,20 @@ class TestInstrumentSideMatchesComposite:
         assert {p for _, p, _ in flags} == {True, False}
         assert {d for _, _, d in flags} == {True, False}
         assert ("dilated-luders", True, False) in flags and ("identity", False, True) in flags
+
+
+class TestPreciseFamily:
+    """A Lüders measurement followed by a random-unitary channel, K_{m,j} =
+    sqrt(p_j) V_j P_m: precise for A in every state, so every face reads True,
+    the strong one on a dilation of n = d^3."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_every_face_true(self, d):
+        rng = qm.rng_from(35, d)
+        inst, a = precise_channel_instrument(d, rng)
+        for rho in (qm.random_density_operator(d, rng), qm.random_pure_state(d, rng)):
+            assert qm.theorem2_check(inst, a, rho).flags() == (True, True, True, True)
+            assert qm.is_precise(inst, a, rho)
 
 
 def split_meter_process(gap: float) -> qm.MeasuringProcess:

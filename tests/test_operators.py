@@ -117,11 +117,11 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             dec.blocks = ()
         rho = qm.DensityOperator(P0)
-        for arr in rho.spectrum:
+        for arr in rho.support:
             with pytest.raises(ValueError):
                 arr[0] = 2.0
         with pytest.raises(AttributeError):
-            rho.spectrum = (np.ones(2), np.eye(2))
+            rho.support = (np.ones(2), np.eye(2))
 
     @pytest.mark.parametrize("make", [
         lambda: qm.HermitianObservable(SZ),
@@ -386,6 +386,7 @@ MISUSE_PARAMETERS = [
      ("1", True, NAN, [[1.0]], 1j, [[1.0], 2.0])),
     ("apply-outcome_set", lambda v: INST.apply(PLUS.matrix, v),
      ("1", True, NAN, [[1.0]], 1j, [[1.0], 2.0])),
+    ("choi-index", INST.choi, (1.5, True, 5, -1)),
     ("build_model-id", qm.build_model, (True, NAN, [["von_neumann"]], "other")),
     ("min_uncertainty_packet-q", lambda v: qm.min_uncertainty_packet(v, 0.0, 1.0),
      ("1", True, NAN, [[1.0]])),
