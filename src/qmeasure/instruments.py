@@ -148,7 +148,8 @@ class MeasuringProcess(_Immutable):
     probe. The unitary is checked as max|U+U - 1| within the slack of its n
     terms, over the upper triangle of U+U (Hermitian for any U, so every
     deviation shows there) in panels of _PANEL rows: besides the kept copy
-    of U, no n x n array is built. The probe state, the meter (on the probe's
+    of U (U itself when as_operator keeps it: an owned, read-only complex
+    array), no n x n array is built. The probe state, the meter (on the probe's
     dimension) and the composite methods' arguments (on the system's) enter
     through _validated.
     Immutable: what depends on the process alone (the meter's spectral measure
@@ -424,9 +425,10 @@ def dilate(instrument: CPInstrument) -> MeasuringProcess:
     column already on e_k, as in Lüders instruments of diagonal observables)
     zeroes row and column k of T, as LAPACK's zlarft does. The probe
     starts in the pure state |e0> (the first block vector) and the meter
-    takes the value outcomes[m] on block m. Reading the meter of the
-    resulting process reproduces the instrument (per-outcome Choi
-    agreement), and the process carries the instrument's Tolerances.
+    takes the value outcomes[m] on block m. The coupling is set read-only after
+    its last write, so the process keeps it without a copy (as_operator).
+    Reading the meter of the resulting process reproduces the instrument
+    (per-outcome Choi agreement), and the process carries the instrument's Tolerances.
     """
     tol, stack = instrument.tol, instrument._kraus_stack
     d, probe_dim = stack.system_dim, len(stack.kraus)
@@ -454,6 +456,7 @@ def dilate(instrument: CPInstrument) -> MeasuringProcess:
     # E[:, d:]: complement column (i, b) has its 1 in row d + (i, b - 1)
     ones = np.einsum("ibib->ib", u[d:].reshape(d, probe_dim - 1, d, probe_dim)[..., 1:])
     ones += 1.0
+    u.setflags(write=False)
 
     meter = HermitianObservable(np.diag(np.repeat(stack.values, stack.sizes)), tol=tol)
     e0 = np.zeros(probe_dim)

@@ -181,12 +181,18 @@ def _commutes_after(ctx: _Scenario, x: str) -> bool:
     """Whether the pair of _before_after commutes in rho x rho0, the
     after-projectors taken as thin factors V V+ (U+ (e_s x q_j) over a meter
     block q, U+ (u_j x e_k) over a block u of B) of the scenario's process,
-    for an instrument its dilate, the one figure step that needs a unitary."""
+    for an instrument its dilate, the one figure step that needs a unitary; each
+    factor is contracted from U's rows as held, then conjugated, so no U+ is built."""
     mp = ctx.source if isinstance(ctx.source, MeasuringProcess) else dilate(ctx.source)
-    ud = dagger(mp.unitary).reshape(-1, mp.system_dim, mp.probe_dim)  # columns (s, k)
-    blocks = (mp._meter_measure if x == "a" else ctx.decomposition("b")).blocks
-    factors = ((ud @ v if x == "a" else ud.swapaxes(1, 2) @ v).reshape(len(ud), -1) for v in blocks)
-    return _commute(ctx.decomposition(x).projectors, factors, [ctx.rho, mp.probe_state], ctx.tol)
+    u, ds, dp = mp.unitary, mp.system_dim, mp.probe_dim
+    if x == "a":  # V[c, (s, j)] = conj(sum_k conj(q[k, j]) U[(s, k), c])
+        factors = ((dagger(q) @ u.reshape(ds, dp, -1)).conj().transpose(2, 0, 1)
+                   for q in mp._meter_measure.blocks)
+    else:  # V[c, (k, j)] = conj(sum_s conj(w[s, j]) U[(s, k), c])
+        factors = ((dagger(w) @ u.reshape(ds, -1)).reshape(-1, dp, len(u)).conj()
+                   .transpose(2, 1, 0) for w in ctx.decomposition("b").blocks)
+    return _commute(ctx.decomposition(x).projectors, (v.reshape(len(u), -1) for v in factors),
+                    [ctx.rho, mp.probe_state], ctx.tol)
 
 
 def is_precise(source: MeasuringProcess | CPInstrument, a, rho) -> bool:

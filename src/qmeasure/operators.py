@@ -106,7 +106,9 @@ def _as_array(x, ndim: int, real: bool = False, dim: int = None) -> np.ndarray:
     entries, or with real a float copy of int or float entries only (a bool
     or string entry raises in either, a bool among numbers in a list or
     tuple too, though numpy promotes it). With two or more axes the last two
-    are square; the last has length dim when dim is given."""
+    are square; the last has length dim when dim is given. An array that owns its
+    memory, is already read-only (the library's marker for an immutable array)
+    and has the target dtype is checked the same way and kept, not copied."""
     try:
         arr = np.asarray(x)
         bools = isinstance(x, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
@@ -125,11 +127,14 @@ def _as_array(x, ndim: int, real: bool = False, dim: int = None) -> np.ndarray:
         raise ValidationError(f"dimension mismatch: {arr.shape} on dimension {dim}")
     if not np.isfinite(arr).all():
         raise ValidationError("entries must be finite")
-    return arr.astype(float if real else complex)
+    dtype = float if real else complex
+    kept = arr.flags.owndata and not arr.flags.writeable and arr.dtype == dtype
+    return arr if kept else arr.astype(dtype)
 
 
 def as_operator(matrix) -> np.ndarray:
-    """A matrix as a finite, nonempty square complex copy (_as_array), read-only."""
+    """A matrix as a finite, nonempty square complex read-only array (_as_array):
+    a copy, or the matrix itself when _as_array keeps it."""
     arr = _as_array(matrix, 2)
     arr.setflags(write=False)
     return arr

@@ -1,6 +1,8 @@
 """Shared fixtures-by-hand for the test suite: standard matrices and
 constructed measuring processes with known exact behavior."""
 
+import tracemalloc
+
 import numpy as np
 
 import qmeasure as qm
@@ -18,6 +20,20 @@ KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 KET_YPLUS = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
 
 CNOT = np.kron(P0, EYE2) + np.kron(P1, SX)
+
+
+def traced(f) -> tuple:
+    """(f(), peak, current): the bytes tracemalloc saw allocated at the peak
+    of the call and still held after it, above what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = f()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base, current - base
 
 
 def cnot_process() -> qm.MeasuringProcess:
@@ -189,6 +205,40 @@ def three_state_error_squared(mp: qm.MeasuringProcess, a, rho) -> float:
     one_a = np.eye(d) + am
     return (mean_meter(rm, 2) + a_squared
             - (mean_meter(one_a @ rm @ one_a) - mean_meter(am @ rm @ am) - mean_meter(rm)))
+
+
+def three_state_disturbance_squared(mp: qm.MeasuringProcess, b, rho) -> float:
+    """eta(B, rho)^2 from outcome statistics alone, by the same three-state method:
+    <B^2>_T(rho) + <B^2>_rho - (<B>_T((1+B)rho(1+B)) - <B>_T(B rho B) - <B>_T(rho)),
+    with unnormalized states, the channel T(s) = Tr_probe[U (s x rho0) U+] and the
+    Born means <B^k>_s = sum_i b_i^k <v_i|s|v_i> over B's eigenpairs (b_i, v_i):
+    <B(dt)^k>_s is the Born mean of B^k after the channel. The reference for
+    qm.rms_disturbance."""
+    bm, rm = np.asarray(b, dtype=complex), np.asarray(rho, dtype=complex)
+    d, u = mp.system_dim, mp.unitary
+    bi, v = np.linalg.eigh(bm)
+
+    def born_mean(state, power=1):
+        return float(np.einsum("i,ki,kl,li->", bi ** power, v.conj(), state, v).real)
+
+    def channel(state):
+        return reference_partial_trace([u @ np.kron(state, mp.probe_state.matrix) @ qm.dagger(u)],
+                                       (d, mp.probe_dim))[0]
+
+    one_b = np.eye(d) + bm
+    return (born_mean(channel(rm), 2) + born_mean(rm, 2)
+            - (born_mean(channel(one_b @ rm @ one_b)) - born_mean(channel(bm @ rm @ bm))
+               - born_mean(channel(rm))))
+
+
+def reference_after_factors(mp: qm.MeasuringProcess, x: str, blocks) -> list:
+    """The thin factors of the after-projectors from the whole conjugate of U:
+    U+ with its columns split as (s, k), times each meter block q on k for
+    x = "a" (U+ (e_s x q_j)) and each block w of B on s for x = "b"
+    (U+ (w_j x e_k)), flattened to (n, columns). The reference for the
+    factors qm.jpd._commutes_after forms from U's rows."""
+    ud = qm.dagger(mp.unitary).reshape(-1, mp.system_dim, mp.probe_dim)
+    return [(ud @ v if x == "a" else ud.swapaxes(1, 2) @ v).reshape(len(ud), -1) for v in blocks]
 
 
 def sweep_draw(seed: int, trial: int, dims=(2, 4)):

@@ -24,6 +24,7 @@ from helpers import (
     reference_partial_trace,
     shifted_meter,
     sweep_draw,
+    three_state_disturbance_squared,
     three_state_error_squared,
 )
 
@@ -155,8 +156,8 @@ class TestProbeAverage:
             assert np.abs(got - want).max() <= 1e-12 * max(np.abs(op).max(), 1.0)
 
 
-THREE_STATE_CASES = ([(mp, a, rho) for _, mp, a, _, rho in composite_cases()]
-                     + [(mp, a, rho) for mp, a, _, rho in (sweep_draw(21, t) for t in range(300))])
+THREE_STATE_CASES = ([c[1:] for c in composite_cases()]
+                     + [sweep_draw(21, t) for t in range(300)])
 
 
 class TestThreeStateMethod:
@@ -164,10 +165,19 @@ class TestThreeStateMethod:
         # epsilon^2 from the meter statistics in three unnormalized states and
         # the Born statistics of A, against qm.rms_error; gated on the scale of
         # A^2, since the expanded form cancels on precise processes
-        for mp, a, rho in THREE_STATE_CASES:
+        for mp, a, _, rho in THREE_STATE_CASES:
             scale = max(1.0, float(np.abs(np.asarray(a)).max())) ** 2
             assert abs(three_state_error_squared(mp, a, rho) - qm.rms_error(mp, a, rho) ** 2) \
                 <= 1e-12 * scale
+
+    def test_disturbance_from_outcome_statistics_alone(self):
+        # eta^2 from the Born statistics of B after the channel in three
+        # unnormalized states and of B^2 before and after it, against
+        # qm.rms_disturbance, on the scale of B^2
+        for mp, _, b, rho in THREE_STATE_CASES:
+            scale = max(1.0, float(np.abs(np.asarray(b)).max())) ** 2
+            assert abs(three_state_disturbance_squared(mp, b, rho)
+                       - qm.rms_disturbance(mp, b, rho) ** 2) <= 1e-12 * scale
 
 
 class TestScenarioReadOrder:

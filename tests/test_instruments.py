@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -15,10 +13,12 @@ from helpers import (
     SZ,
     cnot_process,
     dilated_luders,
+    precise_channel_instrument,
     reference_cases,
     reference_instrument_from_process,
     reference_outcome_probabilities,
     reference_partial_trace,
+    traced,
     trivial_process,
 )
 
@@ -174,19 +174,12 @@ class TestUnitarityCheck:
         probe = qm.random_pure_state(dp, rng)
         meter = qm.HermitianObservable(np.diag(np.arange(float(dp))))
         unit = n * n * 16
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            mp = qm.MeasuringProcess(probe, u, meter)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        mp, peak, current = traced(lambda: qm.MeasuringProcess(probe, u, meter))
         # the kept copy of U, then per panel a 64 x n conjugated slice of U, its
         # product with U's columns and the product's abs, at most three
         # 64 x n complex arrays; the probe and meter are a small fraction
-        assert peak - base <= unit * (1 + 1 / 16) + 3 * 64 * n * 16
-        assert abs((current - base) / unit - 1.0) < 0.1
+        assert peak <= unit * (1 + 1 / 16) + 3 * 64 * n * 16
+        assert abs(current / unit - 1.0) < 0.1
         assert np.array_equal(mp.unitary, u)
 
     @pytest.mark.parametrize("n", [4, 64, 65, 129, 200, 216])
@@ -755,6 +748,20 @@ class TestDilation:
                 mp = qm.dilate(inst)
                 assert qm.edr_ledger(mp, a, b, rho) == qm.edr_ledger(inst, a, b, rho)
                 assert qm.theorem2_check(mp, a, rho) == qm.theorem2_check(inst, a, rho)
+
+    @pytest.mark.parametrize("d", [6, 8])
+    def test_traced_peak_is_one_coupling_plus_64_n_panels(self, d):
+        # n = d^3 = 216 and 512: the coupling is written once, set read-only
+        # and kept by the process, so beside it there are only the unitarity
+        # check's 64 x n panels (as in TestUnitarityCheck) and a few n x d
+        # arrays of the QR; a copy of the coupling would add a whole unit
+        inst, _ = precise_channel_instrument(d, qm.rng_from(36, d))
+        n = d ** 3
+        unit = n * n * 16
+        mp, peak, current = traced(lambda: qm.dilate(inst))
+        assert mp.unitary.shape == (n, n) and not mp.unitary.flags.writeable
+        assert peak <= unit * (1 + 1 / 16) + 3 * 64 * n * 16 + 8 * n * d * 16
+        assert abs(current / unit - 1.0) < 0.1
 
     def test_round_trip_choi_d6_with_36_kraus(self):
         # the first 6 columns of a Haar unitary on C^216 split into 36 Kraus

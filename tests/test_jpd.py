@@ -16,10 +16,12 @@ from helpers import (
     identity_coupling_process,
     independent_meter_process,
     precise_channel_instrument,
+    reference_after_factors,
     reference_cases,
     reference_joint_weights,
     reference_partial_trace,
     reference_strong_face,
+    traced,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -559,6 +561,25 @@ class TestInstrumentSideMatchesComposite:
         _, before, after, _, sigma = composite_pairs(mp, b, rho)
         assert qm.jpd._commutes_after(ctx, "b") == reference(before, after, sigma)
 
+    @pytest.mark.parametrize("mp, a, b, rho", [c[1:] for c in COMPOSITE_CASES],
+                             ids=[c[0] for c in COMPOSITE_CASES])
+    def test_after_factors_match_the_conjugated_coupling(self, monkeypatch, mp, a, b, rho):
+        # the factors read from U's rows against U+ reshaped, each in full:
+        # the recording _commute lists them before testing any
+        seen, commute = [], qm.jpd._commute
+
+        def recording(p, factors, states, tol):
+            seen.append(list(factors))
+            return commute(p, seen[-1], states, tol)
+
+        monkeypatch.setattr(qm.jpd, "_commute", recording)
+        ctx = qm.edr._Scenario(mp, a, b, rho)
+        for x, blocks in (("a", mp._meter_measure.blocks), ("b", ctx.decomposition("b").blocks)):
+            qm.jpd._commutes_after(ctx, x)
+            want = reference_after_factors(mp, x, blocks)
+            assert [v.shape for v in seen[-1]] == [w.shape for w in want]
+            assert max(float(np.abs(v - w).max()) for v, w in zip(seen[-1], want)) <= 1e-13
+
     def test_strong_faces_decide_both_ways(self):
         # the cases above hold precise and imprecise, disturbing and
         # nondisturbing processes, so a face stuck at one value shows
@@ -581,6 +602,17 @@ class TestPreciseFamily:
         for rho in (qm.random_density_operator(d, rng), qm.random_pure_state(d, rng)):
             assert qm.theorem2_check(inst, a, rho).flags() == (True, True, True, True)
             assert qm.is_precise(inst, a, rho)
+
+    def test_traced_peak_holds_one_coupling(self):
+        # d = 8, n = 512: beside the dilation's one coupling, the commutation
+        # test's (d, n, d^2) products P V take about 2.4 n x n units at their
+        # peak; the thin factors read U in place, so a conjugate of U would
+        # add a whole unit
+        inst, a = precise_channel_instrument(8, qm.rng_from(36, 8))
+        rho = qm.random_density_operator(8, qm.rng_from(37, 8))
+        report, peak, _ = traced(lambda: qm.theorem2_check(inst, a, rho))
+        assert report.flags() == (True, True, True, True)
+        assert peak < 3.6 * 512 ** 2 * 16
 
 
 def split_meter_process(gap: float) -> qm.MeasuringProcess:

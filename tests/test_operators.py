@@ -138,6 +138,42 @@ class TestImmutable:
         assert "np." not in repr(obj), repr(obj)
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class TestKeepRule:
+    """_as_array keeps an array that owns its memory, is read-only and has the
+    target dtype, and copies every other input; as_operator, and through it
+    MeasuringProcess's unitary, inherits the rule."""
+
+    def test_owned_read_only_complex_array_is_kept(self):
+        x = read_only(np.array(SX, dtype=complex))
+        assert x.flags.owndata and qm.as_operator(x) is x
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.array(SX, dtype=complex),
+        lambda: read_only(np.kron(EYE2, SX).astype(complex)[:2, :2]),
+        lambda: read_only(SX.real.copy()),
+    ], ids=["writable", "read-only-view", "read-only-float"])
+    def test_other_arrays_are_copied(self, make):
+        x = make()
+        op = qm.as_operator(x)
+        assert not np.shares_memory(op, x)
+        assert op.dtype == complex and not op.flags.writeable and np.array_equal(op, x)
+
+    def test_process_keeps_a_read_only_unitary(self):
+        u = read_only(np.kron(SX, EYE2).astype(complex))
+        assert qm.MeasuringProcess(qm.DensityOperator(P0), u, qm.HermitianObservable(SZ)).unitary is u
+
+    def test_process_copies_a_writable_unitary(self):
+        u = np.kron(SX, EYE2).astype(complex)
+        mp = qm.MeasuringProcess(qm.DensityOperator(P0), u, qm.HermitianObservable(SZ))
+        u[:] = np.eye(4)
+        assert np.array_equal(mp.unitary, np.kron(SX, EYE2))
+
+
 class TestAlgebra:
     def test_commutator_pauli(self):
         assert np.allclose(qm.commutator(SX, SY), 2j * SZ)
