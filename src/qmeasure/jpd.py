@@ -40,16 +40,17 @@ from .operators import (
 )
 
 
-def _commute(p: np.ndarray, factors, states, tol: Tolerances) -> bool:
-    """Whether [P_i x 1, V V+] sigma = 0, sigma the kron of the states, for a stack of
-    P_i acting on the leading index of V's rows and every thin factor V (V V+ a
-    projector): tested on L, the kron of v * w over each state's support (sigma =
-    L (v x v0)+), within the _slack of len(L) terms; one pass per V, to the first failure."""
+def _commute(p: np.ndarray, rows, states, tol: Tolerances) -> bool:
+    """Whether [P_i x 1, G+ G] sigma = 0, sigma the kron of the states, for a stack of P_i
+    on the leading index and every row factor G (orthonormal rows): tested on L, the kron
+    of v * w over each state's support (sigma = L (v x v0)+), as P G+ G L - G+ G P L with
+    P L formed once, within the _slack of len(L) terms; one pass per G, to the first failure."""
     lf = functools.reduce(np.kron, [v * w for w, v in (s.support for s in states)])
     d, slack = p.shape[-1], _slack(tol, terms=len(lf))
-    for v in factors:
-        pv = (p @ v.reshape(d, -1)).reshape((len(p),) + v.shape)
-        comm = pv @ (dagger(v) @ lf) - v @ (dagger(pv) @ lf)
+    pl = (p @ lf.reshape(d, -1)).reshape((len(p),) + lf.shape)
+    for g in rows:
+        gd = dagger(g)
+        comm = (p @ (gd @ (g @ lf)).reshape(d, -1)).reshape(pl.shape) - gd @ (g @ pl)
         if float(np.abs(comm).max()) > slack:
             return False
     return True
@@ -63,7 +64,8 @@ def commute_in_state(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     dx = spectral_decompose(x, tol)
     dy = spectral_decompose(_validated(y, HermitianObservable, tol, dx.dim), tol)
-    return _commute(dx.projectors, dy.blocks, [_validated(rho, DensityOperator, tol, dx.dim)], tol)
+    return _commute(dx.projectors, map(dagger, dy.blocks),
+                    [_validated(rho, DensityOperator, tol, dx.dim)], tol)
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ def joint_distribution(x, y, rho, tol: Tolerances = DEFAULT_TOL) -> JointDistrib
     dx = spectral_decompose(x, tol)
     dy = spectral_decompose(_validated(y, HermitianObservable, tol, dx.dim), tol)
     rho = _validated(rho, DensityOperator, tol, dx.dim)
-    if not _commute(dx.projectors, dy.blocks, [rho], tol):
+    if not _commute(dx.projectors, map(dagger, dy.blocks), [rho], tol):
         raise ValidationError("observables do not commute in the state")
     w = _joint(dx.eigenvalues, dx.projectors, dy.eigenvalues, dy.projectors, rho.matrix, tol).weights
     if np.abs(w.imag).max() > _slack(tol, terms=rho.dim * w.size):
@@ -178,43 +180,40 @@ def _diagonal_concentrated(jd: JointDistribution, labels: np.ndarray, tol: Toler
 
 
 def _commutes_after(ctx: _Scenario, x: str) -> bool:
-    """Whether the pair of _before_after commutes in rho x rho0, the
-    after-projectors taken as thin factors V V+ (U+ (e_s x q_j) over a meter
-    block q, U+ (u_j x e_k) over a block u of B) of the scenario's process,
-    for an instrument its dilate, the one figure step that needs a unitary; each
-    factor is contracted from U's rows as held, then conjugated, so no U+ is built."""
+    """Whether the pair of _before_after commutes in rho x rho0, each after-projector
+    taken as G+ G with G read from the rows of U, the scenario's process's coupling (for
+    an instrument its dilate, the one figure step that needs a unitary): G = (1 x q+) U
+    over a meter block q, (w+ x 1) U over a block w of B. Row order leaves G+ G as it
+    is, so no factor is conjugated or transposed, and no U+ is built."""
     mp = ctx.source if isinstance(ctx.source, MeasuringProcess) else dilate(ctx.source)
     u, ds, dp = mp.unitary, mp.system_dim, mp.probe_dim
-    if x == "a":  # V[c, (s, j)] = conj(sum_k conj(q[k, j]) U[(s, k), c])
-        factors = ((dagger(q) @ u.reshape(ds, dp, -1)).conj().transpose(2, 0, 1)
-                   for q in mp._meter_measure.blocks)
-    else:  # V[c, (k, j)] = conj(sum_s conj(w[s, j]) U[(s, k), c])
-        factors = ((dagger(w) @ u.reshape(ds, -1)).reshape(-1, dp, len(u)).conj()
-                   .transpose(2, 1, 0) for w in ctx.decomposition("b").blocks)
-    return _commute(ctx.decomposition(x).projectors, (v.reshape(len(u), -1) for v in factors),
-                    [ctx.rho, mp.probe_state], ctx.tol)
+    blocks, shape = ((mp._meter_measure.blocks, (ds, dp, -1)) if x == "a"
+                     else (ctx.decomposition("b").blocks, (ds, -1)))
+    rows = ((dagger(w) @ u.reshape(shape)).reshape(-1, len(u)) for w in blocks)
+    return _commute(ctx.decomposition(x).projectors, rows, [ctx.rho, mp.probe_state], ctx.tol)
+
+
+def _strong(ctx: _Scenario, x: str) -> bool:
+    """The strong face: _before_after on the diagonal and commuting in rho x rho0; the
+    commutation test, the one step that dilates an instrument, runs only if the first holds."""
+    return (_diagonal_concentrated(_before_after(ctx, x), _labels(ctx, x), ctx.tol)
+            and _commutes_after(ctx, x))
 
 
 def is_precise(source: MeasuringProcess | CPInstrument, a, rho) -> bool:
     """Whether the process or instrument reproduces A exactly in the state rho:
     the weak joint distribution of A(0) and M(dt) in rho x rho0 sits on the
     diagonal in modulus, and the pair commutes in rho x rho0, so that the
-    weak distribution is the genuine one; the commutation test, the one
-    step that dilates an instrument, runs only if the diagonal test holds.
-    The diagonal test alone is theorem2_check's weak_precise, which agrees.
-    """
-    ctx = _Scenario(source, a, None, rho)
-    return (_diagonal_concentrated(_before_after(ctx, "a"), _labels(ctx, "a"), ctx.tol)
-            and _commutes_after(ctx, "a"))
+    weak distribution is the genuine one: _strong for A. The diagonal test
+    alone is theorem2_check's weak_precise, which agrees."""
+    return _strong(_Scenario(source, a, None, rho), "a")
 
 
 def is_nondisturbing(source: MeasuringProcess | CPInstrument, b, rho) -> bool:
     """Whether the weak joint distribution of B(0) and B(dt) sits on the
-    diagonal and the pair commutes in rho x rho0: the strong is_precise
-    test, for B."""
-    ctx = _Scenario(source, None, b, rho)
-    return (_diagonal_concentrated(_before_after(ctx, "b"), _labels(ctx, "b"), ctx.tol)
-            and _commutes_after(ctx, "b"))
+    diagonal and the pair commutes in rho x rho0: _strong, the strong
+    is_precise test, for B."""
+    return _strong(_Scenario(source, None, b, rho), "b")
 
 
 def _cluster_gap(ctx: _Scenario, labels: np.ndarray) -> np.ndarray:

@@ -235,8 +235,9 @@ def reference_after_factors(mp: qm.MeasuringProcess, x: str, blocks) -> list:
     """The thin factors of the after-projectors from the whole conjugate of U:
     U+ with its columns split as (s, k), times each meter block q on k for
     x = "a" (U+ (e_s x q_j)) and each block w of B on s for x = "b"
-    (U+ (w_j x e_k)), flattened to (n, columns). The reference for the
-    factors qm.jpd._commutes_after forms from U's rows."""
+    (U+ (w_j x e_k)), flattened to (n, columns). Their projectors V V+ are
+    the reference for G+ G of the row factors qm.jpd._commutes_after reads
+    from U's rows."""
     ud = qm.dagger(mp.unitary).reshape(-1, mp.system_dim, mp.probe_dim)
     return [(ud @ v if x == "a" else ud.swapaxes(1, 2) @ v).reshape(len(ud), -1) for v in blocks]
 

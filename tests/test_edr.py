@@ -269,6 +269,16 @@ class TestNeutronSpinFamily:
             heisenberg_fails += not r.heisenberg_holds
         assert heisenberg_fails == 115
 
+    def test_three_state_method_on_the_dilation(self):
+        # the experiment's own estimator: epsilon^2 and eta^2 from outcome
+        # statistics alone, on the dilated Lueders measurement, against the
+        # closed forms 4 sin^2(phi/2) and 2 cos^2(phi)
+        rho = qm.DensityOperator.pure(KET0)
+        for phi in np.linspace(0.0, np.pi, 61):
+            mp = qm.dilate(qm.luders_instrument(np.cos(phi) * SX + np.sin(phi) * SY))
+            assert abs(three_state_error_squared(mp, SX, rho) - 4.0 * np.sin(phi / 2.0) ** 2) <= 1e-13
+            assert abs(three_state_disturbance_squared(mp, SY, rho) - 2.0 * np.cos(phi) ** 2) <= 1e-13
+
 
 class TestCyclicSubspace:
     def test_full_space_when_projections_spread(self):

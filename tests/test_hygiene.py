@@ -8,7 +8,8 @@ operators._validated tests for an observable or state type, only
 operators._as_array converts a raw value to an array of a given dtype,
 only the readers operators._number and _choice test a scalar for a bool
 or an option for membership in a literal list of strings, and a seeded
-sweep trial stays within its budget of library calls.
+sweep trial stays within its budget of library calls and builds no
+composite-space operator.
 
 Stdlib ast scans, so they need no linter. __init__.py is skipped by the
 import scan, since its imports are the package's re-exports, and so is the
@@ -467,3 +468,44 @@ def test_call_counter_sees_one_added_call(body):
     ns = {"__name__": "qmeasure.control"}
     exec(f"def one(x):\n    return abs(x)\ndef two(x):\n    {body}\n", ns)
     assert library_calls(ns["two"], -1) - library_calls(ns["one"], -1) == 1
+
+
+def composite_calls(fn, *args, **kwargs) -> list:
+    """Names of the composite-space constructors that run during fn(*args, **kwargs),
+    in call order: operators.tensor and MeasuringProcess's composite_state,
+    embedded_system, evolved_meter and evolved_system, seen by sys.setprofile."""
+    from qmeasure import MeasuringProcess, operators
+    codes = {f.__code__ for f in (operators.tensor, MeasuringProcess.composite_state,
+                                  MeasuringProcess.embedded_system, MeasuringProcess.evolved_meter,
+                                  MeasuringProcess.evolved_system)}
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+@pytest.mark.parametrize("interaction, dims", [("haar", (2, 4)), ("identity", (2, 3))],
+                         ids=["haar", "identity"])
+def test_sweep_trial_builds_no_composite_operator(interaction, dims):
+    # every figure of a trial is read from the process's labelled Kraus stack, so
+    # no trial builds M(dt) or any other n x n composite operator
+    from qmeasure.sweep import run_sweep
+    assert composite_calls(run_sweep, dims=dims, trials=40, seed=7, interaction=interaction,
+                           collect=True) == []
+
+
+def test_composite_call_watch_sees_m_dt():
+    import qmeasure as qm
+    mp = qm.random_measuring_process(2, 3, qm.rng_from(7, 0))
+    assert composite_calls(mp.evolved_meter) == ["evolved_meter", "tensor"]
+    assert composite_calls(mp.evolved_system, [[1.0, 0.0], [0.0, -1.0]]) == [
+        "evolved_system", "embedded_system", "tensor"]

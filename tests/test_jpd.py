@@ -564,12 +564,14 @@ class TestInstrumentSideMatchesComposite:
     @pytest.mark.parametrize("mp, a, b, rho", [c[1:] for c in COMPOSITE_CASES],
                              ids=[c[0] for c in COMPOSITE_CASES])
     def test_after_factors_match_the_conjugated_coupling(self, monkeypatch, mp, a, b, rho):
-        # the factors read from U's rows against U+ reshaped, each in full:
-        # the recording _commute lists them before testing any
+        # each row factor read from U's rows against the reference factor V
+        # from U+ reshaped: the same projector G+ G = V V+, whatever the row
+        # order, and orthonormal rows; the recording _commute lists them
+        # before testing any
         seen, commute = [], qm.jpd._commute
 
-        def recording(p, factors, states, tol):
-            seen.append(list(factors))
+        def recording(p, rows, states, tol):
+            seen.append(list(rows))
             return commute(p, seen[-1], states, tol)
 
         monkeypatch.setattr(qm.jpd, "_commute", recording)
@@ -577,8 +579,10 @@ class TestInstrumentSideMatchesComposite:
         for x, blocks in (("a", mp._meter_measure.blocks), ("b", ctx.decomposition("b").blocks)):
             qm.jpd._commutes_after(ctx, x)
             want = reference_after_factors(mp, x, blocks)
-            assert [v.shape for v in seen[-1]] == [w.shape for w in want]
-            assert max(float(np.abs(v - w).max()) for v, w in zip(seen[-1], want)) <= 1e-13
+            assert len(seen[-1]) == len(want)
+            for g, v in zip(seen[-1], want):
+                assert np.abs(qm.dagger(g) @ g - v @ qm.dagger(v)).max() <= 1e-13
+                assert np.abs(g @ qm.dagger(g) - np.eye(len(g))).max() <= 1e-13
 
     def test_strong_faces_decide_both_ways(self):
         # the cases above hold precise and imprecise, disturbing and
@@ -605,14 +609,14 @@ class TestPreciseFamily:
 
     def test_traced_peak_holds_one_coupling(self):
         # d = 8, n = 512: beside the dilation's one coupling, the commutation
-        # test's (d, n, d^2) products P V take about 2.4 n x n units at their
-        # peak; the thin factors read U in place, so a conjugate of U would
-        # add a whole unit
+        # test holds only (d^2, n) row factors and (d, n, rank) products with
+        # L, never a (d, n, d^2) stack P V (about 2.4 n x n units); the row
+        # factors read U in place, so a conjugate of U would add a whole unit
         inst, a = precise_channel_instrument(8, qm.rng_from(36, 8))
         rho = qm.random_density_operator(8, qm.rng_from(37, 8))
         report, peak, _ = traced(lambda: qm.theorem2_check(inst, a, rho))
         assert report.flags() == (True, True, True, True)
-        assert peak < 3.6 * 512 ** 2 * 16
+        assert peak < 2.1 * 512 ** 2 * 16
 
 
 def split_meter_process(gap: float) -> qm.MeasuringProcess:
