@@ -36,12 +36,10 @@ from .operators import (
     _number,
     _numbers,
     _slack,
-    _spectral_std_dev,
     _validated,
     as_operator,
     dagger,
     hermitian_part,
-    operator_distance,
     spectral_decompose,
     tensor,
 )
@@ -468,31 +466,33 @@ def dilate(instrument: CPInstrument) -> MeasuringProcess:
 def instrument_choi_distance(a: CPInstrument, b: CPInstrument) -> float:
     """Max-abs distance between per-outcome Choi matrices of two instruments.
 
-    Outcomes are matched by value, by _cluster_labels over both outcome
-    runs under the instruments' common Tolerances; an outcome
-    present on one side only is compared against the zero map. Raises
-    ValidationError when the two instruments carry different Tolerances.
+    Outcomes are matched by value, by _cluster_labels over both outcome runs
+    under the instruments' common Tolerances (ValidationError if they differ);
+    an outcome present on one side only is compared against the zero map.
+    Each side's per-cluster Choi sums are one product of its vec(K_j) rows
+    weighted by the row-to-cluster indicator.
     """
     if a.tol != b.tol:
         raise ValidationError(f"instruments carry different Tolerances: {a.tol} vs {b.tol}")
     if a.dim != b.dim:
         raise ValidationError("instruments act on different dimensions")
     labels = _cluster_labels(a.outcomes + b.outcomes, a.tol)
-    sums = np.zeros((2, labels.max() + 1, a.dim ** 2, a.dim ** 2), dtype=complex)
-    for side, (inst, lab) in enumerate(zip((a, b), np.split(labels, [len(a.outcomes)]))):
-        for i, label in enumerate(lab):
-            sums[side, label] += inst.choi(i)
-    return max(operator_distance(ca, cb) for ca, cb in zip(sums[0], sums[1]))
+    sums = []
+    for stack, lab in zip((a._kraus_stack, b._kraus_stack), np.split(labels, [len(a.outcomes)])):
+        v = stack.kraus.swapaxes(1, 2).reshape(-1, a.dim ** 2)  # v[j, (i,m)] = K_j[m,i]
+        rows = np.repeat(lab, stack.sizes) == np.arange(labels.max() + 1)[:, None]
+        sums.append((rows[..., None] * v).swapaxes(1, 2) @ v.conj())
+    return float(np.abs(sums[0] - sums[1]).max())
 
 
 @dataclass(frozen=True)
 class RepeatabilityReport:
     """Residuals r(a) = sqrt(Tr[(A - a) rho_a (A - a)]) per observed outcome.
 
-    repeatable means every residual is at most epsilon plus the noise
-    floor of check_repeatability. The ar_bound_ok flag records the
+    repeatable means every residual is at most epsilon plus the slack of
+    max|A_ij| * dim. The ar_bound_ok flag records the
     approximate-repeatability corollary sigma(A, rho_a) <= r(a) on each
-    post-measurement state.
+    post-measurement state, under the same slack.
     """
 
     repeatable: bool
@@ -506,37 +506,36 @@ class RepeatabilityReport:
 def check_repeatability(instrument: CPInstrument, a, rho, epsilon: float) -> RepeatabilityReport:
     """Check epsilon-repeatability outcome by outcome.
 
-    Each outcome m is conditioned on through apply, by its own Kraus family, with the
-    post-measurement state I(m)rho / Pr{m}; outcomes with probability within
-    the _slack of d^2 terms are skipped. The residual about the raw outcome
-    label (an eigenvalue of A or not) is summed over the support of rho_a, as
-    sigma(A, rho_a) is. The repeatable flag and the AR comparison allow a
-    noise floor of sqrt(machine eps) times dim * max|A_ij|, or the slack
-    of that scale if larger.
+    Read from the labelled Kraus stack and the support (w, v) of rho; no
+    post-measurement state is built. Outcome m's rows give X_j = K_j v sqrt(w),
+    so rho_m = sum_{j in m} X_j X_j+ / p_m, and r(m)^2 = sum ||(A - x_m) X_j||^2 / p_m
+    about the raw label x_m (an eigenvalue of A or not), mu_m = sum Re<X_j, A X_j> / p_m
+    and sigma(A, rho_m)^2 = sum ||(A - mu_m) X_j||^2 / p_m, each sum over m's rows one
+    product with the row-to-outcome indicator. Outcomes of probability within
+    the _slack of d^2 terms are skipped; both flags allow the slack of d max|A_ij|.
     """
     if not _number(epsilon, "epsilon") >= 0:
         raise ValidationError(f"epsilon must be a number >= 0, got {epsilon!r}")
-    tol = instrument.tol
+    tol, stack = instrument.tol, instrument._kraus_stack
     am = _validated(a, HermitianObservable, tol, instrument.dim).matrix
-    rm = _validated(rho, DensityOperator, tol, instrument.dim).matrix
-    scale = float(np.abs(am).max()) * am.shape[0]
-    floor = max(_slack(tol, scale), float(np.sqrt(_EPS)) * scale)
-    outs, residuals, sds = [], [], []
-    probs = _born(instrument._povm.effects, rm, tol).tolist()
-    for x, p in zip(instrument.outcomes, probs):
-        if p <= _slack(tol, terms=rm.shape[0] ** 2):
-            continue
-        rho_a = DensityOperator(hermitian_part(instrument.apply(rm, x)) / p, tol=tol)
-        outs.append(float(x))
-        residuals.append(_spectral_std_dev(am, rho_a, centre=x))
-        sds.append(_spectral_std_dev(am, rho_a))
-    worst = max(residuals) if residuals else 0.0
-    ar_ok = all(s <= r + floor for s, r in zip(sds, residuals))
+    rho = _validated(rho, DensityOperator, tol, instrument.dim)
+    probs = _born(stack.effects, rho.matrix, tol)
+    p = np.where(probs > _slack(tol, terms=len(am) ** 2), probs, np.inf)
+    w, v = rho.support
+    x = stack.kraus @ (v * np.sqrt(w))
+    ax = am @ x
+    rows = np.eye(len(p)).repeat(stack.sizes, axis=1) / p[:, None]  # sum over m's rows, over p_m
+    means = rows @ (x.conj() * ax).real.sum(axis=(1, 2))
+    dev = (ax - np.repeat(c, stack.sizes)[:, None, None] * x for c in (stack.values, means))
+    residuals, sds = (np.sqrt(rows @ (np.abs(y) ** 2).sum(axis=(1, 2))) for y in dev)
+    outs, residuals, sds = (arr[np.isfinite(p)].tolist() for arr in (stack.values, residuals, sds))
+    slack = _slack(tol, float(np.abs(am).max()) * len(am))
+    worst = max(residuals, default=0.0)
     return RepeatabilityReport(
-        repeatable=bool(worst <= epsilon + floor),
+        repeatable=bool(worst <= epsilon + slack),
         worst_residual=worst,
         outcomes=tuple(outs),
         residuals=tuple(residuals),
         post_std_devs=tuple(sds),
-        ar_bound_ok=bool(ar_ok),
+        ar_bound_ok=all(s <= r + slack for s, r in zip(sds, residuals)),
     )

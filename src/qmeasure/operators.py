@@ -329,7 +329,8 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     (consecutively, after sorting) are merged into a single spectral value
     whose projector spans the combined eigenspace and whose value is the
     weighted mean of the cluster. Raises unless the decomposition
-    reconstructs the operator.
+    reconstructs the operator within d slacks of d terms: d - 1 chained
+    cluster gaps and the rounding of eigh.
     """
     mat = _validated(a, HermitianObservable, tol).matrix
     w, v = np.linalg.eigh(mat)
@@ -339,7 +340,7 @@ def spectral_decompose(a, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     dec = SpectralDecomposition(np.bincount(labels, weights=w) / counts,
                                 tuple([v[:, i:i + c] for i, c in zip(starts.tolist(), counts.tolist())]))
     rebuilt = (v * dec.eigenvalues[labels]) @ dagger(v)  # sum a_i P_i, without the projectors
-    if operator_distance(rebuilt, mat) > 1e3 * _slack(tol, float(np.abs(w).max())):
+    if operator_distance(rebuilt, mat) > len(w) * _slack(tol, float(np.abs(w).max()), len(w)):
         raise ValidationError("spectral reconstruction failed")
     return dec
 
@@ -363,12 +364,11 @@ def std_dev(a, rho, tol: Tolerances = DEFAULT_TOL) -> float:
     return _spectral_std_dev(am, _validated(rho, DensityOperator, tol, len(am)))
 
 
-def _spectral_std_dev(am: np.ndarray, rho: DensityOperator, centre=None) -> float:
-    """std_dev of a validated matrix in a state, or sqrt(Tr[(A - c) rho (A - c)])
-    about a given centre c, from the support of rho."""
+def _spectral_std_dev(am: np.ndarray, rho: DensityOperator) -> float:
+    """std_dev of a validated matrix in a state, from the support of rho."""
     w, v = rho.support
     dev = am.copy()
-    dev[np.diag_indices(len(am))] -= (am @ rho.matrix).trace().real if centre is None else centre
+    dev[np.diag_indices(len(am))] -= (am @ rho.matrix).trace().real
     return float(np.sqrt((w * (np.abs(dev @ v) ** 2).sum(axis=0)).sum()))
 
 

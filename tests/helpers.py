@@ -313,3 +313,55 @@ def reference_strong_face(x_projectors, x_values, y_projectors, y_values, sigma,
     scale = max(np.abs(x).max(), np.abs(y).max())
     off = np.abs(x[:, None] - y[None, :]) > max(tol.eq_tol, np.finfo(float).eps) * scale
     return not bool((off & (np.abs(w.real) > tol.eq_tol)).any())
+
+
+def reference_check_repeatability(instrument: qm.CPInstrument, a, rho,
+                                  epsilon: float) -> qm.RepeatabilityReport:
+    """Repeatability through post-measurement states, the reference for the
+    closed form of qm.check_repeatability: each outcome kept (probability
+    above 16 d^2 eps, or eq_tol if larger) is conditioned on through apply,
+    rho_a = I(a)rho / Pr{a} is built as a DensityOperator, and the spreads
+    of A about the outcome label and about its mean are summed over the
+    support of rho_a. The flags allow a noise floor of sqrt(eps) times
+    d * max|A_ij|, or the slack of that scale if larger. Its eigh keeps
+    weights of order eps / Pr{a} in rho_a's support, so at a small Pr{a}
+    the Lüders residual can read far above rounding."""
+    tol = instrument.tol
+    am = np.asarray(a, dtype=complex)
+    rm = np.asarray(rho, dtype=complex)
+    d, eps = len(am), np.finfo(float).eps
+    scale = float(np.abs(am).max()) * d
+    floor = max(tol.eq_tol, 16 * eps, np.sqrt(eps)) * scale
+    probs = qm.outcome_probabilities(instrument, rm).probabilities
+
+    def spread(state, centre):
+        w, v = state.support
+        dev = am - centre * np.eye(d)
+        return float(np.sqrt((w * (np.abs(dev @ v) ** 2).sum(axis=0)).sum()))
+
+    outs, residuals, sds = [], [], []
+    for x, p in zip(instrument.outcomes, probs):
+        if p <= max(tol.eq_tol, 16 * d * d * eps):
+            continue
+        rho_a = qm.DensityOperator(qm.hermitian_part(instrument.apply(rm, x)) / p, tol=tol)
+        outs.append(float(x))
+        residuals.append(spread(rho_a, x))
+        sds.append(spread(rho_a, (am @ rho_a.matrix).trace().real))
+    worst = max(residuals, default=0.0)
+    return qm.RepeatabilityReport(
+        repeatable=bool(worst <= epsilon + floor), worst_residual=worst, outcomes=tuple(outs),
+        residuals=tuple(residuals), post_std_devs=tuple(sds),
+        ar_bound_ok=all(s <= r + floor for s, r in zip(sds, residuals)))
+
+
+def reference_instrument_choi_distance(a: qm.CPInstrument, b: qm.CPInstrument) -> float:
+    """Max-abs distance of the per-cluster Choi sums by a loop over each
+    side's outcomes, each adding its choi(i), the reference for
+    qm.instrument_choi_distance; outcomes are matched as the library
+    matches them, by operators._cluster_labels."""
+    labels = qm.operators._cluster_labels(a.outcomes + b.outcomes, a.tol)
+    sums = np.zeros((2, labels.max() + 1, a.dim ** 2, a.dim ** 2), dtype=complex)
+    for side, (inst, lab) in enumerate(zip((a, b), np.split(labels, [len(a.outcomes)]))):
+        for i, label in enumerate(lab):
+            sums[side, label] += inst.choi(i)
+    return float(np.abs(sums[0] - sums[1]).max())

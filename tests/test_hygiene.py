@@ -2,10 +2,10 @@
 importing the package pulls in numpy and the stdlib only, a process,
 instrument or POVM is judged under its own Tolerances, never under a tol
 passed per call, only Tolerances and _slack read eq_tol, no check
-floors the slack with max(), no tolerance-sized float literal lives
-outside Tolerances, only operators._EPS reads machine epsilon, only
-operators._validated tests for an observable or state type, only
-operators._as_array converts a raw value to an array of a given dtype,
+floors the slack with max() or scales it by a literal, no tolerance-sized
+float literal lives outside Tolerances, only operators._EPS reads machine
+epsilon, only operators._validated tests for an observable or state type,
+only operators._as_array converts a raw value to an array of a given dtype,
 only the readers operators._number and _choice test a scalar for a bool
 or an option for membership in a literal list of strings, and a seeded
 sweep trial stays within its budget of library calls and builds no
@@ -145,33 +145,35 @@ def test_scan_finds_an_eq_tol_read(tmp_path):
     assert eq_tol_reads(str(path), ("Tolerances", "_slack")) == ["<module>", "C", "f"]
 
 
-# the top-level definitions allowed to floor _slack with max(), per module:
-# check_repeatability's sqrt(eps) noise floor, which README documents
-SLACK_FLOORS = {"instruments.py": ("check_repeatability",)}
-
-
 def _calls(node, name: str) -> list:
     return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
             and isinstance(sub.func, ast.Name) and sub.func.id == name]
 
 
-def slack_floors(path: str, allowed=()) -> list:
-    """Top-level definitions outside allowed with a max(...) call that takes
-    a _slack(...) call among its arguments, "<module>" for module-level code."""
+def _scales_slack(node) -> bool:
+    """Whether node multiplies a _slack(...) call by a numeric literal."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+        isinstance(x, ast.Constant) and type(x.value) in (int, float) and _calls(y, "_slack") == [y]
+        for x, y in ((node.left, node.right), (node.right, node.left)))
+
+
+def slack_floors(path: str) -> list:
+    """Top-level definitions with a max(...) call that takes a _slack(...)
+    call among its arguments, or with a numeric literal times a _slack(...)
+    call, "<module>" for module-level code: no check widens the slack."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
     found = set()
     for node in tree.body:
-        name = getattr(node, "name", "<module>")
-        if name not in allowed and any(_calls(arg, "_slack") for call in _calls(node, "max")
-                                       for arg in call.args):
-            found.add(name)
+        if any(_calls(arg, "_slack") for call in _calls(node, "max") for arg in call.args) \
+                or any(map(_scales_slack, ast.walk(node))):
+            found.add(getattr(node, "name", "<module>"))
     return sorted(found)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_no_floor_on_slack(path):
-    assert slack_floors(path, SLACK_FLOORS.get(os.path.basename(path), ())) == []
+    assert slack_floors(path) == []
 
 
 def test_scan_finds_a_slack_floor(tmp_path):
@@ -182,7 +184,18 @@ def test_scan_finds_a_slack_floor(tmp_path):
                     "def check_repeatability(tol): return max(_slack(tol), 1e-8)\n"
                     "class C:\n    def k(self): return max(_slack(self.tol), 1e-8)\n"
                     "x = max(_slack(DEFAULT_TOL), 1.0)\n")
-    assert slack_floors(str(path), ("check_repeatability",)) == ["<module>", "C", "f", "g"]
+    assert slack_floors(str(path)) == ["<module>", "C", "check_repeatability", "f", "g"]
+
+
+def test_scan_finds_a_literal_multiple_of_slack(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(tol, w): return 1e3 * _slack(tol, w)\n"
+                    "def g(tol): return _slack(tol, terms=4) * 2\n"
+                    "def h(tol, w): return len(w) * _slack(tol, 1.0, len(w))\n"
+                    "def k(tol): return 2 * _slack(tol) + 0.5 * 3\n"
+                    "class C:\n    def m(self): return 10 * _slack(self.tol)\n"
+                    "y = 16 * _EPS * 2\n")
+    assert slack_floors(str(path)) == ["C", "f", "g", "k"]
 
 
 # the top-level definitions allowed to hold a float literal below 1e-3 in

@@ -15,6 +15,8 @@ from helpers import (
     dilated_luders,
     precise_channel_instrument,
     reference_cases,
+    reference_check_repeatability,
+    reference_instrument_choi_distance,
     reference_instrument_from_process,
     reference_outcome_probabilities,
     reference_partial_trace,
@@ -851,6 +853,26 @@ class TestEveryInstrumentDilates:
             qm.dilate(qm.instrument_from_process(mp))
 
 
+ORACLE_KINDS = ["luders", "cp", "process"]
+
+
+def oracle_case(kind: str, pure: bool, scale: float, rng):
+    """(instrument, A, rho) with max|A| of order scale: a Lüders instrument of
+    A, a random CP instrument (outcomes 0, 1, ...) or the instrument of a
+    random process, in a pure or a mixed state."""
+    d = int(rng.integers(2, 7))
+    a = scale * qm.random_hermitian(d, rng).matrix
+    rho = (qm.random_pure_state if pure else qm.random_density_operator)(d, rng)
+    if kind == "luders":
+        inst = qm.luders_instrument(a)
+    elif kind == "cp":
+        inst = qm.random_cp_instrument(d, int(rng.integers(1, 5)), rng, max_kraus_per_outcome=3)
+    else:
+        inst = qm.instrument_from_process(qm.random_measuring_process(
+            d, int(rng.integers(2, 4)), rng, pure_probe=bool(rng.integers(0, 2))))
+    return inst, a, rho
+
+
 class TestChoiDistance:
     def test_zero_on_self(self):
         inst = qm.luders_instrument(SX)
@@ -884,16 +906,32 @@ class TestChoiDistance:
         assert mp.tol == loose
         assert qm.instrument_from_process(mp).tol == loose
 
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_matches_reference(self, kind):
+        # one product per side against helpers' per-outcome choi loop
+        for k, scale in enumerate(10.0 ** np.arange(-6, 7, 3)):
+            rng = qm.rng_from(381, k)
+            inst, a, _ = oracle_case(kind, bool(k % 2), scale, rng)
+            assert qm.instrument_choi_distance(inst, inst) == 0.0
+            for other in (qm.instrument_from_process(qm.dilate(inst)),
+                          qm.luders_instrument(qm.random_hermitian(len(a), rng)),
+                          qm.CPInstrument(inst.outcomes[::-1], inst.kraus)):
+                for x, y in ((inst, other), (other, inst)):
+                    assert abs(qm.instrument_choi_distance(x, y)
+                               - reference_instrument_choi_distance(x, y)) <= 1e-13
+
 
 class TestRepeatability:
     def test_luders_is_repeatable(self):
-        # r(a) = 0 exactly; summed over the support of rho_a it reads zero to
-        # rounding at every scale of A, not sqrt(machine eps) times the scale
+        # r(a) = 0 exactly; read from the Kraus rows on the support of rho it
+        # reads zero to rounding at every scale of A, not sqrt(machine eps) times
+        # the scale, in mixed states and in pure ones, whose post-measurement
+        # states have no other weight to hide the rounding of an eigh
         rng = qm.rng_from(208)
-        for _ in range(20):
+        for trial in range(40):
             d = int(rng.integers(2, 5))
             a = qm.random_hermitian(d, rng)
-            rho = qm.random_density_operator(d, rng)
+            rho = (qm.random_pure_state if trial % 2 else qm.random_density_operator)(d, rng)
             for k in range(-6, 7):
                 scaled = 10.0 ** k * a.matrix
                 rep = qm.check_repeatability(qm.luders_instrument(scaled), scaled, rho, epsilon=0.0)
@@ -901,8 +939,22 @@ class TestRepeatability:
                 assert rep.worst_residual <= 1e-12 * np.abs(scaled).max() * d
                 assert rep.ar_bound_ok
 
+    def test_luders_is_repeatable_at_a_rare_outcome(self):
+        # d = 3, max|A| ~ 1e8, a pure state: the outcome of probability 3.05e-4
+        # read a residual of 2.2e-8 max|A| d through the normalized post-measurement
+        # state, whose eigh keeps weights of order eps / p
+        rng = qm.rng_from(77, 78)
+        d = int(rng.integers(2, 9))
+        a = 10.0 ** rng.uniform(-8, 8) * qm.random_hermitian(d, rng).matrix
+        rho = qm.random_pure_state(d, rng)
+        inst = qm.luders_instrument(a)
+        assert min(qm.outcome_probabilities(inst, rho).probabilities) < 1e-3
+        rep = qm.check_repeatability(inst, a, rho, 0.0)
+        assert rep.repeatable and rep.ar_bound_ok
+        assert rep.worst_residual <= 1e-12 * np.abs(a).max() * d
+
     def test_raw_state_is_validated_once(self, monkeypatch):
-        # one DensityOperator for the raw state and one per post-measurement state
+        # one DensityOperator, for the raw state: no post-measurement state is built
         built = []
         init = qm.DensityOperator.__init__
         monkeypatch.setattr(qm.DensityOperator, "__init__",
@@ -910,7 +962,7 @@ class TestRepeatability:
         a = np.diag([0.0, 1.0, 2.0, 3.0])
         inst = qm.luders_instrument(a)
         rep = qm.check_repeatability(inst, a, np.eye(4) / 4, epsilon=0.0)
-        assert len(built) <= 5
+        assert len(built) == 1
         assert rep == qm.RepeatabilityReport(
             repeatable=True, worst_residual=0.0, outcomes=(0.0, 1.0, 2.0, 3.0),
             residuals=(0.0,) * 4, post_std_devs=(0.0,) * 4, ar_bound_ok=True)
@@ -964,3 +1016,25 @@ class TestRepeatability:
         rep = qm.check_repeatability(inst, SZ, rho, epsilon=0.0)
         assert rep.repeatable
         assert rep.outcomes == (1.0,)
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_matches_reference(self, kind, pure):
+        # the closed form against helpers' post-state route, at max|A| from 1e-6 to 1e6
+        for k, scale in enumerate(10.0 ** np.arange(-6, 7, 3)):
+            for trial in range(4):
+                inst, a, rho = oracle_case(kind, pure, scale, qm.rng_from(380, k, trial))
+                rep = qm.check_repeatability(inst, a, rho, 0.0)
+                ref = reference_check_repeatability(inst, a, rho, 0.0)
+                assert rep.outcomes == ref.outcomes
+                dist = qm.outcome_probabilities(inst, rho)
+                probs = dict(zip(dist.outcomes, dist.probabilities))
+                unit = np.abs(a).max() * len(a)
+                for i, x in enumerate(rep.outcomes):
+                    if probs[x] >= 1e-2:
+                        for new, old in ((rep.residuals[i], ref.residuals[i]),
+                                         (rep.post_std_devs[i], ref.post_std_devs[i])):
+                            assert abs(new - old) <= 1e-12 * max(unit, old)
+                flags = (rep.repeatable, rep.ar_bound_ok)
+                # the post-state route can miss a Lüders zero by up to 2e-8 max|A| d
+                assert flags == (ref.repeatable, ref.ar_bound_ok) or kind == "luders" and all(flags)

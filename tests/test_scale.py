@@ -96,7 +96,7 @@ class TestRegressions:
         assert len(qm.spectral_decompose(1e-10 * SZ).eigenvalues) == 2
 
     def test_tolerance_below_rounding_level(self):
-        # the reconstruction check allows 1e3 slacks, never less than 1e3 eps
+        # the reconstruction check allows d slacks of d terms, never less than 16 d^2 eps
         a = qm.random_hermitian(12, qm.rng_from(7))
         dec = qm.spectral_decompose(a, qm.Tolerances(eq_tol=1e-19))
         assert len(dec.eigenvalues) == 12
