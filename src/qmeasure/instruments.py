@@ -233,7 +233,7 @@ def kraus_from_choi(choi, dim: int, cutoff: float) -> list:
     w, v = np.linalg.eigh(hermitian_part(choi))
     w, v = w[::-1], v[:, ::-1]
     r = int(np.sum(w > cutoff))
-    # column j of v is vec(K_j), with vec(K)[(i, m)] = K[m, i] as in CPInstrument.choi
+    # column j of v is vec(K_j), with vec(K)[(i, m)] = K[m, i] as in instrument_choi_distance
     return list(np.sqrt(w[:r])[:, None, None] * v[:, :r].T.reshape(r, dim, dim).swapaxes(1, 2))
 
 
@@ -268,35 +268,28 @@ class CPInstrument(_Immutable):
         self._init_fields(outcomes=povm.outcomes, kraus=kraus, dim=dim, tol=tol, _povm=povm,
                           _kraus_stack=stack)
 
-    def _select(self, outcome_set) -> list:
-        """Indices of the outcomes nearest to a value or to each of a list, tuple or
-        array of values, read by _numbers, each within the slack of the largest |outcome|."""
+    def _select(self, outcome_set) -> np.ndarray:
+        """Row mask of the labelled Kraus stack over the outcomes nearest to a value or to each
+        of a list, tuple or array of values (_numbers), each within the slack of the largest
+        |outcome|; all rows for None."""
+        if outcome_set is None:
+            return np.ones(len(self._kraus_stack.kraus), dtype=bool)
         targets = outcome_set.tolist() if isinstance(outcome_set, np.ndarray) else outcome_set
         slack = _slack(self.tol, float(np.abs(self.outcomes).max()))
-        idx = set()
+        chosen = np.zeros(len(self.outcomes), dtype=bool)
         for target in _numbers(targets if isinstance(targets, (list, tuple)) else [targets], "outcome"):
             gap, i = min((abs(x - target), i) for i, x in enumerate(self.outcomes))
             if not gap <= slack:
                 raise ValidationError(f"outcome {target} not found in instrument")
-            idx.add(i)
-        return sorted(idx)
+            chosen[i] = True
+        return np.repeat(chosen, self._kraus_stack.sizes)
 
     def apply(self, rho, outcome_set=None) -> np.ndarray:
-        """Unnormalized state change I(D)rho = sum K rho K+ over the families of the
-        outcomes in D, D defaulting to all, for any d x d matrix rho (_as_array)."""
-        idx = range(len(self.outcomes)) if outcome_set is None else self._select(outcome_set)
+        """Unnormalized state change I(D)rho = sum K rho K+ over the stack rows of the outcomes
+        in D (_select), D defaulting to all, for any d x d matrix rho (_as_array)."""
         rm = _as_array(rho, 2, dim=self.dim)
-        ks = np.concatenate([self.kraus[i] for i in idx] or [np.zeros((0, self.dim, self.dim))])
+        ks = self._kraus_stack.kraus[self._select(outcome_set)]
         return (ks @ rm @ dagger(ks)).sum(axis=0)
-
-    def choi(self, i: int) -> np.ndarray:
-        """Choi matrix C[(i,m),(j,n)] = Phi(|i><j|)[m,n] of outcome i's CP map, i an
-        integer (_number) in [0, len(outcomes))."""
-        i = _number(i, "outcome index", integer=True)
-        if not 0 <= i < len(self.outcomes):
-            raise ValidationError(f"outcome index {i} out of range for {len(self.outcomes)} outcomes")
-        v = self.kraus[i].swapaxes(1, 2).reshape(-1, self.dim ** 2)  # v[j, (i,m)] = K_j[m,i]
-        return v.T @ v.conj()
 
     def __repr__(self):
         return f"CPInstrument(outcomes={self.outcomes}, dim={self.dim})"
@@ -363,7 +356,7 @@ def instrument_from_process(mp: MeasuringProcess) -> CPInstrument:
     padded = np.zeros((len(sizes), max(sizes), d, d), dtype=complex)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     padded[labels, np.arange(len(g)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = g
-    # column j of outcome m is vec(K_j), with vec(K)[(c, a)] = K[a, c] as in CPInstrument.choi
+    # column j of outcome m is vec(K_j), with vec(K)[(c, a)] = K[a, c] as in instrument_choi_distance
     v = padded.transpose(0, 3, 2, 1).reshape(len(sizes), d * d, -1)
     w, s, _ = np.linalg.svd(v, full_matrices=False)
     ranks = np.sum(s > 16 * max(d * d, len(g)) * _EPS, axis=1)
@@ -383,19 +376,20 @@ def outcome_probabilities(instrument: CPInstrument, rho) -> OutcomeDistribution:
 
 
 def post_state(instrument: CPInstrument, outcome_set, rho) -> DensityOperator:
-    """Normalized state after observing an outcome in outcome_set.
-
-    Raises ZeroProbabilityError if the conditioning probability is at or
-    below the _slack of d^2 terms (zero-probability condition).
+    """Normalized state X X+ / p after observing an outcome in outcome_set, from the stack
+    rows of those outcomes (_select) and the support (w, v) of rho, X_j = K_j v sqrt(w) as in
+    check_repeatability, p = ||X||^2: no rounding of I(D)rho is scaled by 1/p. Raises
+    ZeroProbabilityError if p is at or below the _slack of d^2 terms (zero-probability condition).
     """
     tol = instrument.tol
-    rm = _validated(rho, DensityOperator, tol, instrument.dim).matrix
-    unnorm = instrument.apply(rm, outcome_set)
-    p = float(np.trace(unnorm).real)
-    if p <= _slack(tol, terms=rm.shape[0] ** 2):
+    w, v = _validated(rho, DensityOperator, tol, instrument.dim).support
+    x = instrument._kraus_stack.kraus[instrument._select(outcome_set)] @ (v * np.sqrt(w))
+    p = float(np.vdot(x, x).real)
+    if p <= _slack(tol, terms=instrument.dim ** 2):
         raise ZeroProbabilityError(
             f"zero-probability condition: outcome set has probability {p}")
-    return DensityOperator(hermitian_part(unnorm) / p, tol=tol)
+    x = x.swapaxes(0, 1).reshape(instrument.dim, -1)
+    return DensityOperator(x @ dagger(x) / p, tol=tol)
 
 
 def luders_instrument(a, tol: Tolerances = DEFAULT_TOL) -> CPInstrument:

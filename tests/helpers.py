@@ -315,12 +315,27 @@ def reference_strong_face(x_projectors, x_values, y_projectors, y_values, sigma,
     return not bool((off & (np.abs(w.real) > tol.eq_tol)).any())
 
 
+def reference_post_state(instrument: qm.CPInstrument, outcome_set, rho) -> qm.DensityOperator:
+    """The post-measurement state entrywise, the reference for qm.post_state:
+    I(D)rho through apply, its trace p, and the Hermitian part of I(D)rho / p
+    built as a DensityOperator; ZeroProbabilityError at p within the slack of
+    d^2 terms. Its eigh keeps weights of order eps / p in the support, so at a
+    small p a spread in the state can read far above rounding."""
+    tol = instrument.tol
+    rm = qm.operators._validated(rho, qm.DensityOperator, tol, instrument.dim).matrix
+    unnorm = instrument.apply(rm, outcome_set)
+    p = float(np.trace(unnorm).real)
+    if p <= qm.operators._slack(tol, terms=len(rm) ** 2):
+        raise qm.ZeroProbabilityError(f"zero-probability condition: outcome set has probability {p}")
+    return qm.DensityOperator(qm.hermitian_part(unnorm) / p, tol=tol)
+
+
 def reference_check_repeatability(instrument: qm.CPInstrument, a, rho,
                                   epsilon: float) -> qm.RepeatabilityReport:
     """Repeatability through post-measurement states, the reference for the
     closed form of qm.check_repeatability: each outcome kept (probability
-    above 16 d^2 eps, or eq_tol if larger) is conditioned on through apply,
-    rho_a = I(a)rho / Pr{a} is built as a DensityOperator, and the spreads
+    above 16 d^2 eps, or eq_tol if larger) is conditioned on entrywise by
+    reference_post_state, rho_a = I(a)rho / Tr[I(a)rho], and the spreads
     of A about the outcome label and about its mean are summed over the
     support of rho_a. The flags allow a noise floor of sqrt(eps) times
     d * max|A_ij|, or the slack of that scale if larger. Its eigh keeps
@@ -343,7 +358,7 @@ def reference_check_repeatability(instrument: qm.CPInstrument, a, rho,
     for x, p in zip(instrument.outcomes, probs):
         if p <= max(tol.eq_tol, 16 * d * d * eps):
             continue
-        rho_a = qm.DensityOperator(qm.hermitian_part(instrument.apply(rm, x)) / p, tol=tol)
+        rho_a = reference_post_state(instrument, x, rm)
         outs.append(float(x))
         residuals.append(spread(rho_a, x))
         sds.append(spread(rho_a, (am @ rho_a.matrix).trace().real))
@@ -354,14 +369,21 @@ def reference_check_repeatability(instrument: qm.CPInstrument, a, rho,
         ar_bound_ok=all(s <= r + floor for s, r in zip(sds, residuals)))
 
 
+def instrument_choi(inst: qm.CPInstrument, i: int) -> np.ndarray:
+    """Choi matrix C[(i,m),(j,n)] = Phi(|i><j|)[m,n] of outcome i's CP map, from
+    its Kraus family inst.kraus[i]."""
+    v = inst.kraus[i].swapaxes(1, 2).reshape(-1, inst.dim ** 2)  # v[j, (i,m)] = K_j[m,i]
+    return v.T @ v.conj()
+
+
 def reference_instrument_choi_distance(a: qm.CPInstrument, b: qm.CPInstrument) -> float:
     """Max-abs distance of the per-cluster Choi sums by a loop over each
-    side's outcomes, each adding its choi(i), the reference for
+    side's outcomes, each adding its instrument_choi, the reference for
     qm.instrument_choi_distance; outcomes are matched as the library
     matches them, by operators._cluster_labels."""
     labels = qm.operators._cluster_labels(a.outcomes + b.outcomes, a.tol)
     sums = np.zeros((2, labels.max() + 1, a.dim ** 2, a.dim ** 2), dtype=complex)
     for side, (inst, lab) in enumerate(zip((a, b), np.split(labels, [len(a.outcomes)]))):
         for i, label in enumerate(lab):
-            sums[side, label] += inst.choi(i)
+            sums[side, label] += instrument_choi(inst, i)
     return float(np.abs(sums[0] - sums[1]).max())

@@ -9,7 +9,8 @@ only operators._as_array converts a raw value to an array of a given dtype,
 only the readers operators._number and _choice test a scalar for a bool
 or an option for membership in a literal list of strings, and a seeded
 sweep trial stays within its budget of library calls and builds no
-composite-space operator.
+composite-space operator, and no figure of an instrument reads its
+per-outcome kraus tuple.
 
 Stdlib ast scans, so they need no linter. __init__.py is skipped by the
 import scan, since its imports are the package's re-exports, and so is the
@@ -463,7 +464,7 @@ def library_calls(fn, *args, **kwargs) -> int:
 
 # library calls per dims 2..4 sweep trial: a trial of about 1.3 ms is call
 # overhead more than linear algebra, so an added call shows in its time. The
-# count is 719.95 calls per trial on CPython 3.11.7 with numpy 2.4.6, 8.7
+# count is 725.95 calls per trial on CPython 3.11.7 with numpy 2.4.6, 2.75
 # calls under the bound of 1.05 * 694. CPython 3.12 inlines comprehensions,
 # which only removes events, so the bound holds there too.
 SWEEP_TRIAL_CALLS = 694
@@ -522,3 +523,30 @@ def test_composite_call_watch_sees_m_dt():
     assert composite_calls(mp.evolved_meter) == ["evolved_meter", "tensor"]
     assert composite_calls(mp.evolved_system, [[1.0, 0.0], [0.0, -1.0]]) == [
         "evolved_system", "embedded_system", "tensor"]
+
+
+def test_figures_read_no_per_outcome_kraus_tuple():
+    # the labelled Kraus stack is the one per-outcome form a computation reads:
+    # with an instrument's kraus tuple cleared, each figure is what it was
+    import numpy as np
+    import qmeasure as qm
+    rng = qm.rng_from(390)
+    a, b = (qm.random_hermitian(3, rng) for _ in range(2))
+    rho = qm.random_density_operator(3, rng)
+    other = qm.luders_instrument(a)
+
+    def figures(inst):
+        mp = qm.dilate(inst)
+        return [inst.apply(rho.matrix), inst.apply(rho.matrix, inst.outcomes[1:]),
+                qm.post_state(inst, inst.outcomes[0], rho).matrix,
+                qm.check_repeatability(inst, a, rho, 0.0), qm.instrument_choi_distance(inst, other),
+                mp.unitary, mp.meter.matrix, mp.probe_state.matrix,
+                qm.edr_ledger(inst, a, b, rho), qm.theorem2_check(inst, a, rho)]
+
+    def instrument():
+        return qm.random_cp_instrument(3, 3, qm.rng_from(391), max_kraus_per_outcome=2)
+
+    cleared = instrument()
+    object.__setattr__(cleared, "kraus", ())
+    for want, got in zip(figures(instrument()), figures(cleared), strict=True):
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want

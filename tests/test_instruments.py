@@ -13,6 +13,7 @@ from helpers import (
     SZ,
     cnot_process,
     dilated_luders,
+    instrument_choi,
     precise_channel_instrument,
     reference_cases,
     reference_check_repeatability,
@@ -20,6 +21,7 @@ from helpers import (
     reference_instrument_from_process,
     reference_outcome_probabilities,
     reference_partial_trace,
+    reference_post_state,
     traced,
     trivial_process,
 )
@@ -35,7 +37,7 @@ def assert_matches_reference(mp):
     assert inst.outcomes == ref.outcomes
     assert [len(ops) for ops in inst.kraus] == [len(ops) for ops in ref.kraus]
     for i in range(len(inst.outcomes)):
-        assert qm.operator_distance(inst.choi(i), ref.choi(i)) < 1e-10
+        assert qm.operator_distance(instrument_choi(inst, i), instrument_choi(ref, i)) < 1e-10
 
 
 def process_with(probe_eigenvalues, meter_eigenvalues, system_dim, rng):
@@ -218,7 +220,7 @@ class TestUnitarityCheck:
 
 class TestChoiKraus:
     def test_choi_of_identity_channel(self):
-        c = qm.CPInstrument([0.0], [[np.eye(2, dtype=complex)]]).choi(0)
+        c = instrument_choi(qm.CPInstrument([0.0], [[np.eye(2, dtype=complex)]]), 0)
         vec = np.array([1, 0, 0, 1], dtype=complex)
         assert np.allclose(c, np.outer(vec, vec.conj()))
 
@@ -228,12 +230,13 @@ class TestChoiKraus:
         for _ in range(50):
             d = int(rng.integers(2, 5))
             inst = qm.random_cp_instrument(d, int(rng.integers(1, 4)), rng, max_kraus_per_outcome=3)
-            back = qm.CPInstrument(inst.outcomes, [qm.kraus_from_choi(inst.choi(m), d, cutoff=1e-12)
-                                                   for m in range(len(inst.outcomes))])
+            back = qm.CPInstrument(inst.outcomes, [
+                qm.kraus_from_choi(instrument_choi(inst, m), d, cutoff=1e-12)
+                for m in range(len(inst.outcomes))])
             assert qm.instrument_choi_distance(inst, back) < 1e-8
         # a negative cutoff would keep negative Choi eigenvalues as NaN
         # operators; a Choi matrix must be (d^2, d^2)
-        c = qm.CPInstrument([0.0], [[np.eye(2)]]).choi(0)
+        c = instrument_choi(qm.CPInstrument([0.0], [[np.eye(2)]]), 0)
         for choi, cutoff in ((c, -1.0), (c, np.nan), (c[:3, :3], 0.0), (c[:2], 0.0)):
             with pytest.raises(qm.ValidationError):
                 qm.kraus_from_choi(choi, 2, cutoff)
@@ -373,15 +376,15 @@ class TestInstrumentFromProcess:
     def test_cnot_instrument_frozen(self):
         inst = qm.instrument_from_process(cnot_process())
         assert inst.outcomes == (-1.0, 1.0)
-        assert np.allclose(inst.choi(0), np.diag([0, 0, 0, 1]), atol=1e-10)
-        assert np.allclose(inst.choi(1), np.diag([1, 0, 0, 0]), atol=1e-10)
+        assert np.allclose(instrument_choi(inst, 0), np.diag([0, 0, 0, 1]), atol=1e-10)
+        assert np.allclose(instrument_choi(inst, 1), np.diag([1, 0, 0, 0]), atol=1e-10)
 
     def test_trivial_process_gives_identity_instrument(self):
         inst = qm.instrument_from_process(trivial_process())
         assert inst.outcomes == (1.0,)
         vec = np.eye(2).ravel()
         ident = np.outer(vec, vec)
-        assert qm.operator_distance(inst.choi(0), ident) < 1e-10
+        assert qm.operator_distance(instrument_choi(inst, 0), ident) < 1e-10
 
     def test_probability_agreement_random(self):
         # the extracted instrument reproduces the Heisenberg-picture meter
@@ -873,6 +876,16 @@ def oracle_case(kind: str, pure: bool, scale: float, rng):
     return inst, a, rho
 
 
+def rare_luders_case():
+    """(Lüders instrument, A, pure rho) at d = 3 and max|A| ~ 1e8 whose least
+    likely outcome has probability 3.05e-4."""
+    rng = qm.rng_from(77, 78)
+    d = int(rng.integers(2, 9))
+    a = 10.0 ** rng.uniform(-8, 8) * qm.random_hermitian(d, rng).matrix
+    rho = qm.random_pure_state(d, rng)
+    return qm.luders_instrument(a), a, rho
+
+
 class TestChoiDistance:
     def test_zero_on_self(self):
         inst = qm.luders_instrument(SX)
@@ -921,6 +934,55 @@ class TestChoiDistance:
                                - reference_instrument_choi_distance(x, y)) <= 1e-13
 
 
+class TestPostStateRows:
+    def test_luders_eigenstate_at_a_rare_outcome(self):
+        # d = 3, max|A| ~ 1e8, a pure state: at the outcome of probability 3.05e-4
+        # the post-measurement state is an eigenstate of A; built entrywise as
+        # I(a)rho / p it read sigma = 2.1e-8 max|A| d, its eigh keeping weights of order eps / p
+        inst, a, rho = rare_luders_case()
+        dist = qm.outcome_probabilities(inst, rho)
+        p, x = min(zip(dist.probabilities, dist.outcomes))
+        assert p < 1e-3
+        assert qm.std_dev(a, qm.post_state(inst, x, rho)) <= 1e-12 * np.abs(a).max() * len(a)
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_matches_check_repeatability(self, kind, pure):
+        # sigma(A, rho_m) read from the post-measurement state agrees with the
+        # closed form of check_repeatability on every outcome it keeps, the rare
+        # Lüders outcome included
+        cases = [oracle_case(kind, pure, scale, qm.rng_from(382, k, trial))
+                 for k, scale in enumerate(10.0 ** np.arange(-6, 7, 3)) for trial in range(4)]
+        if kind == "luders" and pure:
+            cases.append(rare_luders_case())
+        for inst, a, rho in cases:
+            rep = qm.check_repeatability(inst, a, rho, 0.0)
+            unit = np.abs(a).max() * len(a)
+            for x, sd in zip(rep.outcomes, rep.post_std_devs):
+                assert abs(qm.std_dev(a, qm.post_state(inst, x, rho)) - sd) <= 1e-12 * unit
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_matches_reference(self, kind, pure):
+        # the stack rows against helpers' entrywise route, outcome by outcome and
+        # on the whole outcome set; a zero-probability outcome raises on both
+        for k, scale in enumerate(10.0 ** np.arange(-6, 7, 3)):
+            for trial in range(4):
+                inst, a, rho = oracle_case(kind, pure, scale, qm.rng_from(383, k, trial))
+                probs = qm.outcome_probabilities(inst, rho).probabilities
+                for x, p in zip((*inst.outcomes, list(inst.outcomes)), (*probs, 1.0)):
+                    if p < 1e-2:
+                        continue
+                    new, ref = (f(inst, x, rho).matrix for f in (qm.post_state, reference_post_state))
+                    assert np.abs(new - ref).max() <= 1e-13
+        inst = qm.luders_instrument(np.diag([0.0, 1.0, 2.0]))
+        for f in (qm.post_state, reference_post_state):
+            with pytest.raises(qm.ZeroProbabilityError):
+                f(inst, [0.0, 2.0], qm.DensityOperator.pure([0.0, 1.0, 0.0]))
+            assert np.array_equal(f(inst, [1.0, 2.0], qm.DensityOperator.pure([0.0, 1.0, 0.0])).matrix,
+                                  np.diag([0.0, 1.0, 0.0]))
+
+
 class TestRepeatability:
     def test_luders_is_repeatable(self):
         # r(a) = 0 exactly; read from the Kraus rows on the support of rho it
@@ -943,15 +1005,11 @@ class TestRepeatability:
         # d = 3, max|A| ~ 1e8, a pure state: the outcome of probability 3.05e-4
         # read a residual of 2.2e-8 max|A| d through the normalized post-measurement
         # state, whose eigh keeps weights of order eps / p
-        rng = qm.rng_from(77, 78)
-        d = int(rng.integers(2, 9))
-        a = 10.0 ** rng.uniform(-8, 8) * qm.random_hermitian(d, rng).matrix
-        rho = qm.random_pure_state(d, rng)
-        inst = qm.luders_instrument(a)
+        inst, a, rho = rare_luders_case()
         assert min(qm.outcome_probabilities(inst, rho).probabilities) < 1e-3
         rep = qm.check_repeatability(inst, a, rho, 0.0)
         assert rep.repeatable and rep.ar_bound_ok
-        assert rep.worst_residual <= 1e-12 * np.abs(a).max() * d
+        assert rep.worst_residual <= 1e-12 * np.abs(a).max() * len(a)
 
     def test_raw_state_is_validated_once(self, monkeypatch):
         # one DensityOperator, for the raw state: no post-measurement state is built

@@ -422,7 +422,6 @@ MISUSE_PARAMETERS = [
      ("1", True, NAN, [[1.0]], 1j, [[1.0], 2.0])),
     ("apply-outcome_set", lambda v: INST.apply(PLUS.matrix, v),
      ("1", True, NAN, [[1.0]], 1j, [[1.0], 2.0])),
-    ("choi-index", INST.choi, (1.5, True, 5, -1)),
     ("build_model-id", qm.build_model, (True, NAN, [["von_neumann"]], "other")),
     ("min_uncertainty_packet-q", lambda v: qm.min_uncertainty_packet(v, 0.0, 1.0),
      ("1", True, NAN, [[1.0]])),
