@@ -152,7 +152,8 @@ class MeasuringProcess(_Immutable):
     through _validated.
     Immutable: what depends on the process alone (the meter's spectral measure
     and the labelled Kraus stack) is a cached_property,
-    computed on first use, kept, and judged under its Tolerances. Figures read
+    computed on first use, kept, and judged under its Tolerances; dilate fills
+    both, _meter_measure and _kraus_stack, with their closed forms. Figures read
     it through its labelled Kraus stack, the instrument of reading the meter:
     row (i, l) is K = sum_b conj(q[b, i]) sqrt(lam_l) (1 x <e_b|) U (1 x |phi_l>),
     with rho0 = sum lam_l |phi_l><phi_l| and q the meter's eigenvectors,
@@ -421,6 +422,14 @@ def dilate(instrument: CPInstrument) -> MeasuringProcess:
     its last write, so the process keeps it without a copy (as_operator).
     Reading the meter of the resulting process reproduces the instrument
     (per-outcome Choi agreement), and the process carries the instrument's Tolerances.
+    Once MeasuringProcess has checked the coupling, dilate hands the process the
+    closed forms of what it would derive from its diagonal meter and U, so no
+    read of a dilation eigendecomposes the meter or rebuilds the stack from U:
+    the meter measure clusters the outcome values repeated by family size (an
+    empty family has none) by _cluster_labels and averages each cluster as
+    spectral_decompose does, on complex identity columns, and the labelled Kraus
+    stack reports those values over the cluster sizes with the instrument's own
+    Kraus rows, U's Kraus columns bit for bit.
     """
     tol, stack = instrument.tol, instrument._kraus_stack
     d, probe_dim = stack.system_dim, len(stack.kraus)
@@ -450,11 +459,20 @@ def dilate(instrument: CPInstrument) -> MeasuringProcess:
     ones += 1.0
     u.setflags(write=False)
 
-    meter = HermitianObservable(np.diag(np.repeat(stack.values, stack.sizes)), tol=tol)
+    diagonal = np.repeat(stack.values, stack.sizes)
+    meter = HermitianObservable(np.diag(diagonal), tol=tol)
     e0 = np.zeros(probe_dim)
     e0[0] = 1.0
     probe = DensityOperator.pure(e0, tol=tol)
-    return MeasuringProcess(probe, u, meter, tol=tol)
+    mp = MeasuringProcess(probe, u, meter, tol=tol)
+    # the closed forms, set after the constructor has run every check, before any read
+    labels = _cluster_labels(diagonal, tol)
+    sizes = np.bincount(labels)
+    blocks = np.split(np.eye(probe_dim, dtype=complex), np.cumsum(sizes)[:-1], axis=1)
+    measure = SpectralDecomposition(np.bincount(labels, weights=diagonal) / sizes, tuple(blocks))
+    mp._init_fields(_meter_measure=measure,
+                    _kraus_stack=_KrausStack(measure.eigenvalues, sizes, stack.kraus, tol))
+    return mp
 
 
 def instrument_choi_distance(a: CPInstrument, b: CPInstrument) -> float:

@@ -44,14 +44,19 @@ def _commute(p: np.ndarray, rows, states, tol: Tolerances) -> bool:
     """Whether [P_i x 1, G+ G] sigma = 0, sigma the kron of the states, for a stack of P_i
     on the leading index and every row factor G (orthonormal rows): tested on L, the kron
     of v * w over each state's support (sigma = L (v x v0)+), as P G+ G L - G+ G P L with
-    P L formed once, within the _slack of len(L) terms; one pass per G, to the first failure."""
+    P L formed once, within the _slack of len(L) terms; one pass per G, to the first failure.
+    P X is held as one (n, k rank) matrix, column (i, l) for P_i and column l of X, so that
+    each product of P L with G or G+ is one matrix product, not one per P_i."""
     lf = functools.reduce(np.kron, [v * w for w, v in (s.support for s in states)])
-    d, slack = p.shape[-1], _slack(tol, terms=len(lf))
-    pl = (p @ lf.reshape(d, -1)).reshape((len(p),) + lf.shape)
+    n, d, slack = len(lf), p.shape[-1], _slack(tol, terms=len(lf))
+
+    def left(x):
+        return (p @ x.reshape(d, -1)).reshape(len(p), n, -1).swapaxes(0, 1).reshape(n, -1)
+
+    pl = left(lf)
     for g in rows:
         gd = dagger(g)
-        comm = (p @ (gd @ (g @ lf)).reshape(d, -1)).reshape(pl.shape) - gd @ (g @ pl)
-        if float(np.abs(comm).max()) > slack:
+        if float(np.abs(left(gd @ (g @ lf)) - gd @ (g @ pl)).max()) > slack:
             return False
     return True
 

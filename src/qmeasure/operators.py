@@ -186,7 +186,9 @@ def _slack(tol: Tolerances, scale: float = 1.0, terms: int = 1) -> float:
 
 class _Immutable:
     """Attributes are set once, through _init_fields in __init__; setting
-    or deleting one afterwards raises AttributeError."""
+    or deleting one afterwards raises AttributeError. Outside __init__ only
+    dilate calls _init_fields: it sets its process's cached fields once,
+    before any read."""
 
     def _init_fields(self, **fields):
         for name, value in fields.items():

@@ -70,9 +70,17 @@ def independent_meter_process(a, rho) -> qm.MeasuringProcess:
     return qm.MeasuringProcess(rho, np.eye(dim, dtype=complex), qm.HermitianObservable(am))
 
 
+def rebuilt(mp: qm.MeasuringProcess) -> qm.MeasuringProcess:
+    """The same process with an empty cache: its meter measure and labelled
+    Kraus stack are derived again from the meter and the coupling, where
+    dilate hands its process their closed forms."""
+    return qm.MeasuringProcess(mp.probe_state, mp.unitary, mp.meter, tol=mp.tol)
+
+
 def dilated_luders(a) -> qm.MeasuringProcess:
-    """Realization of the projective instrument of an observable."""
-    return qm.dilate(qm.luders_instrument(a))
+    """Realization of the projective instrument of an observable, its
+    figures read from the coupling (rebuilt)."""
+    return rebuilt(qm.dilate(qm.luders_instrument(a)))
 
 
 def shifted_meter(mp: qm.MeasuringProcess, c: float) -> qm.MeasuringProcess:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import qmeasure as qm
 from qmeasure import serialize as ser
 from qmeasure.cli import EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
-from helpers import KET_PLUS, SX, SZ, dilated_luders
+from helpers import KET_PLUS, SX, SZ, dilated_luders, rebuilt
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
@@ -158,7 +158,7 @@ class TestInstrumentPayloadNeedsNoDilation:
         inst = ser.instrument_from_dict(payload["instrument"])
         a, b, rho = (ser.matrix_from_json(payload[key])
                      for key in ("observable_a", "observable_b", "state"))
-        want = ser.edr_report_to_dict(qm.edr_ledger(qm.dilate(inst), a, b, rho))
+        want = ser.edr_report_to_dict(qm.edr_ledger(rebuilt(qm.dilate(inst)), a, b, rho))
         assert read_report(out)["results"] == want
 
     @pytest.mark.parametrize("inst, precise", [(qm.luders_instrument(SZ), True),

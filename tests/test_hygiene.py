@@ -525,6 +525,35 @@ def test_composite_call_watch_sees_m_dt():
         "evolved_system", "embedded_system", "tensor"]
 
 
+def test_reading_a_dilation_decomposes_no_meter(monkeypatch):
+    # dilate hands its process the meter measure in closed form, so neither the
+    # figures nor the read-back of a dilation, nor the strong face of an
+    # instrument's theorem2_check, eigendecomposes the dilation's r x r meter
+    import numpy as np
+    import qmeasure as qm
+    from helpers import rebuilt
+    rng = qm.rng_from(392)
+    a, b = (qm.random_hermitian(3, rng) for _ in range(2))
+    rho = qm.random_density_operator(3, rng)
+    inst = qm.random_cp_instrument(3, 2, rng, max_kraus_per_outcome=3)
+    luders = qm.luders_instrument(np.diag([0.0, 0.0, 1.0]))
+    sizes, decompose = [], qm.instruments.spectral_decompose
+
+    def counting(x, tol=qm.DEFAULT_TOL):
+        sizes.append(len(np.asarray(x)))
+        return decompose(x, tol)
+
+    monkeypatch.setattr(qm.instruments, "spectral_decompose", counting)
+    qm.edr_ledger(qm.dilate(inst), a, b, rho)
+    qm.instrument_from_process(qm.dilate(inst))
+    assert qm.theorem2_check(luders, np.diag([0.0, 0.0, 1.0]), rho).strong_precise
+    assert sizes == []
+    # the counter sees the decomposition that a rebuilt dilation derives
+    mp = qm.dilate(inst)
+    qm.instrument_from_process(rebuilt(mp))
+    assert sizes == [mp.probe_dim]
+
+
 def test_figures_read_no_per_outcome_kraus_tuple():
     # the labelled Kraus stack is the one per-outcome form a computation reads:
     # with an instrument's kraus tuple cleared, each figure is what it was

@@ -16,7 +16,7 @@ import pytest
 
 import qmeasure as qm
 from qmeasure import jpd
-from helpers import P0, P1
+from helpers import P0, P1, rebuilt
 
 TOL = 1e-12
 GAP = 1e-10  # below the slack 1e-9 of max|outcome| = 1, so the two outcomes cluster
@@ -102,7 +102,7 @@ def flat(result) -> list:
 @pytest.mark.parametrize("inst, a, b, rho", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_instrument_figure_matches_its_dilation(name, inst, a, b, rho):
     got = FIGURES[name](inst, a, b, rho)
-    want = FIGURES[name](qm.dilate(inst), a, b, rho)
+    want = FIGURES[name](rebuilt(qm.dilate(inst)), a, b, rho)
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max())) ** 2
     # the dilated meter reports a merged outcome at the mean of the two it
     # merges, so a noise figure can move by about the gap between them
@@ -127,7 +127,7 @@ def test_instrument_atoms_are_its_own_outcomes():
                                   (NEAR, A01, MIXED, [0.0, 1.0 + GAP / 2])):
         jd = qm.weak_joint_distribution(inst, a, rho)
         assert tuple(jd.y_atoms.tolist()) == inst.outcomes
-        atoms = qm.weak_joint_distribution(qm.dilate(inst), a, rho).y_atoms
+        atoms = qm.weak_joint_distribution(rebuilt(qm.dilate(inst)), a, rho).y_atoms
         assert np.abs(atoms - dilated).max() <= 1e-15
     assert np.abs(qm.weak_joint_distribution(EMPTY, A02, MIXED).weights[:, 1]).max() == 0.0
 
@@ -198,7 +198,7 @@ CHANGES = {
     "system_unitary": (system_unitary, 1.0),
     "probe_unitary": (probe_unitary, 1.0),
     "round_trip": (lambda inst, a, b, rho, rng: (
-        qm.dilate(qm.instrument_from_process(qm.dilate(inst))), a, b, rho), 1.0),
+        rebuilt(qm.dilate(qm.instrument_from_process(rebuilt(qm.dilate(inst))))), a, b, rho), 1.0),
     **{f"affine_{alpha}": (affine_relabelling(alpha),
                            np.array([abs(alpha), 1.0, abs(alpha), 1.0] + [abs(alpha)] * 5))
        for alpha in (-2.5, 0.3)},

@@ -22,6 +22,7 @@ from helpers import (
     reference_outcome_probabilities,
     reference_partial_trace,
     reference_post_state,
+    rebuilt,
     traced,
     trivial_process,
 )
@@ -446,7 +447,7 @@ class TestReadBackOfDilations:
 
     @staticmethod
     def assert_reads_back(inst):
-        back = qm.instrument_from_process(qm.dilate(inst))
+        back = qm.instrument_from_process(rebuilt(qm.dilate(inst)))
         assert [len(ops) for ops in back.kraus] == [len(ops) for ops in inst.kraus]
         for ops in back.kraus:
             norms = np.linalg.norm(ops, axis=(1, 2))
@@ -672,8 +673,7 @@ class TestDilation:
         for _ in range(25):
             d = int(rng.integers(2, 4))
             inst = qm.random_cp_instrument(d, int(rng.integers(2, 4)), rng)
-            mp = qm.dilate(inst)
-            back = qm.instrument_from_process(mp)
+            back = qm.instrument_from_process(rebuilt(qm.dilate(inst)))
             assert qm.instrument_choi_distance(inst, back) < 1e-8
 
     def test_probe_is_pure_ground_state(self):
@@ -739,8 +739,9 @@ class TestDilation:
         assert np.array_equal(calls[0][0], u[:, ::r])
 
     def test_figures_of_dilation_equal_those_of_instrument(self):
-        # every figure reads the labelled Kraus stack, the dilation's Kraus
-        # columns; theorem2_check(inst) dilates inst for its strong face, so
+        # every figure reads the labelled Kraus stack, here the one the
+        # rebuilt dilation derives from its coupling's Kraus columns and its
+        # meter; theorem2_check(inst) dilates inst for its strong face, so
         # both sides read the same complement there
         for seed in range(120):
             rng = qm.rng_from(217, seed)
@@ -750,7 +751,7 @@ class TestDilation:
             for inst in (qm.random_cp_instrument(d, int(rng.integers(1, 5)), rng,
                                                  max_kraus_per_outcome=3),
                          qm.luders_instrument(a)):
-                mp = qm.dilate(inst)
+                mp = rebuilt(qm.dilate(inst))
                 assert qm.edr_ledger(mp, a, b, rho) == qm.edr_ledger(inst, a, b, rho)
                 assert qm.theorem2_check(mp, a, rho) == qm.theorem2_check(inst, a, rho)
 
@@ -779,9 +780,52 @@ class TestDilation:
         mp = qm.dilate(inst)
         assert mp.unitary.shape == (216, 216)
         assert qm.operator_distance(mp.unitary.conj().T @ mp.unitary, np.eye(216)) <= 1e-12
-        back = qm.instrument_from_process(mp)
+        back = qm.instrument_from_process(rebuilt(mp))
         assert [len(ops) for ops in back.kraus] == [6] * 6
         assert qm.instrument_choi_distance(inst, back) < 1e-10
+
+
+def handed_cases(tol):
+    """(name, instrument, meter values) for the closed-form test: a Lüders
+    instrument of a diagonal observable (trivial reflectors), a ragged random
+    instrument, the instrument of a mixed-probe process, an outcome without
+    operators (no meter value), two outcomes 1e-15 apart (one meter value at
+    any eq_tol) and one unitary outcome (probe dimension 1)."""
+    rng = qm.rng_from(400)
+    return [
+        ("diagonal-luders", qm.luders_instrument(np.diag([2.0, -1.0, 0.5, 0.5]), tol), 3),
+        ("ragged", qm.random_cp_instrument(3, 3, rng, max_kraus_per_outcome=3, tol=tol), 3),
+        ("mixed-probe", qm.instrument_from_process(
+            qm.random_measuring_process(3, 3, rng, pure_probe=False, tol=tol)), 3),
+        ("empty-outcome", qm.CPInstrument([0.0, 1.0, 2.0], [[P0], [], [P1]], tol=tol), 2),
+        ("merged", qm.CPInstrument([1.0, 1.0 + 1e-15], [[P0], [P1]], tol=tol), 1),
+        ("unitary", qm.CPInstrument([0.5], [[qm.haar_unitary(3, rng)]], tol=tol), 1),
+    ]
+
+
+def choi_sums(stack) -> np.ndarray:
+    """sum vec(K_j) vec(K_j)+ over each outcome's rows of a labelled Kraus stack."""
+    v = stack.kraus.reshape(len(stack.kraus), -1)
+    rows = np.repeat(np.arange(len(stack.sizes)), stack.sizes)
+    return np.array([v[rows == m].T @ v[rows == m].conj() for m in range(len(stack.sizes))])
+
+
+class TestHandedMeasure:
+    """dilate hands its process the meter measure and labelled Kraus stack in
+    closed form; they equal what the process derives from its meter and its
+    coupling when rebuilt, up to the phases eigh may give its eigenvectors."""
+
+    @pytest.mark.parametrize("eq_tol", [1e-9, 1e-300])
+    def test_closed_form_equals_the_derivation(self, eq_tol):
+        for name, inst, values in handed_cases(qm.Tolerances(eq_tol=eq_tol)):
+            dil = qm.dilate(inst)
+            ref = rebuilt(dil)
+            got, want = dil._kraus_stack, ref._kraus_stack
+            assert np.array_equal(got.values, want.values), name
+            assert np.array_equal(got.sizes, want.sizes), name
+            assert np.array_equal(dil._meter_measure.projectors, ref._meter_measure.projectors), name
+            assert np.abs(choi_sums(got) - choi_sums(want)).max() <= 1e-14, name
+            assert len(got.values) == values, name
 
 
 LEAKY_KRAUS = [[np.sqrt(0.5 * (1 + 5e-9)) * EYE2], [np.sqrt(0.5) * EYE2]]
@@ -823,7 +867,7 @@ class TestEveryInstrumentDilates:
         inst = qm.CPInstrument(range(len(kraus)), kraus, tol=tol)
         mp = qm.dilate(inst)
         n = mp.unitary.shape[0]
-        back = qm.instrument_from_process(mp)
+        back = qm.instrument_from_process(rebuilt(mp))
         assert qm.instrument_choi_distance(inst, back) <= 16 * n * np.finfo(float).eps
 
     def test_trivial_reflectors_give_exact_complements(self):
@@ -917,7 +961,7 @@ class TestChoiDistance:
         loose = qm.Tolerances(eq_tol=1e-6)
         mp = qm.dilate(qm.luders_instrument(SZ, loose))
         assert mp.tol == loose
-        assert qm.instrument_from_process(mp).tol == loose
+        assert qm.instrument_from_process(rebuilt(mp)).tol == loose
 
     @pytest.mark.parametrize("kind", ORACLE_KINDS)
     def test_matches_reference(self, kind):
@@ -926,7 +970,7 @@ class TestChoiDistance:
             rng = qm.rng_from(381, k)
             inst, a, _ = oracle_case(kind, bool(k % 2), scale, rng)
             assert qm.instrument_choi_distance(inst, inst) == 0.0
-            for other in (qm.instrument_from_process(qm.dilate(inst)),
+            for other in (qm.instrument_from_process(rebuilt(qm.dilate(inst))),
                           qm.luders_instrument(qm.random_hermitian(len(a), rng)),
                           qm.CPInstrument(inst.outcomes[::-1], inst.kraus)):
                 for x, y in ((inst, other), (other, inst)):

@@ -21,6 +21,7 @@ from helpers import (
     reference_joint_weights,
     reference_partial_trace,
     reference_strong_face,
+    rebuilt,
     traced,
 )
 
@@ -373,11 +374,6 @@ class TestReferenceWeights:
         assert np.abs(jd.weights - ref).max() <= 1e-12
 
 
-def fresh(mp: qm.MeasuringProcess) -> qm.MeasuringProcess:
-    """The same process with an empty cache."""
-    return qm.MeasuringProcess(mp.probe_state, mp.unitary, mp.meter)
-
-
 class TestClosedFormMeasures:
     """M(dt), B(0) and B(dt) take their spectral measures from the
     decompositions of their factors, so the meter has one set of outcome
@@ -410,12 +406,12 @@ class TestClosedFormMeasures:
                        qm.random_measuring_process(ds, dp, rng, interaction="identity"),
                        qm.dilate(qm.luders_instrument(a))):
                 sizes.clear()
-                qm.theorem2_check(fresh(mp), a, rho)
-                qm.is_precise(fresh(mp), a, rho)
-                qm.is_nondisturbing(fresh(mp), b, rho)
-                qm.is_nondisturbing(fresh(mp), a, rho)
-                qm.weak_joint_distribution(fresh(mp), a, rho)
-                qm.probability_reproducible(fresh(mp), a, rho)
+                qm.theorem2_check(rebuilt(mp), a, rho)
+                qm.is_precise(rebuilt(mp), a, rho)
+                qm.is_nondisturbing(rebuilt(mp), b, rho)
+                qm.is_nondisturbing(rebuilt(mp), a, rho)
+                qm.weak_joint_distribution(rebuilt(mp), a, rho)
+                qm.probability_reproducible(rebuilt(mp), a, rho)
                 assert max(sizes) <= max(mp.system_dim, mp.probe_dim)
 
     def test_weak_atoms_are_instrument_outcomes(self):
@@ -425,16 +421,16 @@ class TestClosedFormMeasures:
             mp = qm.random_measuring_process(ds, dp, rng)
             a, rho = qm.random_hermitian(ds, rng), qm.random_density_operator(ds, rng)
             atoms = qm.weak_joint_distribution(mp, a, rho).y_atoms
-            assert tuple(atoms.tolist()) == qm.instrument_from_process(fresh(mp)).outcomes
+            assert tuple(atoms.tolist()) == qm.instrument_from_process(rebuilt(mp)).outcomes
 
     def test_dilated_instrument_atoms_are_its_outcomes(self):
         rng = qm.rng_from(4)
         for _ in range(20):
-            mp = qm.dilate(qm.random_cp_instrument(3, 3, rng))
+            mp = rebuilt(qm.dilate(qm.random_cp_instrument(3, 3, rng)))
             a, rho = qm.random_hermitian(3, rng), qm.random_density_operator(3, rng)
             atoms = qm.weak_joint_distribution(mp, a, rho).y_atoms
             assert tuple(atoms.tolist()) == (0.0, 1.0, 2.0)
-            assert qm.instrument_from_process(fresh(mp)).outcomes == (0.0, 1.0, 2.0)
+            assert qm.instrument_from_process(rebuilt(mp)).outcomes == (0.0, 1.0, 2.0)
 
     @pytest.mark.parametrize("mp, a, rho", [c[1:] for c in reference_cases()],
                              ids=[c[0] for c in reference_cases()])
